@@ -386,14 +386,10 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
             bb = float(np.sum(hn * (lam * c_s) ** 2))
             return math.sqrt(tail2 + aa) + d2 * math.sqrt(bb), c_s
 
-        best_s_val, best_s_c = path_value(0.0)
         ss = np.concatenate(([0.0], np.logspace(-18.0, 18.0, 361)))
-        for s in ss[1:]:
-            val, c_s = path_value(float(s))
-            if val < best_s_val:
-                best_s_val, best_s_c = val, c_s
-        lo, hi = 0.0, float(ss[-1])
-        idx = int(np.argmin([path_value(float(s))[0] for s in ss]))
+        scan = [path_value(float(s)) for s in ss]
+        idx = int(np.argmin([val for val, _ in scan]))  # first minimum
+        best_s_val, best_s_c = scan[idx]
         if 0 < idx < ss.size - 1:
             lo, hi = float(ss[idx - 1]), float(ss[idx + 1])
             for _ in range(120):

@@ -57,6 +57,21 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
+# node counts, degrees and grid sizes: each must be a positive integer
+_RESOLUTION_FIELDS = (
+    "quad_n",
+    "norm_nodes",
+    "t_points",
+    "kdeg",
+    "pair_nodes",
+    "pair_quad",
+    "coeff_nodes",
+    "coeff_quad",
+    "approx_grid",
+    "jackson_quad",
+    "jackson_t_nodes",
+)
+
 
 @dataclass(frozen=True)
 class Config:
@@ -80,6 +95,15 @@ class Config:
     approx_grid: int = 512
     jackson_quad: int = 2048
     jackson_t_nodes: int = 256
+
+    def __post_init__(self):
+        for name in _RESOLUTION_FIELDS:
+            v = getattr(self, name)
+            if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 1:
+                raise InvalidArgumentError(f"{name} must be a positive integer, got {v!r}")
+        for name in ("degrees", "deltas"):
+            if len(getattr(self, name)) == 0:
+                raise InvalidArgumentError(f"{name} must not be empty")
 
     def to_dict(self) -> dict:
         out = {}

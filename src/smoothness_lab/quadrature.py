@@ -23,7 +23,6 @@ __all__ = [
     "gauss_chebyshev",
     "gauss_jacobi",
     "integrate",
-    "integrate_unit_circle",
     "ordered_sum",
 ]
 
@@ -211,9 +210,3 @@ def integrate(fn, rule: QuadratureRule) -> float:
             raise InvalidArgumentError("integrand must be callable or carry an eval field")
     vals = _eval_on(fn, rule.nodes)
     return ordered_sum(rule.weights * vals)
-
-
-def integrate_unit_circle(fn, n: int) -> float:
-    """Integrate fn over [-1, 1] against 1/sqrt(1-x^2) using n Chebyshev nodes."""
-    rule = gauss_chebyshev(n)
-    return integrate(fn, rule)

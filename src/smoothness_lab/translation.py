@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .space import EPS_INTERIOR, SpaceParams, make_grid
 from .quadrature import gauss_jacobi
 
 __all__ = [
-    "TranslationParams",
     "MultiplierTable",
     "compute_R",
     "kernel_B",
@@ -179,32 +177,6 @@ def multiplier_psi(n: int, y, quad_n: int = 128) -> float:
     fn = lambda r: jacobi_eval(int(n), 2, 2, r)
     ratios = _asym_core(fn, y, refs[keep], quad_n) / pv[keep]
     return float(np.median(ratios))
-
-
-@dataclass(frozen=True)
-class TranslationParams:
-    """Translation amount given as y in (-1, 1] or as an angle t with y = cos t."""
-
-    y: Optional[float] = None
-    t: Optional[float] = None
-    quad_n: int = 128
-
-    def __post_init__(self):
-        if self.y is None and self.t is None:
-            raise InvalidArgumentError("provide y or t")
-        if self.quad_n < 2:
-            raise InvalidArgumentError("quad_n must be at least 2")
-        if self.t is not None and not (math.isfinite(self.t) and abs(self.t) < math.pi):
-            raise InvalidArgumentError("t must satisfy |t| < pi")
-        if self.y is not None:
-            _check_y(self.y)
-        if self.y is not None and self.t is not None:
-            if abs(self.y - math.cos(self.t)) > 1e-12:
-                raise InvalidArgumentError("y and t disagree: need y = cos t to 1e-12")
-
-    @property
-    def resolved_y(self) -> float:
-        return float(self.y) if self.y is not None else math.cos(self.t)
 
 
 @dataclass(frozen=True)

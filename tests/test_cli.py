@@ -83,6 +83,21 @@ def test_inadmissible_p_exits_two(capsys):
     assert "p must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--degrees", ""], "degrees must not be empty"),
+        (["verify", "--quad-nodes", "0"], "quad_n must be a positive integer"),
+    ],
+)
+def test_bad_config_value_exits_two(capsys, argv, message):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_unknown_config_key(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("bogus = 3\n")

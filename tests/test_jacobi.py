@@ -26,6 +26,7 @@ from smoothness_lab import (
     make_grid,
     poly_lincomb,
 )
+from smoothness_lab.jacobi import _BLOCK, _comp_horner
 
 
 def exact_h(n: int) -> Fraction:
@@ -159,6 +160,77 @@ def test_polynomial_rep_basics():
     assert p(0.5) == pytest.approx(2.125, rel=1e-15)
     assert not p.is_zero()
     assert PolynomialRep(np.array([0.0])).is_zero()
+
+
+def _reference_comp_horner(coeffs, x):
+    # textbook compensated Horner, one TwoProd and one TwoSum per coefficient
+    def two_sum(a, b):
+        s = a + b
+        bb = s - a
+        return s, (a - (s - bb)) + (b - bb)
+
+    def two_prod(a, b):
+        p = a * b
+        c = 134217729.0 * a
+        ah = c - (c - a)
+        al = a - ah
+        c = 134217729.0 * b
+        bh = c - (c - b)
+        bl = b - bh
+        return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+    xv = np.asarray(x, dtype=float)
+    s = np.full(xv.shape, coeffs[-1], dtype=float)
+    e = np.zeros(xv.shape)
+    for c in coeffs[-2::-1]:
+        p, ep = two_prod(s, xv)
+        s, es = two_sum(p, c)
+        e = e * xv + (ep + es)
+    out = s + e
+    return float(out) if np.isscalar(x) or xv.shape == () else out
+
+
+def _horner_inputs():
+    rng = np.random.default_rng(5)
+    grid = rng.uniform(-1.0, 1.0, (37, 500))
+    grid[0, :2] = (-1.0, 1.0)
+    return {
+        "python-scalar": 0.3,
+        "0-d": np.array(-0.7),
+        "empty": np.empty(0),
+        "empty-2d": np.empty((0, 3)),
+        "ragged-1d": np.linspace(-1.0, 1.0, 2 * _BLOCK + 37),
+        "c-contiguous-2d": grid,
+        "transposed-2d": grid.T,
+        "endpoints": np.array([-1.0, 1.0, -1.0]),
+    }
+
+
+def _horner_coeffs(n):
+    rng = np.random.default_rng(n)
+    return {
+        "jacobi": jacobi_poly(n, 2, 2).coeffs,
+        "random": rng.standard_normal(n + 1) * 10.0 ** rng.uniform(-3, 9, n + 1),
+    }
+
+
+@pytest.mark.parametrize("n", [0, 5, 12, 40])
+@pytest.mark.parametrize("kind", ["jacobi", "random"])
+@pytest.mark.parametrize("name", list(_horner_inputs()))
+def test_comp_horner_bit_identical_to_textbook_loop(n, kind, name):
+    coeffs = _horner_coeffs(n)[kind]
+    x = _horner_inputs()[name]
+    before = np.array(x, copy=True)
+    new = _comp_horner(coeffs, x)
+    ref = _reference_comp_horner(coeffs, x)
+    assert np.array_equal(np.asarray(x), before)  # input untouched
+    if np.ndim(x) == 0:
+        assert type(new) is float
+    else:
+        assert new.shape == np.shape(x)
+    new_bits = np.asarray(new, dtype=float).view(np.int64)
+    ref_bits = np.asarray(ref, dtype=float).view(np.int64)
+    assert np.array_equal(new_bits, ref_bits)
 
 
 def test_lincomb_matches_manual_sum():
