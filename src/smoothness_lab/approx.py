@@ -391,11 +391,16 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
         idx = int(np.argmin([val for val, _ in scan]))  # first minimum
         best_s_val, best_s_c = scan[idx]
         if 0 < idx < ss.size - 1:
+            # golden section; the point that survives a step is, in almost
+            # every step, bitwise equal to one of the next step's two points,
+            # so values are kept by abscissa and each point is evaluated once
             lo, hi = float(ss[idx - 1]), float(ss[idx + 1])
+            known = {}
             for _ in range(120):
                 m1 = lo + 0.381966011250105 * (hi - lo)
                 m2 = hi - 0.381966011250105 * (hi - lo)
-                if path_value(m1)[0] <= path_value(m2)[0]:
+                known = {m: known[m] if m in known else path_value(m)[0] for m in (m1, m2)}
+                if known[m1] <= known[m2]:
                     hi = m2
                 else:
                     lo = m1

@@ -18,13 +18,16 @@ _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
 
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
-    if key in ("deltas",):
-        return tuple(float(s) for s in raw.split(",") if s.strip())
-    if key in ("degrees",):
-        return tuple(int(s) for s in raw.split(",") if s.strip())
-    if key in ("p", "alpha", "tol_scale"):
-        return float(raw)
-    return int(raw)
+    try:
+        if key in ("deltas",):
+            return tuple(float(s) for s in raw.split(",") if s.strip())
+        if key in ("degrees",):
+            return tuple(int(s) for s in raw.split(",") if s.strip())
+        if key in ("p", "alpha", "tol_scale"):
+            return float(raw)
+        return int(raw)
+    except ValueError as e:
+        raise InvalidArgumentError(f"bad value for {key}: {e}") from e
 
 
 def _load_config_file(path: str) -> dict:
@@ -45,8 +48,8 @@ def _load_config_file(path: str) -> dict:
             raise InvalidArgumentError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
             out[key] = _parse_value(key, raw)
-        except ValueError as e:
-            raise InvalidArgumentError(f"{path}:{lineno}: bad value for {key}: {e}") from e
+        except InvalidArgumentError as e:
+            raise InvalidArgumentError(f"{path}:{lineno}: {e}") from e
     return out
 
 

@@ -73,6 +73,14 @@ _RESOLUTION_FIELDS = (
 )
 
 
+def _is_positive_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
+
+
+def _is_finite_real(v) -> bool:
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 @dataclass(frozen=True)
 class Config:
     """Knobs shared by the verification suite and the theorem sweep."""
@@ -99,11 +107,19 @@ class Config:
     def __post_init__(self):
         for name in _RESOLUTION_FIELDS:
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 1:
+            if not _is_positive_int(v):
                 raise InvalidArgumentError(f"{name} must be a positive integer, got {v!r}")
         for name in ("degrees", "deltas"):
             if len(getattr(self, name)) == 0:
                 raise InvalidArgumentError(f"{name} must not be empty")
+        for n in self.degrees:
+            if not _is_positive_int(n):
+                raise InvalidArgumentError(f"degrees must be positive integers, got {n!r}")
+        for d in self.deltas:
+            if not (_is_finite_real(d) and 0.0 <= d < math.pi):
+                raise InvalidArgumentError(f"deltas must be finite and lie in [0, pi), got {d!r}")
+        if not (_is_finite_real(self.tol_scale) and self.tol_scale > 0.0):
+            raise InvalidArgumentError(f"tol_scale must be finite and positive, got {self.tol_scale!r}")
 
     def to_dict(self) -> dict:
         out = {}
@@ -150,7 +166,9 @@ class VerificationReport:
 def _poly_handle(poly: PolynomialRep, parity="none", label="") -> FunctionHandle:
     d1 = poly.derivative()
     d2 = d1.derivative()
-    return FunctionHandle(eval=poly.__call__, d1=d1.__call__, d2=d2.__call__, parity=parity, label=label)
+    return FunctionHandle(
+        eval=poly.__call__, d1=d1.__call__, d2=d2.__call__, parity=parity, label=label, degree=poly.degree
+    )
 
 
 def corpus(seed: int = 7):
@@ -168,6 +186,7 @@ def corpus(seed: int = 7):
                 d2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
                 parity="even",
                 label="1",
+                degree=0,
             ),
             "polynomial",
         ),
@@ -179,6 +198,7 @@ def corpus(seed: int = 7):
                 d2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
                 parity="odd",
                 label="x",
+                degree=1,
             ),
             "polynomial",
         ),
@@ -190,6 +210,7 @@ def corpus(seed: int = 7):
                 d2=lambda x: np.full_like(np.asarray(x, dtype=float), 2.0),
                 parity="even",
                 label="x^2",
+                degree=2,
             ),
             "polynomial",
         ),
@@ -415,7 +436,7 @@ def run_lemma_suite(config: Config = Config()):
         worst, details = 0.0, []
         for e in entries:
             fx = np.asarray(e.handle(grid16), dtype=float)
-            tv = _asym_core(e.handle.eval, 1.0, grid16, cfg.quad_n)
+            tv = _asym_core(e.handle, 1.0, grid16, cfg.quad_n)
             diff = float(np.max(np.abs(tv - fx)))
             details.append({"case": e.label, "value": diff})
             worst = max(worst, diff)
@@ -495,7 +516,7 @@ def run_lemma_suite(config: Config = Config()):
         psis = np.array([multiplier_psi(m, y, cfg.quad_n) for m in range(7)])
         for e in entries:
             fv = np.asarray(e.handle(xs), dtype=float)
-            tv = _asym_core(e.handle.eval, y, xs, cfg.coeff_quad)
+            tv = _asym_core(e.handle, y, xs, cfg.coeff_quad)
             a_f = np.cumsum(basis * (ws * fv)[None, :], axis=1)[:, -1] / hs
             a_t = np.cumsum(basis * (ws * tv)[None, :], axis=1)[:, -1] / hs
             err = float(np.max(np.abs(a_t - psis * a_f)))
@@ -513,7 +534,7 @@ def run_lemma_suite(config: Config = Config()):
             translated = {}
             for e in entries:
                 values[e.label] = np.asarray(e.handle(xs), dtype=float)
-                translated[e.label] = _asym_core(e.handle.eval, y, xs, cfg.pair_quad)
+                translated[e.label] = _asym_core(e.handle, y, xs, cfg.pair_quad)
             labels = [e.label for e in entries]
             for i, la in enumerate(labels):
                 for lb in labels[i:]:
@@ -540,8 +561,8 @@ def run_lemma_suite(config: Config = Config()):
         for label, poly in polys.items():
             dpoly = apply_D_poly(poly)
             for y in (0.5, -0.3):
-                lhs = _asym_core(dpoly.eval, y, grid16, cfg.quad_n)
-                samples = _asym_core(poly.eval, y, fit_grid, cfg.quad_n)
+                lhs = _asym_core(dpoly, y, grid16, cfg.quad_n)
+                samples = _asym_core(poly, y, fit_grid, cfg.quad_n)
                 coeffs, *_ = np.linalg.lstsq(vander, samples, rcond=None)
                 rhs = apply_D_poly(PolynomialRep(coeffs))(grid16)
                 diff = float(np.max(np.abs(lhs - rhs)))
@@ -564,7 +585,7 @@ def run_lemma_suite(config: Config = Config()):
             dpoly = apply_D_poly(poly)
             px = poly(xs)
             for tt in (0.3, 1.0):
-                lhs = _asym_core(poly.eval, math.cos(tt), xs, cfg.quad_n) - px
+                lhs = _asym_core(poly, math.cos(tt), xs, cfg.quad_n) - px
                 outer_t = tt * (gl.nodes + 1.0) / 2.0
                 outer_w = gl.weights * tt / 2.0
                 rhs = np.zeros_like(xs)
@@ -576,7 +597,7 @@ def run_lemma_suite(config: Config = Config()):
                     for k in range(inner_t.size):
                         u = inner_t[k]
                         wu = 32.0 * math.sin(u / 2.0) * math.cos(u / 2.0) ** 9
-                        acc += inner_w[k] * wu * _asym_core(dpoly.eval, math.cos(u), xs, 64)
+                        acc += inner_w[k] * wu * _asym_core(dpoly, math.cos(u), xs, 64)
                     dens = 32.0 * math.sin(v / 2.0) * math.cos(v / 2.0) ** 9
                     rhs += outer_w[j] * acc / dens
                 diff = float(np.max(np.abs(lhs - rhs)))
@@ -596,7 +617,7 @@ def run_lemma_suite(config: Config = Config()):
         for qn in (cfg.quad_n, 2 * cfg.quad_n):
             cmax = 0.0
             for e in entries:
-                fn = e.handle.eval
+                fn = e.handle
                 base = _norm_of_samples(np.asarray(fn(xs), dtype=float), params, rule, wts)
                 if base < 1e-13:
                     continue

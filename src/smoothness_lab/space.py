@@ -101,6 +101,14 @@ class FunctionHandle:
 
     eval must accept numpy arrays of any shape and return matching shapes.
     parity is "even", "odd", or "none" and is advisory.
+
+    degree, when given, is a promise that eval is a polynomial of degree at
+    most degree. The translation kernels then integrate it with the smallest
+    exact Chebyshev z-rule: their kernel has degree 4 in z and R is linear
+    in z, so the integrand has degree degree + 4, and a rule of
+    n = degree // 2 + 3 nodes is exact because degree + 4 <= 2n - 1. A
+    degree that is too low gives wrong translations, not an error; None
+    (the default) keeps the full rule.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -108,10 +116,14 @@ class FunctionHandle:
     d2: Optional[Callable[[np.ndarray], np.ndarray]] = None
     parity: str = "none"
     label: str = ""
+    degree: Optional[int] = None
 
     def __post_init__(self):
         if self.parity not in ("even", "odd", "none"):
             raise InvalidArgumentError(f"parity must be even, odd, or none, got {self.parity!r}")
+        d = self.degree
+        if d is not None and (not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 0):
+            raise InvalidArgumentError(f"degree must be None or a nonnegative integer, got {d!r}")
 
     def __call__(self, x):
         return self.eval(x)

@@ -90,9 +90,22 @@ def _finite(vals, where):
     return vals
 
 
+def _z_nodes(fn, quad_n: int) -> int:
+    """Nodes of the z-rule: quad_n, capped at the exact d // 2 + 3 when fn declares a degree d."""
+    degree = getattr(fn, "degree", None)
+    if degree is None:
+        return int(quad_n)
+    return min(int(quad_n), degree // 2 + 3)
+
+
 def _asym_core(fn, y: float, xs: np.ndarray, quad_n: int) -> np.ndarray:
-    """tau_y f on a 1-d array of interior points, one Chebyshev z-rule."""
-    rule = gauss_chebyshev(int(quad_n))
+    """tau_y f on a 1-d array of interior points, one Chebyshev z-rule.
+
+    The kernel kb has degree 4 in z, so a polynomial fn of declared degree d
+    is integrated exactly by the rule of _z_nodes(fn, quad_n) nodes; any
+    other fn gets the full quad_n rule.
+    """
+    rule = gauss_chebyshev(_z_nodes(fn, quad_n))
     z = rule.nodes[None, :]
     x = xs[:, None]
     sx = np.sqrt(1.0 - x * x)
@@ -133,7 +146,13 @@ def asym_translate_t(f, t, x, quad_n: int = 128) -> float:
 
 
 def _sym_core(fn, y: float, xs: np.ndarray, quad_n: int) -> np.ndarray:
-    rule = gauss_chebyshev(int(quad_n))
+    """Symmetric translation on a 1-d array of points, one Chebyshev z-rule.
+
+    The weight (1-z^2)^2 has degree 4 in z, so a polynomial fn of declared
+    degree d is integrated exactly by the rule of _z_nodes(fn, quad_n)
+    nodes; any other fn gets the full quad_n rule.
+    """
+    rule = gauss_chebyshev(_z_nodes(fn, quad_n))
     z = rule.nodes[None, :]
     x = xs[:, None]
     sy = math.sqrt(max(1.0 - y * y, 0.0))
@@ -224,7 +243,8 @@ def abs_rotation_average(f, t, xs, quad_n: int = 128) -> np.ndarray:
     """(1-x^2)^-1 Chebyshev average of (1-R^2) |f(R)| with R = x cos t - z sin t sqrt(1-x^2).
 
     This is the positive-kernel transform whose weighted norm stays
-    uniformly controlled by the norm of f.
+    uniformly controlled by the norm of f. It always uses the full quad_n
+    rule: |f| is not a polynomial even when f declares a degree.
     """
     t = float(t)
     if not (math.isfinite(t) and 0.0 <= t <= math.pi):

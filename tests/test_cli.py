@@ -88,6 +88,13 @@ def test_inadmissible_p_exits_two(capsys):
     [
         (["sweep", "--degrees", ""], "degrees must not be empty"),
         (["verify", "--quad-nodes", "0"], "quad_n must be a positive integer"),
+        (["sweep", "--degrees=2,4.5"], "bad value for degrees"),
+        (["sweep", "--deltas=0.1,abc"], "bad value for deltas"),
+        (["sweep", "--degrees=0,4"], "degrees must be positive integers, got 0"),
+        (["sweep", "--degrees=-3,4"], "degrees must be positive integers, got -3"),
+        (["sweep", "--deltas=0.1,3.2"], "deltas must be finite and lie in [0, pi), got 3.2"),
+        (["sweep", "--tol", "-1"], "tol_scale must be finite and positive, got -1.0"),
+        (["verify", "--tol", "nan"], "tol_scale must be finite and positive, got nan"),
     ],
 )
 def test_bad_config_value_exits_two(capsys, argv, message):
@@ -96,6 +103,14 @@ def test_bad_config_value_exits_two(capsys, argv, message):
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_bad_value_in_config_file_names_line_and_key(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text("quad_n = 8\nkdeg = many\n")
+    assert main(["verify", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:2: bad value for kdeg" in err and err.count("\n") == 1
 
 
 def test_unknown_config_key(tmp_path, capsys):

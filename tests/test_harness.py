@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from smoothness_lab import InvalidArgumentError, ReportIOError, SpaceParams, weighted_norm
+from smoothness_lab import InvalidArgumentError, ReportIOError, SpaceParams, make_grid, weighted_norm
 from smoothness_lab.harness import (
     Config,
     VerificationReport,
@@ -178,3 +178,25 @@ def test_as_dict_excludes_timing():
     r = VerificationReport("demo", "pass", 1.0, 2.0, seconds=3.5)
     assert "seconds" not in r.as_dict()
     assert r.as_dict()["check_id"] == "demo"
+
+
+def _cheb_residual(values, grid, degree):
+    coeffs = np.polynomial.chebyshev.chebfit(grid, values, degree)
+    return float(np.max(np.abs(np.polynomial.chebyshev.chebval(grid, coeffs) - values)))
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_corpus_declares_true_polynomial_degrees(seed):
+    # a declared degree shortens the translation rules, so it must be exact:
+    # one too low gives wrong translations, a missing one loses the speed-up
+    grid = make_grid(64)
+    for e in corpus(seed):
+        if e.tag not in ("polynomial", "random-series"):
+            assert e.handle.degree is None, e.label
+            continue
+        d = e.handle.degree
+        assert d is not None, e.label
+        values = np.asarray(e.handle(grid), dtype=float)
+        assert _cheb_residual(values, grid, d) <= 1e-12, e.label
+        if d > 0:
+            assert _cheb_residual(values, grid, d - 1) >= 1e-6, e.label

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothness_lab import (
+    FunctionHandle,
     InvalidArgumentError,
     SpaceParams,
     abs_rotation_average,
@@ -23,6 +24,8 @@ from smoothness_lab import (
     multiplier_psi,
     sym_translate,
 )
+from smoothness_lab.harness import corpus
+from smoothness_lab.translation import _asym_core, _sym_core, _z_nodes
 
 P21 = SpaceParams(2.0, 1.0)
 
@@ -179,3 +182,62 @@ def test_translate_polynomial_stays_close_to_eval_grid():
     xs = make_grid(7)
     got = np.array([asym_translate(poly, 0.4, float(x)) for x in xs])
     assert np.max(np.abs(got - psi * jacobi_eval(3, 2, 2, xs))) <= 1e-8
+
+
+# Polynomials that declare their degree: the polynomial corpus entries and a
+# few Jacobi modes up to the degree where the monomial form stays accurate.
+CORPUS_POLYS = [(e.label, e.handle) for e in corpus(7) if e.handle.degree is not None]
+POLY_CASES = CORPUS_POLYS + [(f"P_{n}", jacobi_poly(n, 2, 2)) for n in (0, 1, 5, 12, 24)]
+
+
+def _sup(fn):
+    return float(np.max(np.abs(fn(np.linspace(-1.0, 1.0, 401)))))
+
+
+@pytest.mark.parametrize("label,fn", POLY_CASES, ids=[c[0] for c in POLY_CASES])
+@pytest.mark.parametrize("quad_n", [128, 2048])
+def test_asym_exact_rule_matches_full_rule(label, fn, quad_n):
+    # the handle gets the short exact rule, its bare eval the full quad_n rule;
+    # the points stay off the ends, where the division by 1 - x^2 amplifies
+    # the rounding of either rule a hundredfold
+    xs = 0.9 * make_grid(16)
+    for y in (-0.5, 0.3, 0.9):
+        short = _asym_core(fn, y, xs, quad_n)
+        full = _asym_core(fn.eval, y, xs, quad_n)
+        assert np.max(np.abs(short - full)) <= 1e-13 * _sup(fn), (label, y)
+
+
+@pytest.mark.parametrize("label,fn", POLY_CASES, ids=[c[0] for c in POLY_CASES])
+@pytest.mark.parametrize("quad_n", [128, 2048])
+def test_sym_exact_rule_matches_full_rule(label, fn, quad_n):
+    xs = make_grid(16)
+    for y in (-1.0, -0.5, 0.3, 0.9, 1.0):
+        short = _sym_core(fn, y, xs, quad_n)
+        full = _sym_core(fn.eval, y, xs, quad_n)
+        assert np.max(np.abs(short - full)) <= 1e-13 * _sup(fn), (label, y)
+
+
+def test_z_nodes_uses_the_exact_rule_capped_at_quad_n():
+    p12 = jacobi_poly(12, 2, 2)
+    assert _z_nodes(p12, 2048) == 9
+    assert _z_nodes(p12, 4) == 4
+    assert _z_nodes(FunctionHandle(eval=p12.eval, degree=12), 4) == 4
+    assert _z_nodes(FunctionHandle(eval=lambda x: x, degree=0), 128) == 3
+    # no declared degree, or a bound method without one: the full rule
+    assert _z_nodes(FunctionHandle(eval=p12.eval), 128) == 128
+    assert _z_nodes(p12.eval, 128) == 128
+    assert _z_nodes(lambda x: x, 128) == 128
+
+
+@pytest.mark.parametrize("label,fn", CORPUS_POLYS, ids=[c[0] for c in CORPUS_POLYS])
+def test_rotation_average_ignores_degree(label, fn):
+    # |f| is not a polynomial, so the positive-kernel transform keeps quad_n
+    xs = make_grid(16)
+    for t in (0.3, 2.2):
+        assert np.array_equal(abs_rotation_average(fn, t, xs), abs_rotation_average(fn.eval, t, xs))
+
+
+@pytest.mark.parametrize("degree", [-1, True, 2.5])
+def test_function_handle_rejects_bad_degree(degree):
+    with pytest.raises(InvalidArgumentError):
+        FunctionHandle(eval=lambda x: x, degree=degree)
