@@ -20,7 +20,7 @@ from .jacobi import (
     poly_lincomb,
 )
 from .quadrature import gauss_jacobi, gauss_legendre, ordered_sum
-from .space import EPS_INTERIOR, FunctionHandle, SpaceParams, make_grid, weighted_norm
+from .space import EPS_INTERIOR, FunctionHandle, SpaceParams, make_grid, sample, weighted_norm
 from .translation import _sym_core, _unwrap
 
 __all__ = [
@@ -86,10 +86,7 @@ def _best_l2(f, n, params, grid_n):
     if a <= -1.0:
         raise InvalidArgumentError("2 * alpha must exceed -1 for the projection weight")
     rule = gauss_jacobi(max(int(grid_n), 2 * n), a, a)
-    fn = _unwrap(f)
-    fv = np.asarray(fn(rule.nodes), dtype=float)
-    if fv.shape != rule.nodes.shape:
-        fv = np.broadcast_to(fv, rule.nodes.shape).astype(float)
+    fv = sample(f, rule.nodes)
     basis = jacobi_matrix(n - 1, rule.nodes, a, a)
     wf = rule.weights * fv
     numer = np.cumsum(basis * wf[None, :], axis=1)[:, -1]
@@ -113,8 +110,7 @@ def _solve_reference(refs, fr, wr, n):
 def _best_sup(f, n, params, grid_n):
     grid = make_grid(max(8 * n, int(grid_n) if grid_n else 8 * n))
     wgt = (1.0 - grid * grid) ** params.alpha
-    fn = _unwrap(f)
-    fv = np.asarray(fn(grid), dtype=float)
+    fv = sample(f, grid)
     scale = float(np.max(np.abs(fv * wgt))) or 1.0
     idx = np.unique(np.linspace(0, grid.size - 1, n + 1).round().astype(int))
     trace = []
@@ -168,10 +164,7 @@ def _best_irls(f, n, params, grid_n):
     if exponent <= -1.0:
         raise InvalidArgumentError("p * alpha must exceed -1 for an integrable weight")
     rule = gauss_jacobi(max(int(grid_n), 2 * n), exponent, exponent)
-    fn = _unwrap(f)
-    fv = np.asarray(fn(rule.nodes), dtype=float)
-    if fv.shape != rule.nodes.shape:
-        fv = np.broadcast_to(fv, rule.nodes.shape).astype(float)
+    fv = sample(f, rule.nodes)
     V = ncheb.chebvander(rule.nodes, n - 1)
     scale = float(np.max(np.abs(fv))) or 1.0
     floor = 1e-12 * scale
@@ -267,10 +260,10 @@ def jackson_operator(f, params: JacksonParams, quad_n: int = 2048) -> Polynomial
     xs_fit = make_grid(n_fit)
     xs_held = make_grid(n_fit + 7)
     xs = np.concatenate((xs_fit, xs_held))
-    fn = _unwrap(f)
+    translated = _sym_core(_unwrap(f), np.array([math.cos(t) for t in ts]), xs, quad_n)
     acc = np.zeros(xs.size)
     for j in range(ts.size):
-        acc += wts[j] * _sym_core(fn, math.cos(ts[j]), xs, quad_n)
+        acc += wts[j] * translated[j]
     w_fit, w_held = acc[:n_fit], acc[n_fit:]
     coeffs, *_ = np.linalg.lstsq(ncheb.chebvander(xs_fit, bound), w_fit, rcond=None)
     fitted = ncheb.chebvander(xs_held, bound) @ coeffs
@@ -315,7 +308,6 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
         raise InvalidArgumentError(f"max_deg must be an integer in [0, {MAX_WITNESS_DEG}]")
     params = _as_params(params)
     max_deg = int(max_deg)
-    fn = _unwrap(f)
 
     if params.is_sup:
         edge = 1.0 - EPS_INTERIOR
@@ -329,9 +321,7 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
         rule = gauss_jacobi(int(quad_n), exponent, exponent)
         xs = rule.nodes
         rw = rule.weights
-    fv = np.asarray(fn(xs), dtype=float)
-    if fv.shape != xs.shape:
-        fv = np.broadcast_to(fv, xs.shape).astype(float)
+    fv = sample(f, xs)
     J = jacobi_matrix(max_deg, xs)
     lam = -np.arange(max_deg + 1.0) * (np.arange(max_deg + 1.0) + 5.0)
     d2 = delta * delta

@@ -217,7 +217,9 @@ def corpus(seed: int = 7):
         CorpusEntry("P_5", _poly_handle(p5, parity="odd", label="P_5"), "polynomial"),
         CorpusEntry(
             "|x|",
-            FunctionHandle(eval=lambda x: np.abs(np.asarray(x, dtype=float)), parity="even", label="|x|"),
+            FunctionHandle(
+                eval=lambda x: np.abs(np.asarray(x, dtype=float)), parity="even", label="|x|", breaks=(0.0,)
+            ),
             "kink",
         ),
         CorpusEntry(
@@ -593,11 +595,12 @@ def run_lemma_suite(config: Config = Config()):
                     v = outer_t[j]
                     inner_t = v * (gl.nodes + 1.0) / 2.0
                     inner_w = gl.weights * v / 2.0
+                    inner = _asym_core(dpoly, np.array([math.cos(u) for u in inner_t]), xs, 64)
                     acc = np.zeros_like(xs)
                     for k in range(inner_t.size):
                         u = inner_t[k]
                         wu = 32.0 * math.sin(u / 2.0) * math.cos(u / 2.0) ** 9
-                        acc += inner_w[k] * wu * _asym_core(dpoly, math.cos(u), xs, 64)
+                        acc += inner_w[k] * wu * inner[k]
                     dens = 32.0 * math.sin(v / 2.0) * math.cos(v / 2.0) ** 9
                     rhs += outer_w[j] * acc / dens
                 diff = float(np.max(np.abs(lhs - rhs)))

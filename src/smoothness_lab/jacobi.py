@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .quadrature import gauss_jacobi, ordered_sum
-from .space import EPS_INTERIOR
+from .space import EPS_INTERIOR, sample
 
 __all__ = [
     "PolynomialRep",
@@ -359,10 +359,7 @@ def fourier_jacobi_coeff(f, n, n_nodes: int = 64) -> float:
     """Expansion integral of f against P_n^{(2,2)} with weight (1-x^2)^2."""
     n, _, _ = _check_jacobi_args(n, 2, 2)
     rule = gauss_jacobi(int(n_nodes), 2.0, 2.0)
-    fn = f.eval if (not callable(f) and hasattr(f, "eval")) else f
-    vals = np.asarray(fn(rule.nodes), dtype=float)
-    if vals.shape != rule.nodes.shape:
-        vals = np.broadcast_to(vals, rule.nodes.shape).astype(float)
+    vals = sample(f, rule.nodes)
     return ordered_sum(rule.weights * vals * jacobi_eval(n, 2, 2, rule.nodes))
 
 
@@ -370,10 +367,7 @@ def expand_in_jacobi(f, nmax, n_nodes: int = 256) -> np.ndarray:
     """Coefficients c_0..c_nmax with f ~ sum c_nu P_nu^{(2,2)} in the weighted sense."""
     nmax, _, _ = _check_jacobi_args(nmax, 2, 2)
     rule = gauss_jacobi(int(n_nodes), 2.0, 2.0)
-    fn = f.eval if (not callable(f) and hasattr(f, "eval")) else f
-    vals = np.asarray(fn(rule.nodes), dtype=float)
-    if vals.shape != rule.nodes.shape:
-        vals = np.broadcast_to(vals, rule.nodes.shape).astype(float)
+    vals = sample(f, rule.nodes)
     basis = jacobi_matrix(nmax, rule.nodes)
     prods = np.cumsum(basis * (rule.weights * vals)[None, :], axis=1)[:, -1]
     h = np.array([jacobi_h(k) for k in range(nmax + 1)])

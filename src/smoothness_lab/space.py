@@ -24,6 +24,7 @@ __all__ = [
     "Admissibility",
     "validate_params",
     "make_grid",
+    "sample",
     "weighted_norm",
 ]
 
@@ -108,7 +109,12 @@ class FunctionHandle:
     in z, so the integrand has degree degree + 4, and a rule of
     n = degree // 2 + 3 nodes is exact because degree + 4 <= 2n - 1. A
     degree that is too low gives wrong translations, not an error; None
-    (the default) keeps the full rule.
+    (the default) selects the convergence-stopped rule.
+
+    breaks lists the points of (-1, 1), in increasing order, where eval is
+    not smooth (a kink or a jump). The convergence-stopped z-rule of the
+    translation kernels splits its integral where R crosses a break, which
+    keeps its convergence spectral on a piecewise-smooth function.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -117,6 +123,7 @@ class FunctionHandle:
     parity: str = "none"
     label: str = ""
     degree: Optional[int] = None
+    breaks: tuple = ()
 
     def __post_init__(self):
         if self.parity not in ("even", "odd", "none"):
@@ -124,6 +131,13 @@ class FunctionHandle:
         d = self.degree
         if d is not None and (not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 0):
             raise InvalidArgumentError(f"degree must be None or a nonnegative integer, got {d!r}")
+        breaks = tuple(self.breaks)
+        for b in breaks:
+            if not isinstance(b, (int, float, np.integer, np.floating)) or isinstance(b, bool) or not -1.0 < b < 1.0:
+                raise InvalidArgumentError(f"breaks must be finite numbers inside (-1, 1), got {b!r}")
+        if any(a >= b for a, b in zip(breaks, breaks[1:])):
+            raise InvalidArgumentError(f"breaks must be strictly increasing, got {breaks!r}")
+        self.breaks = tuple(float(b) for b in breaks)
 
     def __call__(self, x):
         return self.eval(x)
@@ -142,14 +156,25 @@ def make_grid(n: int) -> np.ndarray:
     return np.clip(pts, -(1.0 - EPS_INTERIOR), 1.0 - EPS_INTERIOR)
 
 
-def _values_on(f, x: np.ndarray) -> np.ndarray:
-    fn = f.eval if (not callable(f) and hasattr(f, "eval")) else f
+def sample(f, x: np.ndarray) -> np.ndarray:
+    """Values of f at the array x, as floats of x's shape.
+
+    f is a callable or an object with an eval attribute. A result of
+    another shape (a constant, say) is broadcast to x's shape. A non-finite
+    value raises EvaluationError naming the first argument that gave one.
+    """
+    if callable(f):
+        fn = f
+    elif hasattr(f, "eval"):
+        fn = f.eval
+    else:
+        raise InvalidArgumentError("expected a callable or a function handle")
     vals = np.asarray(fn(x), dtype=float)
     if vals.shape != x.shape:
         vals = np.broadcast_to(vals, x.shape).astype(float)
     bad = ~np.isfinite(vals)
     if np.any(bad):
-        node = float(x[np.argmax(bad)])
+        node = float(x.flat[np.argmax(bad)])
         raise EvaluationError(f"function is not finite at {node!r}", node=node)
     return vals
 
@@ -167,7 +192,7 @@ def weighted_norm(f, params: SpaceParams, n_nodes: int = 256) -> float:
     if params.is_sup:
         edge = 1.0 - EPS_INTERIOR
         x = np.concatenate((make_grid(max(int(n_nodes), 2)), [-edge, edge]))
-        vals = np.abs(_values_on(f, x)) * (1.0 - x * x) ** params.alpha
+        vals = np.abs(sample(f, x)) * (1.0 - x * x) ** params.alpha
         return float(np.max(vals))
     exponent = params.p * params.alpha
     if exponent <= -1.0:
@@ -175,5 +200,5 @@ def weighted_norm(f, params: SpaceParams, n_nodes: int = 256) -> float:
             f"p * alpha must exceed -1 for an integrable weight, got {exponent:g}"
         )
     rule = gauss_jacobi(int(n_nodes), exponent, exponent)
-    vals = np.abs(_values_on(f, rule.nodes)) ** params.p
+    vals = np.abs(sample(f, rule.nodes)) ** params.p
     return float(ordered_sum(rule.weights * vals) ** (1.0 / params.p))

@@ -11,21 +11,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateReferenceError, EvaluationError, InvalidArgumentError
+from .errors import DegenerateReferenceError, InvalidArgumentError
 from .jacobi import jacobi_eval
-from .quadrature import gauss_chebyshev
-from .space import EPS_INTERIOR, SpaceParams, make_grid
-from .quadrature import gauss_jacobi
+from .quadrature import gauss_chebyshev, gauss_jacobi
+from .space import EPS_INTERIOR, FunctionHandle, SpaceParams, make_grid, sample
 
 __all__ = [
     "MultiplierTable",
     "compute_R",
     "kernel_B",
     "asym_translate",
-    "asym_translate_t",
     "sym_translate",
     "multiplier_psi",
     "build_multiplier_table",
@@ -81,13 +80,11 @@ def _unwrap(f):
     raise InvalidArgumentError("expected a callable or a function handle")
 
 
-def _finite(vals, where):
-    if not np.all(np.isfinite(vals)):
-        flat = np.asarray(vals)
-        idx = np.argmax(~np.isfinite(flat))
-        node = float(np.asarray(where).ravel()[idx % np.asarray(where).size])
-        raise EvaluationError(f"function is not finite near argument {node!r}", node=node)
-    return vals
+# The convergence-stopped z-rule stops once two successive levels agree to
+# this multiple of the integral of |integrand|: a rounding-level target.
+_Z_RTOL = 1e-14
+# Intervals per panel at the first level of the convergence-stopped z-rule.
+_Z_START = 8
 
 
 def _z_nodes(fn, quad_n: int) -> int:
@@ -98,27 +95,171 @@ def _z_nodes(fn, quad_n: int) -> int:
     return min(int(quad_n), degree // 2 + 3)
 
 
-def _asym_core(fn, y: float, xs: np.ndarray, quad_n: int) -> np.ndarray:
-    """tau_y f on a 1-d array of interior points, one Chebyshev z-rule.
+@lru_cache(maxsize=64)
+def _nested_rule(kind: str, n: int):
+    """Abscissae s_j and weights on [-1, 1] of a rule with n intervals, j = 0..n.
+
+    "trapezoid" has s_j = 1 - 2j/n, "clenshaw-curtis" s_j = cos(j pi / n).
+    Both are nested: the rule with 2n intervals has the n-interval
+    abscissae at its even indices.
+    """
+    j = np.arange(n + 1)
+    if kind == "trapezoid":
+        s = 1.0 - 2.0 * j / n
+        w = np.full(n + 1, 2.0 / n)
+        w[[0, -1]] = 1.0 / n
+    else:
+        k = np.arange(1, n // 2 + 1)
+        b = np.where(2 * k == n, 1.0, 2.0)
+        c = np.where((j == 0) | (j == n), 1.0, 2.0)
+        s = np.cos(j * math.pi / n)
+        w = c / n * (1.0 - np.cos(2.0 * np.outer(j, k) * math.pi / n) @ (b / (4.0 * k * k - 1.0)))
+    s.setflags(write=False)
+    w.setflags(write=False)
+    return s, w
+
+
+def _panels(ys, xs, breaks):
+    """Centre and half-width in theta = arccos z of each panel, shape (len(ys), len(xs), P, 1).
+
+    Without breaks there is one panel, [0, pi], and both arrays have shape
+    (len(ys), 1, 1, 1). R is linear in z, so break
+    b is crossed at z* = (x y - b) / (sqrt(1-x^2) sqrt(1-y^2)); the panels
+    run between 0, the crossings theta* = arccos z* and pi. A break that R
+    does not cross leaves an empty panel at 0 or pi.
+    """
+    if not breaks:
+        return np.full((ys.size, 1, 1, 1), math.pi / 2.0), np.full((ys.size, 1, 1, 1), math.pi / 2.0)
+    x = xs[None, :, None]
+    y = ys[:, None, None]
+    den = np.sqrt(1.0 - x * x) * np.sqrt(np.maximum(1.0 - y * y, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        zs = np.where(den > 0.0, (x * y - np.asarray(breaks)) / den, 1.0)
+    theta = np.arccos(np.clip(zs, -1.0, 1.0))
+    shape = theta.shape[:2] + (1,)
+    edges = np.concatenate((np.zeros(shape), theta, np.full(shape, math.pi)), axis=-1)
+    return (
+        ((edges[..., 1:] + edges[..., :-1]) / 2.0)[..., None],
+        ((edges[..., 1:] - edges[..., :-1]) / 2.0)[..., None],
+    )
+
+
+def _exact_integral(fn, kernel, ys, xs, quad_n, nodes):
+    """z-integral of kernel * f(R) by the Gauss-Chebyshev rule of nodes nodes, shape (len(ys), len(xs)).
+
+    Rows of y are taken in chunks whose arrays hold at most
+    len(xs) * quad_n elements; each element goes through the same
+    operations in the same order as a call with a scalar y.
+    """
+    rule = gauss_chebyshev(nodes)
+    z = rule.nodes
+    x = xs[None, :, None]
+    sx = np.sqrt(1.0 - x * x)
+    out = np.empty((ys.size, xs.size))
+    chunk = max(1, int(quad_n) // nodes)
+    for lo in range(0, ys.size, chunk):
+        y = ys[lo : lo + chunk, None, None]
+        sy = np.sqrt(np.maximum(1.0 - y * y, 0.0))
+        r = np.clip(x * y - z * sx * sy, -1.0, 1.0)
+        kw = kernel(rule.weights, x, sx, y, sy, z, r)
+        out[lo : lo + chunk] = np.cumsum(kw * sample(fn, r), axis=-1)[..., -1]
+    return out
+
+
+def _dot(a, w):
+    """Sum of a times w over the last axis of a, as one matrix-vector product."""
+    return (a.reshape(-1, a.shape[-1]) @ w).reshape(a.shape[:-1])
+
+
+def _nested_integral(fn, kernel, ys, xs, quad_n, breaks):
+    """z-integral of kernel * f(R) by a nested rule stopped at convergence, shape (len(ys), len(xs)).
+
+    With z = cos theta the z-integral is a theta-integral over [0, pi]. One
+    panel takes the trapezoid rule in theta (Gauss-Chebyshev-Lobatto in z,
+    exact to degree 2n - 1); with breaks, each panel takes a Clenshaw-Curtis
+    rule in theta. The rule starts at _Z_START intervals per panel and
+    doubles, reusing every sample. A row of y stops when two successive
+    levels agree to _Z_RTOL times the integral of |integrand| at every x,
+    or when the next level would have more than quad_n intervals in all.
+    Rows are taken in chunks whose arrays hold at most len(xs) * quad_n
+    elements, and only unconverged rows go on to the next level.
+    """
+    kind = "clenshaw-curtis" if breaks else "trapezoid"
+    npanel = len(breaks) + 1
+    cap = max(int(quad_n) // npanel, 1)
+    x = xs[None, :, None, None]
+    sx = np.sqrt(1.0 - x * x)
+    out = np.empty((ys.size, xs.size))
+    # rows, intervals per panel, their samples at the previous level, and
+    # the previous estimate
+    work = [(np.arange(ys.size), min(_Z_START, cap), None, None)]
+    while work:
+        rows, n, old, prev = work.pop()
+        last = 2 * n > cap
+        # samples per (y, x) taken at this level, and kept for the next one
+        new_cols = npanel * (n + 1 if old is None else n // 2)
+        kept_cols = 0 if last else npanel * (n + 1)
+        chunk = max(1, int(quad_n) // max(new_cols, kept_cols))
+        if rows.size > chunk:
+            for lo in reversed(range(0, rows.size, chunk)):
+                part = slice(lo, lo + chunk)
+                work.append((rows[part], n, None if old is None else old[part], None if prev is None else prev[part]))
+            continue
+        y = ys[rows, None, None, None]
+        sy = np.sqrt(np.maximum(1.0 - y * y, 0.0))
+        centre, half = _panels(ys[rows], xs, breaks)
+        s, w = _nested_rule(kind, n)
+        z = np.cos(centre + half * (s if old is None else s[1::2]))
+        r = np.clip(x * y - z * sx * sy, -1.0, 1.0)
+        g = kernel(1.0, x, sx, y, sy, z, r) * sample(fn, r)
+        est = np.sum(half[..., 0] * (_dot(g, w) if old is None else _dot(old, w[::2]) + _dot(g, w[1::2])), axis=-1)
+        done = np.full(rows.size, last)
+        if old is not None and not last:
+            size = np.sum(half[..., 0] * (_dot(np.abs(old), w[::2]) + _dot(np.abs(g), w[1::2])), axis=-1)
+            done = np.all(np.abs(est - prev) <= _Z_RTOL * size, axis=1)
+        out[rows[done]] = est[done]
+        more = ~done
+        if np.any(more):
+            if old is None:
+                samples = g[more]
+            else:
+                samples = np.empty((int(np.sum(more)),) + g.shape[1:-1] + (n + 1,))
+                samples[..., ::2] = old[more]
+                samples[..., 1::2] = g[more]
+            work.append((rows[more], 2 * n, samples, est[more]))
+    return out
+
+
+def _z_integral(fn, kernel, y, xs, quad_n):
+    """z-integral of kernel * f(R) for each y: (len(y), len(xs)) for a 1-d y, (len(xs),) for a scalar."""
+    ys = np.atleast_1d(np.asarray(y, dtype=float))
+    if getattr(fn, "degree", None) is not None:
+        out = _exact_integral(fn, kernel, ys, xs, quad_n, _z_nodes(fn, quad_n))
+    else:
+        out = _nested_integral(fn, kernel, ys, xs, quad_n, tuple(getattr(fn, "breaks", ())))
+    return out[0] if np.ndim(y) == 0 else out
+
+
+def _asym_kernel(w, x, sx, y, sy, z, r):
+    br = sx * y + z * x * sy + sx * (1.0 - y) * (1.0 - z * z)
+    return w * (2.0 * br * br - (1.0 - r * r))
+
+
+def _sym_kernel(w, x, sx, y, sy, z, r):
+    zz = 1.0 - z * z
+    return w * zz * zz
+
+
+def _asym_core(fn, y, xs: np.ndarray, quad_n: int) -> np.ndarray:
+    """tau_y f on a 1-d array of interior points, for a scalar y or a 1-d array of y.
 
     The kernel kb has degree 4 in z, so a polynomial fn of declared degree d
-    is integrated exactly by the rule of _z_nodes(fn, quad_n) nodes; any
-    other fn gets the full quad_n rule.
+    is integrated exactly by the Chebyshev rule of _z_nodes(fn, quad_n)
+    nodes; any other fn gets the nested rule of _nested_integral, with
+    quad_n as its cap. A 1-d y gives shape (len(y), len(xs)).
     """
-    rule = gauss_chebyshev(_z_nodes(fn, quad_n))
-    z = rule.nodes[None, :]
-    x = xs[:, None]
-    sx = np.sqrt(1.0 - x * x)
-    sy = math.sqrt(max(1.0 - y * y, 0.0))
-    r = np.clip(x * y - z * sx * sy, -1.0, 1.0)
-    br = sx * y + z * x * sy + sx * (1.0 - y) * (1.0 - z * z)
-    kb = 2.0 * br * br - (1.0 - r * r)
-    fv = np.asarray(fn(r), dtype=float)
-    if fv.shape != r.shape:
-        fv = np.broadcast_to(fv, r.shape).astype(float)
-    _finite(fv, r)
-    integ = np.cumsum(rule.weights * kb * fv, axis=1)[:, -1]
-    return 4.0 / (math.pi * (1.0 + y) ** 2) * integ / (1.0 - xs * xs)
+    scale = [4.0 / (math.pi * (1.0 + v) ** 2) for v in np.atleast_1d(y).tolist()]
+    return np.reshape(scale, np.shape(y) + (1,)) * _z_integral(fn, _asym_kernel, y, xs, quad_n) / (1.0 - xs * xs)
 
 
 def _check_y(y: float) -> float:
@@ -137,33 +278,16 @@ def asym_translate(f, y, x, quad_n: int = 128) -> float:
     return float(_asym_core(_unwrap(f), y, np.array([x]), quad_n)[0])
 
 
-def asym_translate_t(f, t, x, quad_n: int = 128) -> float:
-    """Trigonometric form: tau at y = cos t, defined for |t| < pi, even in t."""
-    t = float(t)
-    if not (math.isfinite(t) and abs(t) < math.pi):
-        raise InvalidArgumentError(f"t must satisfy |t| < pi, got {t!r}")
-    return asym_translate(f, math.cos(t), x, quad_n)
-
-
-def _sym_core(fn, y: float, xs: np.ndarray, quad_n: int) -> np.ndarray:
-    """Symmetric translation on a 1-d array of points, one Chebyshev z-rule.
+def _sym_core(fn, y, xs: np.ndarray, quad_n: int) -> np.ndarray:
+    """Symmetric translation on a 1-d array of points, for a scalar y or a 1-d array of y.
 
     The weight (1-z^2)^2 has degree 4 in z, so a polynomial fn of declared
-    degree d is integrated exactly by the rule of _z_nodes(fn, quad_n)
-    nodes; any other fn gets the full quad_n rule.
+    degree d is integrated exactly by the Chebyshev rule of
+    _z_nodes(fn, quad_n) nodes; any other fn gets the nested rule of
+    _nested_integral, with quad_n as its cap. A 1-d y gives shape
+    (len(y), len(xs)).
     """
-    rule = gauss_chebyshev(_z_nodes(fn, quad_n))
-    z = rule.nodes[None, :]
-    x = xs[:, None]
-    sy = math.sqrt(max(1.0 - y * y, 0.0))
-    r = np.clip(x * y - z * np.sqrt(1.0 - x * x) * sy, -1.0, 1.0)
-    fv = np.asarray(fn(r), dtype=float)
-    if fv.shape != r.shape:
-        fv = np.broadcast_to(fv, r.shape).astype(float)
-    _finite(fv, r)
-    zz = 1.0 - rule.nodes[None, :] ** 2
-    integ = np.cumsum(rule.weights * zz * zz * fv, axis=1)[:, -1]
-    return 8.0 / (3.0 * math.pi) * integ
+    return 8.0 / (3.0 * math.pi) * _z_integral(fn, _sym_kernel, y, xs, quad_n)
 
 
 def sym_translate(f, y, x, quad_n: int = 128) -> float:
@@ -193,7 +317,7 @@ def multiplier_psi(n: int, y, quad_n: int = 128) -> float:
         raise DegenerateReferenceError(
             f"all reference points have |P_{n}| < {_REFERENCE_FLOOR:g}"
         )
-    fn = lambda r: jacobi_eval(int(n), 2, 2, r)
+    fn = FunctionHandle(eval=lambda r: jacobi_eval(int(n), 2, 2, r), degree=int(n))
     ratios = _asym_core(fn, y, refs[keep], quad_n) / pv[keep]
     return float(np.median(ratios))
 
@@ -254,10 +378,7 @@ def abs_rotation_average(f, t, xs, quad_n: int = 128) -> np.ndarray:
     z = rule.nodes[None, :]
     x = xs[:, None]
     r = np.clip(x * math.cos(t) - z * np.sqrt(1.0 - x * x) * math.sin(t), -1.0, 1.0)
-    fv = np.abs(np.asarray(_unwrap(f)(r), dtype=float))
-    if fv.shape != r.shape:
-        fv = np.broadcast_to(fv, r.shape).astype(float)
-    _finite(fv, r)
+    fv = np.abs(sample(_unwrap(f), r))
     integ = np.cumsum(rule.weights * (1.0 - r * r) * fv, axis=1)[:, -1]
     return integ / (1.0 - xs * xs)
 
@@ -296,14 +417,10 @@ def modulus(
             raise InvalidArgumentError("p * alpha must exceed -1 for an integrable weight")
         rule = gauss_jacobi(int(norm_nodes), exponent, exponent)
         xs = rule.nodes
-    fx = np.asarray(fn(xs), dtype=float)
-    if fx.shape != xs.shape:
-        fx = np.broadcast_to(fx, xs.shape).astype(float)
-    _finite(fx, xs)
+    fx = sample(fn, xs)
+    ys = [math.cos(delta * k / t_points) for k in range(1, int(t_points) + 1)]
     best = 0.0
-    for k in range(1, int(t_points) + 1):
-        t = delta * k / t_points
-        gv = _asym_core(fn, math.cos(t), xs, quad_n) - fx
+    for gv in _asym_core(fn, np.array(ys), xs, quad_n) - fx:
         if rule is None:
             val = float(np.max(np.abs(gv) * wts))
         else:

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from smoothness_lab import (
     DegreeViolationError,
+    EvaluationError,
     InvalidArgumentError,
     JacksonParams,
     SpaceParams,
     apply_D_poly,
     best_approx,
+    expand_in_jacobi,
     fourier_jacobi_coeff,
     gamma_norm,
     jackson_degree_bound,
@@ -189,3 +191,32 @@ def test_k_functional_validation():
         k_functional(f, 0.5, P21, max_deg=49)
     with pytest.raises(InvalidArgumentError):
         k_functional(f, 0.5, P21, max_deg=-1)
+
+
+def _nan_above_half(x):
+    x = np.asarray(x, dtype=float)
+    return np.where(x > 0.5, np.nan, x)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: best_approx(f, 4, SpaceParams(1.0, 0.75)),
+        lambda f: best_approx(f, 4, SpaceParams(1.5, 11.0 / 12.0)),
+        lambda f: best_approx(f, 4, SpaceParams(3.0, 13.0 / 12.0)),
+        lambda f: best_approx(f, 4, SpaceParams(math.inf, 1.25)),
+        lambda f: best_approx(f, 4, P21),
+        lambda f: expand_in_jacobi(f, 4),
+        lambda f: fourier_jacobi_coeff(f, 3),
+        lambda f: k_functional(f, 0.3, SpaceParams(3.0, 13.0 / 12.0)),
+        lambda f: k_functional(f, 0.3, P21),
+    ],
+    ids=["p1", "p1.5", "p3", "pinf", "p2", "expand", "fourier", "k-p3", "k-p2"],
+)
+def test_non_finite_f_raises_evaluation_error_quietly(call, capfd):
+    # one sampling path: no LinAlgError, no solver failure, no silent NaN
+    # and no LAPACK message on stderr
+    with pytest.raises(EvaluationError) as info:
+        call(_nan_above_half)
+    assert info.value.node > 0.5
+    assert capfd.readouterr().err == ""

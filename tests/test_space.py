@@ -8,14 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothness_lab import (
+    EvaluationError,
     FunctionHandle,
     InvalidArgumentError,
     SpaceParams,
     jacobi_poly,
     make_grid,
+    modulus,
     validate_params,
     weighted_norm,
 )
+from smoothness_lab.space import sample
 
 P21 = SpaceParams(2.0, 1.0)
 
@@ -122,3 +125,22 @@ def test_weighted_norm_accepts_handle():
     h = FunctionHandle(eval=lambda x: np.asarray(x, dtype=float))
     bare = weighted_norm(lambda x: x, P21)
     assert weighted_norm(h, P21) == pytest.approx(bare, rel=1e-15)
+
+
+def test_sample_broadcasts_and_names_the_bad_node():
+    x = np.array([[-0.5, 0.0], [0.25, 0.75]])
+    assert np.array_equal(sample(lambda t: 2.0, x), np.full((2, 2), 2.0))
+    assert np.array_equal(sample(FunctionHandle(eval=lambda t: t * t), x), x * x)
+    with pytest.raises(EvaluationError) as info:
+        sample(lambda t: np.where(t == 0.0, np.nan, t), x)
+    assert info.value.node == 0.0
+    with pytest.raises(InvalidArgumentError):
+        sample(object(), x)
+
+
+@pytest.mark.parametrize("p", [2.0, math.inf])
+def test_modulus_and_norm_reject_non_finite_f(p):
+    f = lambda x: np.where(np.asarray(x) > 0.5, np.inf, 0.0)
+    for call in (lambda: weighted_norm(f, SpaceParams(p, 1.0)), lambda: modulus(f, 0.3, SpaceParams(p, 1.0))):
+        with pytest.raises(EvaluationError):
+            call()
