@@ -45,7 +45,9 @@ class BestApproxResult:
     """Outcome of a best-approximation solve.
 
     value is the weighted norm of f - argmin recomputed with weighted_norm,
-    so it is consistent with the public norm by construction.
+    so it is consistent with the public norm by construction. diagnostics
+    always holds grid_n and iterations (0 for the projection); irls-grid
+    also reports backtracks, the number of halved steps.
     """
 
     value: float
@@ -67,8 +69,11 @@ def best_approx(f, n, params, grid_n: int = 256) -> BestApproxResult:
     """Best approximation of f from polynomials of degree < n in L_{p,alpha}.
 
     n is the dimension of the approximating space (degree bound n - 1),
-    1 <= n <= 64. p = 2 uses an exact weighted projection, p = inf a Remez
-    exchange on an 8n-point grid, other p an IRLS loop on a Gauss grid.
+    1 <= n <= 64. p = 2 uses an exact weighted projection and p = inf a
+    Remez exchange on an 8n-point grid. Other p minimise sum w|f - P|^p on
+    a Gauss grid: p = 1 by plain IRLS, 1 < p < inf by damped Newton steps,
+    the IRLS direction taken at the Newton length 1 / (p - 1) and halved
+    until the objective decreases.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or not 1 <= n <= MAX_APPROX_DIM:
         raise InvalidArgumentError(f"dimension must be an integer in [1, {MAX_APPROX_DIM}], got {n!r}")
@@ -94,7 +99,7 @@ def _best_l2(f, n, params, grid_n):
     coeffs = numer / denom
     argmin = poly_lincomb(coeffs, [jacobi_poly(k, a, a) for k in range(n)])
     value = weighted_norm(_diff_handle(f, argmin), params)
-    return BestApproxResult(value, argmin, "l2-projection", {"grid_n": len(rule)})
+    return BestApproxResult(value, argmin, "l2-projection", {"grid_n": len(rule), "iterations": 0})
 
 
 def _solve_reference(refs, fr, wr, n):
@@ -167,25 +172,70 @@ def _best_irls(f, n, params, grid_n):
     fv = sample(f, rule.nodes)
     V = ncheb.chebvander(rule.nodes, n - 1)
     scale = float(np.max(np.abs(fv))) or 1.0
+    if params.p == 1.0:
+        coeffs, iterations, backtracks = _reweighted_l1(fv, V, rule.weights, scale)
+    else:
+        coeffs, iterations, backtracks = _damped_newton(fv, V, rule.weights, params.p, scale)
+    argmin = PolynomialRep(ncheb.cheb2poly(coeffs) if n > 1 else coeffs.copy())
+    value = weighted_norm(_diff_handle(f, argmin), params)
+    diagnostics = {"grid_n": len(rule), "iterations": iterations, "backtracks": backtracks}
+    return BestApproxResult(value, argmin, "irls-grid", diagnostics)
+
+
+def _reweighted_l1(fv, V, w, scale):
+    """Plain IRLS for sum w|r|; returns (coeffs, iterations, backtracks = 0)."""
     floor = 1e-12 * scale
     m = np.ones_like(fv)
     trace = []
-    coeffs = np.zeros(n)
     for _ in range(500):
-        w = rule.weights * m
-        sw = np.sqrt(w)
+        sw = np.sqrt(w * m)
         coeffs, *_ = np.linalg.lstsq(V * sw[:, None], fv * sw, rcond=None)
         r = fv - V @ coeffs
-        obj = ordered_sum(rule.weights * np.abs(r) ** params.p) ** (1.0 / params.p)
-        trace.append(float(obj))
+        trace.append(ordered_sum(w * np.abs(r)))
         if len(trace) > 1 and abs(trace[-2] - trace[-1]) <= 1e-10 * max(trace[-1], 1e-300):
-            break
-        m = np.maximum(np.abs(r), floor) ** (params.p - 2.0)
-    else:
-        raise ConvergenceError("reweighting did not converge within 500 iterations", trace=trace)
-    argmin = PolynomialRep(ncheb.cheb2poly(coeffs) if n > 1 else coeffs.copy())
-    value = weighted_norm(_diff_handle(f, argmin), params)
-    return BestApproxResult(value, argmin, "irls-grid", {"grid_n": len(rule), "iterations": len(trace)})
+            return coeffs, len(trace), 0
+        m = 1.0 / np.maximum(np.abs(r), floor)
+    raise ConvergenceError("reweighting did not converge within 500 iterations", trace=trace)
+
+
+def _damped_newton(fv, V, w, p, scale):
+    """Minimise sum w|fv - V c|^p, 1 < p < inf; returns (coeffs, iterations, backtracks).
+
+    The reweighted least-squares fit is c + (p - 1) * (Newton step), so each
+    step starts at the Newton length 1 / (p - 1) and is halved until the
+    objective decreases. The correction is solved for the residual, so its
+    rounding scales with r rather than f. The weights |r|^(p-2) are floored
+    at 1e-12 max|r| where they shape the step, while the right-hand side
+    keeps the true gradient, so the fixed point is the true minimiser. The
+    loop stops when the residual, or a step that still fails to decrease
+    the objective, is within rounding of f.
+    """
+    tiny = 64.0 * np.finfo(float).eps * scale
+    sw = np.sqrt(w)
+    coeffs, *_ = np.linalg.lstsq(V * sw[:, None], fv * sw, rcond=None)  # weighted L2 fit
+    backtracks = 0
+    for iterations in range(1, 501):
+        r = fv - V @ coeffs
+        rmax = float(np.max(np.abs(r)))
+        if rmax <= tiny:
+            return coeffs, iterations, backtracks
+        phi = ordered_sum(w * np.abs(r) ** p)
+        m = np.maximum(np.abs(r), 1e-12 * rmax) ** (p - 2.0)
+        grad = np.sign(r) * np.abs(r) ** (p - 1.0)
+        sw = np.sqrt(w * m)
+        d, *_ = np.linalg.lstsq(V * sw[:, None], grad / m * sw, rcond=None)
+        vd = V @ d
+        vmax = float(np.max(np.abs(vd)))
+        t = 1.0 / (p - 1.0)
+        while t * vmax > tiny:
+            if ordered_sum(w * np.abs(r - t * vd) ** p) < phi:
+                break
+            t *= 0.5
+            backtracks += 1
+        else:
+            return coeffs, iterations, backtracks  # the objective stopped decreasing
+        coeffs = coeffs + t * d
+    raise ConvergenceError("damped Newton did not converge within 500 iterations")
 
 
 @dataclass(frozen=True)

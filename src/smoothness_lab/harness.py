@@ -303,16 +303,21 @@ def _norm_setup(params: SpaceParams, n_nodes: int):
     return rule.nodes, rule, None
 
 
-def _split_rule(n_panel: int):
-    """Composite Gauss rule for the (1-x^2)^2 inner product, split at x = 0.
+def _split_rule(n_panel: int, y: float):
+    """Composite Gauss rule for the (1-x^2)^2 inner product of tau_y f.
 
-    The corpus kink sits at the panel joint, so each panel sees a piecewise
-    analytic integrand and the rule converges spectrally where a single
-    global rule is stuck at O(n^-2).
+    tau_y |x| has kinks at x = 0 and at x = +-sqrt(1 - y^2), where the range
+    of R touches 0, so the rule puts a panel joint at each: every panel sees
+    a piecewise analytic integrand and the rule converges spectrally where a
+    single global rule is stuck at O(n^-2). Four panels of n_panel // 2
+    nodes keep the 2 * n_panel nodes of a split at 0 alone.
     """
-    gl = gauss_legendre(int(n_panel))
-    xs = np.concatenate(((gl.nodes - 1.0) / 2.0, (gl.nodes + 1.0) / 2.0))
-    ws = np.concatenate((gl.weights, gl.weights)) / 2.0 * (1.0 - xs * xs) ** 2
+    gl = gauss_legendre(max(int(n_panel) // 2, 1))
+    s = math.sqrt(1.0 - y * y)
+    edges = (-1.0, -s, 0.0, s, 1.0)
+    halves = [((b - a) / 2.0, (a + b) / 2.0) for a, b in zip(edges, edges[1:])]
+    xs = np.concatenate([h * gl.nodes + c for h, c in halves])
+    ws = np.concatenate([h * gl.weights for h, _ in halves]) * (1.0 - xs * xs) ** 2
     return xs, ws
 
 
@@ -512,7 +517,7 @@ def run_lemma_suite(config: Config = Config()):
     def coefficient_multiplier():
         worst, details = 0.0, []
         y = 0.5
-        xs, ws = _split_rule(cfg.coeff_nodes // 2)
+        xs, ws = _split_rule(cfg.coeff_nodes // 2, y)
         basis = jacobi_matrix(6, xs)
         hs = np.array([jacobi_h(m) for m in range(7)])
         psis = np.array([multiplier_psi(m, y, cfg.quad_n) for m in range(7)])
@@ -530,8 +535,8 @@ def run_lemma_suite(config: Config = Config()):
 
     def self_adjointness():
         worst, details = 0.0, []
-        xs, ws = _split_rule(cfg.pair_nodes)
         for y in (-0.5, 0.5):
+            xs, ws = _split_rule(cfg.pair_nodes, y)
             values = {}
             translated = {}
             for e in entries:

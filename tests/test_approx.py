@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.chebyshev import chebvander
 
 from smoothness_lab import (
     DegreeViolationError,
@@ -24,6 +25,7 @@ from smoothness_lab import (
     k_functional,
     weighted_norm,
 )
+from smoothness_lab.quadrature import gauss_jacobi, ordered_sum
 
 P21 = SpaceParams(2.0, 1.0)
 
@@ -81,6 +83,58 @@ def test_intermediate_p_irls():
     assert res.method == "irls-grid"
     assert res.value > 0.0
     assert res.argmin.degree <= 2
+
+
+P15 = SpaceParams(1.5, 11.0 / 12.0)
+P3 = SpaceParams(3.0, 13.0 / 12.0)
+NEWTON_CASES = {
+    "|x|": lambda x: np.abs(x),
+    "(1-x)^0.75": lambda x: np.maximum(1.0 - x, 0.0) ** 0.75,
+    "sin(3x)": lambda x: np.sin(3.0 * x),
+    "x": lambda x: np.asarray(x, dtype=float) + 0.0,
+}
+
+
+@pytest.mark.parametrize("params", [P15, P3], ids=["p1.5", "p3"])
+@pytest.mark.parametrize("label", sorted(NEWTON_CASES))
+def test_newton_irls_converges_to_a_stationary_point(params, label):
+    f = NEWTON_CASES[label]
+    p = params.p
+    norm = weighted_norm(f, params)
+    rule = gauss_jacobi(512, p * params.alpha, p * params.alpha)
+    fv = f(rule.nodes)
+    prev = math.inf
+    for n in range(1, 17):
+        res = best_approx(f, n, params, grid_n=512)
+        assert res.value <= norm * (1.0 + 1e-9)
+        assert res.value <= prev + 1e-9 * norm
+        prev = res.value
+        r = fv - res.argmin(rule.nodes)
+        if np.max(np.abs(r)) < 1e-6 * np.max(np.abs(fv)):
+            continue  # a residual this close to rounding has no resolvable gradient
+        V = chebvander(rule.nodes, n - 1)
+        grad = V.T @ (rule.weights * np.abs(r) ** (p - 1.0) * np.sign(r))
+        scale = ordered_sum(rule.weights * np.abs(r) ** (p - 1.0)) * np.max(np.abs(V))
+        assert np.max(np.abs(grad)) <= 1e-8 * scale, n
+
+
+@pytest.mark.parametrize("label", ["|x|", "(1-x)^0.75"])
+def test_newton_irls_iterations_at_p3(label):
+    for n in range(1, 33):
+        res = best_approx(NEWTON_CASES[label], n, P3, grid_n=512)
+        assert res.method == "irls-grid"
+        assert res.diagnostics["iterations"] <= 50, n
+
+
+@pytest.mark.parametrize(
+    "params", [P21, SpaceParams(1.0, 0.75), P15, P3, SpaceParams(math.inf, 1.25)], ids=["p2", "p1", "p1.5", "p3", "pinf"]
+)
+def test_diagnostics_report_grid_and_iterations(params):
+    res = best_approx(lambda x: np.abs(x), 4, params)
+    assert res.diagnostics["grid_n"] >= 8
+    iterations = res.diagnostics["iterations"]
+    assert (iterations == 0) if res.method == "l2-projection" else (iterations >= 1)
+    assert ("backtracks" in res.diagnostics) == (res.method == "irls-grid")
 
 
 def test_dimension_validation():

@@ -78,6 +78,13 @@ def test_table_bestapprox_to_file(tmp_path, capsys, config_file):
     assert all(row["method"] == "l2-projection" for row in rows)
 
 
+@pytest.mark.parametrize("p,alpha", [("3", "1.0833333333"), ("1.5", "0.9166666667")])
+def test_table_bestapprox_non_hilbert(capsys, p, alpha):
+    assert main(["table", "--op", "bestapprox", "--p", p, "--alpha", alpha]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert rows and all(row["method"] == "irls-grid" for row in rows)
+
+
 def test_inadmissible_p_exits_two(capsys):
     assert main(["verify", "--p", "0.5"]) == 2
     assert "p must be" in capsys.readouterr().err
