@@ -345,11 +345,26 @@ def _poly_from_jacobi(c: np.ndarray) -> PolynomialRep:
 def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFunctionalResult:
     """K-functional inf over polynomials g of ||f - g|| + delta^2 ||Dg||.
 
-    The witness is parameterized by coefficients in the (2,2) Jacobi basis,
-    where the second-order operator acts diagonally. An accelerated descent
-    with backtracking refines the weighted L2 projection; the reported value
-    is recomputed through weighted_norm for the best of the zero, projection,
-    and descent candidates, so it never exceeds either baseline.
+    The witness is parameterized by coefficients c in the (2,2) Jacobi basis,
+    where the second-order operator acts diagonally, and the norms are
+    discretised on a quad_n-node rule. The minimiser of F(c) is found by:
+
+    - p = 2, alpha = 1: a scan of the exact path c_nu(s) = a_nu / (1 + s lam_nu^2),
+      on which the basis is orthogonal (separable case);
+    - 1 < p < inf otherwise: damped Newton steps, each halved until F
+      decreases, started off the kinks of F (_newton_k);
+    - p in {1, inf}: an accelerated descent with backtracking from the
+      weighted L2 projection.
+
+    Outside the separable case the best constant, the minimiser on the face
+    Dg = 0, is a candidate too (weighted median at p = 1, exact minimax
+    constant at p = inf, a damped Newton fit otherwise). The reported value
+    is recomputed through weighted_norm for the best of the zero,
+    projection, constant (outside the separable case) and solver
+    candidates, so it never exceeds any of them. iterations counts the
+    solver's steps: Newton steps (0 when the best constant is shown to be
+    optimal), descent steps, or 0 for the scan. trace holds the solver's
+    last objective values.
     """
     delta = float(delta)
     if not (math.isfinite(delta) and delta >= 0.0):
@@ -370,46 +385,14 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
             raise InvalidArgumentError("p * alpha must exceed -1 for an integrable weight")
         rule = gauss_jacobi(int(quad_n), exponent, exponent)
         xs = rule.nodes
-        rw = rule.weights
+        rw, wts = rule.weights, None
     fv = sample(f, xs)
     J = jacobi_matrix(max_deg, xs)
     lam = -np.arange(max_deg + 1.0) * (np.arange(max_deg + 1.0) + 5.0)
     d2 = delta * delta
     p = params.p
-
-    def norm_and_sign(vec):
-        if rw is None:
-            scaled = np.abs(vec) * wts
-            i = int(np.argmax(scaled))
-            return float(scaled[i]), i
-        return float(np.cumsum(rw * np.abs(vec) ** p)[-1] ** (1.0 / p)), None
-
-    def objective(c):
-        n1, _ = norm_and_sign(fv - J.T @ c)
-        n2, _ = norm_and_sign(J.T @ (lam * c))
-        return n1 + d2 * n2
-
-    def gradient(c):
-        r = fv - J.T @ c
-        u = J.T @ (lam * c)
-        g = np.zeros_like(c)
-        if rw is None:
-            n1, i = norm_and_sign(r)
-            if n1 > 0.0:
-                g -= J[:, i] * (wts[i] * np.sign(r[i]))
-            n2, i = norm_and_sign(u)
-            if n2 > 0.0:
-                g += d2 * lam * J[:, i] * (wts[i] * np.sign(u[i]))
-            return g
-        n1, _ = norm_and_sign(r)
-        if n1 > 0.0:
-            g -= J @ (rw * np.sign(r) * np.abs(r) ** (p - 1.0)) / n1 ** (p - 1.0)
-        n2, _ = norm_and_sign(u)
-        if n2 > 0.0:
-            g += d2 * lam * (J @ (rw * np.sign(u) * np.abs(u) ** (p - 1.0))) / n2 ** (p - 1.0)
-        return g
-
     c_proj = expand_in_jacobi(f, max_deg, n_nodes=max(int(quad_n), 256))
+    candidates = [np.zeros(max_deg + 1), c_proj]
 
     if p == 2.0 and params.alpha == 1.0 and rw is not None:
         # separable case: the basis is orthogonal under this exact weight, so
@@ -449,9 +432,16 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
                 best_s_val, best_s_c = val, c_s
         best_c, iterations, history = best_s_c, 0, [best_s_val]
     else:
-        best_c, iterations, history = _descend(objective, gradient, c_proj, d2, max_deg)
+        scale = float(np.max(np.abs(fv))) or 1.0
+        const = np.zeros(max_deg + 1)
+        const[0] = _best_constant(fv, rw, wts, p, scale)
+        candidates.append(const)
+        if rw is not None and p > 1.0:
+            best_c, iterations, history = _newton_k(fv, J, lam, rw, p, d2, c_proj, const, scale)
+        else:
+            best_c, iterations, history = _descend(fv, J, lam, rw, wts, d2, c_proj, max_deg)
+    candidates.append(best_c)
 
-    candidates = [np.zeros(max_deg + 1), c_proj, best_c]
     best_val = math.inf
     best_poly = None
     for cand in candidates:
@@ -471,8 +461,173 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
     )
 
 
-def _descend(objective, gradient, c0, d2, max_deg):
-    """Accelerated descent with backtracking; returns (best_c, iterations, history)."""
+def _best_constant(fv, rw, wts, p, scale):
+    """Constant c minimising the discrete norm of fv - c (rw: quadrature weights, wts: sup weights)."""
+    if rw is None:
+        # the optimum levels the worst pair: w_i (f_i - c) = w_j (c - f_j)
+        gap = np.subtract.outer(fv, fv) * np.multiply.outer(wts, wts) / np.add.outer(wts, wts)
+        i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
+        return float((wts[i] * fv[i] + wts[j] * fv[j]) / (wts[i] + wts[j]))
+    if p == 1.0:
+        order = np.argsort(fv, kind="stable")
+        cum = np.cumsum(rw[order])
+        return float(fv[order[int(np.searchsorted(cum, 0.5 * cum[-1]))]])
+    coeffs, _, _ = _damped_newton(fv, np.ones((fv.size, 1)), rw, p, scale)
+    return float(coeffs[0])
+
+
+def _newton_k(fv, J, lam, rw, p, d2, c_proj, const, scale):
+    """Minimise F(c) = N(fv - J^T c) + d2 N(J^T (lam c)), N(v) = (sum rw |v|^p)^(1/p), 1 < p < inf.
+
+    Returns (coeffs, iterations, history of F); iterations counts Newton
+    steps. F has kinks where either norm vanishes: on the face Dg = 0 of the
+    constants, and at the exact fit, which the projection c_proj is for a
+    polynomial f. Newton steps cannot leave a kink, and approach one only
+    linearly, so both are settled first by the steepest descent direction
+    there (_steepest):
+
+    - if no direction off the face lowers F, the best constant const is the
+      minimiser and no Newton step is taken (an exact constant fit included);
+    - otherwise F is minimised along that direction from const, and along
+      the one from c_proj, and Newton starts from the best of these points
+      and c_proj.
+
+    Each Newton step solves the Hessian system, assembled as J diag(.) J^T,
+    by least squares, because the Hessian of a 1-homogeneous norm is
+    singular along its argument; the weights |v|^(p-2) are floored at
+    1e-12 max|v|, as in _damped_newton. The step is halved until F
+    decreases. The loop stops when the Newton decrement, or the decrease of
+    F in an accepted step, is at rounding level relative to F, when no
+    halved step decreases F, or after 100 steps.
+    """
+    LJ = lam[:, None] * J
+
+    def norm(v):
+        return ordered_sum(rw * np.abs(v) ** p) ** (1.0 / p)
+
+    def objective(c):
+        return norm(fv - J.T @ c) + d2 * norm(LJ.T @ c)
+
+    def grad_norm(v):
+        return rw * np.sign(v) * np.abs(v) ** (p - 1.0) / norm(v) ** (p - 1.0)
+
+    def descend_from(c, v):
+        # F is convex along c + t v, t >= 0, and decreasing at t = 0
+        return c + _line_min(lambda t: objective(c + t * v), objective(c)) * v
+
+    r0 = fv - const[0]
+    if float(np.max(np.abs(r0))) > 64.0 * np.finfo(float).eps * scale:
+        sigma, v = _steepest(LJ[1:], (J @ grad_norm(r0))[1:], rw, p)
+    else:
+        sigma = 0.0  # f is constant to rounding
+    if d2 >= sigma:
+        return const, 0, [norm(r0)]
+    starts = [c_proj, descend_from(const, np.concatenate(([0.0], v)))]
+    u = LJ.T @ c_proj
+    if d2 > 0.0 and np.any(u):
+        sigma, v = _steepest(J, -d2 * (LJ @ grad_norm(u)), rw, p)
+        if sigma > 1.0:  # F decreases along v even from an exact fit
+            starts.append(descend_from(c_proj, v))
+
+    c = min(starts, key=objective)
+    r, u = fv - J.T @ c, LJ.T @ c
+    F = norm(r) + d2 * norm(u)
+    history = [F]
+
+    def derivatives(v, B):
+        # gradient and Hessian of N(B^T c) in c; zero where N vanishes
+        n = norm(v)
+        if n == 0.0:
+            return 0.0, 0.0
+        g = B @ grad_norm(v)
+        a = np.maximum(np.abs(v), 1e-12 * float(np.max(np.abs(v))))
+        h = (p - 1.0) * rw * a ** (p - 2.0) / n ** (p - 1.0)
+        return g, (B * h) @ B.T - (p - 1.0) / n * np.outer(g, g)
+
+    for iterations in range(1, 101):
+        g1, h1 = derivatives(r, J)
+        g2, h2 = derivatives(u, LJ)
+        grad = d2 * g2 - g1
+        step, *_ = np.linalg.lstsq(h1 + d2 * h2, -grad, rcond=None)
+        dr, du = J.T @ step, LJ.T @ step
+        t = 1.0
+        for _ in range(60):
+            F_new = norm(r - t * dr) + d2 * norm(u + t * du)
+            if F_new < F:
+                break
+            t *= 0.5
+        else:
+            return c, iterations, history  # F stopped decreasing
+        c = c + t * step
+        r, u = r - t * dr, u + t * du
+        drop, F = F - F_new, F_new
+        history.append(F)
+        # squared Newton decrement / 2 <= 1e-15 F, or a decrease at rounding level
+        if -float(grad @ step) <= 2e-15 * F or drop <= 1e-13 * F:
+            return c, iterations, history
+    return c, iterations, history
+
+
+def _steepest(B, b, rw, p):
+    """sigma = max <b, v> over N(B^T v) <= 1, and a maximiser v scaled to <b, v> = 1.
+
+    sigma = 1 / min N(B^T v) over <b, v> = 1; that minimum is a weighted
+    p-norm fit on the hyperplane, solved by _damped_newton. b = 0 (or
+    empty) gives (0, None).
+    """
+    if not np.any(b):
+        return 0.0, None
+    k = int(np.argmax(np.abs(b)))
+    rest = np.arange(b.size) != k
+    u0 = B[k] / b[k]
+    V = np.outer(u0, b[rest]) - B[rest].T  # B^T v = u0 - V z for v[rest] = z on the hyperplane
+    z, _, _ = _damped_newton(u0, V, rw, p, float(np.max(np.abs(u0))))
+    v = np.empty(b.size)
+    v[rest] = z
+    v[k] = (1.0 - b[rest] @ z) / b[k]
+    u = u0 - V @ z
+    return 1.0 / ordered_sum(rw * np.abs(u) ** p) ** (1.0 / p), v
+
+
+def _line_min(F, t0):
+    """Minimiser over t >= 0 of a convex F with F'(0) < 0, by doubling from t0 and golden section."""
+    f0, hi = F(0.0), t0
+    while F(hi) < f0:
+        hi *= 2.0
+    g = 0.381966011250105
+    lo = 0.0
+    m1, m2 = lo + g * hi, hi - g * hi
+    f1, f2 = F(m1), F(m2)
+    for _ in range(40):
+        if f1 <= f2:
+            hi, m2, f2 = m2, m1, f1
+            m1 = lo + g * (hi - lo)
+            f1 = F(m1)
+        else:
+            lo, m1, f1 = m1, m2, f2
+            m2 = hi - g * (hi - lo)
+            f2 = F(m2)
+    return m1 if f1 <= f2 else m2
+
+
+def _descend(fv, J, lam, rw, wts, d2, c0, max_deg):
+    """Accelerated descent with backtracking for p = 1 (quadrature weights rw)
+    or p = inf (sup weights wts); returns (best_c, iterations, history)."""
+
+    def norm(vec):
+        return float((np.abs(vec) * wts).max()) if rw is None else float(np.cumsum(rw * np.abs(vec))[-1])
+
+    def objective(c):
+        return norm(fv - J.T @ c) + d2 * norm(J.T @ (lam * c))
+
+    def gradient(c):
+        r = fv - J.T @ c
+        u = J.T @ (lam * c)
+        if rw is not None:
+            return d2 * lam * (J @ (rw * np.sign(u))) - J @ (rw * np.sign(r))
+        i, k = int(np.argmax(np.abs(r) * wts)), int(np.argmax(np.abs(u) * wts))
+        return d2 * lam * J[:, k] * (wts[k] * np.sign(u[k])) - J[:, i] * (wts[i] * np.sign(r[i]))
+
     c = c0.copy()
     c_prev = c.copy()
     best_c = c.copy()

@@ -1,6 +1,9 @@
 """Best approximation, kernel smoothing, and the K-functional."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import chebvander
 
+import smoothness_lab
 from smoothness_lab import (
+    Config,
     DegreeViolationError,
     EvaluationError,
     InvalidArgumentError,
@@ -16,15 +21,20 @@ from smoothness_lab import (
     SpaceParams,
     apply_D_poly,
     best_approx,
+    corpus,
     expand_in_jacobi,
     fourier_jacobi_coeff,
     gamma_norm,
     jackson_degree_bound,
     jackson_kernel,
     jackson_operator,
+    jacobi_poly,
     k_functional,
+    poly_lincomb,
     weighted_norm,
 )
+from smoothness_lab.approx import _best_constant, _newton_k
+from smoothness_lab.jacobi import jacobi_matrix
 from smoothness_lab.quadrature import gauss_jacobi, ordered_sum
 
 P21 = SpaceParams(2.0, 1.0)
@@ -245,6 +255,87 @@ def test_k_functional_validation():
         k_functional(f, 0.5, P21, max_deg=49)
     with pytest.raises(InvalidArgumentError):
         k_functional(f, 0.5, P21, max_deg=-1)
+
+
+K_SPACES = {"p1": SpaceParams(1.0, 0.75), "p1.5": P15, "p3": P3, "pinf": SpaceParams(math.inf, 1.25)}
+
+
+@pytest.mark.parametrize("name", sorted(K_SPACES))
+def test_k_functional_invariants_in_non_hilbert_spaces(name):
+    # K never decreases in delta and never exceeds the zero, projection or
+    # best-constant witness (E_1, the best approximation by constants)
+    params = K_SPACES[name]
+    cfg = Config()
+    for e in corpus(7):
+        f = e.handle
+        norm = weighted_norm(f, params, cfg.norm_nodes)
+        coeffs = expand_in_jacobi(f, cfg.kdeg, n_nodes=max(cfg.norm_nodes, 256))
+        proj = poly_lincomb(coeffs, [jacobi_poly(k, 2, 2) for k in range(cfg.kdeg + 1)])
+        proj_err = weighted_norm(lambda x: f(x) - proj(x), params, cfg.norm_nodes)
+        proj_d = weighted_norm(apply_D_poly(proj), params, cfg.norm_nodes)
+        const_err = best_approx(f, 1, params).value
+        prev = 0.0
+        for delta in cfg.deltas:
+            res = k_functional(f, delta, params, cfg.kdeg, cfg.norm_nodes)
+            assert res.value >= prev - 1e-9 * norm, (e.label, delta)
+            assert res.value <= min(norm, proj_err + delta * delta * proj_d, const_err) + 1e-9 * norm, (e.label, delta)
+            if 1.0 < params.p < math.inf:
+                assert res.iterations <= 50, (e.label, delta)
+            prev = res.value
+
+
+@pytest.mark.parametrize("params", [P15, P3], ids=["p1.5", "p3"])
+def test_k_newton_reaches_a_stationary_point(params):
+    # the solver behind k_functional at 1 < p < inf, on k_functional's own
+    # discretisation: F(c) = N(f - J^T c) + delta^2 N(J^T (lam c)). It is
+    # checked on the coefficients: the monomial witness k_functional returns
+    # is off by up to about 2e-8 in value at degree 32, which moves this
+    # ratio past 1e-8
+    p = params.p
+    cfg = Config()
+    rule = gauss_jacobi(cfg.norm_nodes, p * params.alpha, p * params.alpha)
+    w = rule.weights
+    J = jacobi_matrix(cfg.kdeg, rule.nodes)
+    lam = -np.arange(cfg.kdeg + 1.0) * (np.arange(cfg.kdeg + 1.0) + 5.0)
+    for e in corpus(7):
+        fv = e.handle(rule.nodes) + np.zeros_like(rule.nodes)
+        scale = float(np.max(np.abs(fv)))
+        norm = ordered_sum(w * np.abs(fv) ** p) ** (1.0 / p)
+        c_proj = expand_in_jacobi(e.handle, cfg.kdeg, n_nodes=max(cfg.norm_nodes, 256))
+        const = np.zeros(cfg.kdeg + 1)
+        const[0] = _best_constant(fv, w, None, p, scale)
+        for delta in cfg.deltas:
+            c, iterations, _ = _newton_k(fv, J, lam, w, p, delta * delta, c_proj, const, scale)
+            assert iterations <= 50
+            r, u = fv - J.T @ c, J.T @ (lam * c)
+            n1, n2 = (ordered_sum(w * np.abs(v) ** p) ** (1.0 / p) for v in (r, u))
+            if min(n1, n2) <= 1e-6 * norm:
+                continue  # a kink of F: the minimiser is a constant or an exact fit
+            a1, a2 = w * np.abs(r) ** (p - 1.0) / n1 ** (p - 1.0), w * np.abs(u) ** (p - 1.0) / n2 ** (p - 1.0)
+            grad = delta * delta * lam * (J @ (a2 * np.sign(u))) - J @ (a1 * np.sign(r))
+            bound = np.max(np.abs(J)) * (np.sum(a1) + delta * delta * np.max(np.abs(lam)) * np.sum(a2))
+            assert np.max(np.abs(grad)) <= 1e-8 * bound, (e.label, delta)
+
+
+def test_k_functional_and_best_approx_do_not_import_scipy_optimize():
+    # the p in {1, inf} solvers stay in numpy: importing scipy.optimize for
+    # an LP solver adds about 16.5 MB of peak memory (a quarter of a
+    # `spaces` run's) and 0.1-0.4 s of set-up
+    code = (
+        "import math, sys\n"
+        "import numpy as np\n"
+        "import smoothness_lab as s\n"
+        "f = lambda x: np.abs(x)\n"
+        "for params in (s.SpaceParams(1.0, 0.75), s.SpaceParams(math.inf, 1.25)):\n"
+        "    s.k_functional(f, 0.3, params)\n"
+        "    s.best_approx(f, 4, params)\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(smoothness_lab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def _nan_above_half(x):

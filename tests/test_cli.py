@@ -85,6 +85,14 @@ def test_table_bestapprox_non_hilbert(capsys, p, alpha):
     assert rows and all(row["method"] == "irls-grid" for row in rows)
 
 
+@pytest.mark.parametrize("p", ["1.5", "3"])
+def test_sweep_non_hilbert_passes(capsys, p):
+    # every check, modulus-k-stability included, at the default Config()
+    assert main(["sweep", "--p", p, "--alpha", "0.9"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert len(checks) == 6 and all(c["status"] == "pass" for c in checks)
+
+
 def test_inadmissible_p_exits_two(capsys):
     assert main(["verify", "--p", "0.5"]) == 2
     assert "p must be" in capsys.readouterr().err
