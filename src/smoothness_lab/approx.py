@@ -11,7 +11,6 @@ from numpy.polynomial import chebyshev as ncheb
 
 from .errors import ConvergenceError, DegreeViolationError, InvalidArgumentError
 from .jacobi import (
-    DOperatorParams,
     PolynomialRep,
     apply_D_poly,
     expand_in_jacobi,
@@ -37,7 +36,7 @@ __all__ = [
 ]
 
 MAX_APPROX_DIM = 64
-MAX_WITNESS_DEG = 48
+MAX_WITNESS_DEG = 64
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,7 @@ def _best_sup(f, n, params, grid_n):
         idx = _exchange(idx, worst, err)
     else:
         raise ConvergenceError("reference exchange did not settle", trace=trace)
-    argmin = PolynomialRep(ncheb.cheb2poly(coeffs) if n > 1 else coeffs.copy())
+    argmin = PolynomialRep(coeffs)
     value = weighted_norm(_diff_handle(f, argmin), params)
     return BestApproxResult(value, argmin, "remez-grid", {"grid_n": grid.size, "iterations": len(trace)})
 
@@ -176,7 +175,7 @@ def _best_irls(f, n, params, grid_n):
         coeffs, iterations, backtracks = _reweighted_l1(fv, V, rule.weights, scale)
     else:
         coeffs, iterations, backtracks = _damped_newton(fv, V, rule.weights, params.p, scale)
-    argmin = PolynomialRep(ncheb.cheb2poly(coeffs) if n > 1 else coeffs.copy())
+    argmin = PolynomialRep(coeffs)
     value = weighted_norm(_diff_handle(f, argmin), params)
     diagnostics = {"grid_n": len(rule), "iterations": iterations, "backtracks": backtracks}
     return BestApproxResult(value, argmin, "irls-grid", diagnostics)
@@ -323,7 +322,7 @@ def jackson_operator(f, params: JacksonParams, quad_n: int = 2048) -> Polynomial
             f"smoothed function deviates from a degree-{bound} polynomial by {residual:.3e}",
             residual=residual,
         )
-    return PolynomialRep(ncheb.cheb2poly(coeffs) if bound > 0 else coeffs.copy())
+    return PolynomialRep(coeffs)
 
 
 @dataclass(frozen=True)
@@ -345,9 +344,11 @@ def _poly_from_jacobi(c: np.ndarray) -> PolynomialRep:
 def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFunctionalResult:
     """K-functional inf over polynomials g of ||f - g|| + delta^2 ||Dg||.
 
-    The witness is parameterized by coefficients c in the (2,2) Jacobi basis,
-    where the second-order operator acts diagonally, and the norms are
-    discretised on a quad_n-node rule. The minimiser of F(c) is found by:
+    The witness, of degree at most max_deg <= 64, is parameterized by
+    coefficients c in the (2,2) Jacobi basis, where the second-order operator
+    acts diagonally, and the norms are discretised on a quad_n-node rule.
+    The value is recomputed from, and the witness returned as, a
+    PolynomialRep in Chebyshev form. The minimiser of F(c) is found by:
 
     - p = 2, alpha = 1: a scan of the exact path c_nu(s) = a_nu / (1 + s lam_nu^2),
       on which the basis is orthogonal (separable case);

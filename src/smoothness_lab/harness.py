@@ -13,6 +13,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .approx import (
+    MAX_APPROX_DIM,
+    MAX_WITNESS_DEG,
     JacksonParams,
     bernstein_markov_ratios,
     best_approx,
@@ -112,9 +114,13 @@ class Config:
         for name in ("degrees", "deltas"):
             if len(getattr(self, name)) == 0:
                 raise InvalidArgumentError(f"{name} must not be empty")
+        if self.kdeg > MAX_WITNESS_DEG:
+            raise InvalidArgumentError(f"kdeg must be at most {MAX_WITNESS_DEG}, got {self.kdeg!r}")
         for n in self.degrees:
             if not _is_positive_int(n):
                 raise InvalidArgumentError(f"degrees must be positive integers, got {n!r}")
+            if n > MAX_APPROX_DIM:
+                raise InvalidArgumentError(f"degrees must be at most {MAX_APPROX_DIM}, got {n!r}")
         for d in self.deltas:
             if not (_is_finite_real(d) and 0.0 <= d < math.pi):
                 raise InvalidArgumentError(f"deltas must be finite and lie in [0, pi), got {d!r}")
@@ -407,10 +413,10 @@ def run_lemma_suite(config: Config = Config()):
             poly = jacobi_poly(n, 2, 2)
             image = apply_D_poly(poly)
             lam = -n * (n + 5.0)
-            resid = np.zeros(poly.coeffs.size)
-            resid[: image.coeffs.size] += image.coeffs
-            resid -= lam * poly.coeffs
-            scale = max(1.0, float(np.max(np.abs(lam * poly.coeffs))))
+            resid = np.zeros(poly.cheb.size)
+            resid[: image.cheb.size] += image.cheb
+            resid -= lam * poly.cheb
+            scale = max(1.0, float(np.max(np.abs(lam * poly.cheb))))
             rel = float(np.max(np.abs(resid))) / scale
             details.append({"case": f"n={n}", "value": rel})
             worst = max(worst, rel)
@@ -427,11 +433,9 @@ def run_lemma_suite(config: Config = Config()):
     reports.append(_run("jacobi-normalization", 0.0, jacobi_normalization))
 
     def jacobi_eval_agreement():
-        # degree 24 is where the monomial form still holds full precision;
-        # beyond that, coefficient magnitude eats the agreement
         worst, details = 0.0, []
         grid = make_grid(64)
-        for n in (8, 12, 16, 24):
+        for n in (8, 12, 16, 24, 32, 48, 64):
             diff = float(np.max(np.abs(jacobi_eval(n, 2, 2, grid) - jacobi_poly(n, 2, 2)(grid))))
             details.append({"case": f"n={n}", "value": diff})
             worst = max(worst, diff)
@@ -558,20 +562,20 @@ def run_lemma_suite(config: Config = Config()):
         worst, details = 0.0, []
         polys = {
             "x": jacobi_poly(1, 2, 2),
-            "x^2": PolynomialRep(np.array([0.0, 0.0, 1.0])),
+            "x^2": PolynomialRep(cheb=[0.5, 0.0, 0.5]),
             "P_3": jacobi_poly(3, 2, 2),
             "P_5": jacobi_poly(5, 2, 2),
             "P_8": jacobi_poly(8, 2, 2),
         }
         fit_grid = make_grid(33)
-        vander = np.vander(fit_grid, 9, increasing=True)
+        vander = np.polynomial.chebyshev.chebvander(fit_grid, 8)
         for label, poly in polys.items():
             dpoly = apply_D_poly(poly)
             for y in (0.5, -0.3):
                 lhs = _asym_core(dpoly, y, grid16, cfg.quad_n)
                 samples = _asym_core(poly, y, fit_grid, cfg.quad_n)
                 coeffs, *_ = np.linalg.lstsq(vander, samples, rcond=None)
-                rhs = apply_D_poly(PolynomialRep(coeffs))(grid16)
+                rhs = apply_D_poly(PolynomialRep(cheb=coeffs))(grid16)
                 diff = float(np.max(np.abs(lhs - rhs)))
                 details.append({"case": f"{label},y={y:g}", "value": diff})
                 worst = max(worst, diff)
@@ -585,7 +589,7 @@ def run_lemma_suite(config: Config = Config()):
         xs = make_grid(5)
         cases = {
             "x": jacobi_poly(1, 2, 2),
-            "x^2": PolynomialRep(np.array([0.0, 0.0, 1.0])),
+            "x^2": PolynomialRep(cheb=[0.5, 0.0, 0.5]),
             "P_5": jacobi_poly(5, 2, 2),
         }
         for label, poly in cases.items():

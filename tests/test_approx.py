@@ -30,10 +30,11 @@ from smoothness_lab import (
     jackson_operator,
     jacobi_poly,
     k_functional,
+    make_grid,
     poly_lincomb,
     weighted_norm,
 )
-from smoothness_lab.approx import _best_constant, _newton_k
+from smoothness_lab.approx import _best_constant, _newton_k, _poly_from_jacobi
 from smoothness_lab.jacobi import jacobi_matrix
 from smoothness_lab.quadrature import gauss_jacobi, ordered_sum
 
@@ -223,6 +224,26 @@ def test_k_functional_zero_delta_on_polynomial():
     assert res.value <= 1e-12
 
 
+def test_witness_from_jacobi_coefficients_matches_jacobi_matrix():
+    # the K witness is built in Chebyshev form from Jacobi coefficients; at
+    # degree 48 it must still agree with the recurrence values
+    x = make_grid(2001)
+    c = expand_in_jacobi(lambda x: np.abs(x), 48)
+    assert np.max(np.abs(_poly_from_jacobi(c)(x) - jacobi_matrix(48, x).T @ c)) <= 1e-13
+
+
+def test_k_functional_at_degree_64_stays_below_projection_witness():
+    f = lambda x: np.abs(x)
+    delta = 0.05
+    res = k_functional(f, delta, P21, max_deg=64)
+    coeffs = expand_in_jacobi(f, 64)
+    proj = poly_lincomb(coeffs, [jacobi_poly(k, 2, 2) for k in range(65)])
+    proj_val = weighted_norm(lambda x: f(x) - proj(x), P21, 256) + delta**2 * weighted_norm(apply_D_poly(proj), P21, 256)
+    assert math.isfinite(res.value)
+    assert res.witness.degree <= 64
+    assert res.value <= proj_val * (1.0 + 1e-12)
+
+
 def test_k_functional_never_beats_zero_witness():
     f = lambda x: np.abs(x)
     fnorm = weighted_norm(f, P21)
@@ -252,7 +273,7 @@ def test_k_functional_validation():
     with pytest.raises(InvalidArgumentError):
         k_functional(f, -0.1, P21)
     with pytest.raises(InvalidArgumentError):
-        k_functional(f, 0.5, P21, max_deg=49)
+        k_functional(f, 0.5, P21, max_deg=65)
     with pytest.raises(InvalidArgumentError):
         k_functional(f, 0.5, P21, max_deg=-1)
 
@@ -287,10 +308,8 @@ def test_k_functional_invariants_in_non_hilbert_spaces(name):
 @pytest.mark.parametrize("params", [P15, P3], ids=["p1.5", "p3"])
 def test_k_newton_reaches_a_stationary_point(params):
     # the solver behind k_functional at 1 < p < inf, on k_functional's own
-    # discretisation: F(c) = N(f - J^T c) + delta^2 N(J^T (lam c)). It is
-    # checked on the coefficients: the monomial witness k_functional returns
-    # is off by up to about 2e-8 in value at degree 32, which moves this
-    # ratio past 1e-8
+    # discretisation: F(c) = N(f - J^T c) + delta^2 N(J^T (lam c)), checked
+    # on the coefficients the solver returns
     p = params.p
     cfg = Config()
     rule = gauss_jacobi(cfg.norm_nodes, p * params.alpha, p * params.alpha)

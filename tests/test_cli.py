@@ -110,6 +110,8 @@ def test_inadmissible_p_exits_two(capsys):
         (["sweep", "--deltas=0.1,3.2"], "deltas must be finite and lie in [0, pi), got 3.2"),
         (["sweep", "--tol", "-1"], "tol_scale must be finite and positive, got -1.0"),
         (["verify", "--tol", "nan"], "tol_scale must be finite and positive, got nan"),
+        (["sweep", "--kdeg", "65"], "kdeg must be at most 64, got 65"),
+        (["sweep", "--degrees", "2,100"], "degrees must be at most 64, got 100"),
     ],
 )
 def test_bad_config_value_exits_two(capsys, argv, message):

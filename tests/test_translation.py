@@ -180,7 +180,7 @@ def test_translate_polynomial_stays_close_to_eval_grid():
 
 
 # Polynomials that declare their degree: the polynomial corpus entries and a
-# few Jacobi modes up to the degree where the monomial form stays accurate.
+# few Jacobi modes.
 CORPUS_POLYS = [(e.label, e.handle) for e in corpus(7) if e.handle.degree is not None]
 POLY_CASES = CORPUS_POLYS + [(f"P_{n}", jacobi_poly(n, 2, 2)) for n in (0, 1, 5, 12, 24)]
 
