@@ -18,9 +18,9 @@ from .jacobi import (
     jacobi_poly,
     poly_lincomb,
 )
-from .quadrature import gauss_jacobi, gauss_legendre, ordered_sum
-from .space import EPS_INTERIOR, FunctionHandle, SpaceParams, make_grid, sample, weighted_norm
-from .translation import _sym_core, _unwrap
+from .quadrature import _as_callable, gauss_legendre, ordered_sum, sample
+from .space import SpaceParams, _as_params, discrete_norm, make_grid, weighted_norm
+from .translation import _sym_core
 
 __all__ = [
     "BestApproxResult",
@@ -55,15 +55,6 @@ class BestApproxResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _diff_handle(f, poly: PolynomialRep):
-    fn = _unwrap(f)
-    return FunctionHandle(eval=lambda x: np.asarray(fn(x), dtype=float) - poly(x))
-
-
-def _as_params(params) -> SpaceParams:
-    return params if isinstance(params, SpaceParams) else SpaceParams(*params)
-
-
 def best_approx(f, n, params, grid_n: int = 256) -> BestApproxResult:
     """Best approximation of f from polynomials of degree < n in L_{p,alpha}.
 
@@ -79,26 +70,29 @@ def best_approx(f, n, params, grid_n: int = 256) -> BestApproxResult:
     params = _as_params(params)
     n = int(n)
     if params.p == 2.0:
-        return _best_l2(f, n, params, grid_n)
-    if params.is_sup:
-        return _best_sup(f, n, params, grid_n)
-    return _best_irls(f, n, params, grid_n)
+        solve = _best_l2
+    elif params.is_sup:
+        solve = _best_sup
+    else:
+        solve = _best_irls
+    argmin, method, diagnostics = solve(f, n, params, grid_n)
+    value = weighted_norm(lambda x: sample(f, x) - argmin(x), params)
+    return BestApproxResult(value, argmin, method, diagnostics)
 
 
 def _best_l2(f, n, params, grid_n):
+    # the rule of the norm has weight (1-x^2)^(2 alpha), under which the
+    # (2 alpha, 2 alpha) Jacobi basis is orthogonal
+    norm = discrete_norm(params, max(int(grid_n), 2 * n))
     a = 2.0 * params.alpha
-    if a <= -1.0:
-        raise InvalidArgumentError("2 * alpha must exceed -1 for the projection weight")
-    rule = gauss_jacobi(max(int(grid_n), 2 * n), a, a)
-    fv = sample(f, rule.nodes)
-    basis = jacobi_matrix(n - 1, rule.nodes, a, a)
-    wf = rule.weights * fv
+    fv = sample(f, norm.nodes)
+    basis = jacobi_matrix(n - 1, norm.nodes, a, a)
+    wf = norm.weights * fv
     numer = np.cumsum(basis * wf[None, :], axis=1)[:, -1]
-    denom = np.cumsum(basis * basis * rule.weights[None, :], axis=1)[:, -1]
+    denom = np.cumsum(basis * basis * norm.weights[None, :], axis=1)[:, -1]
     coeffs = numer / denom
     argmin = poly_lincomb(coeffs, [jacobi_poly(k, a, a) for k in range(n)])
-    value = weighted_norm(_diff_handle(f, argmin), params)
-    return BestApproxResult(value, argmin, "l2-projection", {"grid_n": len(rule), "iterations": 0})
+    return argmin, "l2-projection", {"grid_n": norm.nodes.size, "iterations": 0}
 
 
 def _solve_reference(refs, fr, wr, n):
@@ -131,9 +125,7 @@ def _best_sup(f, n, params, grid_n):
         idx = _exchange(idx, worst, err)
     else:
         raise ConvergenceError("reference exchange did not settle", trace=trace)
-    argmin = PolynomialRep(coeffs)
-    value = weighted_norm(_diff_handle(f, argmin), params)
-    return BestApproxResult(value, argmin, "remez-grid", {"grid_n": grid.size, "iterations": len(trace)})
+    return PolynomialRep(coeffs), "remez-grid", {"grid_n": grid.size, "iterations": len(trace)}
 
 
 def _exchange(idx, worst, err):
@@ -164,21 +156,16 @@ def _exchange(idx, worst, err):
 
 
 def _best_irls(f, n, params, grid_n):
-    exponent = params.p * params.alpha
-    if exponent <= -1.0:
-        raise InvalidArgumentError("p * alpha must exceed -1 for an integrable weight")
-    rule = gauss_jacobi(max(int(grid_n), 2 * n), exponent, exponent)
-    fv = sample(f, rule.nodes)
-    V = ncheb.chebvander(rule.nodes, n - 1)
+    norm = discrete_norm(params, max(int(grid_n), 2 * n))
+    fv = sample(f, norm.nodes)
+    V = ncheb.chebvander(norm.nodes, n - 1)
     scale = float(np.max(np.abs(fv))) or 1.0
     if params.p == 1.0:
-        coeffs, iterations, backtracks = _reweighted_l1(fv, V, rule.weights, scale)
+        coeffs, iterations, backtracks = _reweighted_l1(fv, V, norm.weights, scale)
     else:
-        coeffs, iterations, backtracks = _damped_newton(fv, V, rule.weights, params.p, scale)
-    argmin = PolynomialRep(coeffs)
-    value = weighted_norm(_diff_handle(f, argmin), params)
-    diagnostics = {"grid_n": len(rule), "iterations": iterations, "backtracks": backtracks}
-    return BestApproxResult(value, argmin, "irls-grid", diagnostics)
+        coeffs, iterations, backtracks = _damped_newton(fv, V, norm.weights, params.p, scale)
+    diagnostics = {"grid_n": norm.nodes.size, "iterations": iterations, "backtracks": backtracks}
+    return PolynomialRep(coeffs), "irls-grid", diagnostics
 
 
 def _reweighted_l1(fv, V, w, scale):
@@ -309,7 +296,7 @@ def jackson_operator(f, params: JacksonParams, quad_n: int = 2048) -> Polynomial
     xs_fit = make_grid(n_fit)
     xs_held = make_grid(n_fit + 7)
     xs = np.concatenate((xs_fit, xs_held))
-    translated = _sym_core(_unwrap(f), np.array([math.cos(t) for t in ts]), xs, quad_n)
+    translated = _sym_core(_as_callable(f), np.array([math.cos(t) for t in ts]), xs, quad_n)
     acc = np.zeros(xs.size)
     for j in range(ts.size):
         acc += wts[j] * translated[j]
@@ -346,9 +333,10 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
 
     The witness, of degree at most max_deg <= 64, is parameterized by
     coefficients c in the (2,2) Jacobi basis, where the second-order operator
-    acts diagonally, and the norms are discretised on a quad_n-node rule.
-    The value is recomputed from, and the witness returned as, a
-    PolynomialRep in Chebyshev form. The minimiser of F(c) is found by:
+    acts diagonally. One norm, discrete_norm(params, quad_n), serves the
+    solvers and the reported value. The value is recomputed from, and the
+    witness returned as, a PolynomialRep in Chebyshev form. The minimiser
+    of F(c) is found by:
 
     - p = 2, alpha = 1: a scan of the exact path c_nu(s) = a_nu / (1 + s lam_nu^2),
       on which the basis is orthogonal (separable case);
@@ -360,12 +348,14 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
     Outside the separable case the best constant, the minimiser on the face
     Dg = 0, is a candidate too (weighted median at p = 1, exact minimax
     constant at p = inf, a damped Newton fit otherwise). The reported value
-    is recomputed through weighted_norm for the best of the zero,
-    projection, constant (outside the separable case) and solver
-    candidates, so it never exceeds any of them. iterations counts the
-    solver's steps: Newton steps (0 when the best constant is shown to be
-    optimal), descent steps, or 0 for the scan. trace holds the solver's
-    last objective values.
+    is norm(f - g) + delta^2 norm(Dg) at the best g of the zero, projection,
+    constant (outside the separable case) and solver candidates, so it
+    never exceeds any of them. It equals weighted_norm(f - g, params,
+    quad_n) + delta^2 weighted_norm(Dg, params, quad_n) exactly, but
+    reuses the samples of f. iterations counts the solver's steps: Newton
+    steps (0 when the best constant is shown to be optimal), descent
+    steps, or 0 for the scan. trace holds the solver's last objective
+    values.
     """
     delta = float(delta)
     if not (math.isfinite(delta) and delta >= 0.0):
@@ -374,19 +364,8 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
         raise InvalidArgumentError(f"max_deg must be an integer in [0, {MAX_WITNESS_DEG}]")
     params = _as_params(params)
     max_deg = int(max_deg)
-
-    if params.is_sup:
-        edge = 1.0 - EPS_INTERIOR
-        xs = np.concatenate((make_grid(max(int(quad_n), 2)), [-edge, edge]))
-        wts = (1.0 - xs * xs) ** params.alpha
-        rw = None
-    else:
-        exponent = params.p * params.alpha
-        if exponent <= -1.0:
-            raise InvalidArgumentError("p * alpha must exceed -1 for an integrable weight")
-        rule = gauss_jacobi(int(quad_n), exponent, exponent)
-        xs = rule.nodes
-        rw, wts = rule.weights, None
+    norm = discrete_norm(params, quad_n)
+    xs = norm.nodes
     fv = sample(f, xs)
     J = jacobi_matrix(max_deg, xs)
     lam = -np.arange(max_deg + 1.0) * (np.arange(max_deg + 1.0) + 5.0)
@@ -395,10 +374,11 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
     c_proj = expand_in_jacobi(f, max_deg, n_nodes=max(int(quad_n), 256))
     candidates = [np.zeros(max_deg + 1), c_proj]
 
-    if p == 2.0 and params.alpha == 1.0 and rw is not None:
+    if p == 2.0 and params.alpha == 1.0:
         # separable case: the basis is orthogonal under this exact weight, so
         # the optimum lies on the path c_nu(s) = a_nu / (1 + s lam_nu^2) and a
         # one-dimensional scan over s replaces the descent
+        rw = norm.weights
         hn = np.cumsum(rw[None, :] * J * J, axis=1)[:, -1]
         a = np.cumsum(rw[None, :] * J * fv[None, :], axis=1)[:, -1] / hn
         total = float(np.cumsum(rw * fv * fv)[-1])
@@ -435,21 +415,19 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
     else:
         scale = float(np.max(np.abs(fv))) or 1.0
         const = np.zeros(max_deg + 1)
-        const[0] = _best_constant(fv, rw, wts, p, scale)
+        const[0] = _best_constant(fv, norm, scale)
         candidates.append(const)
-        if rw is not None and p > 1.0:
-            best_c, iterations, history = _newton_k(fv, J, lam, rw, p, d2, c_proj, const, scale)
+        if 1.0 < p < math.inf:
+            best_c, iterations, history = _newton_k(fv, J, lam, norm, d2, c_proj, const, scale)
         else:
-            best_c, iterations, history = _descend(fv, J, lam, rw, wts, d2, c_proj, max_deg)
+            best_c, iterations, history = _descend(fv, J, lam, norm, d2, c_proj, max_deg)
     candidates.append(best_c)
 
     best_val = math.inf
     best_poly = None
     for cand in candidates:
         gpoly = _poly_from_jacobi(cand)
-        dval = weighted_norm(_diff_handle(f, gpoly), params, int(quad_n))
-        sval = weighted_norm(apply_D_poly(gpoly), params, int(quad_n))
-        val = dval + d2 * sval
+        val = norm(fv - gpoly(xs)) + d2 * norm(apply_D_poly(gpoly)(xs))
         if val < best_val:
             best_val, best_poly = val, gpoly
     return KFunctionalResult(
@@ -462,23 +440,24 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
     )
 
 
-def _best_constant(fv, rw, wts, p, scale):
-    """Constant c minimising the discrete norm of fv - c (rw: quadrature weights, wts: sup weights)."""
-    if rw is None:
+def _best_constant(fv, norm, scale):
+    """Constant c minimising norm(fv - c)."""
+    if norm.p == math.inf:
         # the optimum levels the worst pair: w_i (f_i - c) = w_j (c - f_j)
+        wts = norm.weights
         gap = np.subtract.outer(fv, fv) * np.multiply.outer(wts, wts) / np.add.outer(wts, wts)
         i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
         return float((wts[i] * fv[i] + wts[j] * fv[j]) / (wts[i] + wts[j]))
-    if p == 1.0:
+    if norm.p == 1.0:
         order = np.argsort(fv, kind="stable")
-        cum = np.cumsum(rw[order])
+        cum = np.cumsum(norm.weights[order])
         return float(fv[order[int(np.searchsorted(cum, 0.5 * cum[-1]))]])
-    coeffs, _, _ = _damped_newton(fv, np.ones((fv.size, 1)), rw, p, scale)
+    coeffs, _, _ = _damped_newton(fv, np.ones((fv.size, 1)), norm.weights, norm.p, scale)
     return float(coeffs[0])
 
 
-def _newton_k(fv, J, lam, rw, p, d2, c_proj, const, scale):
-    """Minimise F(c) = N(fv - J^T c) + d2 N(J^T (lam c)), N(v) = (sum rw |v|^p)^(1/p), 1 < p < inf.
+def _newton_k(fv, J, lam, norm, d2, c_proj, const, scale):
+    """Minimise F(c) = N(fv - J^T c) + d2 N(J^T (lam c)) for the discrete norm N, 1 < p < inf.
 
     Returns (coeffs, iterations, history of F); iterations counts Newton
     steps. F has kinks where either norm vanishes: on the face Dg = 0 of the
@@ -502,9 +481,7 @@ def _newton_k(fv, J, lam, rw, p, d2, c_proj, const, scale):
     halved step decreases F, or after 100 steps.
     """
     LJ = lam[:, None] * J
-
-    def norm(v):
-        return ordered_sum(rw * np.abs(v) ** p) ** (1.0 / p)
+    rw, p = norm.weights, norm.p
 
     def objective(c):
         return norm(fv - J.T @ c) + d2 * norm(LJ.T @ c)
@@ -518,7 +495,7 @@ def _newton_k(fv, J, lam, rw, p, d2, c_proj, const, scale):
 
     r0 = fv - const[0]
     if float(np.max(np.abs(r0))) > 64.0 * np.finfo(float).eps * scale:
-        sigma, v = _steepest(LJ[1:], (J @ grad_norm(r0))[1:], rw, p)
+        sigma, v = _steepest(LJ[1:], (J @ grad_norm(r0))[1:], norm)
     else:
         sigma = 0.0  # f is constant to rounding
     if d2 >= sigma:
@@ -526,7 +503,7 @@ def _newton_k(fv, J, lam, rw, p, d2, c_proj, const, scale):
     starts = [c_proj, descend_from(const, np.concatenate(([0.0], v)))]
     u = LJ.T @ c_proj
     if d2 > 0.0 and np.any(u):
-        sigma, v = _steepest(J, -d2 * (LJ @ grad_norm(u)), rw, p)
+        sigma, v = _steepest(J, -d2 * (LJ @ grad_norm(u)), norm)
         if sigma > 1.0:  # F decreases along v even from an exact fit
             starts.append(descend_from(c_proj, v))
 
@@ -569,8 +546,8 @@ def _newton_k(fv, J, lam, rw, p, d2, c_proj, const, scale):
     return c, iterations, history
 
 
-def _steepest(B, b, rw, p):
-    """sigma = max <b, v> over N(B^T v) <= 1, and a maximiser v scaled to <b, v> = 1.
+def _steepest(B, b, norm):
+    """sigma = max <b, v> over norm(B^T v) <= 1, and a maximiser v scaled to <b, v> = 1.
 
     sigma = 1 / min N(B^T v) over <b, v> = 1; that minimum is a weighted
     p-norm fit on the hyperplane, solved by _damped_newton. b = 0 (or
@@ -582,12 +559,11 @@ def _steepest(B, b, rw, p):
     rest = np.arange(b.size) != k
     u0 = B[k] / b[k]
     V = np.outer(u0, b[rest]) - B[rest].T  # B^T v = u0 - V z for v[rest] = z on the hyperplane
-    z, _, _ = _damped_newton(u0, V, rw, p, float(np.max(np.abs(u0))))
+    z, _, _ = _damped_newton(u0, V, norm.weights, norm.p, float(np.max(np.abs(u0))))
     v = np.empty(b.size)
     v[rest] = z
     v[k] = (1.0 - b[rest] @ z) / b[k]
-    u = u0 - V @ z
-    return 1.0 / ordered_sum(rw * np.abs(u) ** p) ** (1.0 / p), v
+    return 1.0 / norm(u0 - V @ z), v
 
 
 def _line_min(F, t0):
@@ -611,12 +587,10 @@ def _line_min(F, t0):
     return m1 if f1 <= f2 else m2
 
 
-def _descend(fv, J, lam, rw, wts, d2, c0, max_deg):
-    """Accelerated descent with backtracking for p = 1 (quadrature weights rw)
-    or p = inf (sup weights wts); returns (best_c, iterations, history)."""
-
-    def norm(vec):
-        return float((np.abs(vec) * wts).max()) if rw is None else float(np.cumsum(rw * np.abs(vec))[-1])
+def _descend(fv, J, lam, norm, d2, c0, max_deg):
+    """Accelerated descent with backtracking for a discrete norm with p = 1 or
+    p = inf; returns (best_c, iterations, history)."""
+    w = norm.weights
 
     def objective(c):
         return norm(fv - J.T @ c) + d2 * norm(J.T @ (lam * c))
@@ -624,10 +598,10 @@ def _descend(fv, J, lam, rw, wts, d2, c0, max_deg):
     def gradient(c):
         r = fv - J.T @ c
         u = J.T @ (lam * c)
-        if rw is not None:
-            return d2 * lam * (J @ (rw * np.sign(u))) - J @ (rw * np.sign(r))
-        i, k = int(np.argmax(np.abs(r) * wts)), int(np.argmax(np.abs(u) * wts))
-        return d2 * lam * J[:, k] * (wts[k] * np.sign(u[k])) - J[:, i] * (wts[i] * np.sign(r[i]))
+        if norm.p == 1.0:
+            return d2 * lam * (J @ (w * np.sign(u))) - J @ (w * np.sign(r))
+        i, k = int(np.argmax(np.abs(r) * w)), int(np.argmax(np.abs(u) * w))
+        return d2 * lam * J[:, k] * (w[k] * np.sign(u[k])) - J[:, i] * (w[i] * np.sign(r[i]))
 
     c = c0.copy()
     c_prev = c.copy()

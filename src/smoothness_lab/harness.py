@@ -36,7 +36,7 @@ from .jacobi import (
     poly_lincomb,
 )
 from .quadrature import gauss_chebyshev, gauss_jacobi, gauss_legendre, integrate, ordered_sum
-from .space import EPS_INTERIOR, FunctionHandle, SpaceParams, make_grid, validate_params, weighted_norm
+from .space import FunctionHandle, SpaceParams, discrete_norm, make_grid, sample, validate_params, weighted_norm
 from .translation import (
     _asym_core,
     _sym_core,
@@ -291,22 +291,6 @@ def _run(check_id: str, tolerance: Optional[float], fn: Callable[[], tuple]) -> 
     else:
         status = "pass" if observed <= tolerance else "fail"
     return VerificationReport(check_id, status, observed, tolerance, tuple(details), note, elapsed)
-
-
-def _norm_of_samples(vals, params: SpaceParams, rule=None, wts=None) -> float:
-    if rule is None:
-        return float(np.max(np.abs(vals) * wts))
-    return float(np.cumsum(rule.weights * np.abs(vals) ** params.p)[-1] ** (1.0 / params.p))
-
-
-def _norm_setup(params: SpaceParams, n_nodes: int):
-    """Evaluation points plus either a rule (finite p) or sup weights."""
-    if params.is_sup:
-        edge = 1.0 - EPS_INTERIOR
-        xs = np.concatenate((make_grid(n_nodes), [-edge, edge]))
-        return xs, None, (1.0 - xs * xs) ** params.alpha
-    rule = gauss_jacobi(n_nodes, params.p * params.alpha, params.p * params.alpha)
-    return rule.nodes, rule, None
 
 
 def _split_rule(n_panel: int, y: float):
@@ -624,18 +608,18 @@ def run_lemma_suite(config: Config = Config()):
 
     def translation_norm_bound():
         details = []
-        xs, rule, wts = _norm_setup(params, cfg.norm_nodes)
+        norm = discrete_norm(params, cfg.norm_nodes)
         ratios = {}
         for qn in (cfg.quad_n, 2 * cfg.quad_n):
             cmax = 0.0
             for e in entries:
                 fn = e.handle
-                base = _norm_of_samples(np.asarray(fn(xs), dtype=float), params, rule, wts)
+                base = norm(sample(fn, norm.nodes))
                 if base < 1e-13:
                     continue
                 for tt in ts_bound:
-                    tv = _asym_core(fn, math.cos(tt), xs, qn)
-                    val = _norm_of_samples(tv, params, rule, wts) * math.cos(tt / 2.0) ** 4 / base
+                    tv = _asym_core(fn, math.cos(tt), norm.nodes, qn)
+                    val = norm(tv) * math.cos(tt / 2.0) ** 4 / base
                     cmax = max(cmax, val)
             ratios[qn] = cmax
         lo, hi = ratios[cfg.quad_n], ratios[2 * cfg.quad_n]
@@ -648,18 +632,18 @@ def run_lemma_suite(config: Config = Config()):
 
     def rotation_average_bound():
         details = []
-        xs, rule, wts = _norm_setup(params, cfg.norm_nodes)
+        norm = discrete_norm(params, cfg.norm_nodes)
         ratios = {}
         for qn in (cfg.quad_n, 2 * cfg.quad_n):
             cmax = 0.0
             for e in entries:
                 fn = e.handle.eval
-                base = _norm_of_samples(np.asarray(fn(xs), dtype=float), params, rule, wts)
+                base = norm(sample(fn, norm.nodes))
                 if base < 1e-13:
                     continue
                 for tt in ts_bound:
-                    gv = abs_rotation_average(fn, tt, xs, qn)
-                    cmax = max(cmax, _norm_of_samples(gv, params, rule, wts) / base)
+                    gv = abs_rotation_average(fn, tt, norm.nodes, qn)
+                    cmax = max(cmax, norm(gv) / base)
             ratios[qn] = cmax
         lo, hi = ratios[cfg.quad_n], ratios[2 * cfg.quad_n]
         drift = abs(hi - lo) / max(hi, 1e-300)
@@ -711,8 +695,8 @@ def run_lemma_suite(config: Config = Config()):
                 # orthogonality must be tested on the rule the projection
                 # itself uses; any other rule measures quadrature error of
                 # the integrand instead of optimality
-                rule = gauss_jacobi(max(cfg.coeff_nodes, 2 * n), 2.0, 2.0)
-                fv = np.asarray(h(rule.nodes), dtype=float)
+                rule = discrete_norm(p21, max(cfg.coeff_nodes, 2 * n))
+                fv = sample(h, rule.nodes)
                 res = best_approx(h, n, p21, grid_n=cfg.coeff_nodes)
                 rv = fv - res.argmin(rule.nodes)
                 basis = jacobi_matrix(n - 1, rule.nodes)
@@ -799,14 +783,14 @@ def run_lemma_suite(config: Config = Config()):
 
     def k_two_candidate():
         worst, details = 0.0, []
+        norm = discrete_norm(params, cfg.norm_nodes)
         for e in entries:
             proj = expand_in_jacobi(e.handle, cfg.kdeg, n_nodes=max(cfg.norm_nodes, 256))
             gpoly = poly_lincomb(proj, [jacobi_poly(k, 2, 2) for k in range(cfg.kdeg + 1)])
-            dg = apply_D_poly(gpoly)
-            fnorm = weighted_norm(e.handle, params, cfg.norm_nodes)
-            diff = FunctionHandle(eval=lambda x, h=e.handle, g=gpoly: np.asarray(h(x), dtype=float) - g(x))
-            base = weighted_norm(diff, params, cfg.norm_nodes)
-            dnorm = weighted_norm(dg, params, cfg.norm_nodes)
+            fv = sample(e.handle, norm.nodes)
+            fnorm = norm(fv)
+            base = norm(fv - gpoly(norm.nodes))
+            dnorm = norm(apply_D_poly(gpoly)(norm.nodes))
             for delta in (0.1, 0.5):
                 res = k_functional(e.handle, delta, params, cfg.kdeg, cfg.norm_nodes)
                 cap = min(fnorm, base + delta * delta * dnorm)
@@ -924,7 +908,7 @@ def run_theorem_sweep(config: Config = Config()):
     reports.append(_run("modulus-k-damped-window", t(100.0), modulus_k_damped_window))
 
     def modulus_k_stability():
-        heavy = replace(cfg, quad_n=2 * cfg.quad_n, kdeg=48)
+        heavy = replace(cfg, quad_n=2 * cfg.quad_n, kdeg=min(max(48, cfg.kdeg + 16), MAX_WITNESS_DEG))
         hv1, hv2, sh1, sh2 = [], [], [], []
         for e in entries:
             for delta in cfg.deltas:
@@ -951,7 +935,8 @@ def run_theorem_sweep(config: Config = Config()):
         if sh1:
             rows.append({"case": "witness-16-upper", "value": max(sh2)})
             rows.append({"case": "witness-16-lower", "value": min(sh1)})
-        return worst, rows, "constant pair under doubled quadrature and deeper witness; degree-16 witness recorded"
+        witness = "deeper witness" if heavy.kdeg > cfg.kdeg else f"witness at the degree cap {heavy.kdeg}"
+        return worst, rows, f"constant pair under doubled quadrature and {witness}; degree-16 witness recorded"
 
     reports.append(_run("modulus-k-stability", t(0.15), modulus_k_stability))
 

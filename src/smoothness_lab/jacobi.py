@@ -12,8 +12,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as ncheb
 
 from .errors import InvalidArgumentError
-from .quadrature import gauss_jacobi, ordered_sum
-from .space import sample
+from .quadrature import gauss_jacobi, ordered_sum, sample
 
 __all__ = [
     "PolynomialRep",

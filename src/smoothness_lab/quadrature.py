@@ -24,6 +24,7 @@ __all__ = [
     "gauss_jacobi",
     "integrate",
     "ordered_sum",
+    "sample",
 ]
 
 MAX_NODES = 4096
@@ -153,7 +154,7 @@ def gauss_jacobi(n: int, a: float, b: float) -> QuadratureRule:
     n : int
         Number of nodes, 1 <= n <= 4096.
     a, b : float
-        Weight exponents; each must exceed -1 for the weight to be
+        Weight exponents; each must be greater than -1 for the weight to be
         integrable.
 
     Returns
@@ -171,15 +172,29 @@ def gauss_jacobi(n: int, a: float, b: float) -> QuadratureRule:
     return QuadratureRule(f"jacobi({a:g},{b:g})", nodes, weights)
 
 
-def _eval_on(fn, nodes: np.ndarray) -> np.ndarray:
-    vals = fn(nodes)
-    vals = np.asarray(vals, dtype=float)
-    if vals.shape != nodes.shape:
-        vals = np.broadcast_to(vals, nodes.shape).astype(float)
+def _as_callable(f):
+    """f itself when it is callable, else the eval attribute of a function handle."""
+    if callable(f):
+        return f
+    if hasattr(f, "eval"):
+        return f.eval
+    raise InvalidArgumentError("expected a callable or a function handle")
+
+
+def sample(f, x: np.ndarray) -> np.ndarray:
+    """Values of f at the array x, as floats of x's shape.
+
+    f is a callable or an object with an eval attribute. A result of
+    another shape (a constant, say) is broadcast to x's shape. A non-finite
+    value raises EvaluationError naming the first argument that gave one.
+    """
+    vals = np.asarray(_as_callable(f)(x), dtype=float)
+    if vals.shape != x.shape:
+        vals = np.broadcast_to(vals, x.shape).astype(float)
     bad = ~np.isfinite(vals)
     if np.any(bad):
-        node = float(nodes[np.argmax(bad)])
-        raise EvaluationError(f"integrand is not finite at node {node!r}", node=node)
+        node = float(x.flat[np.argmax(bad)])
+        raise EvaluationError(f"function is not finite at {node!r}", node=node)
     return vals
 
 
@@ -200,13 +215,7 @@ def integrate(fn, rule: QuadratureRule) -> float:
     Raises
     ------
     EvaluationError
-        If the integrand is non-finite at any node; the offending node is
-        attached to the exception.
+        If the integrand is non-finite at any node (raised by sample); the
+        offending node is attached to the exception.
     """
-    if not callable(fn):
-        if hasattr(fn, "eval"):
-            fn = fn.eval
-        else:
-            raise InvalidArgumentError("integrand must be callable or carry an eval field")
-    vals = _eval_on(fn, rule.nodes)
-    return ordered_sum(rule.weights * vals)
+    return ordered_sum(rule.weights * sample(fn, rule.nodes))

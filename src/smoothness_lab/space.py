@@ -14,12 +14,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import EvaluationError, InvalidArgumentError
-from .quadrature import gauss_jacobi, ordered_sum
+from .errors import InvalidArgumentError
+from .quadrature import gauss_jacobi, sample
 
 __all__ = [
     "EPS_INTERIOR",
     "SpaceParams",
+    "DiscreteNorm",
+    "discrete_norm",
     "FunctionHandle",
     "Admissibility",
     "validate_params",
@@ -156,49 +158,62 @@ def make_grid(n: int) -> np.ndarray:
     return np.clip(pts, -(1.0 - EPS_INTERIOR), 1.0 - EPS_INTERIOR)
 
 
-def sample(f, x: np.ndarray) -> np.ndarray:
-    """Values of f at the array x, as floats of x's shape.
+def _as_params(params) -> SpaceParams:
+    return params if isinstance(params, SpaceParams) else SpaceParams(*params)
 
-    f is a callable or an object with an eval attribute. A result of
-    another shape (a constant, say) is broadcast to x's shape. A non-finite
-    value raises EvaluationError naming the first argument that gave one.
+
+def _positive_int(n, name: str) -> int:
+    """n as an int, if it is an integer (not a bool) of at least 1."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+        raise InvalidArgumentError(f"{name} must be a positive integer, got {n!r}")
+    return int(n)
+
+
+@dataclass(frozen=True)
+class DiscreteNorm:
+    """The L_{p,alpha} norm of values v at fixed nodes; built by discrete_norm.
+
+    For finite p it is (ordered sum of weights |v|^p)^(1/p), the weights
+    absorbing (1-x^2)^(p alpha); for p = inf it is max weights |v|, the
+    weights being (1-x^2)^alpha.
     """
-    if callable(f):
-        fn = f
-    elif hasattr(f, "eval"):
-        fn = f.eval
-    else:
-        raise InvalidArgumentError("expected a callable or a function handle")
-    vals = np.asarray(fn(x), dtype=float)
-    if vals.shape != x.shape:
-        vals = np.broadcast_to(vals, x.shape).astype(float)
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        node = float(x.flat[np.argmax(bad)])
-        raise EvaluationError(f"function is not finite at {node!r}", node=node)
-    return vals
+
+    p: float
+    nodes: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
+
+    def __call__(self, vals) -> float:
+        # ndarray.max and no power at p = 1: the K solvers call this in
+        # their inner loops, where np.max and ** 1.0 cost measurable time
+        if self.p == math.inf:
+            return float((np.abs(vals) * self.weights).max())
+        if self.p == 1.0:
+            return float(np.cumsum(self.weights * np.abs(vals))[-1])
+        return float(np.cumsum(self.weights * np.abs(vals) ** self.p)[-1]) ** (1.0 / self.p)
+
+
+def discrete_norm(params, n_nodes: int) -> DiscreteNorm:
+    """The norm of L_{p,alpha} discretised on n_nodes nodes.
+
+    For finite p the weight (1-x^2)^(p alpha) is absorbed into an
+    n_nodes-point Gauss-Jacobi rule, which requires p * alpha > -1. For
+    p = inf the nodes are make_grid(max(n_nodes, 2)) and +-(1 - 1e-6).
+    n_nodes must be a positive integer.
+    """
+    n_nodes = _positive_int(n_nodes, "node count")
+    params = _as_params(params)
+    if params.is_sup:
+        edge = 1.0 - EPS_INTERIOR
+        x = np.concatenate((make_grid(max(n_nodes, 2)), [-edge, edge]))
+        return DiscreteNorm(params.p, x, (1.0 - x * x) ** params.alpha)
+    exponent = params.p * params.alpha
+    if exponent <= -1.0:
+        raise InvalidArgumentError(f"p * alpha must exceed -1 for an integrable weight, got {exponent:g}")
+    rule = gauss_jacobi(n_nodes, exponent, exponent)
+    return DiscreteNorm(params.p, rule.nodes, rule.weights)
 
 
 def weighted_norm(f, params: SpaceParams, n_nodes: int = 256) -> float:
-    """Norm of f in L_{p,alpha} by weighted Gauss quadrature or grid supremum.
-
-    For finite p the weight (1-x^2)^(p alpha) is absorbed into a
-    Gauss-Jacobi rule with n_nodes points, which requires
-    p * alpha > -1. For p = inf the maximum of |f| (1-x^2)^alpha is taken
-    over make_grid(n_nodes) augmented with +-(1 - 1e-6).
-    """
-    if not isinstance(params, SpaceParams):
-        params = SpaceParams(*params)
-    if params.is_sup:
-        edge = 1.0 - EPS_INTERIOR
-        x = np.concatenate((make_grid(max(int(n_nodes), 2)), [-edge, edge]))
-        vals = np.abs(sample(f, x)) * (1.0 - x * x) ** params.alpha
-        return float(np.max(vals))
-    exponent = params.p * params.alpha
-    if exponent <= -1.0:
-        raise InvalidArgumentError(
-            f"p * alpha must exceed -1 for an integrable weight, got {exponent:g}"
-        )
-    rule = gauss_jacobi(int(n_nodes), exponent, exponent)
-    vals = np.abs(sample(f, rule.nodes)) ** params.p
-    return float(ordered_sum(rule.weights * vals) ** (1.0 / params.p))
+    """Norm of f in L_{p,alpha}: discrete_norm(params, n_nodes) of the values of f at its nodes."""
+    norm = discrete_norm(params, n_nodes)
+    return norm(sample(f, norm.nodes))

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import DegenerateReferenceError, InvalidArgumentError
 from .jacobi import jacobi_eval
-from .quadrature import gauss_chebyshev, gauss_jacobi
-from .space import EPS_INTERIOR, FunctionHandle, SpaceParams, make_grid, sample
+from .quadrature import _as_callable, gauss_chebyshev, sample
+from .space import FunctionHandle, SpaceParams, _positive_int, discrete_norm
 
 __all__ = [
     "MultiplierTable",
@@ -70,14 +70,6 @@ def kernel_B(x, z, y):
     br = sx * y + z * x * sy + sx * (1.0 - y) * (1.0 - z * z)
     out = 2.0 * br * br - (1.0 - r * r)
     return float(out) if out.shape == () else out
-
-
-def _unwrap(f):
-    if callable(f):
-        return f
-    if hasattr(f, "eval"):
-        return f.eval
-    raise InvalidArgumentError("expected a callable or a function handle")
 
 
 # The convergence-stopped z-rule stops once two successive levels agree to
@@ -275,7 +267,7 @@ def asym_translate(f, y, x, quad_n: int = 128) -> float:
     x = float(x)
     if not abs(x) < 1.0:
         raise InvalidArgumentError(f"x must lie in (-1, 1), got {x!r}")
-    return float(_asym_core(_unwrap(f), y, np.array([x]), quad_n)[0])
+    return float(_asym_core(_as_callable(f), y, np.array([x]), quad_n)[0])
 
 
 def _sym_core(fn, y, xs: np.ndarray, quad_n: int) -> np.ndarray:
@@ -298,7 +290,7 @@ def sym_translate(f, y, x, quad_n: int = 128) -> float:
     x = float(x)
     if abs(x) > 1.0:
         raise InvalidArgumentError(f"x must lie in [-1, 1], got {x!r}")
-    return float(_sym_core(_unwrap(f), y, np.array([x]), quad_n)[0])
+    return float(_sym_core(_as_callable(f), y, np.array([x]), quad_n)[0])
 
 
 def multiplier_psi(n: int, y, quad_n: int = 128) -> float:
@@ -378,7 +370,7 @@ def abs_rotation_average(f, t, xs, quad_n: int = 128) -> np.ndarray:
     z = rule.nodes[None, :]
     x = xs[:, None]
     r = np.clip(x * math.cos(t) - z * np.sqrt(1.0 - x * x) * math.sin(t), -1.0, 1.0)
-    fv = np.abs(sample(_unwrap(f), r))
+    fv = np.abs(sample(f, r))
     integ = np.cumsum(rule.weights * (1.0 - r * r) * fv, axis=1)[:, -1]
     return integ / (1.0 - xs * xs)
 
@@ -394,37 +386,18 @@ def modulus(
     """Smoothness modulus sup_{0 <= t <= delta} of the weighted norm of tau_{cos t} f - f.
 
     The supremum is taken over the uniform grid t = delta k / t_points,
-    k = 0..t_points; the k = 0 term is identically zero and skipped.
+    k = 0..t_points; the k = 0 term is identically zero and skipped. Each
+    norm is discrete_norm(params, norm_nodes) of tau_{cos t} f - f at its
+    nodes. t_points must be a positive integer.
     """
     delta = float(delta)
     if not (math.isfinite(delta) and 0.0 <= delta < math.pi):
         raise InvalidArgumentError(f"delta must lie in [0, pi), got {delta!r}")
-    if t_points < 1:
-        raise InvalidArgumentError("t_points must be positive")
+    t_points = _positive_int(t_points, "t_points")
     if delta == 0.0:
         return 0.0
-    if not isinstance(params, SpaceParams):
-        params = SpaceParams(*params)
-    fn = _unwrap(f)
-    if params.is_sup:
-        edge = 1.0 - EPS_INTERIOR
-        xs = np.concatenate((make_grid(max(int(norm_nodes), 2)), [-edge, edge]))
-        wts = (1.0 - xs * xs) ** params.alpha
-        rule = None
-    else:
-        exponent = params.p * params.alpha
-        if exponent <= -1.0:
-            raise InvalidArgumentError("p * alpha must exceed -1 for an integrable weight")
-        rule = gauss_jacobi(int(norm_nodes), exponent, exponent)
-        xs = rule.nodes
-    fx = sample(fn, xs)
-    ys = [math.cos(delta * k / t_points) for k in range(1, int(t_points) + 1)]
-    best = 0.0
-    for gv in _asym_core(fn, np.array(ys), xs, quad_n) - fx:
-        if rule is None:
-            val = float(np.max(np.abs(gv) * wts))
-        else:
-            val = float(np.cumsum(rule.weights * np.abs(gv) ** params.p)[-1] ** (1.0 / params.p))
-        if val > best:
-            best = val
-    return best
+    norm = discrete_norm(params, norm_nodes)
+    fn = _as_callable(f)
+    fx = sample(fn, norm.nodes)
+    ys = [math.cos(delta * k / t_points) for k in range(1, t_points + 1)]
+    return max([0.0] + [norm(gv) for gv in _asym_core(fn, np.array(ys), norm.nodes, quad_n) - fx])

@@ -37,6 +37,7 @@ from smoothness_lab import (
 from smoothness_lab.approx import _best_constant, _newton_k, _poly_from_jacobi
 from smoothness_lab.jacobi import jacobi_matrix
 from smoothness_lab.quadrature import gauss_jacobi, ordered_sum
+from smoothness_lab.space import discrete_norm, sample
 
 P21 = SpaceParams(2.0, 1.0)
 
@@ -305,6 +306,19 @@ def test_k_functional_invariants_in_non_hilbert_spaces(name):
             prev = res.value
 
 
+@pytest.mark.parametrize("params", [*K_SPACES.values(), P21], ids=[*K_SPACES, "p2"])
+def test_k_functional_value_is_the_public_norm_at_its_witness(params):
+    # k_functional scores its candidates on the samples of f it already
+    # holds; the value must still be, bit for bit, the public norm of f - w
+    # plus delta^2 that of Dw at the returned witness w
+    for e in corpus(7):
+        for delta in (0.1, 0.5):
+            res = k_functional(e.handle, delta, params)
+            w = res.witness
+            diff = weighted_norm(lambda x: sample(e.handle, x) - w(x), params)
+            assert res.value == diff + delta * delta * weighted_norm(apply_D_poly(w), params), (e.label, delta)
+
+
 @pytest.mark.parametrize("params", [P15, P3], ids=["p1.5", "p3"])
 def test_k_newton_reaches_a_stationary_point(params):
     # the solver behind k_functional at 1 < p < inf, on k_functional's own
@@ -312,23 +326,23 @@ def test_k_newton_reaches_a_stationary_point(params):
     # on the coefficients the solver returns
     p = params.p
     cfg = Config()
-    rule = gauss_jacobi(cfg.norm_nodes, p * params.alpha, p * params.alpha)
-    w = rule.weights
-    J = jacobi_matrix(cfg.kdeg, rule.nodes)
+    norm = discrete_norm(params, cfg.norm_nodes)
+    w = norm.weights
+    J = jacobi_matrix(cfg.kdeg, norm.nodes)
     lam = -np.arange(cfg.kdeg + 1.0) * (np.arange(cfg.kdeg + 1.0) + 5.0)
     for e in corpus(7):
-        fv = e.handle(rule.nodes) + np.zeros_like(rule.nodes)
+        fv = e.handle(norm.nodes) + np.zeros_like(norm.nodes)
         scale = float(np.max(np.abs(fv)))
-        norm = ordered_sum(w * np.abs(fv) ** p) ** (1.0 / p)
+        fnorm = norm(fv)
         c_proj = expand_in_jacobi(e.handle, cfg.kdeg, n_nodes=max(cfg.norm_nodes, 256))
         const = np.zeros(cfg.kdeg + 1)
-        const[0] = _best_constant(fv, w, None, p, scale)
+        const[0] = _best_constant(fv, norm, scale)
         for delta in cfg.deltas:
-            c, iterations, _ = _newton_k(fv, J, lam, w, p, delta * delta, c_proj, const, scale)
+            c, iterations, _ = _newton_k(fv, J, lam, norm, delta * delta, c_proj, const, scale)
             assert iterations <= 50
             r, u = fv - J.T @ c, J.T @ (lam * c)
-            n1, n2 = (ordered_sum(w * np.abs(v) ** p) ** (1.0 / p) for v in (r, u))
-            if min(n1, n2) <= 1e-6 * norm:
+            n1, n2 = norm(r), norm(u)
+            if min(n1, n2) <= 1e-6 * fnorm:
                 continue  # a kink of F: the minimiser is a constant or an exact fit
             a1, a2 = w * np.abs(r) ** (p - 1.0) / n1 ** (p - 1.0), w * np.abs(u) ** (p - 1.0) / n2 ** (p - 1.0)
             grad = delta * delta * lam * (J @ (a2 * np.sign(u))) - J @ (a1 * np.sign(r))

@@ -7,11 +7,13 @@ flow and serialization.
 """
 
 import json
+import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from smoothness_lab import InvalidArgumentError, ReportIOError, SpaceParams, make_grid, weighted_norm
+from smoothness_lab import InvalidArgumentError, ReportIOError, SpaceParams, harness, make_grid, weighted_norm
 from smoothness_lab.harness import (
     Config,
     VerificationReport,
@@ -106,6 +108,22 @@ def test_reduced_sweep_runs():
         "modulus-k-equivalence",
         "modulus-k-stability",
     ]
+
+
+@pytest.mark.parametrize("kdeg,heavy", [(16, 48), (40, 56), (64, 64)])
+def test_stability_witness_is_deeper_than_kdeg_up_to_the_cap(monkeypatch, kdeg, heavy):
+    # modulus-k-stability's heavy witness is 16 degrees deeper than kdeg, at
+    # least 48 and at most the cap; at the cap it must not claim a deeper one
+    degrees = set()
+
+    def fake_k(f, delta, params, max_deg, quad_n):
+        degrees.add(max_deg)
+        return types.SimpleNamespace(value=1.0)
+
+    monkeypatch.setattr(harness, "k_functional", fake_k)
+    reports = {r.check_id: r for r in run_theorem_sweep(replace(SMALL, kdeg=kdeg))}
+    assert max(degrees) == heavy
+    assert ("deeper witness" in reports["modulus-k-stability"].note) == (heavy > kdeg)
 
 
 @pytest.mark.parametrize("runner", [run_lemma_suite, run_theorem_sweep])

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothness_lab import (
+    EvaluationError,
     InvalidArgumentError,
     gauss_chebyshev,
     gauss_jacobi,
@@ -113,6 +114,17 @@ def test_rule_fields():
 def test_node_count_validation(bad):
     with pytest.raises(InvalidArgumentError):
         gauss_legendre(bad)
+
+
+def test_integrate_samples_through_sample():
+    rule = gauss_legendre(8)
+    with pytest.raises(EvaluationError) as info:
+        integrate(lambda x: np.where(x > 0.5, np.nan, x), rule)
+    node = float(rule.nodes[rule.nodes > 0.5][0])
+    assert info.value.node == node
+    assert str(info.value) == f"function is not finite at {node!r}"
+    with pytest.raises(InvalidArgumentError):
+        integrate(object(), rule)
 
 
 def test_jacobi_exponent_validation():

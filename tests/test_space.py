@@ -12,12 +12,15 @@ from smoothness_lab import (
     FunctionHandle,
     InvalidArgumentError,
     SpaceParams,
+    best_approx,
     jacobi_poly,
+    k_functional,
     make_grid,
     modulus,
     validate_params,
     weighted_norm,
 )
+from smoothness_lab import quadrature, space
 from smoothness_lab.space import sample
 
 P21 = SpaceParams(2.0, 1.0)
@@ -125,6 +128,45 @@ def test_weighted_norm_accepts_handle():
     h = FunctionHandle(eval=lambda x: np.asarray(x, dtype=float))
     bare = weighted_norm(lambda x: x, P21)
     assert weighted_norm(h, P21) == pytest.approx(bare, rel=1e-15)
+
+
+@pytest.mark.parametrize("p", [2.0, math.inf])
+@pytest.mark.parametrize("bad", [True, 2.5, 0, -3])
+def test_norm_node_count_must_be_a_positive_integer(p, bad):
+    # n_nodes=True used to give a one-node rule and a norm of 0.0 for sin(3x)
+    with pytest.raises(InvalidArgumentError, match="node count must be a positive integer"):
+        weighted_norm(lambda x: np.sin(3.0 * x), (p, 1.0), n_nodes=bad)
+
+
+def test_norm_node_count_accepts_numpy_integers():
+    f = lambda x: np.sin(3.0 * x)
+    for params in (P21, SpaceParams(math.inf, 1.25)):
+        assert weighted_norm(f, params, n_nodes=np.int64(64)) == weighted_norm(f, params, n_nodes=64)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [SpaceParams(1.0, -1.0), SpaceParams(1.5, -0.7), SpaceParams(2.0, -0.6), SpaceParams(3.0, -0.5)],
+    ids=["p1", "p1.5", "p2", "p3"],
+)
+def test_one_message_for_a_non_integrable_weight(params):
+    f = lambda x: np.sin(3.0 * x)
+    calls = (
+        lambda: weighted_norm(f, params),
+        lambda: modulus(f, 0.5, params),
+        lambda: k_functional(f, 0.5, params),
+        lambda: best_approx(f, 4, params),
+    )
+    messages = set()
+    for call in calls:
+        with pytest.raises(InvalidArgumentError) as info:
+            call()
+        messages.add(str(info.value))
+    assert messages == {f"p * alpha must exceed -1 for an integrable weight, got {params.p * params.alpha:g}"}
+
+
+def test_sample_is_the_quadrature_sampling_path():
+    assert space.sample is quadrature.sample
 
 
 def test_sample_broadcasts_and_names_the_bad_node():

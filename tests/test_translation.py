@@ -138,8 +138,11 @@ def test_modulus_validation():
         modulus(f, math.pi, P21)
     with pytest.raises(InvalidArgumentError):
         modulus(f, -0.1, P21)
-    with pytest.raises(InvalidArgumentError):
-        modulus(f, 0.5, P21, t_points=0)
+    for bad in (0, True, 2.5):
+        # t_points=2.5 used to give the modulus at delta = 0.4
+        with pytest.raises(InvalidArgumentError, match="t_points"):
+            modulus(f, 0.5, P21, t_points=bad)
+    assert modulus(f, 0.5, P21, t_points=np.int64(4)) == modulus(f, 0.5, P21, t_points=4)
 
 
 def test_multiplier_table_layout():
