@@ -8,6 +8,7 @@ from typing import Optional
 
 import numpy as np
 from numpy.polynomial import chebyshev as ncheb
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import ConvergenceError, DegreeViolationError, InvalidArgumentError
 from .jacobi import (
@@ -43,10 +44,14 @@ MAX_WITNESS_DEG = 64
 class BestApproxResult:
     """Outcome of a best-approximation solve.
 
-    value is the weighted norm of f - argmin recomputed with weighted_norm,
-    so it is consistent with the public norm by construction. diagnostics
-    always holds grid_n and iterations (0 for the projection); irls-grid
-    also reports backtracks, the number of halved steps.
+    argmin is computed on a solve rule, discrete_norm(params, max(grid_n,
+    2n)); value is the weighted norm of f - argmin recomputed with the
+    256-node weighted_norm, so it is consistent with the public norm by
+    construction, and the two rules coincide at the default grid_n = 256.
+    diagnostics always holds grid_n (the node count of the solve rule) and
+    iterations (0 for the projection); irls-grid also reports backtracks,
+    the number of halved steps, and lp-interior-point reports gap, the
+    LP's final relative duality gap (or its relative residual, if larger).
     """
 
     value: float
@@ -59,22 +64,19 @@ def best_approx(f, n, params, grid_n: int = 256) -> BestApproxResult:
     """Best approximation of f from polynomials of degree < n in L_{p,alpha}.
 
     n is the dimension of the approximating space (degree bound n - 1),
-    1 <= n <= 64. p = 2 uses an exact weighted projection and p = inf a
-    Remez exchange on an 8n-point grid. Other p minimise sum w|f - P|^p on
-    a Gauss grid: p = 1 by plain IRLS, 1 < p < inf by damped Newton steps,
-    the IRLS direction taken at the Newton length 1 / (p - 1) and halved
-    until the objective decreases.
+    1 <= n <= 64. p = 2 uses an exact weighted projection. Other p minimise
+    the norm of f - P on the solve rule discrete_norm(params, max(grid_n,
+    2n)): p in {1, inf} exactly, through the dual of the linear program by
+    an interior-point method; 1 < p < inf by damped Newton steps, the IRLS
+    direction taken at the Newton length 1 / (p - 1) and halved until the
+    objective decreases. The reported value is measured on the 256-node
+    weighted_norm, which may differ from the solve rule.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or not 1 <= n <= MAX_APPROX_DIM:
         raise InvalidArgumentError(f"dimension must be an integer in [1, {MAX_APPROX_DIM}], got {n!r}")
     params = _as_params(params)
     n = int(n)
-    if params.p == 2.0:
-        solve = _best_l2
-    elif params.is_sup:
-        solve = _best_sup
-    else:
-        solve = _best_irls
+    solve = _best_l2 if params.p == 2.0 else _best_grid
     argmin, method, diagnostics = solve(f, n, params, grid_n)
     value = weighted_norm(lambda x: sample(f, x) - argmin(x), params)
     return BestApproxResult(value, argmin, method, diagnostics)
@@ -95,93 +97,123 @@ def _best_l2(f, n, params, grid_n):
     return argmin, "l2-projection", {"grid_n": norm.nodes.size, "iterations": 0}
 
 
-def _solve_reference(refs, fr, wr, n):
-    # equioscillation system: p(r_j) + sign_j * E / w(r_j) = f(r_j)
-    signs = np.where(np.arange(refs.size) % 2 == 0, 1.0, -1.0)
-    A = np.empty((refs.size, n + 1))
-    A[:, :n] = ncheb.chebvander(refs, n - 1)
-    A[:, n] = signs / wr
-    sol = np.linalg.solve(A, fr)
-    return sol[:n], sol[n]
-
-
-def _best_sup(f, n, params, grid_n):
-    grid = make_grid(max(8 * n, int(grid_n) if grid_n else 8 * n))
-    wgt = (1.0 - grid * grid) ** params.alpha
-    fv = sample(f, grid)
-    scale = float(np.max(np.abs(fv * wgt))) or 1.0
-    idx = np.unique(np.linspace(0, grid.size - 1, n + 1).round().astype(int))
-    trace = []
-    coeffs = np.zeros(n)
-    for _ in range(200):
-        refs = grid[idx]
-        coeffs, level = _solve_reference(refs, fv[idx], wgt[idx], n)
-        err = (fv - ncheb.chebvander(grid, n - 1) @ coeffs) * wgt
-        worst = int(np.argmax(np.abs(err)))
-        emax = float(np.abs(err[worst]))
-        trace.append(emax)
-        if emax <= abs(level) * (1.0 + 1e-12) + 1e-14 * scale:
-            break
-        idx = _exchange(idx, worst, err)
-    else:
-        raise ConvergenceError("reference exchange did not settle", trace=trace)
-    return PolynomialRep(coeffs), "remez-grid", {"grid_n": grid.size, "iterations": len(trace)}
-
-
-def _exchange(idx, worst, err):
-    # single-point exchange preserving the alternation of error signs
-    idx = idx.copy()
-    s = np.sign(err[worst])
-    if worst < idx[0]:
-        if np.sign(err[idx[0]]) == s:
-            idx[0] = worst
-        else:
-            idx = np.concatenate(([worst], idx[:-1]))
-    elif worst > idx[-1]:
-        if np.sign(err[idx[-1]]) == s:
-            idx[-1] = worst
-        else:
-            idx = np.concatenate((idx[1:], [worst]))
-    else:
-        j = int(np.searchsorted(idx, worst))
-        left = idx[j - 1]
-        right = idx[j] if j < idx.size else idx[-1]
-        if worst == right:
-            return idx
-        if np.sign(err[left]) == s:
-            idx[j - 1] = worst
-        else:
-            idx[j] = worst
-    return np.sort(idx)
-
-
-def _best_irls(f, n, params, grid_n):
+def _best_grid(f, n, params, grid_n):
+    # argmin minimises the norm on this solve rule; best_approx reports the
+    # error on the 256-node weighted_norm
     norm = discrete_norm(params, max(int(grid_n), 2 * n))
     fv = sample(f, norm.nodes)
     V = ncheb.chebvander(norm.nodes, n - 1)
+    diagnostics = {"grid_n": norm.nodes.size}
+    if params.p == 1.0 or params.is_sup:
+        coeffs, diagnostics["iterations"], diagnostics["gap"] = _lp_fit(params.p, [(V, fv, norm.weights)])
+        return PolynomialRep(coeffs), "lp-interior-point", diagnostics
     scale = float(np.max(np.abs(fv))) or 1.0
-    if params.p == 1.0:
-        coeffs, iterations, backtracks = _reweighted_l1(fv, V, norm.weights, scale)
-    else:
-        coeffs, iterations, backtracks = _damped_newton(fv, V, norm.weights, params.p, scale)
-    diagnostics = {"grid_n": norm.nodes.size, "iterations": iterations, "backtracks": backtracks}
+    coeffs, diagnostics["iterations"], diagnostics["backtracks"] = _damped_newton(fv, V, norm.weights, params.p, scale)
     return PolynomialRep(coeffs), "irls-grid", diagnostics
 
 
-def _reweighted_l1(fv, V, w, scale):
-    """Plain IRLS for sum w|r|; returns (coeffs, iterations, backtracks = 0)."""
-    floor = 1e-12 * scale
-    m = np.ones_like(fv)
-    trace = []
-    for _ in range(500):
-        sw = np.sqrt(w * m)
-        coeffs, *_ = np.linalg.lstsq(V * sw[:, None], fv * sw, rcond=None)
-        r = fv - V @ coeffs
-        trace.append(ordered_sum(w * np.abs(r)))
-        if len(trace) > 1 and abs(trace[-2] - trace[-1]) <= 1e-10 * max(trace[-1], 1e-300):
-            return coeffs, len(trace), 0
-        m = 1.0 / np.maximum(np.abs(r), floor)
-    raise ConvergenceError("reweighting did not converge within 500 iterations", trace=trace)
+def _lp_fit(p, blocks):
+    """Coefficients c minimising sum_k ||w_k (g_k - M_k c)||_p for p in {1, inf}.
+
+    blocks holds (M_k, g_k, w_k). The fit is solved through its LP dual by
+    _lp_box, posed so that its equality rows read W M c = W g on the
+    support of the optimum: c is minus their multipliers, and it is
+    feasible whatever the final gap. Returns (c, iterations, gap).
+
+    - p = 1, all blocks stacked: maximise g^T y subject to M^T y = 0 and
+      |y| <= w, with y = w (2u - 1).
+    - p = inf: maximise sum_k g_k^T W_k (lam_k - mu_k) subject to
+      sum(lam_k + mu_k) = 1 for each block and
+      sum_k M_k^T W_k (lam_k - mu_k) = 0, with u = (lam_k, mu_k).
+    """
+    if p == 1.0:
+        M, g, w = (np.concatenate(parts) for parts in zip(*blocks))
+        _, y, gap, iterations = _lp_box(M.T * w, 0.5 * (M.T @ w), -w * g)
+        return -y, iterations, gap
+    k = len(blocks)
+    simplex = np.repeat(np.eye(k), [2 * w.size for _, _, w in blocks], axis=1)
+    rows = np.hstack([np.hstack((M.T * w, -(M.T * w))) for M, _, w in blocks])
+    cost = np.concatenate([np.concatenate((-w * g, w * g)) for _, g, w in blocks])
+    b = np.concatenate((np.ones(k), np.zeros(rows.shape[0])))
+    u0 = np.concatenate([np.full(2 * w.size, 0.5 / w.size) for _, _, w in blocks])  # on each simplex
+    _, y, gap, iterations = _lp_box(np.vstack((simplex, rows)), b, cost, u0)
+    return -y[k:], iterations, gap
+
+
+def _lp_box(A, b, c, u0=None):
+    """Solve min c^T u subject to A u = b and 0 <= u <= 1; never raises.
+
+    An infeasible-start primal-dual interior-point method with Mehrotra's
+    predictor-corrector steps (Mehrotra, SIAM J. Optim. 2, 1992; Wright,
+    Primal-Dual Interior-Point Methods, 1997). The rows of A are scaled to
+    unit length and c to unit maximum. Each step solves the m x m normal
+    equations A D A^T dy = r, m the number of rows, through the triangular
+    QR factor of D^(1/2) A^T, which keeps the accuracy that forming A D A^T
+    would square away as D spreads near the optimum. The iterates start at
+    u0 (default 0.5 everywhere), which must lie strictly inside the box; a
+    start that also solves A u = b saves steps.
+
+    Returns (u, y, gap, iterations) at the point of smallest gap seen: y
+    holds the multipliers of A u = b in the units of A, b and c, gap is the
+    largest of the relative duality gap and the relative primal and dual
+    residuals, and iterations counts the residual evaluations. The loop
+    stops when gap is at most 1e-10, when it has not improved for 5 steps,
+    when the normal equations turn singular or a step is not finite, or
+    after 100 steps.
+    """
+    rows = np.sqrt(np.einsum("ij,ij->i", A, A))
+    rows[rows == 0.0] = 1.0
+    A, b = A / rows[:, None], b / rows
+    cmax = float(np.max(np.abs(c))) or 1.0
+    c = c / cmax
+    u = np.full(c.size, 0.5) if u0 is None else u0
+    y = np.zeros(b.size)
+    s = np.maximum(c, 0.0) + 1.0
+    z = s - c
+    bnorm, cnorm = 1.0 + np.linalg.norm(b), 1.0 + np.linalg.norm(c)
+    best = (math.inf, u, y, 0)
+    for iterations in range(1, 101):
+        v = 1.0 - u
+        rp = b - A @ u
+        rd = c - A.T @ y - s + z
+        pobj, dobj = float(c @ u), float(b @ y - z.sum())
+        gap = max(abs(pobj - dobj) / max(1.0, abs(pobj)), np.linalg.norm(rp) / bnorm, np.linalg.norm(rd) / cnorm)
+        if gap < best[0]:
+            best = (gap, u, y, iterations)
+        if gap <= 1e-10 or iterations - best[3] >= 5:
+            break
+        mu = (u @ s + v @ z) / (2.0 * u.size)
+        d = 1.0 / (s / u + z / v)
+        R = np.linalg.qr(np.sqrt(d)[:, None] * A.T, mode="r")  # A D A^T = R^T R
+        if not np.all(np.diag(R)):
+            break  # singular normal equations
+
+        def direction(rs, rz):
+            # Newton step whose complementarity products u s and v z aim at rs and rz
+            h = rd - rs / u + rz / v
+            dy = dtrtrs(R, dtrtrs(R, rp + A @ (d * h), trans=1)[0])[0]
+            du = d * (A.T @ dy - h)
+            return du, dy, (rs - s * du) / u, (rz + z * du) / v
+
+        du, dy, ds, dz = direction(-u * s, -v * z)
+        ap = min(1.0, _max_step(u, du), _max_step(v, -du))
+        ad = min(1.0, _max_step(s, ds), _max_step(z, dz))
+        mu_aff = ((u + ap * du) @ (s + ad * ds) + (v - ap * du) @ (z + ad * dz)) / (2.0 * u.size)
+        sigma = (mu_aff / mu) ** 3
+        du, dy, ds, dz = direction(sigma * mu - u * s - du * ds, sigma * mu - v * z + du * dz)
+        if not (np.isfinite(du).all() and np.isfinite(dy).all()):
+            break
+        u = u + min(1.0, 0.995 * min(_max_step(u, du), _max_step(v, -du))) * du
+        ad = min(1.0, 0.995 * min(_max_step(s, ds), _max_step(z, dz)))
+        y, s, z = y + ad * dy, s + ad * ds, z + ad * dz
+    gap, u, y, _ = best
+    return u, y * cmax / rows, gap, iterations
+
+
+def _max_step(x, dx):
+    """Largest t >= 0 with x + t dx >= 0 (inf when dx >= 0)."""
+    neg = dx < 0.0
+    return float(np.min(x[neg] / -dx[neg], initial=math.inf))
 
 
 def _damped_newton(fv, V, w, p, scale):
@@ -342,20 +374,22 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
       on which the basis is orthogonal (separable case);
     - 1 < p < inf otherwise: damped Newton steps, each halved until F
       decreases, started off the kinks of F (_newton_k);
-    - p in {1, inf}: an accelerated descent with backtracking from the
-      weighted L2 projection.
+    - p in {1, inf}: the exact minimiser on the rule, through the dual of
+      the linear program by the interior-point method of best_approx, with
+      one block of rows for each of the two norms.
 
     Outside the separable case the best constant, the minimiser on the face
     Dg = 0, is a candidate too (weighted median at p = 1, exact minimax
-    constant at p = inf, a damped Newton fit otherwise). The reported value
-    is norm(f - g) + delta^2 norm(Dg) at the best g of the zero, projection,
-    constant (outside the separable case) and solver candidates, so it
-    never exceeds any of them. It equals weighted_norm(f - g, params,
-    quad_n) + delta^2 weighted_norm(Dg, params, quad_n) exactly, but
-    reuses the samples of f. iterations counts the solver's steps: Newton
-    steps (0 when the best constant is shown to be optimal), descent
-    steps, or 0 for the scan. trace holds the solver's last objective
-    values.
+    constant at p = inf, a damped Newton fit otherwise); it keeps K exact
+    to rounding on constants. The reported value is norm(f - g) + delta^2
+    norm(Dg) at the best g of the zero, projection, constant (outside the
+    separable case) and solver candidates, so it never exceeds any of them.
+    It equals weighted_norm(f - g, params, quad_n) + delta^2
+    weighted_norm(Dg, params, quad_n) exactly, but reuses the samples of f.
+    iterations counts the solver's steps: Newton steps (0 when the best
+    constant is shown to be optimal), interior-point steps, or 0 for the
+    scan. trace holds the last objective values of the Newton solve or the
+    scan, and is empty for the interior-point solve.
     """
     delta = float(delta)
     if not (math.isfinite(delta) and delta >= 0.0):
@@ -420,7 +454,11 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
         if 1.0 < p < math.inf:
             best_c, iterations, history = _newton_k(fv, J, lam, norm, d2, c_proj, const, scale)
         else:
-            best_c, iterations, history = _descend(fv, J, lam, norm, d2, c_proj, max_deg)
+            blocks = [(J.T, fv, norm.weights)]
+            if d2 > 0.0:
+                blocks.append((J.T * lam, np.zeros_like(fv), d2 * norm.weights))
+            best_c, iterations, _ = _lp_fit(p, blocks)
+            history = []
     candidates.append(best_c)
 
     best_val = math.inf
@@ -585,59 +623,6 @@ def _line_min(F, t0):
             m2 = hi - g * (hi - lo)
             f2 = F(m2)
     return m1 if f1 <= f2 else m2
-
-
-def _descend(fv, J, lam, norm, d2, c0, max_deg):
-    """Accelerated descent with backtracking for a discrete norm with p = 1 or
-    p = inf; returns (best_c, iterations, history)."""
-    w = norm.weights
-
-    def objective(c):
-        return norm(fv - J.T @ c) + d2 * norm(J.T @ (lam * c))
-
-    def gradient(c):
-        r = fv - J.T @ c
-        u = J.T @ (lam * c)
-        if norm.p == 1.0:
-            return d2 * lam * (J @ (w * np.sign(u))) - J @ (w * np.sign(r))
-        i, k = int(np.argmax(np.abs(r) * w)), int(np.argmax(np.abs(u) * w))
-        return d2 * lam * J[:, k] * (w[k] * np.sign(u[k])) - J[:, i] * (w[i] * np.sign(r[i]))
-
-    c = c0.copy()
-    c_prev = c.copy()
-    best_c = c.copy()
-    best_f = objective(c)
-    history = [best_f]
-    eta = 1.0 / (1.0 + abs(d2) * max_deg ** 2)
-    iterations = 0
-    window = 20
-    for k in range(1, 4001):
-        iterations = k
-        beta = (k - 1.0) / (k + 2.0)
-        v = c + beta * (c - c_prev)
-        g = gradient(v)
-        gn2 = float(g @ g)
-        fv_v = objective(v)
-        step = eta
-        for _ in range(60):
-            cand = v - step * g
-            if objective(cand) <= fv_v - 0.5 * step * gn2:
-                break
-            step *= 0.5
-        eta = min(step * 1.3, 1e6)
-        c_prev, c = c, v - step * g
-        fc = objective(c)
-        if fc > 2.0 * best_f:
-            c = best_c.copy()  # restart from the incumbent when momentum overshoots
-            c_prev = c.copy()
-        if fc < best_f:
-            best_f, best_c = fc, c.copy()
-        history.append(best_f)
-        if len(history) > window:
-            drop = history[-window - 1] - history[-1]
-            if drop < 1e-11 * max(best_f, 1e-300):
-                break
-    return best_c, iterations, history
 
 
 def bernstein_markov_ratios(poly: PolynomialRep, params, rho: float = 0.5, n_nodes: int = 256):

@@ -31,7 +31,9 @@ from smoothness_lab import (
     jacobi_poly,
     k_functional,
     make_grid,
+    modulus,
     poly_lincomb,
+    validate_params,
     weighted_norm,
 )
 from smoothness_lab.approx import _best_constant, _newton_k, _poly_from_jacobi
@@ -83,11 +85,12 @@ def test_polynomials_are_reproduced():
     assert res.argmin.degree <= 2
 
 
-def test_sup_norm_exchange():
+def test_sup_norm_lp():
     res = best_approx(lambda x: np.abs(x), 3, SpaceParams(math.inf, 1.0))
-    assert res.method == "remez-grid"
+    assert res.method == "lp-interior-point"
     assert 0.0 < res.value < weighted_norm(lambda x: np.abs(x), SpaceParams(math.inf, 1.0))
     assert res.diagnostics["iterations"] >= 1
+    assert res.diagnostics["gap"] <= 1e-9
 
 
 def test_intermediate_p_irls():
@@ -147,6 +150,9 @@ def test_diagnostics_report_grid_and_iterations(params):
     iterations = res.diagnostics["iterations"]
     assert (iterations == 0) if res.method == "l2-projection" else (iterations >= 1)
     assert ("backtracks" in res.diagnostics) == (res.method == "irls-grid")
+    assert ("gap" in res.diagnostics) == (res.method == "lp-interior-point")
+    lp = params.p in (1.0, math.inf)
+    assert res.method == ("l2-projection" if params.p == 2.0 else "lp-interior-point" if lp else "irls-grid")
 
 
 def test_dimension_validation():
@@ -369,6 +375,92 @@ def test_k_functional_and_best_approx_do_not_import_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def _highs_fit(p, blocks):
+    """min over c of sum_k ||w_k (g_k - M_k c)||_p for p in {1, inf}, by HiGHS.
+
+    p = 1 splits the residual, M c + e+ - e- = g with e+, e- >= 0 and cost
+    w (e+ + e-), over all blocks stacked; p = inf bounds it, -t_k <=
+    w_k (g_k - M_k c) <= t_k with cost sum t_k.
+    """
+    from scipy.optimize import linprog
+
+    m = blocks[0][0].shape[1]
+    tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    if p == 1.0:
+        M, g, w = (np.concatenate(parts) for parts in zip(*blocks))
+        eye = np.eye(w.size)
+        bounds = [(None, None)] * m + [(0, None)] * (2 * w.size)
+        res = linprog(np.concatenate((np.zeros(m), w, w)), A_eq=np.hstack((M, eye, -eye)), b_eq=g, bounds=bounds, options=tight)
+    else:
+        rows, rhs = [], []
+        for k, (M, g, w) in enumerate(blocks):
+            t = np.zeros((w.size, len(blocks)))
+            t[:, k] = -1.0
+            rows += [np.hstack((-(w[:, None] * M), t)), np.hstack((w[:, None] * M, t))]
+            rhs += [-w * g, w * g]
+        cost = np.concatenate((np.zeros(m), np.ones(len(blocks))))
+        res = linprog(cost, A_ub=np.vstack(rows), b_ub=np.concatenate(rhs), bounds=(None, None), options=tight)
+    assert res.status == 0, res.message
+    return res.fun
+
+
+LP_SPACES = {"p1": SpaceParams(1.0, 0.75), "pinf": SpaceParams(math.inf, 1.25)}
+
+
+@pytest.mark.parametrize("name", sorted(LP_SPACES))
+def test_lp_solves_match_highs(name):
+    # E_n and K at p in {1, inf} against HiGHS on the same discrete rule;
+    # best_approx at grid_n = 256 solves and reports on discrete_norm(params, 256)
+    params = LP_SPACES[name]
+    cfg = Config()
+    norm = discrete_norm(params, cfg.norm_nodes)
+    J = jacobi_matrix(cfg.kdeg, norm.nodes)
+    lam = -np.arange(cfg.kdeg + 1.0) * (np.arange(cfg.kdeg + 1.0) + 5.0)
+    for e in corpus(7):
+        fv = sample(e.handle, norm.nodes)
+        slack = 1e-9 * norm(fv)
+        for n in (1, 2, 3, 8, 17, 32):
+            res = best_approx(e.handle, n, params, grid_n=cfg.norm_nodes)
+            assert res.diagnostics["gap"] <= 1e-9, (e.label, n)
+            ref = _highs_fit(params.p, [(chebvander(norm.nodes, n - 1), fv, norm.weights)])
+            assert abs(res.value - ref) <= slack, (e.label, n)
+        for delta in cfg.deltas:
+            res = k_functional(e.handle, delta, params, cfg.kdeg, cfg.norm_nodes)
+            blocks = [(J.T, fv, norm.weights), (J.T * lam, np.zeros_like(fv), delta * delta * norm.weights)]
+            assert abs(res.value - _highs_fit(params.p, blocks)) <= slack, (e.label, delta)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf], ids=["p1", "p1.5", "p2", "p3", "pinf"])
+def test_basic_invariants_at_interval_midpoints(p):
+    # E_n never increases with n and never exceeds ||f||, K never exceeds
+    # the zero or the projection witness, and the modulus never decreases
+    # with delta; grid_n = 256 makes the solve rule of best_approx its
+    # report rule
+    verdict = validate_params(p, 0.0)
+    params = SpaceParams(p, 0.5 * (verdict.lower + verdict.upper))
+    cfg = Config()
+    for e in corpus(7):
+        f = e.handle
+        fnorm = weighted_norm(f, params, cfg.norm_nodes)
+        slack = 1e-9 * fnorm
+        prev = fnorm
+        for n in range(1, 33):
+            value = best_approx(f, n, params, grid_n=cfg.norm_nodes).value
+            assert value <= prev + slack, (e.label, n)
+            prev = value
+        coeffs = expand_in_jacobi(f, cfg.kdeg, n_nodes=max(cfg.norm_nodes, 256))
+        proj = poly_lincomb(coeffs, [jacobi_poly(k, 2, 2) for k in range(cfg.kdeg + 1)])
+        proj_err = weighted_norm(lambda x: sample(f, x) - proj(x), params, cfg.norm_nodes)
+        proj_d = weighted_norm(apply_D_poly(proj), params, cfg.norm_nodes)
+        prev = 0.0
+        for delta in cfg.deltas:
+            k = k_functional(f, delta, params, cfg.kdeg, cfg.norm_nodes).value
+            assert k <= min(fnorm, proj_err + delta * delta * proj_d) + slack, (e.label, delta)
+            om = modulus(f, delta, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
+            assert om >= prev - slack, (e.label, delta)
+            prev = om
 
 
 def _nan_above_half(x):

@@ -85,10 +85,12 @@ def test_table_bestapprox_non_hilbert(capsys, p, alpha):
     assert rows and all(row["method"] == "irls-grid" for row in rows)
 
 
-@pytest.mark.parametrize("p", ["1.5", "3"])
-def test_sweep_non_hilbert_passes(capsys, p):
+@pytest.mark.parametrize(
+    "p,alpha", [("1.5", "0.9"), ("3", "0.9"), ("1", "0.75"), ("inf", "1.2")], ids=["1.5", "3", "1", "inf"]
+)
+def test_sweep_non_hilbert_passes(capsys, p, alpha):
     # every check, modulus-k-stability included, at the default Config()
-    assert main(["sweep", "--p", p, "--alpha", "0.9"]) == 0
+    assert main(["sweep", "--p", p, "--alpha", alpha]) == 0
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert len(checks) == 6 and all(c["status"] == "pass" for c in checks)
 
