@@ -354,6 +354,7 @@ class KFunctionalResult:
     max_deg: int
     iterations: int
     trace: tuple = ()
+    gap: Optional[float] = None
 
 
 def _poly_from_jacobi(c: np.ndarray) -> PolynomialRep:
@@ -371,7 +372,7 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
     of F(c) is found by:
 
     - p = 2, alpha = 1: a scan of the exact path c_nu(s) = a_nu / (1 + s lam_nu^2),
-      on which the basis is orthogonal (separable case);
+      on which the basis is orthogonal (separable case), taken as one array op and refined by golden section;
     - 1 < p < inf otherwise: damped Newton steps, each halved until F
       decreases, started off the kinks of F (_newton_k);
     - p in {1, inf}: the exact minimiser on the rule, through the dual of
@@ -389,7 +390,9 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
     iterations counts the solver's steps: Newton steps (0 when the best
     constant is shown to be optimal), interior-point steps, or 0 for the
     scan. trace holds the last objective values of the Newton solve or the
-    scan, and is empty for the interior-point solve.
+    scan, and is empty for the interior-point solve. gap is the
+    interior-point solve's final gap at p in {1, inf}, whichever candidate
+    wins, and None otherwise.
     """
     delta = float(delta)
     if not (math.isfinite(delta) and delta >= 0.0):
@@ -407,6 +410,7 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
     p = params.p
     c_proj = expand_in_jacobi(f, max_deg, n_nodes=max(int(quad_n), 256))
     candidates = [np.zeros(max_deg + 1), c_proj]
+    gap = None
 
     if p == 2.0 and params.alpha == 1.0:
         # separable case: the basis is orthogonal under this exact weight, so
@@ -424,10 +428,14 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
             bb = float(np.sum(hn * (lam * c_s) ** 2))
             return math.sqrt(tail2 + aa) + d2 * math.sqrt(bb), c_s
 
+        # the scan as one array op; same operations in the same order, so bitwise path_value's values
         ss = np.concatenate(([0.0], np.logspace(-18.0, 18.0, 361)))
-        scan = [path_value(float(s)) for s in ss]
-        idx = int(np.argmin([val for val, _ in scan]))  # first minimum
-        best_s_val, best_s_c = scan[idx]
+        cs = a / (1.0 + ss[:, None] * lam * lam)
+        aa = np.sum(hn * (a - cs) ** 2, axis=1)
+        bb = np.sum(hn * (lam * cs) ** 2, axis=1)
+        scan = np.sqrt(tail2 + aa) + d2 * np.sqrt(bb)
+        idx = int(np.argmin(scan))  # first minimum
+        best_s_val, best_s_c = float(scan[idx]), cs[idx]
         if 0 < idx < ss.size - 1:
             # golden section; the point that survives a step is, in almost
             # every step, bitwise equal to one of the next step's two points,
@@ -457,7 +465,7 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
             blocks = [(J.T, fv, norm.weights)]
             if d2 > 0.0:
                 blocks.append((J.T * lam, np.zeros_like(fv), d2 * norm.weights))
-            best_c, iterations, _ = _lp_fit(p, blocks)
+            best_c, iterations, gap = _lp_fit(p, blocks)
             history = []
     candidates.append(best_c)
 
@@ -475,6 +483,7 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
         max_deg=max_deg,
         iterations=iterations,
         trace=tuple(history[-8:]),
+        gap=gap,
     )
 
 

@@ -11,7 +11,7 @@ from .approx import best_approx
 from .errors import InvalidArgumentError, ReportIOError, SmoothnessLabError
 from .harness import Config, corpus, emit_report, run_lemma_suite, run_theorem_sweep
 from .space import SpaceParams
-from .translation import build_multiplier_table, modulus
+from .translation import _moduli, build_multiplier_table
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
 
@@ -130,9 +130,9 @@ def _run_table(cfg: Config, op: str, fmt: str, path) -> int:
     elif op == "modulus":
         params = SpaceParams(cfg.p, cfg.alpha)
         rows = [
-            {"label": e.label, "delta": float(d), "modulus": modulus(e.handle, d, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes)}
+            {"label": e.label, "delta": float(d), "modulus": om}
             for e in corpus(cfg.seed)
-            for d in cfg.deltas
+            for d, om in zip(cfg.deltas, _moduli(e.handle, cfg.deltas, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes))
         ]
     else:
         params = SpaceParams(cfg.p, cfg.alpha)

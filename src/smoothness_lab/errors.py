@@ -20,10 +20,6 @@ class EvaluationError(SmoothnessLabError):
 class ConvergenceError(SmoothnessLabError):
     """An iterative solver hit its iteration cap before converging."""
 
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = list(trace) if trace is not None else []
-
 
 class DegenerateReferenceError(SmoothnessLabError):
     """All reference points for a ratio estimate were unusable."""

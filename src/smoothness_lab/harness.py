@@ -39,6 +39,7 @@ from .quadrature import gauss_chebyshev, gauss_jacobi, gauss_legendre, integrate
 from .space import FunctionHandle, SpaceParams, discrete_norm, make_grid, sample, validate_params, weighted_norm
 from .translation import (
     _asym_core,
+    _moduli,
     _sym_core,
     abs_rotation_average,
     compute_R,
@@ -668,7 +669,7 @@ def run_lemma_suite(config: Config = Config()):
         worst, details = 0.0, []
         for label in ("x", "|x|", "sin(3x)"):
             h = next(e.handle for e in entries if e.label == label)
-            vals = [modulus(h, d, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes) for d in cfg.deltas]
+            vals = _moduli(h, cfg.deltas, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
             for i in range(len(vals) - 1):
                 viol = vals[i] - vals[i + 1]
                 details.append({"case": f"{label},{cfg.deltas[i]:g}->{cfg.deltas[i+1]:g}", "value": viol})
@@ -854,10 +855,12 @@ def run_theorem_sweep(config: Config = Config()):
     data = {}
     for e in entries:
         fnorm = weighted_norm(e.handle, params, cfg.norm_nodes)
-        omegas = {d: modulus(e.handle, d, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes) for d in cfg.deltas}
+        grid = list(cfg.deltas) + [1.0 / n for n in cfg.degrees]  # one translation per y shared by both
+        oms = _moduli(e.handle, grid, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
+        omegas = dict(zip(cfg.deltas, oms))
         kvals = {d: k_functional(e.handle, d, params, cfg.kdeg, cfg.norm_nodes).value for d in cfg.deltas}
         errs = {nu: best_approx(e.handle, nu, params, cfg.approx_grid).value for nu in range(1, max_deg + 1)}
-        omega_inv = {n: modulus(e.handle, 1.0 / n, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes) for n in cfg.degrees}
+        omega_inv = dict(zip(cfg.degrees, oms[len(cfg.deltas) :]))
         data[e.label] = {"fnorm": fnorm, "omega": omegas, "k": kvals, "e": errs, "omega_inv": omega_inv}
 
     def pooled_ratios(kfloor=1e-13):
@@ -911,18 +914,18 @@ def run_theorem_sweep(config: Config = Config()):
         heavy = replace(cfg, quad_n=2 * cfg.quad_n, kdeg=min(max(48, cfg.kdeg + 16), MAX_WITNESS_DEG))
         hv1, hv2, sh1, sh2 = [], [], [], []
         for e in entries:
+            ks = [k_functional(e.handle, delta, params, heavy.kdeg, cfg.norm_nodes).value for delta in cfg.deltas]
+            kept = [(delta, k) for delta, k in zip(cfg.deltas, ks) if k >= 1e-13]
+            oms = _moduli(e.handle, [delta for delta, _ in kept], params, cfg.t_points, heavy.quad_n, cfg.norm_nodes)
+            for (delta, k), om in zip(kept, oms):
+                hv1.append(om / k)
+                hv2.append(om * math.cos(delta / 2.0) ** 4 / k)
             for delta in cfg.deltas:
-                damp = math.cos(delta / 2.0) ** 4
-                k = k_functional(e.handle, delta, params, heavy.kdeg, cfg.norm_nodes).value
-                if k >= 1e-13:
-                    om = modulus(e.handle, delta, params, cfg.t_points, heavy.quad_n, cfg.norm_nodes)
-                    hv1.append(om / k)
-                    hv2.append(om * damp / k)
                 k16 = k_functional(e.handle, delta, params, 16, cfg.norm_nodes).value
                 if k16 >= 1e-13:
                     om0 = data[e.label]["omega"][delta]
                     sh1.append(om0 / k16)
-                    sh2.append(om0 * damp / k16)
+                    sh2.append(om0 * math.cos(delta / 2.0) ** 4 / k16)
         if not hv1 or not r1:
             return None, [], "no comparable ratios"
         drift_u = abs(max(hv2) - max(r2)) / max(max(hv2), 1e-300)

@@ -388,16 +388,27 @@ def modulus(
     The supremum is taken over the uniform grid t = delta k / t_points,
     k = 0..t_points; the k = 0 term is identically zero and skipped. Each
     norm is discrete_norm(params, norm_nodes) of tau_{cos t} f - f at its
-    nodes. t_points must be a positive integer.
+    nodes. t_points must be a positive integer. Over a grid of deltas,
+    _moduli gives the same values and translates f once per distinct y.
     """
     delta = float(delta)
     if not (math.isfinite(delta) and 0.0 <= delta < math.pi):
         raise InvalidArgumentError(f"delta must lie in [0, pi), got {delta!r}")
     t_points = _positive_int(t_points, "t_points")
-    if delta == 0.0:
-        return 0.0
+    return _moduli(f, [delta], params, t_points, quad_n, norm_nodes)[0]
+
+
+def _moduli(f, deltas, params: SpaceParams, t_points: int, quad_n: int, norm_nodes: int) -> list:
+    """modulus(f, delta, ...) for each delta, by one _asym_core call over the distinct y of all grids.
+
+    A y = cos(delta k / t_points) that several deltas share, as the same float, is translated once.
+    """
+    grids = [[math.cos(d * k / t_points) for k in range(1, t_points + 1)] if d != 0.0 else [] for d in deltas]
+    ys = sorted({y for grid in grids for y in grid})
+    if not ys:
+        return [0.0] * len(grids)
     norm = discrete_norm(params, norm_nodes)
     fn = _as_callable(f)
     fx = sample(fn, norm.nodes)
-    ys = [math.cos(delta * k / t_points) for k in range(1, t_points + 1)]
-    return max([0.0] + [norm(gv) for gv in _asym_core(fn, np.array(ys), norm.nodes, quad_n) - fx])
+    by_y = dict(zip(ys, (norm(gv) for gv in _asym_core(fn, np.array(ys), norm.nodes, quad_n) - fx)))
+    return [max([0.0] + [by_y[y] for y in grid]) for grid in grids]

@@ -36,6 +36,7 @@ from smoothness_lab import (
     validate_params,
     weighted_norm,
 )
+import smoothness_lab.approx as approx_module
 from smoothness_lab.approx import _best_constant, _newton_k, _poly_from_jacobi
 from smoothness_lab.jacobi import jacobi_matrix
 from smoothness_lab.quadrature import gauss_jacobi, ordered_sum
@@ -325,6 +326,92 @@ def test_k_functional_value_is_the_public_norm_at_its_witness(params):
             assert res.value == diff + delta * delta * weighted_norm(apply_D_poly(w), params), (e.label, delta)
 
 
+def _separable_k_reference(f, delta, max_deg, quad_n):
+    """k_functional at (2, 1) with its scan taken one path_value call per point.
+
+    The golden section and the choice among the zero, projection and path
+    candidates are those of k_functional.
+    """
+    norm = discrete_norm(P21, quad_n)
+    xs = norm.nodes
+    fv = sample(f, xs)
+    J = jacobi_matrix(max_deg, xs)
+    lam = -np.arange(max_deg + 1.0) * (np.arange(max_deg + 1.0) + 5.0)
+    d2 = delta * delta
+    rw = norm.weights
+    hn = np.cumsum(rw[None, :] * J * J, axis=1)[:, -1]
+    a = np.cumsum(rw[None, :] * J * fv[None, :], axis=1)[:, -1] / hn
+    tail2 = max(float(np.cumsum(rw * fv * fv)[-1]) - float(np.sum(hn * a * a)), 0.0)
+
+    def path_value(s):
+        c_s = a / (1.0 + s * lam * lam)
+        aa = float(np.sum(hn * (a - c_s) ** 2))
+        bb = float(np.sum(hn * (lam * c_s) ** 2))
+        return math.sqrt(tail2 + aa) + d2 * math.sqrt(bb), c_s
+
+    ss = np.concatenate(([0.0], np.logspace(-18.0, 18.0, 361)))
+    scan = [path_value(float(s)) for s in ss]
+    idx = int(np.argmin([val for val, _ in scan]))
+    best_s_val, best_s_c = scan[idx]
+    if 0 < idx < ss.size - 1:
+        lo, hi = float(ss[idx - 1]), float(ss[idx + 1])
+        known = {}
+        for _ in range(120):
+            m1 = lo + 0.381966011250105 * (hi - lo)
+            m2 = hi - 0.381966011250105 * (hi - lo)
+            known = {m: known[m] if m in known else path_value(m)[0] for m in (m1, m2)}
+            if known[m1] <= known[m2]:
+                hi = m2
+            else:
+                lo = m1
+        val, c_s = path_value(0.5 * (lo + hi))
+        if val < best_s_val:
+            best_s_c = c_s
+    c_proj = expand_in_jacobi(f, max_deg, n_nodes=max(quad_n, 256))
+    best_val, best_poly = math.inf, None
+    for cand in (np.zeros(max_deg + 1), c_proj, best_s_c):
+        gpoly = _poly_from_jacobi(cand)
+        val = norm(fv - gpoly(xs)) + d2 * norm(apply_D_poly(gpoly)(xs))
+        if val < best_val:
+            best_val, best_poly = val, gpoly
+    return best_val, best_poly
+
+
+@pytest.mark.parametrize("kdeg", [16, 32, 48])
+def test_separable_scan_matches_point_by_point_reference(kdeg):
+    # the 362-point scan runs as one array op; value and witness must be
+    # bitwise those of the point-by-point scan
+    cfg = Config()
+    for e in corpus(7):
+        for delta in cfg.deltas:
+            res = k_functional(e.handle, delta, P21, kdeg, cfg.norm_nodes)
+            value, witness = _separable_k_reference(e.handle, delta, kdeg, cfg.norm_nodes)
+            assert res.value == value, (e.label, delta)
+            assert np.array_equal(res.witness.cheb, witness.cheb), (e.label, delta)
+
+
+def test_k_functional_reports_the_lp_gap(monkeypatch):
+    # at p in {1, inf} the result carries the gap of the interior-point
+    # solve it ran, whichever candidate wins; other paths report None
+    gaps = []
+    lp_fit = approx_module._lp_fit
+
+    def recording(p, blocks):
+        out = lp_fit(p, blocks)
+        gaps.append(out[2])
+        return out
+
+    monkeypatch.setattr(approx_module, "_lp_fit", recording)
+    for params in LP_SPACES.values():
+        for e in corpus(7):
+            for delta in (0.0, 0.4):
+                res = k_functional(e.handle, delta, params, 16, 128)
+                assert res.gap == gaps[-1], (params.p, e.label, delta)
+    for params in (P15, P21):
+        assert k_functional(lambda x: np.abs(x), 0.4, params).gap is None
+    assert len(gaps) == 2 * 2 * len(corpus(7))
+
+
 @pytest.mark.parametrize("params", [P15, P3], ids=["p1.5", "p3"])
 def test_k_newton_reaches_a_stationary_point(params):
     # the solver behind k_functional at 1 < p < inf, on k_functional's own
@@ -428,6 +515,7 @@ def test_lp_solves_match_highs(name):
             assert abs(res.value - ref) <= slack, (e.label, n)
         for delta in cfg.deltas:
             res = k_functional(e.handle, delta, params, cfg.kdeg, cfg.norm_nodes)
+            assert res.gap <= 1e-8, (e.label, delta)
             blocks = [(J.T, fv, norm.weights), (J.T * lam, np.zeros_like(fv), delta * delta * norm.weights)]
             assert abs(res.value - _highs_fit(params.p, blocks)) <= slack, (e.label, delta)
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothness_lab import (
+    Config,
     FunctionHandle,
     InvalidArgumentError,
     SpaceParams,
@@ -26,7 +27,7 @@ from smoothness_lab import (
 )
 from smoothness_lab.harness import corpus
 from smoothness_lab.quadrature import gauss_legendre
-from smoothness_lab.translation import _asym_core, _sym_core, _z_nodes
+from smoothness_lab.translation import _asym_core, _moduli, _sym_core, _z_nodes
 
 P21 = SpaceParams(2.0, 1.0)
 
@@ -345,3 +346,27 @@ def test_batched_y_matches_calls_per_y(kind, quad_n):
         else:
             assert np.max(np.abs(batched - single)) <= 1e-13 * _sup(h), label
     assert core(CORPUS["|x|"], 0.5, xs, quad_n).shape == xs.shape
+
+
+MODULI_SPACES = {
+    "p1": SpaceParams(1.0, 0.75),
+    "p1.5": SpaceParams(1.5, 11.0 / 12.0),
+    "p2": P21,
+    "p3": SpaceParams(3.0, 13.0 / 12.0),
+    "pinf": SpaceParams(math.inf, 1.25),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODULI_SPACES))
+def test_moduli_equal_modulus_per_delta(name):
+    # _moduli translates once per distinct y across its deltas; each value
+    # must still be, bit for bit, the single-delta modulus, also for a zero
+    # and a repeated delta
+    params = MODULI_SPACES[name]
+    cfg = Config()
+    grids = (cfg.deltas, [1.0 / n for n in cfg.degrees], (0.3, 0.0, 2.9, 0.3))
+    for e in corpus(7):
+        for deltas in grids:
+            want = [modulus(e.handle, d, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes) for d in deltas]
+            got = _moduli(e.handle, deltas, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
+            assert got == want, (e.label, deltas)
