@@ -10,17 +10,18 @@ import numpy as np
 from numpy.polynomial import chebyshev as ncheb
 from scipy.linalg.lapack import dtrtrs
 
-from .errors import ConvergenceError, DegreeViolationError, InvalidArgumentError
+from .errors import ConvergenceError, InvalidArgumentError
 from .jacobi import (
     PolynomialRep,
     apply_D_poly,
     expand_in_jacobi,
+    fourier_jacobi_coeff,
     jacobi_matrix,
     jacobi_poly,
     poly_lincomb,
 )
 from .quadrature import _as_callable, gauss_legendre, ordered_sum, sample
-from .space import SpaceParams, _as_params, discrete_norm, make_grid, weighted_norm
+from .space import SpaceParams, _as_params, discrete_norm, weighted_norm
 from .translation import _sym_core
 
 __all__ = [
@@ -262,15 +263,12 @@ class JacksonParams:
 
     q: int = 3
     m: int = 2
-    t_nodes: int = 256
 
     def __post_init__(self):
         if not isinstance(self.q, (int, np.integer)) or self.q <= 2:
             raise InvalidArgumentError(f"q must be an integer greater than 2, got {self.q!r}")
         if not isinstance(self.m, (int, np.integer)) or self.m < 1:
             raise InvalidArgumentError(f"m must be a positive integer, got {self.m!r}")
-        if self.t_nodes < 8:
-            raise InvalidArgumentError("t_nodes must be at least 8")
 
 
 def jackson_degree_bound(params: JacksonParams) -> int:
@@ -298,50 +296,57 @@ def jackson_kernel(t, params: JacksonParams) -> float:
     return float(_kernel_values(np.array([t]), params.q, params.m)[0])
 
 
+def _jackson_moments(params: JacksonParams, kmax: int) -> np.ndarray:
+    """int K(arccos y) (1-y^2)^2 P_k(y) dy for k = 0..kmax; the k = 0 moment is gamma.
+
+    (sin(mt/2)/sin(t/2))^2 is a cosine polynomial of degree m - 1, so K has
+    degree (q+2)(m-1) in y = cos t, and the Gauss-Jacobi (2,2) rule of
+    (q+2)(m-1) + 4 nodes is exact for every kmax <= (q+2)(m-1) + 7.
+    """
+    kernel = lambda y: _kernel_values(np.arccos(y), params.q, params.m)
+    nodes = jackson_degree_bound(params) + 4
+    return np.array([fourier_jacobi_coeff(kernel, k, nodes) for k in range(kmax + 1)])
+
+
 def gamma_norm(params: JacksonParams) -> float:
-    """Normalizer int_0^pi K(t) sin^5 t dt by Legendre quadrature on [0, pi]."""
-    rule = gauss_legendre(int(params.t_nodes))
-    ts = (rule.nodes + 1.0) * (math.pi / 2.0)
-    wts = rule.weights * (math.pi / 2.0)
-    vals = _kernel_values(ts, params.q, params.m) * np.sin(ts) ** 5
-    return ordered_sum(wts * vals)
+    """Normalizer int_0^pi K(t) sin^5 t dt = int K(arccos y) (1-y^2)^2 dy, exact on a Gauss-Jacobi (2,2) rule."""
+    return float(_jackson_moments(params, 0)[0])
 
 
-def jackson_operator(f, params: JacksonParams, quad_n: int = 2048) -> PolynomialRep:
+def jackson_operator(f, params: JacksonParams) -> PolynomialRep:
     """Kernel-smoothed image of f, a polynomial of degree <= (q+2)(m-1).
 
-    The symmetric translation average is accumulated over a Legendre grid in
-    t, then fitted by least squares at twice-oversampled Chebyshev points.
-    A held-out grid guards the degree bound: residual above 1e-6 raises
-    DegreeViolationError instead of returning a misfit.
+    The image is the average of the symmetric translation tau_{cos t} f
+    against K(t) sin^5 t / gamma over [0, pi]. That translation multiplies
+    P_k^{(2,2)} by P_k(cos t), so the image is sum_k theta_k a_k P_k: a_k
+    are the (2,2) coefficients of f from expand_in_jacobi, and theta_k =
+    int K(arccos y) (1-y^2)^2 P_k(y) dy / gamma, exact from
+    _jackson_moments and zero above the degree bound. _jackson_by_translation
+    computes the same image from the translation itself, as a reference.
     """
     bound = jackson_degree_bound(params)
     if bound > MAX_WITNESS_DEG:
         raise InvalidArgumentError(
             f"degree bound (q+2)(m-1) = {bound} exceeds the supported {MAX_WITNESS_DEG}"
         )
-    gamma = gamma_norm(params)
-    rule = gauss_legendre(int(params.t_nodes))
+    moments = _jackson_moments(params, bound)
+    return _poly_from_jacobi(moments / moments[0] * expand_in_jacobi(f, bound))
+
+
+def _jackson_by_translation(f, params: JacksonParams, xs, t_nodes: int = 256, quad_n: int = 2048) -> np.ndarray:
+    """The image of jackson_operator at xs from its definition, a reference independent of the multipliers.
+
+    _sym_core(f, cos t) is averaged against K(t) sin^5 t by a t_nodes-point
+    Legendre rule on [0, pi], normalised on the same rule; at x = 1 the
+    image of P_k is the multiplier theta_k. The t-integrand is analytic for
+    a polynomial f, where 256 nodes reach rounding level; the kink of |x|
+    leaves an error of about 1e-8.
+    """
+    rule = gauss_legendre(int(t_nodes))
     ts = (rule.nodes + 1.0) * (math.pi / 2.0)
-    wts = rule.weights * (math.pi / 2.0) * _kernel_values(ts, params.q, params.m) * np.sin(ts) ** 5 / gamma
-    n_fit = 2 * bound + 8
-    xs_fit = make_grid(n_fit)
-    xs_held = make_grid(n_fit + 7)
-    xs = np.concatenate((xs_fit, xs_held))
-    translated = _sym_core(_as_callable(f), np.array([math.cos(t) for t in ts]), xs, quad_n)
-    acc = np.zeros(xs.size)
-    for j in range(ts.size):
-        acc += wts[j] * translated[j]
-    w_fit, w_held = acc[:n_fit], acc[n_fit:]
-    coeffs, *_ = np.linalg.lstsq(ncheb.chebvander(xs_fit, bound), w_fit, rcond=None)
-    fitted = ncheb.chebvander(xs_held, bound) @ coeffs
-    residual = float(np.max(np.abs(fitted - w_held)))
-    if residual > 1e-6:
-        raise DegreeViolationError(
-            f"smoothed function deviates from a degree-{bound} polynomial by {residual:.3e}",
-            residual=residual,
-        )
-    return PolynomialRep(coeffs)
+    wts = rule.weights * _kernel_values(ts, params.q, params.m) * np.sin(ts) ** 5
+    translated = _sym_core(_as_callable(f), np.cos(ts), np.asarray(xs, dtype=float), quad_n)
+    return np.cumsum(wts[:, None] * translated, axis=0)[-1] / ordered_sum(wts)
 
 
 @dataclass(frozen=True)

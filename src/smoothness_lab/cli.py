@@ -14,6 +14,9 @@ from .space import SpaceParams
 from .translation import _moduli, build_multiplier_table
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
+# Keys of retired Config fields (the old Jackson operator's t- and z-rules)
+# that older config files still set: ignored with a warning.
+_RETIRED_KEYS = ("jackson_quad", "jackson_t_nodes")
 
 
 def _parse_value(key: str, raw: str):
@@ -44,6 +47,9 @@ def _load_config_file(path: str) -> dict:
         if "=" not in body:
             raise InvalidArgumentError(f"{path}:{lineno}: expected key=value, got {body!r}")
         key, raw = (s.strip() for s in body.split("=", 1))
+        if key in _RETIRED_KEYS:
+            print(f"warning: {path}:{lineno}: config key {key!r} no longer has an effect; ignored", file=sys.stderr)
+            continue
         if key not in _FIELD_TYPES:
             raise InvalidArgumentError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
@@ -121,7 +127,7 @@ def _emit_rows(name: str, rows, fmt: str, path):
 def _run_table(cfg: Config, op: str, fmt: str, path) -> int:
     if op == "psi":
         ys = (-0.9, -0.5, 0.0, 0.5, 0.9, 1.0)
-        tab = build_multiplier_table(6, ys, cfg.quad_n)
+        tab = build_multiplier_table(6, ys)
         rows = [
             {"n": int(n), "y": float(y), "psi": float(tab.values[i][j])}
             for i, n in enumerate(tab.degrees)

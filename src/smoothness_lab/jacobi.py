@@ -12,7 +12,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as ncheb
 
 from .errors import InvalidArgumentError
-from .quadrature import gauss_jacobi, ordered_sum, sample
+from .quadrature import gauss_jacobi, gauss_legendre, ordered_sum, sample
 
 __all__ = [
     "PolynomialRep",
@@ -209,11 +209,26 @@ def fourier_jacobi_coeff(f, n, n_nodes: int = 64) -> float:
 
 
 def expand_in_jacobi(f, nmax, n_nodes: int = 256) -> np.ndarray:
-    """Coefficients c_0..c_nmax with f ~ sum c_nu P_nu^{(2,2)} in the weighted sense."""
+    """Coefficients c_0..c_nmax with f ~ sum c_nu P_nu^{(2,2)} in the weighted sense.
+
+    The inner products take the n_nodes-point Gauss-Jacobi (2,2) rule, split
+    at the breaks of f (FunctionHandle.breaks) into n_nodes // (len(breaks)
+    + 1) Gauss-Legendre nodes per panel weighted by (1-x^2)^2: exact for a
+    piecewise polynomial such as |x|, where one global rule is algebraic.
+    """
     nmax, _, _ = _check_jacobi_args(nmax, 2, 2)
-    rule = gauss_jacobi(int(n_nodes), 2.0, 2.0)
-    vals = sample(f, rule.nodes)
-    basis = jacobi_matrix(nmax, rule.nodes)
-    prods = np.cumsum(basis * (rule.weights * vals)[None, :], axis=1)[:, -1]
+    breaks = tuple(getattr(f, "breaks", ()))
+    if breaks:
+        gl = gauss_legendre(max(int(n_nodes) // (len(breaks) + 1), 1))
+        edges = np.array((-1.0,) + breaks + (1.0,))
+        half, mid = np.diff(edges)[:, None] / 2.0, (edges[1:] + edges[:-1])[:, None] / 2.0
+        nodes = (half * gl.nodes + mid).ravel()
+        weights = (half * gl.weights).ravel() * (1.0 - nodes * nodes) ** 2
+    else:
+        rule = gauss_jacobi(int(n_nodes), 2.0, 2.0)
+        nodes, weights = rule.nodes, rule.weights
+    vals = sample(f, nodes)
+    basis = jacobi_matrix(nmax, nodes)
+    prods = np.cumsum(basis * (weights * vals)[None, :], axis=1)[:, -1]
     h = np.array([jacobi_h(k) for k in range(nmax + 1)])
     return prods / h

@@ -15,10 +15,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateReferenceError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .jacobi import jacobi_eval
 from .quadrature import _as_callable, gauss_chebyshev, sample
-from .space import FunctionHandle, SpaceParams, _positive_int, discrete_norm
+from .space import SpaceParams, _positive_int, discrete_norm
 
 __all__ = [
     "MultiplierTable",
@@ -31,9 +31,6 @@ __all__ = [
     "abs_rotation_average",
     "modulus",
 ]
-
-_REFERENCE_POINTS = (0.15, 0.35, 0.55)
-_REFERENCE_FLOOR = 1e-3
 
 
 def _check_cube(x, z, y):
@@ -293,25 +290,14 @@ def sym_translate(f, y, x, quad_n: int = 128) -> float:
     return float(_sym_core(_as_callable(f), y, np.array([x]), quad_n)[0])
 
 
-def multiplier_psi(n: int, y, quad_n: int = 128) -> float:
-    """Expansion multiplier psi_n(y) of the asymmetric translation.
+def multiplier_psi(n: int, y) -> float:
+    """Expansion multiplier psi_n(y) = P_n^{(0,4)}(y) / P_n^{(0,4)}(1) of the asymmetric translation.
 
-    Estimated as the median of tau_y(P_n)(x) / P_n(x) over fixed reference
-    abscissae, skipping points where |P_n| falls below 1e-3. If every
-    reference point is skipped the estimate is degenerate and an error is
-    raised rather than returning a silent extrapolation.
+    tau_y P_n^{(2,2)} = psi_n(y) P_n^{(2,2)} for every y in (-1, 1]: the
+    Jacobi convolution structure of Gasper (Ann. of Math. 93, 1971). The
+    value comes from the three-term recurrence of jacobi_eval.
     """
-    y = _check_y(y)
-    refs = np.array(_REFERENCE_POINTS)
-    pv = np.asarray(jacobi_eval(int(n), 2, 2, refs), dtype=float)
-    keep = np.abs(pv) >= _REFERENCE_FLOOR
-    if not np.any(keep):
-        raise DegenerateReferenceError(
-            f"all reference points have |P_{n}| < {_REFERENCE_FLOOR:g}"
-        )
-    fn = FunctionHandle(eval=lambda r: jacobi_eval(int(n), 2, 2, r), degree=int(n))
-    ratios = _asym_core(fn, y, refs[keep], quad_n) / pv[keep]
-    return float(np.median(ratios))
+    return jacobi_eval(n, 0, 4, _check_y(y))
 
 
 @dataclass(frozen=True)
@@ -321,7 +307,6 @@ class MultiplierTable:
     degrees: tuple
     ys: np.ndarray
     values: np.ndarray
-    reference_points: tuple = _REFERENCE_POINTS
 
     def __post_init__(self):
         ys = np.asarray(self.ys, dtype=float)
@@ -345,13 +330,10 @@ class MultiplierTable:
         return float(self.values[i, j])
 
 
-def build_multiplier_table(max_n: int, ys, quad_n: int = 128) -> MultiplierTable:
+def build_multiplier_table(max_n: int, ys) -> MultiplierTable:
     """Tabulate psi_n(y) for n = 0..max_n over the given translation amounts."""
     ys = np.asarray(ys, dtype=float)
-    vals = np.empty((max_n + 1, ys.size))
-    for i, n in enumerate(range(max_n + 1)):
-        for j, y in enumerate(ys):
-            vals[i, j] = multiplier_psi(n, float(y), quad_n)
+    vals = np.array([[multiplier_psi(n, float(y)) for y in ys] for n in range(max_n + 1)])
     return MultiplierTable(tuple(range(max_n + 1)), ys, vals)
 
 

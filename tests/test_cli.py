@@ -18,8 +18,6 @@ pair_quad = 64
 coeff_nodes = 128
 coeff_quad = 128
 approx_grid = 64
-jackson_quad = 256
-jackson_t_nodes = 32
 """
 
 
@@ -139,6 +137,21 @@ def test_unknown_config_key(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "unknown config key" in err
     assert f"{path}:1" in err
+
+
+def test_retired_config_key_is_ignored_with_a_warning(tmp_path, capsys, config_file):
+    # files written for the t-rule Jackson operator still set its two knobs
+    old = tmp_path / "old.cfg"
+    old.write_text(REDUCED + "jackson_quad = 256\n")
+    argv = ["sweep", "--deltas", "0.4", "--degrees", "2"]
+    assert main(argv + ["--config", config_file]) == 0
+    want = capsys.readouterr().out
+    assert main(argv + ["--config", str(old)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == want
+    assert "jackson_quad" not in json.loads(captured.out)["config"]
+    assert captured.err.startswith("warning: ") and captured.err.count("\n") == 1
+    assert f"{old}:{len(REDUCED.splitlines()) + 1}: config key 'jackson_quad'" in captured.err
 
 
 def test_config_line_without_equals(tmp_path, capsys):

@@ -35,8 +35,6 @@ SMALL = Config(
     coeff_nodes=128,
     coeff_quad=128,
     approx_grid=64,
-    jackson_quad=256,
-    jackson_t_nodes=32,
 )
 
 

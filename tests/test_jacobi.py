@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothness_lab import (
+    FunctionHandle,
     InvalidArgumentError,
     PolynomialRep,
     apply_D_poly,
     expand_in_jacobi,
     fourier_jacobi_coeff,
     gauss_jacobi,
+    gauss_legendre,
     jacobi_eval,
     jacobi_h,
     jacobi_matrix,
@@ -133,6 +135,23 @@ def test_expansion_roundtrip_and_convergence():
     coeffs = expand_in_jacobi(f, 20)
     grid = make_grid(65)
     assert np.max(np.abs(jacobi_matrix(20, grid).T @ coeffs - f(grid))) <= 1e-10
+
+
+def test_expansion_splits_at_breaks():
+    # |x| against a 2 x 512-node Gauss-Legendre rule split at 0, exact for
+    # the piecewise polynomial integrands; the default 256-node rule, split
+    # at the declared break, must agree to rounding of the sums
+    gl = gauss_legendre(512)
+    xs = np.concatenate((gl.nodes - 1.0, gl.nodes + 1.0)) / 2.0
+    ws = np.concatenate((gl.weights, gl.weights)) / 2.0 * (1.0 - xs * xs) ** 2
+    basis = jacobi_matrix(64, xs)
+    h = np.array([jacobi_h(k) for k in range(65)])
+    want = basis @ (ws * np.abs(xs)) / h
+    scale = np.abs(basis) @ (ws * np.abs(xs)) / h
+    got = expand_in_jacobi(FunctionHandle(eval=np.abs, breaks=(0.0,)), 64)
+    assert np.all(np.abs(got - want) <= 1e-14 * scale)
+    # one global rule converges only algebraically at the kink
+    assert np.max(np.abs(expand_in_jacobi(np.abs, 64, 1024) - want)) > 1e-4
 
 
 def test_polynomial_rep_basics():

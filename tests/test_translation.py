@@ -69,6 +69,26 @@ def test_multiplier_closed_forms(n, y, want):
     assert multiplier_psi(n, y) == pytest.approx(want, abs=1e-10)
 
 
+def test_multiplier_is_defined_up_to_degree_64():
+    table = build_multiplier_table(64, (-0.95, -0.5, 0.0, 0.5, 0.9, 1.0))
+    assert np.all(np.isfinite(table.values))
+    assert np.all(table.values[:, -1] == 1.0)
+
+
+@pytest.mark.parametrize("y", [-0.95, -0.5, 0.0, 0.5, 0.9])
+def test_multiplier_matches_z_quadrature_ratio(y):
+    # tau_y P_n / P_n by the z-rule, where P_n is not small; |psi_n(-0.95)|
+    # reaches 330, so the error is taken relative to max(1, |psi_n|)
+    xs = make_grid(16)
+    for n in range(65):
+        poly = jacobi_poly(n, 2, 2)
+        pv = poly(xs)
+        keep = np.abs(pv) >= 1e-3
+        psi = multiplier_psi(n, y)
+        ratio = _asym_core(poly, y, xs[keep], 128) / pv[keep]
+        assert np.max(np.abs(ratio - psi)) <= 1e-10 * max(1.0, abs(psi)), n
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 @pytest.mark.parametrize("y", [-0.5, 0.5, 0.9])
 def test_product_formula(n, y):
