@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 from numpy.polynomial import chebyshev as ncheb
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.lapack import dgelsy, dgeqrf, dtrtrs
 
 from .errors import ConvergenceError, InvalidArgumentError
 from .jacobi import (
@@ -20,8 +20,8 @@ from .jacobi import (
     jacobi_poly,
     poly_lincomb,
 )
-from .quadrature import _as_callable, gauss_legendre, ordered_sum, sample
-from .space import SpaceParams, _as_params, discrete_norm, weighted_norm
+from .quadrature import _as_callable, gauss_chebyshev, gauss_legendre, ordered_sum, sample
+from .space import FunctionHandle, SpaceParams, _as_params, _positive_int, discrete_norm, weighted_norm
 from .translation import _sym_core
 
 __all__ = [
@@ -50,9 +50,12 @@ class BestApproxResult:
     256-node weighted_norm, so it is consistent with the public norm by
     construction, and the two rules coincide at the default grid_n = 256.
     diagnostics always holds grid_n (the node count of the solve rule) and
-    iterations (0 for the projection); irls-grid also reports backtracks,
-    the number of halved steps, and lp-interior-point reports gap, the
-    LP's final relative duality gap (or its relative residual, if larger).
+    iterations (0 for the projection and the exact fit); irls-grid also
+    reports backtracks, the number of halved steps, and lp-interior-point
+    reports gap, the LP's final relative duality gap (or its relative
+    residual, if larger). method is "exact-fit" when f declares a degree d
+    < n: argmin is then f itself, no solver runs, and grid_n is d + 1, the
+    nodes of its Chebyshev interpolant.
     """
 
     value: float
@@ -72,21 +75,47 @@ def best_approx(f, n, params, grid_n: int = 256) -> BestApproxResult:
     direction taken at the Newton length 1 / (p - 1) and halved until the
     objective decreases. The reported value is measured on the 256-node
     weighted_norm, which may differ from the solve rule.
+
+    A function that declares a degree d < n (a PolynomialRep, or a
+    FunctionHandle through its degree) lies in the space and is its own
+    best approximation, for every p: method "exact-fit" returns it, a
+    handle as its Chebyshev interpolant at d + 1 nodes, with diagnostics
+    {"grid_n": d + 1, "iterations": 0}. grid_n must be a positive integer
+    on every path.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or not 1 <= n <= MAX_APPROX_DIM:
         raise InvalidArgumentError(f"dimension must be an integer in [1, {MAX_APPROX_DIM}], got {n!r}")
+    grid_n = _positive_int(grid_n, "grid_n")
     params = _as_params(params)
     n = int(n)
-    solve = _best_l2 if params.p == 2.0 else _best_grid
-    argmin, method, diagnostics = solve(f, n, params, grid_n)
+    degree = f.degree if isinstance(f, (PolynomialRep, FunctionHandle)) else None
+    if degree is not None and degree < n:
+        argmin, method, diagnostics = _exact_fit(f, degree), "exact-fit", {"grid_n": degree + 1, "iterations": 0}
+    else:
+        solve = _best_l2 if params.p == 2.0 else _best_grid
+        argmin, method, diagnostics = solve(f, n, params, grid_n)
     value = weighted_norm(lambda x: sample(f, x) - argmin(x), params)
     return BestApproxResult(value, argmin, method, diagnostics)
+
+
+def _exact_fit(f, degree):
+    """f as a PolynomialRep: itself, or its interpolant at the degree + 1 Chebyshev points.
+
+    The discrete Chebyshev transform at the first-kind points recovers the
+    coefficients of every polynomial of degree <= degree exactly.
+    """
+    if isinstance(f, PolynomialRep):
+        return f
+    nodes = gauss_chebyshev(degree + 1).nodes
+    coeffs = ncheb.chebvander(nodes, degree).T @ sample(f, nodes) * (2.0 / nodes.size)
+    coeffs[0] *= 0.5
+    return PolynomialRep(coeffs)
 
 
 def _best_l2(f, n, params, grid_n):
     # the rule of the norm has weight (1-x^2)^(2 alpha), under which the
     # (2 alpha, 2 alpha) Jacobi basis is orthogonal
-    norm = discrete_norm(params, max(int(grid_n), 2 * n))
+    norm = discrete_norm(params, max(grid_n, 2 * n))
     a = 2.0 * params.alpha
     fv = sample(f, norm.nodes)
     basis = jacobi_matrix(n - 1, norm.nodes, a, a)
@@ -101,7 +130,7 @@ def _best_l2(f, n, params, grid_n):
 def _best_grid(f, n, params, grid_n):
     # argmin minimises the norm on this solve rule; best_approx reports the
     # error on the 256-node weighted_norm
-    norm = discrete_norm(params, max(int(grid_n), 2 * n))
+    norm = discrete_norm(params, max(grid_n, 2 * n))
     fv = sample(f, norm.nodes)
     V = ncheb.chebvander(norm.nodes, n - 1)
     diagnostics = {"grid_n": norm.nodes.size}
@@ -149,10 +178,12 @@ def _lp_box(A, b, c, u0=None):
     Primal-Dual Interior-Point Methods, 1997). The rows of A are scaled to
     unit length and c to unit maximum. Each step solves the m x m normal
     equations A D A^T dy = r, m the number of rows, through the triangular
-    QR factor of D^(1/2) A^T, which keeps the accuracy that forming A D A^T
-    would square away as D spreads near the optimum. The iterates start at
-    u0 (default 0.5 everywhere), which must lie strictly inside the box; a
-    start that also solves A u = b saves steps.
+    QR factor of D^(1/2) A^T from LAPACK's dgeqrf, which keeps the accuracy
+    that forming A D A^T would square away as D spreads near the optimum.
+    The bound pairs (u, 1 - u) and their slacks are held stacked, so each
+    ratio test is one _max_step. The iterates start at u0 (default 0.5
+    everywhere), which must lie strictly inside the box; a start that also
+    solves A u = b saves steps.
 
     Returns (u, y, gap, iterations) at the point of smallest gap seen: y
     holds the multipliers of A u = b in the units of A, b and c, gap is the
@@ -167,14 +198,18 @@ def _lp_box(A, b, c, u0=None):
     A, b = A / rows[:, None], b / rows
     cmax = float(np.max(np.abs(c))) or 1.0
     c = c / cmax
-    u = np.full(c.size, 0.5) if u0 is None else u0
+    n = c.size
+    u = np.full(n, 0.5) if u0 is None else u0
     y = np.zeros(b.size)
+    # x = (u, v) with v = 1 - u, slacks sz = (s, z) and steps dx = (du, -du)
     s = np.maximum(c, 0.0) + 1.0
-    z = s - c
+    sz = np.concatenate((s, s - c))
+    s, z = sz[:n], sz[n:]
     bnorm, cnorm = 1.0 + np.linalg.norm(b), 1.0 + np.linalg.norm(c)
     best = (math.inf, u, y, 0)
     for iterations in range(1, 101):
-        v = 1.0 - u
+        x = np.concatenate((u, 1.0 - u))
+        v = x[n:]
         rp = b - A @ u
         rd = c - A.T @ y - s + z
         pobj, dobj = float(c @ u), float(b @ y - z.sum())
@@ -183,30 +218,34 @@ def _lp_box(A, b, c, u0=None):
             best = (gap, u, y, iterations)
         if gap <= 1e-10 or iterations - best[3] >= 5:
             break
-        mu = (u @ s + v @ z) / (2.0 * u.size)
+        mu = (u @ s + v @ z) / (2.0 * n)
         d = 1.0 / (s / u + z / v)
-        R = np.linalg.qr(np.sqrt(d)[:, None] * A.T, mode="r")  # A D A^T = R^T R
+        qr = dgeqrf(np.sqrt(d)[:, None] * A.T, overwrite_a=1)[0]
+        R = np.asfortranarray(qr[: b.size])  # A D A^T = R^T R; dtrtrs reads only the upper triangle
         if not np.all(np.diag(R)):
             break  # singular normal equations
 
-        def direction(rs, rz):
-            # Newton step whose complementarity products u s and v z aim at rs and rz
-            h = rd - rs / u + rz / v
+        def direction(r):
+            # Newton step whose complementarity products x sz aim at r
+            h = rd - r[:n] / u + r[n:] / v
             dy = dtrtrs(R, dtrtrs(R, rp + A @ (d * h), trans=1)[0])[0]
             du = d * (A.T @ dy - h)
-            return du, dy, (rs - s * du) / u, (rz + z * du) / v
+            dx = np.concatenate((du, -du))
+            return dx, dy, (r - sz * dx) / x
 
-        du, dy, ds, dz = direction(-u * s, -v * z)
-        ap = min(1.0, _max_step(u, du), _max_step(v, -du))
-        ad = min(1.0, _max_step(s, ds), _max_step(z, dz))
-        mu_aff = ((u + ap * du) @ (s + ad * ds) + (v - ap * du) @ (z + ad * dz)) / (2.0 * u.size)
+        dx, dy, dsz = direction(-x * sz)
+        ap = min(1.0, _max_step(x, dx))
+        ad = min(1.0, _max_step(sz, dsz))
+        xa, sa = x + ap * dx, sz + ad * dsz
+        mu_aff = (xa[:n] @ sa[:n] + xa[n:] @ sa[n:]) / (2.0 * n)
         sigma = (mu_aff / mu) ** 3
-        du, dy, ds, dz = direction(sigma * mu - u * s - du * ds, sigma * mu - v * z + du * dz)
-        if not (np.isfinite(du).all() and np.isfinite(dy).all()):
+        dx, dy, dsz = direction(sigma * mu - x * sz - dx * dsz)
+        if not (np.isfinite(dx).all() and np.isfinite(dy).all()):
             break
-        u = u + min(1.0, 0.995 * min(_max_step(u, du), _max_step(v, -du))) * du
-        ad = min(1.0, 0.995 * min(_max_step(s, ds), _max_step(z, dz)))
-        y, s, z = y + ad * dy, s + ad * ds, z + ad * dz
+        u = u + min(1.0, 0.995 * _max_step(x, dx)) * dx[:n]
+        ad = min(1.0, 0.995 * _max_step(sz, dsz))
+        y, sz = y + ad * dy, sz + ad * dsz
+        s, z = sz[:n], sz[n:]
     gap, u, y, _ = best
     return u, y * cmax / rows, gap, iterations
 
@@ -215,6 +254,21 @@ def _max_step(x, dx):
     """Largest t >= 0 with x + t dx >= 0 (inf when dx >= 0)."""
     neg = dx < 0.0
     return float(np.min(x[neg] / -dx[neg], initial=math.inf))
+
+
+def _lstsq(M, rhs):
+    """Minimum-norm least-squares solution of M c = rhs, by LAPACK's rank-revealing dgelsy.
+
+    One LAPACK call: a QR factorisation with column pivoting, truncated
+    where the condition estimate of its leading block passes 1 / (eps
+    max(M.shape)), the relative cut an SVD-based solve puts on singular
+    values.
+    """
+    m, k = M.shape
+    if m < k:
+        rhs = np.concatenate((rhs, np.zeros(k - m)))  # dgelsy returns c in rhs's storage
+    lwork = max(min(m, k) + 2 * k + 64 * (k + 1), 2 * min(m, k) + 64)  # blocks of up to 64 columns
+    return dgelsy(M, rhs, np.zeros(k, dtype=np.int32), np.finfo(float).eps * max(m, k), lwork)[1][:k]
 
 
 def _damped_newton(fv, V, w, p, scale):
@@ -231,7 +285,7 @@ def _damped_newton(fv, V, w, p, scale):
     """
     tiny = 64.0 * np.finfo(float).eps * scale
     sw = np.sqrt(w)
-    coeffs, *_ = np.linalg.lstsq(V * sw[:, None], fv * sw, rcond=None)  # weighted L2 fit
+    coeffs = _lstsq(V * sw[:, None], fv * sw)  # weighted L2 fit
     backtracks = 0
     for iterations in range(1, 501):
         r = fv - V @ coeffs
@@ -242,7 +296,7 @@ def _damped_newton(fv, V, w, p, scale):
         m = np.maximum(np.abs(r), 1e-12 * rmax) ** (p - 2.0)
         grad = np.sign(r) * np.abs(r) ** (p - 1.0)
         sw = np.sqrt(w * m)
-        d, *_ = np.linalg.lstsq(V * sw[:, None], grad / m * sw, rcond=None)
+        d = _lstsq(V * sw[:, None], grad / m * sw)
         vd = V @ d
         vmax = float(np.max(np.abs(vd)))
         t = 1.0 / (p - 1.0)
@@ -402,7 +456,7 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
     delta = float(delta)
     if not (math.isfinite(delta) and delta >= 0.0):
         raise InvalidArgumentError(f"delta must be a finite nonnegative number, got {delta!r}")
-    if not isinstance(max_deg, (int, np.integer)) or not 0 <= max_deg <= MAX_WITNESS_DEG:
+    if not isinstance(max_deg, (int, np.integer)) or isinstance(max_deg, bool) or not 0 <= max_deg <= MAX_WITNESS_DEG:
         raise InvalidArgumentError(f"max_deg must be an integer in [0, {MAX_WITNESS_DEG}]")
     params = _as_params(params)
     max_deg = int(max_deg)
@@ -578,7 +632,7 @@ def _newton_k(fv, J, lam, norm, d2, c_proj, const, scale):
         g1, h1 = derivatives(r, J)
         g2, h2 = derivatives(u, LJ)
         grad = d2 * g2 - g1
-        step, *_ = np.linalg.lstsq(h1 + d2 * h2, -grad, rcond=None)
+        step = _lstsq(h1 + d2 * h2, -grad)
         dr, du = J.T @ step, LJ.T @ step
         t = 1.0
         for _ in range(60):

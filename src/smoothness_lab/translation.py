@@ -264,6 +264,7 @@ def asym_translate(f, y, x, quad_n: int = 128) -> float:
     x = float(x)
     if not abs(x) < 1.0:
         raise InvalidArgumentError(f"x must lie in (-1, 1), got {x!r}")
+    quad_n = _positive_int(quad_n, "quad_n")
     return float(_asym_core(_as_callable(f), y, np.array([x]), quad_n)[0])
 
 
@@ -287,6 +288,7 @@ def sym_translate(f, y, x, quad_n: int = 128) -> float:
     x = float(x)
     if abs(x) > 1.0:
         raise InvalidArgumentError(f"x must lie in [-1, 1], got {x!r}")
+    quad_n = _positive_int(quad_n, "quad_n")
     return float(_sym_core(_as_callable(f), y, np.array([x]), quad_n)[0])
 
 
@@ -348,7 +350,7 @@ def abs_rotation_average(f, t, xs, quad_n: int = 128) -> np.ndarray:
     if not (math.isfinite(t) and 0.0 <= t <= math.pi):
         raise InvalidArgumentError(f"t must lie in [0, pi], got {t!r}")
     xs = np.asarray(xs, dtype=float)
-    rule = gauss_chebyshev(int(quad_n))
+    rule = gauss_chebyshev(_positive_int(quad_n, "quad_n"))
     z = rule.nodes[None, :]
     x = xs[:, None]
     r = np.clip(x * math.cos(t) - z * np.sqrt(1.0 - x * x) * math.sin(t), -1.0, 1.0)
@@ -370,13 +372,15 @@ def modulus(
     The supremum is taken over the uniform grid t = delta k / t_points,
     k = 0..t_points; the k = 0 term is identically zero and skipped. Each
     norm is discrete_norm(params, norm_nodes) of tau_{cos t} f - f at its
-    nodes. t_points must be a positive integer. Over a grid of deltas,
-    _moduli gives the same values and translates f once per distinct y.
+    nodes. t_points and quad_n must be positive integers. Over a grid of
+    deltas, _moduli gives the same values and translates f once per
+    distinct y.
     """
     delta = float(delta)
     if not (math.isfinite(delta) and 0.0 <= delta < math.pi):
         raise InvalidArgumentError(f"delta must lie in [0, pi), got {delta!r}")
     t_points = _positive_int(t_points, "t_points")
+    quad_n = _positive_int(quad_n, "quad_n")
     return _moduli(f, [delta], params, t_points, quad_n, norm_nodes)[0]
 
 

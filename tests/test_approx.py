@@ -38,7 +38,7 @@ from smoothness_lab import (
     weighted_norm,
 )
 import smoothness_lab.approx as approx_module
-from smoothness_lab.approx import _best_constant, _jackson_by_translation, _newton_k, _poly_from_jacobi
+from smoothness_lab.approx import _best_constant, _jackson_by_translation, _lstsq, _newton_k, _poly_from_jacobi
 from smoothness_lab.jacobi import jacobi_matrix
 from smoothness_lab.quadrature import gauss_jacobi, ordered_sum
 from smoothness_lab.space import discrete_norm, sample
@@ -135,6 +135,17 @@ def test_newton_irls_converges_to_a_stationary_point(params, label):
         assert np.max(np.abs(grad)) <= 1e-8 * scale, n
 
 
+@pytest.mark.parametrize("shape,rank", [((40, 7), 7), ((6, 6), 4), ((5, 9), 5)], ids=["tall", "singular", "wide"])
+def test_lstsq_is_the_minimum_norm_least_squares_solution(shape, rank):
+    # the Newton solves take dgelsy's rank-revealing QR in place of an SVD;
+    # on a well-separated rank both give the pseudo-inverse solution
+    rng = np.random.default_rng(3)
+    M = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
+    rhs = rng.standard_normal(shape[0])
+    ref = np.linalg.lstsq(M, rhs, rcond=None)[0]
+    assert np.max(np.abs(_lstsq(M, rhs) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("label", ["|x|", "(1-x)^0.75"])
 def test_newton_irls_iterations_at_p3(label):
     for n in range(1, 33):
@@ -161,6 +172,14 @@ def test_dimension_validation():
     for bad in (0, 65, True, 2.0):
         with pytest.raises(InvalidArgumentError):
             best_approx(lambda x: x, bad, P21)
+    # grid_n is checked before a path is chosen: the exact fit, the
+    # projection and the solvers reject the same values the same way
+    line = FunctionHandle(eval=lambda x: np.asarray(x, dtype=float) + 0.0, degree=1)
+    for f in (lambda x: np.abs(x), line, jacobi_poly(2, 2, 2)):
+        for params in (P21, SpaceParams(1.0, 0.75), P3):
+            for bad in (0, -5, 2.7, True, "abc", None):
+                with pytest.raises(InvalidArgumentError, match="grid_n"):
+                    best_approx(f, 4, params, grid_n=bad)
 
 
 def test_kernel_closed_values():
@@ -310,6 +329,8 @@ def test_k_functional_validation():
         k_functional(f, 0.5, P21, max_deg=65)
     with pytest.raises(InvalidArgumentError):
         k_functional(f, 0.5, P21, max_deg=-1)
+    with pytest.raises(InvalidArgumentError):
+        k_functional(f, 0.5, P21, max_deg=True)
 
 
 K_SPACES = {"p1": SpaceParams(1.0, 0.75), "p1.5": P15, "p3": P3, "pinf": SpaceParams(math.inf, 1.25)}
@@ -535,7 +556,9 @@ def test_lp_solves_match_highs(name):
         fv = sample(e.handle, norm.nodes)
         slack = 1e-9 * norm(fv)
         for n in (1, 2, 3, 8, 17, 32):
-            res = best_approx(e.handle, n, params, grid_n=cfg.norm_nodes)
+            # the bare eval declares no degree, so the LP runs at every n
+            res = best_approx(e.handle.eval, n, params, grid_n=cfg.norm_nodes)
+            assert res.method == "lp-interior-point", (e.label, n)
             assert res.diagnostics["gap"] <= 1e-9, (e.label, n)
             ref = _highs_fit(params.p, [(chebvander(norm.nodes, n - 1), fv, norm.weights)])
             assert abs(res.value - ref) <= slack, (e.label, n)
@@ -577,6 +600,70 @@ def test_basic_invariants_at_interval_midpoints(p):
             prev = om
 
 
+EXACT_FIT_P = (1.0, 1.5, 2.0, 3.0, math.inf)
+EXACT_FIT_IDS = ("p1", "p1.5", "p2", "p3", "pinf")
+
+
+def _midpoint(p):
+    verdict = validate_params(p, 0.0)
+    return SpaceParams(p, 0.5 * (verdict.lower + verdict.upper))
+
+
+def _solver_method(p):
+    return "l2-projection" if p == 2.0 else "lp-interior-point" if p in (1.0, math.inf) else "irls-grid"
+
+
+# every corpus entry that declares a degree, at two seeds, and a PolynomialRep
+DECLARED_DEGREE = [
+    (f"{e.label}@{seed}", e.handle, e.handle.degree) for seed in (7, 11) for e in corpus(seed) if e.handle.degree is not None
+] + [("P_12^(2,2)", jacobi_poly(12, 2, 2), 12)]
+
+
+@pytest.mark.parametrize("p", EXACT_FIT_P, ids=EXACT_FIT_IDS)
+def test_exact_fit_returns_f_when_its_degree_is_below_n(p):
+    params = _midpoint(p)
+    xs = make_grid(64)
+    for label, f, d in DECLARED_DEGREE:
+        fx = sample(f, xs)
+        fnorm = weighted_norm(f, params)
+        for n in sorted({d + 1, 32}):
+            res = best_approx(f, n, params)
+            assert res.method == "exact-fit", (label, n)
+            assert res.diagnostics == {"grid_n": d + 1, "iterations": 0}, (label, n)
+            assert np.max(np.abs(res.argmin(xs) - fx)) <= 1e-14 * np.max(np.abs(fx)), (label, n)
+            assert res.value <= 1e-14 * fnorm, (label, n)
+            if not isinstance(f, FunctionHandle):
+                assert res.argmin is f
+        if d >= 1:
+            # at n <= d, f is outside the space and the solver runs
+            assert best_approx(f, d, params).method == _solver_method(p), label
+
+
+@pytest.mark.parametrize("params", [P15, P3], ids=["p1.5", "p3"])
+@pytest.mark.parametrize("seed", [7, 11])
+def test_newton_error_is_certified_by_its_dual_bound(params, seed):
+    # any y with V^T y = 0 bounds E_n from below by Hoelder's inequality:
+    # f^T y = (f - V c)^T y <= ||f - V c|| (sum w^(1-q) |y|^q)^(1/q); the
+    # gradient of the p-th power at the residual, projected onto V^T y = 0,
+    # is that bound's optimal y at the true minimiser. grid_n = 256 makes
+    # the solve rule the report rule
+    p = params.p
+    q = p / (p - 1.0)
+    norm = discrete_norm(params, 256)
+    for e in corpus(seed):
+        fv = sample(e.handle, norm.nodes)
+        fnorm = norm(fv)
+        for n in range(1, 33):
+            res = best_approx(e.handle, n, params, grid_n=256)
+            r = fv - res.argmin(norm.nodes)
+            Q, _ = np.linalg.qr(chebvander(norm.nodes, n - 1))
+            y = norm.weights * np.abs(r) ** (p - 1.0) * np.sign(r)
+            y = y - Q @ (Q.T @ y)
+            dual = ordered_sum(norm.weights ** (1.0 - q) * np.abs(y) ** q) ** (1.0 / q)
+            bound = ordered_sum(fv * y) / dual if dual > 0.0 else 0.0
+            assert res.value - bound <= 1e-9 * fnorm, (e.label, n, res.value, bound)
+
+
 def _nan_above_half(x):
     x = np.asarray(x, dtype=float)
     return np.where(x > 0.5, np.nan, x)
@@ -594,8 +681,9 @@ def _nan_above_half(x):
         lambda f: fourier_jacobi_coeff(f, 3),
         lambda f: k_functional(f, 0.3, SpaceParams(3.0, 13.0 / 12.0)),
         lambda f: k_functional(f, 0.3, P21),
+        *(lambda f, p=p: best_approx(FunctionHandle(eval=f, degree=3), 4, _midpoint(p)) for p in EXACT_FIT_P),
     ],
-    ids=["p1", "p1.5", "p3", "pinf", "p2", "expand", "fourier", "k-p3", "k-p2"],
+    ids=["p1", "p1.5", "p3", "pinf", "p2", "expand", "fourier", "k-p3", "k-p2", *(f"exact-{i}" for i in EXACT_FIT_IDS)],
 )
 def test_non_finite_f_raises_evaluation_error_quietly(call, capfd):
     # one sampling path: no LinAlgError, no solver failure, no silent NaN

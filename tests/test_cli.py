@@ -5,6 +5,7 @@ import json
 import pytest
 
 from smoothness_lab.cli import main
+from smoothness_lab.harness import corpus
 
 # Coarse settings keep the command tests fast; numerical quality of the
 # default configuration is the acceptance suite's job.
@@ -19,6 +20,12 @@ coeff_nodes = 128
 coeff_quad = 128
 approx_grid = 64
 """
+
+
+def _expected_method(row, solver):
+    # an entry that declares a degree below n is its own best approximation
+    degree = {e.label: e.handle.degree for e in corpus(7)}[row["label"]]
+    return "exact-fit" if degree is not None and degree < row["n"] else solver
 
 
 @pytest.fixture()
@@ -73,14 +80,16 @@ def test_table_bestapprox_to_file(tmp_path, capsys, config_file):
     payload = json.loads(out.read_text())
     rows = payload["rows"]
     assert len(rows) == 8 * 5
-    assert all(row["method"] == "l2-projection" for row in rows)
+    assert all(row["method"] == _expected_method(row, "l2-projection") for row in rows)
+    assert sum(row["method"] == "exact-fit" for row in rows) == 19
 
 
 @pytest.mark.parametrize("p,alpha", [("3", "1.0833333333"), ("1.5", "0.9166666667")])
 def test_table_bestapprox_non_hilbert(capsys, p, alpha):
     assert main(["table", "--op", "bestapprox", "--p", p, "--alpha", alpha]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
-    assert rows and all(row["method"] == "irls-grid" for row in rows)
+    assert len(rows) == 8 * 5
+    assert all(row["method"] == _expected_method(row, "irls-grid") for row in rows)
 
 
 @pytest.mark.parametrize(

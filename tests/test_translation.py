@@ -164,6 +164,27 @@ def test_modulus_validation():
         with pytest.raises(InvalidArgumentError, match="t_points"):
             modulus(f, 0.5, P21, t_points=bad)
     assert modulus(f, 0.5, P21, t_points=np.int64(4)) == modulus(f, 0.5, P21, t_points=4)
+    for bad in (0, -3, True, 2.5, "x", None):
+        # an unchecked quad_n of 0 gives a wrong modulus, not an error
+        with pytest.raises(InvalidArgumentError, match="quad_n"):
+            modulus(f, 0.1, P21, quad_n=bad)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda q: asym_translate(np.abs, 0.5, 0.3, quad_n=q),
+        lambda q: sym_translate(np.abs, 0.5, 0.3, quad_n=q),
+        lambda q: abs_rotation_average(np.abs, 0.7, make_grid(5), quad_n=q),
+    ],
+    ids=["asym", "sym", "rotation"],
+)
+def test_translations_reject_a_bad_quad_n(call):
+    # an unchecked quad_n of 0 or -3 gives wrong values, and 2.5 is truncated
+    for bad in (0, -3, True, 2.5, "x", None):
+        with pytest.raises(InvalidArgumentError, match="quad_n"):
+            call(bad)
+    assert np.all(np.isfinite(call(np.int64(16))))
 
 
 def test_multiplier_table_layout():
