@@ -446,12 +446,13 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
     separable case) and solver candidates, so it never exceeds any of them.
     It equals weighted_norm(f - g, params, quad_n) + delta^2
     weighted_norm(Dg, params, quad_n) exactly, but reuses the samples of f.
-    iterations counts the solver's steps: Newton steps (0 when the best
-    constant is shown to be optimal), interior-point steps, or 0 for the
-    scan. trace holds the last objective values of the Newton solve or the
-    scan, and is empty for the interior-point solve. gap is the
-    interior-point solve's final gap at p in {1, inf}, whichever candidate
-    wins, and None otherwise.
+    quad_n must be at least max_deg + 1: on fewer nodes the witness is not
+    determined and K would be rounding noise. iterations counts the
+    solver's steps: Newton steps (0 when the best constant is shown to be
+    optimal), interior-point steps, or 0 for the scan. trace holds the last
+    objective values of the Newton solve or the scan, and is empty for the
+    interior-point solve. gap is the interior-point solve's final gap at p
+    in {1, inf}, whichever candidate wins, and None otherwise.
     """
     delta = float(delta)
     if not (math.isfinite(delta) and delta >= 0.0):
@@ -460,6 +461,10 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
         raise InvalidArgumentError(f"max_deg must be an integer in [0, {MAX_WITNESS_DEG}]")
     params = _as_params(params)
     max_deg = int(max_deg)
+    quad_n = _positive_int(quad_n, "quad_n")
+    if quad_n < max_deg + 1:
+        # fewer nodes than witness coefficients leave the fit underdetermined
+        raise InvalidArgumentError(f"quad_n must be at least max_deg + 1 = {max_deg + 1}, got {quad_n}")
     norm = discrete_norm(params, quad_n)
     xs = norm.nodes
     fv = sample(f, xs)

@@ -113,6 +113,9 @@ class Config:
                 raise InvalidArgumentError(f"{name} must not be empty")
         if self.kdeg > MAX_WITNESS_DEG:
             raise InvalidArgumentError(f"kdeg must be at most {MAX_WITNESS_DEG}, got {self.kdeg!r}")
+        if self.norm_nodes < self.kdeg + 1:
+            # the K-functional fits kdeg + 1 witness coefficients on these nodes
+            raise InvalidArgumentError(f"norm_nodes must be at least kdeg + 1 = {self.kdeg + 1}, got {self.norm_nodes!r}")
         for n in self.degrees:
             if not _is_positive_int(n):
                 raise InvalidArgumentError(f"degrees must be positive integers, got {n!r}")
@@ -956,6 +959,10 @@ def run_theorem_sweep(config: Config = Config()):
                 om = d["omega_inv"][n]
                 if om < 1e-9 * max(d["fnorm"], 1e-300):
                     rows.append({"case": f"{label},n={n}", "value": None, "note": "modulus below floor"})
+                    continue
+                if d["e"][n] < 1e-9 * d["fnorm"]:
+                    # a rounding-level E_n measures rounding, not an approximation rate
+                    rows.append({"case": f"{label},n={n}", "value": None, "note": "E_n below resolution floor"})
                     continue
                 v = d["e"][n] / om
                 vals.append(v)

@@ -108,28 +108,25 @@ def _nested_rule(kind: str, n: int):
     return s, w
 
 
-def _panels(ys, xs, breaks):
-    """Centre and half-width in theta = arccos z of each panel, shape (len(ys), len(xs), P, 1).
+def _panels(x, y, breaks):
+    """Centre and half-width in theta = arccos z of each panel, shape (len(x), P, 1), for points (x, y).
 
-    Without breaks there is one panel, [0, pi], and both arrays have shape
-    (len(ys), 1, 1, 1). R is linear in z, so break
-    b is crossed at z* = (x y - b) / (sqrt(1-x^2) sqrt(1-y^2)); the panels
-    run between 0, the crossings theta* = arccos z* and pi. A break that R
-    does not cross leaves an empty panel at 0 or pi.
+    R is linear in z, so break b is crossed at
+    z* = (x y - b) / (sqrt(1-x^2) sqrt(1-y^2)); the panels run between 0,
+    the crossings theta* = arccos z* and pi. A break that R does not cross
+    leaves an empty panel at 0 or pi.
     """
-    if not breaks:
-        return np.full((ys.size, 1, 1, 1), math.pi / 2.0), np.full((ys.size, 1, 1, 1), math.pi / 2.0)
-    x = xs[None, :, None]
-    y = ys[:, None, None]
+    x = x[:, None]
+    y = y[:, None]
     den = np.sqrt(1.0 - x * x) * np.sqrt(np.maximum(1.0 - y * y, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         zs = np.where(den > 0.0, (x * y - np.asarray(breaks)) / den, 1.0)
     theta = np.arccos(np.clip(zs, -1.0, 1.0))
-    shape = theta.shape[:2] + (1,)
+    shape = (theta.shape[0], 1)
     edges = np.concatenate((np.zeros(shape), theta, np.full(shape, math.pi)), axis=-1)
     return (
-        ((edges[..., 1:] + edges[..., :-1]) / 2.0)[..., None],
-        ((edges[..., 1:] - edges[..., :-1]) / 2.0)[..., None],
+        ((edges[:, 1:] + edges[:, :-1]) / 2.0)[..., None],
+        ((edges[:, 1:] - edges[:, :-1]) / 2.0)[..., None],
     )
 
 
@@ -156,8 +153,13 @@ def _exact_integral(fn, kernel, ys, xs, quad_n, nodes):
 
 
 def _dot(a, w):
-    """Sum of a times w over the last axis of a, as one matrix-vector product."""
-    return (a.reshape(-1, a.shape[-1]) @ w).reshape(a.shape[:-1])
+    """Sum of a times w over the last axis of a.
+
+    Unlike a BLAS matrix-vector product, einsum rounds each row the same
+    way wherever it lies in a, so a point's value does not depend on the
+    other points of its chunk.
+    """
+    return np.einsum("...j,j->...", a, w)
 
 
 def _nested_integral(fn, kernel, ys, xs, quad_n, breaks):
@@ -166,47 +168,59 @@ def _nested_integral(fn, kernel, ys, xs, quad_n, breaks):
     With z = cos theta the z-integral is a theta-integral over [0, pi]. One
     panel takes the trapezoid rule in theta (Gauss-Chebyshev-Lobatto in z,
     exact to degree 2n - 1); with breaks, each panel takes a Clenshaw-Curtis
-    rule in theta. The rule starts at _Z_START intervals per panel and
-    doubles, reusing every sample. A row of y stops when two successive
-    levels agree to _Z_RTOL times the integral of |integrand| at every x,
-    or when the next level would have more than quad_n intervals in all.
-    Rows are taken in chunks whose arrays hold at most len(xs) * quad_n
-    elements, and only unconverged rows go on to the next level.
+    rule in theta. Every (y, x) pair is a point of its own. The rule starts
+    at _Z_START intervals per panel and doubles, reusing every sample. A
+    point stops when two successive levels agree to _Z_RTOL times its
+    integral of |integrand|, or when the next level would have more than
+    quad_n intervals in all. Points are taken in chunks whose arrays hold
+    at most len(xs) * quad_n elements, and only unconverged points go on to
+    the next level.
     """
     kind = "clenshaw-curtis" if breaks else "trapezoid"
     npanel = len(breaks) + 1
     cap = max(int(quad_n) // npanel, 1)
-    x = xs[None, :, None, None]
-    sx = np.sqrt(1.0 - x * x)
-    out = np.empty((ys.size, xs.size))
-    # rows, intervals per panel, their samples at the previous level, and
+    budget = xs.size * int(quad_n)
+    x_all = np.tile(xs, ys.size)
+    y_all = np.repeat(ys, xs.size)
+    out = np.empty(x_all.size)
+    # points, intervals per panel, their samples at the previous level, and
     # the previous estimate
-    work = [(np.arange(ys.size), min(_Z_START, cap), None, None)]
+    work = [(np.arange(out.size), min(_Z_START, cap), None, None)]
     while work:
-        rows, n, old, prev = work.pop()
+        pts, n, old, prev = work.pop()
         last = 2 * n > cap
-        # samples per (y, x) taken at this level, and kept for the next one
+        # samples per point taken at this level, and kept for the next one
         new_cols = npanel * (n + 1 if old is None else n // 2)
         kept_cols = 0 if last else npanel * (n + 1)
-        chunk = max(1, int(quad_n) // max(new_cols, kept_cols))
-        if rows.size > chunk:
-            for lo in reversed(range(0, rows.size, chunk)):
+        chunk = max(1, budget // max(new_cols, kept_cols))
+        if pts.size > chunk:
+            for lo in reversed(range(0, pts.size, chunk)):
                 part = slice(lo, lo + chunk)
-                work.append((rows[part], n, None if old is None else old[part], None if prev is None else prev[part]))
+                work.append((pts[part], n, None if old is None else old[part], None if prev is None else prev[part]))
             continue
-        y = ys[rows, None, None, None]
+        x = x_all[pts, None, None]
+        y = y_all[pts, None, None]
+        sx = np.sqrt(1.0 - x * x)
         sy = np.sqrt(np.maximum(1.0 - y * y, 0.0))
-        centre, half = _panels(ys[rows], xs, breaks)
         s, w = _nested_rule(kind, n)
-        z = np.cos(centre + half * (s if old is None else s[1::2]))
+        if old is not None:
+            s = s[1::2]
+        if breaks:
+            centre, half = _panels(x_all[pts], y_all[pts], breaks)
+            z = np.cos(centre + half * s)
+            half = half[..., 0]
+        else:
+            # one panel, [0, pi], the same for every point
+            z = np.cos(math.pi / 2.0 + math.pi / 2.0 * s)
+            half = math.pi / 2.0
         r = np.clip(x * y - z * sx * sy, -1.0, 1.0)
         g = kernel(1.0, x, sx, y, sy, z, r) * sample(fn, r)
-        est = np.sum(half[..., 0] * (_dot(g, w) if old is None else _dot(old, w[::2]) + _dot(g, w[1::2])), axis=-1)
-        done = np.full(rows.size, last)
+        est = np.sum(half * (_dot(g, w) if old is None else _dot(old, w[::2]) + _dot(g, w[1::2])), axis=-1)
+        done = np.full(pts.size, last)
         if old is not None and not last:
-            size = np.sum(half[..., 0] * (_dot(np.abs(old), w[::2]) + _dot(np.abs(g), w[1::2])), axis=-1)
-            done = np.all(np.abs(est - prev) <= _Z_RTOL * size, axis=1)
-        out[rows[done]] = est[done]
+            size = np.sum(half * (_dot(np.abs(old), w[::2]) + _dot(np.abs(g), w[1::2])), axis=-1)
+            done = np.abs(est - prev) <= _Z_RTOL * size
+        out[pts[done]] = est[done]
         more = ~done
         if np.any(more):
             if old is None:
@@ -215,8 +229,8 @@ def _nested_integral(fn, kernel, ys, xs, quad_n, breaks):
                 samples = np.empty((int(np.sum(more)),) + g.shape[1:-1] + (n + 1,))
                 samples[..., ::2] = old[more]
                 samples[..., 1::2] = g[more]
-            work.append((rows[more], 2 * n, samples, est[more]))
-    return out
+            work.append((pts[more], 2 * n, samples, est[more]))
+    return out.reshape(ys.size, xs.size)
 
 
 def _z_integral(fn, kernel, y, xs, quad_n):

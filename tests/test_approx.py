@@ -333,6 +333,19 @@ def test_k_functional_validation():
         k_functional(f, 0.5, P21, max_deg=True)
 
 
+@pytest.mark.parametrize("params", [P21, P3, SpaceParams(math.inf, 1.25)], ids=["p2", "p3", "pinf"])
+def test_k_functional_needs_a_node_per_witness_coefficient(params):
+    # on 8 nodes a degree-32 witness is underdetermined and K is rounding noise
+    f = lambda x: np.abs(x)
+    for quad_n in (8, 32):
+        with pytest.raises(InvalidArgumentError, match="quad_n must be at least max_deg \\+ 1 = 33"):
+            k_functional(f, 0.3, params, max_deg=32, quad_n=quad_n)
+    for bad in (0, True, 40.0):
+        with pytest.raises(InvalidArgumentError, match="quad_n must be a positive integer"):
+            k_functional(f, 0.3, params, max_deg=32, quad_n=bad)
+    assert math.isfinite(k_functional(f, 0.3, params, max_deg=32, quad_n=33).value)
+
+
 K_SPACES = {"p1": SpaceParams(1.0, 0.75), "p1.5": P15, "p3": P3, "pinf": SpaceParams(math.inf, 1.25)}
 
 

@@ -139,6 +139,16 @@ def test_bad_value_in_config_file_names_line_and_key(tmp_path, capsys):
     assert f"{path}:2: bad value for kdeg" in err and err.count("\n") == 1
 
 
+def test_too_few_norm_nodes_for_the_witness_exits_two(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text("norm_nodes = 16\n")
+    assert main(["verify", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "norm_nodes must be at least kdeg + 1 = 33, got 16" in err
+
+
 def test_unknown_config_key(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("bogus = 3\n")

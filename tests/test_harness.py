@@ -106,6 +106,12 @@ def test_reduced_sweep_runs():
         "modulus-k-equivalence",
         "modulus-k-stability",
     ]
+    # x is its own best approximation at every n >= 2, so its E_n is a
+    # rounding-level zero and the direct constant skips its rows
+    direct = by_id(reports)["modulus-direct-constant"]
+    rows = [d for d in direct.details if d["case"].startswith("x,n=")]
+    assert len(rows) == len(SMALL.degrees)
+    assert all(d["value"] is None and d["note"] == "E_n below resolution floor" for d in rows)
 
 
 @pytest.mark.parametrize("kdeg,heavy", [(16, 48), (40, 56), (64, 64)])
@@ -119,9 +125,19 @@ def test_stability_witness_is_deeper_than_kdeg_up_to_the_cap(monkeypatch, kdeg, 
         return types.SimpleNamespace(value=1.0)
 
     monkeypatch.setattr(harness, "k_functional", fake_k)
-    reports = {r.check_id: r for r in run_theorem_sweep(replace(SMALL, kdeg=kdeg))}
+    # Config needs norm_nodes >= kdeg + 1, so kdeg = 64 gets 65 nodes
+    cfg = replace(SMALL, kdeg=kdeg, norm_nodes=max(SMALL.norm_nodes, kdeg + 1))
+    reports = {r.check_id: r for r in run_theorem_sweep(cfg)}
     assert max(degrees) == heavy
     assert ("deeper witness" in reports["modulus-k-stability"].note) == (heavy > kdeg)
+
+
+@pytest.mark.parametrize("norm_nodes,kdeg", [(16, 32), (32, 32), (64, 64)])
+def test_config_needs_a_norm_node_per_witness_coefficient(norm_nodes, kdeg):
+    # with fewer nodes than kdeg + 1 coefficients K is rounding noise
+    with pytest.raises(InvalidArgumentError, match=f"norm_nodes must be at least kdeg \\+ 1 = {kdeg + 1}"):
+        Config(norm_nodes=norm_nodes, kdeg=kdeg)
+    assert Config(norm_nodes=kdeg + 1, kdeg=kdeg).norm_nodes == kdeg + 1
 
 
 @pytest.mark.parametrize("runner", [run_lemma_suite, run_theorem_sweep])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from smoothness_lab import (
     EvaluationError,
@@ -17,6 +18,7 @@ from smoothness_lab import (
     integrate,
     ordered_sum,
 )
+from smoothness_lab.quadrature import _golub_welsch
 
 
 def legendre_moment(k: int) -> Fraction:
@@ -132,3 +134,62 @@ def test_jacobi_exponent_validation():
         gauss_jacobi(4, -1.0, 0.0)
     with pytest.raises(InvalidArgumentError):
         gauss_jacobi(4, 0.0, -1.5)
+
+
+def _mu0(a, b):
+    return 2.0 ** (a + b + 1.0) * math.gamma(a + 1.0) * math.gamma(b + 1.0) / math.gamma(a + b + 2.0)
+
+
+def _eigenvector_rule(n, a, b):
+    """The Golub-Welsch rule as built before: weights from the first row of the eigenvectors."""
+    k = np.arange(n, dtype=float)
+    s = 2.0 * k + a + b
+    with np.errstate(invalid="ignore", divide="ignore"):
+        diag = (b * b - a * a) / (s * (s + 2.0))
+    diag[0] = (b - a) / (a + b + 2.0)
+    if n == 1:
+        return np.array([diag[0]]), np.array([_mu0(a, b)])
+    k = np.arange(1, n, dtype=float)
+    s = 2.0 * k + a + b
+    off = np.sqrt(4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0)))
+    off[0] = math.sqrt(4.0 * (a + 1.0) * (b + 1.0) / ((a + b + 2.0) ** 2 * (a + b + 3.0)))
+    nodes, vecs = eigh_tridiagonal(diag, off)
+    return nodes, _mu0(a, b) * vecs[0, :] ** 2
+
+
+# the exponents p * alpha of the package's norms, and the (2,2) rule
+EXPONENTS = [0.0, 0.75, 1.375, 2.0, 3.0, 3.25]
+
+
+@pytest.mark.parametrize("a", EXPONENTS)
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 256, 1024, 2048])
+def test_rule_without_eigenvectors_matches_the_eigenvector_rule(n, a):
+    nodes, weights = _golub_welsch(n, a, a)
+    old_nodes, old_weights = _eigenvector_rule(n, a, a)
+    assert np.max(np.abs(nodes - old_nodes)) <= 1e-15
+    # the weights are symmetric, and match the eigenvector rule on x <= 0;
+    # near x = 1 the eigenvector weights of a >= 3 drift (3.6e-7 relative
+    # at a = 3.25, n = 2048, against the 40-digit reference below)
+    assert np.max(np.abs(weights / weights[::-1] - 1.0)) <= 1e-10
+    left = slice(0, (n + 1) // 2)
+    assert np.max(np.abs(weights[left] / old_weights[left] - 1.0)) <= 1e-9
+    assert abs(math.fsum(weights) / _mu0(a, a) - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("a,b", [(0.0, 0.0), (2.0, 2.0), (3.25, 3.25), (3.0, 0.0), (0.75, 2.0)])
+@pytest.mark.parametrize("n", [64, 2048])
+def test_endpoint_nodes_and_weights_against_a_40_digit_reference(n, a, b):
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    am, bm = mp.mpf(a), mp.mpf(b)
+    scale = mp.gamma(n + am + 1) * mp.gamma(n + bm + 1) / (mp.gamma(n + am + bm + 1) * mp.factorial(n))
+    scale *= mp.mpf(2) ** (am + bm + 1)
+    derivative = lambda x: (n + am + bm + 1) / 2 * mp.jacobi(n - 1, am + 1, bm + 1, x)
+    nodes, weights = _golub_welsch(n, a, b)
+    for i in (0, 1, n - 2, n - 1):
+        x = mp.mpf(float(nodes[i]))
+        for _ in range(3):
+            x -= mp.jacobi(n, am, bm, x) / derivative(x)
+        w = scale / ((1 - x * x) * derivative(x) ** 2)
+        assert abs(float(nodes[i] - x)) <= 1e-16, i
+        assert abs(float(weights[i] / w) - 1.0) <= 1e-10, i
