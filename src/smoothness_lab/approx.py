@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -277,10 +278,11 @@ def _damped_newton(fv, V, w, p, scale):
     The reweighted least-squares fit is c + (p - 1) * (Newton step), so each
     step starts at the Newton length 1 / (p - 1) and is halved until the
     objective decreases. The correction is solved for the residual, so its
-    rounding scales with r rather than f. The weights |r|^(p-2) are floored
-    at 1e-12 max|r| where they shape the step, while the right-hand side
-    keeps the true gradient, so the fixed point is the true minimiser. The
-    loop stops when the residual, or a step that still fails to decrease
+    rounding scales with r rather than f. Every power is taken of r / max|r|,
+    never of r, so none underflows at large p. The weights |r|^(p-2) are
+    floored at 1e-12 max|r| where they shape the step, while the right-hand
+    side keeps the true gradient, so the fixed point is the true minimiser.
+    The loop stops when the residual, or a step that still fails to decrease
     the objective, is within rounding of f.
     """
     tiny = 64.0 * np.finfo(float).eps * scale
@@ -292,16 +294,25 @@ def _damped_newton(fv, V, w, p, scale):
         rmax = float(np.max(np.abs(r)))
         if rmax <= tiny:
             return coeffs, iterations, backtracks
-        phi = ordered_sum(w * np.abs(r) ** p)
-        m = np.maximum(np.abs(r), 1e-12 * rmax) ** (p - 2.0)
-        grad = np.sign(r) * np.abs(r) ** (p - 1.0)
-        sw = np.sqrt(w * m)
-        d = _lstsq(V * sw[:, None], grad / m * sw)
+        rn = r / rmax
+        a = np.abs(rn)
+        phi = ordered_sum(w * a ** p)
+        floored = np.maximum(a, 1e-12)
+        sw = np.sqrt(w * floored ** (p - 2.0))
+        # the gradient sign(r) |r|^(p-1) over the floored weight |r|^(p-2),
+        # never 0/0: for p >= 2 rn times a power of a / floored <= 1, which
+        # may underflow only to 0; for p < 2 the quotient, whose divisor lies
+        # in [1, 1e12]
+        if p >= 2.0:
+            rhs = rn * (a / floored) ** (p - 2.0)
+        else:
+            rhs = np.sign(rn) * a ** (p - 1.0) / floored ** (p - 2.0)
+        d = rmax * _lstsq(V * sw[:, None], rhs * sw)
         vd = V @ d
         vmax = float(np.max(np.abs(vd)))
         t = 1.0 / (p - 1.0)
         while t * vmax > tiny:
-            if ordered_sum(w * np.abs(r - t * vd) ** p) < phi:
+            if ordered_sum(w * np.abs((r - t * vd) / rmax) ** p) < phi:
                 break
             t *= 0.5
             backtracks += 1
@@ -416,8 +427,61 @@ class KFunctionalResult:
     gap: Optional[float] = None
 
 
+@lru_cache(maxsize=MAX_WITNESS_DEG + 1)
+def _jacobi_to_cheb(d: int) -> np.ndarray:
+    """(d+1) x (d+1) matrix whose column k holds the Chebyshev coefficients of P_k^{(2,2)}."""
+    M = np.zeros((d + 1, d + 1))
+    for k in range(d + 1):
+        cheb = jacobi_poly(k, 2, 2).cheb
+        M[: cheb.size, k] = cheb
+    M.setflags(write=False)
+    return M
+
+
 def _poly_from_jacobi(c: np.ndarray) -> PolynomialRep:
-    return poly_lincomb(c, [jacobi_poly(k, 2, 2) for k in range(c.size)])
+    """sum_k c[k] P_k^{(2,2)}, summed over k in order as poly_lincomb does, so bitwise equal to it."""
+    return PolynomialRep(np.cumsum(_jacobi_to_cheb(c.size - 1) * c, axis=1)[:, -1])
+
+
+def _log_root(h, lo, hi):
+    """Root in log s of h on [lo, hi], 0 < lo < hi; None unless h(lo) < 0 < h(hi).
+
+    Regula falsi in x = log s with the Illinois modification (Dowell &
+    Jarratt, BIT 11, 1971): when the same end of the bracket is kept twice
+    running, its value is halved. As in Brent's zeroin (Algorithms for
+    Minimization without Derivatives, 1973), each step stays at least tol,
+    a few ulps of x, inside the bracket, so an end that has converged closes
+    the bracket with one step past the root; and a bracket not halved by
+    three steps is bisected. The loop stops when h vanishes or the bracket
+    is within 2 tol, and returns the end of smaller |h|.
+    """
+    x0, x1 = math.log(lo), math.log(hi)
+    h0, h1 = h(lo), h(hi)
+    if not h0 < 0.0 < h1:
+        return None
+    f0, f1 = h0, h1  # the Illinois-scaled values the secant uses
+    kept, widths = 0, [x1 - x0]
+    while True:
+        tol = 4.0 * np.finfo(float).eps * max(1.0, abs(x0), abs(x1))
+        if x1 - x0 <= 2.0 * tol:
+            break
+        if len(widths) > 3 and widths[-1] > 0.5 * widths[-4]:
+            x = 0.5 * (x0 + x1)
+        else:
+            x = min(max(x1 - f1 * (x1 - x0) / (f1 - f0), x0 + tol), x1 - tol)
+        hx = h(math.exp(x))
+        if hx == 0.0:
+            return math.exp(x)
+        if hx < 0.0:
+            x0, h0, f0 = x, hx, hx
+            f1 = 0.5 * f1 if kept == 1 else f1
+            kept = 1
+        else:
+            x1, h1, f1 = x, hx, hx
+            f0 = 0.5 * f0 if kept == -1 else f0
+            kept = -1
+        widths.append(x1 - x0)
+    return math.exp(x0) if -h0 <= h1 else math.exp(x1)
 
 
 def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFunctionalResult:
@@ -431,7 +495,9 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
     of F(c) is found by:
 
     - p = 2, alpha = 1: a scan of the exact path c_nu(s) = a_nu / (1 + s lam_nu^2),
-      on which the basis is orthogonal (separable case), taken as one array op and refined by golden section;
+      on which the basis is orthogonal (separable case), taken as one array
+      op and refined at the root of F'(s) by _log_root, where F' changes
+      sign between the scan points next to the first minimum;
     - 1 < p < inf otherwise: damped Newton steps, each halved until F
       decreases, started off the kinks of F (_newton_k);
     - p in {1, inf}: the exact minimiser on the rule, through the dual of
@@ -441,11 +507,14 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
     Outside the separable case the best constant, the minimiser on the face
     Dg = 0, is a candidate too (weighted median at p = 1, exact minimax
     constant at p = inf, a damped Newton fit otherwise); it keeps K exact
-    to rounding on constants. The reported value is norm(f - g) + delta^2
-    norm(Dg) at the best g of the zero, projection, constant (outside the
-    separable case) and solver candidates, so it never exceeds any of them.
-    It equals weighted_norm(f - g, params, quad_n) + delta^2
-    weighted_norm(Dg, params, quad_n) exactly, but reuses the samples of f.
+    to rounding on constants. The zero, projection, constant (outside the
+    separable case) and solver candidates are scored on J, as norm(fv -
+    J^T c) + delta^2 norm(J^T (lam c)), and only the best becomes a
+    polynomial g. The reported value, norm(f - g) + delta^2 norm(Dg), is
+    recomputed from g, so it never exceeds any candidate's by more than the
+    rounding of those scores. It equals weighted_norm(f - g, params,
+    quad_n) + delta^2 weighted_norm(Dg, params, quad_n) exactly, but reuses
+    the samples of f.
     quad_n must be at least max_deg + 1: on fewer nodes the witness is not
     determined and K would be rounding noise. iterations counts the
     solver's steps: Newton steps (0 when the best constant is shown to be
@@ -486,13 +555,12 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
         total = float(np.cumsum(rw * fv * fv)[-1])
         tail2 = max(total - float(np.sum(hn * a * a)), 0.0)
 
-        def path_value(s):
+        def path_terms(s):
+            # A = sum hn (a - c_s)^2 and B = sum hn (lam c_s)^2 on the path
             c_s = a / (1.0 + s * lam * lam)
-            aa = float(np.sum(hn * (a - c_s) ** 2))
-            bb = float(np.sum(hn * (lam * c_s) ** 2))
-            return math.sqrt(tail2 + aa) + d2 * math.sqrt(bb), c_s
+            return float(np.sum(hn * (a - c_s) ** 2)), float(np.sum(hn * (lam * c_s) ** 2)), c_s
 
-        # the scan as one array op; same operations in the same order, so bitwise path_value's values
+        # the scan as one array op; same operations in the same order as path_terms
         ss = np.concatenate(([0.0], np.logspace(-18.0, 18.0, 361)))
         cs = a / (1.0 + ss[:, None] * lam * lam)
         aa = np.sum(hn * (a - cs) ** 2, axis=1)
@@ -501,22 +569,25 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
         idx = int(np.argmin(scan))  # first minimum
         best_s_val, best_s_c = float(scan[idx]), cs[idx]
         if 0 < idx < ss.size - 1:
-            # golden section; the point that survives a step is, in almost
-            # every step, bitwise equal to one of the next step's two points,
-            # so values are kept by abscissa and each point is evaluated once
-            lo, hi = float(ss[idx - 1]), float(ss[idx + 1])
-            known = {}
-            for _ in range(120):
-                m1 = lo + 0.381966011250105 * (hi - lo)
-                m2 = hi - 0.381966011250105 * (hi - lo)
-                known = {m: known[m] if m in known else path_value(m)[0] for m in (m1, m2)}
-                if known[m1] <= known[m2]:
-                    hi = m2
-                else:
-                    lo = m1
-            val, c_s = path_value(0.5 * (lo + hi))
-            if val < best_s_val:
-                best_s_val, best_s_c = val, c_s
+            # A' = -s B' along the path, so F'(s) has the sign of
+            # h(s) = s sqrt(B) - d2 sqrt(tail2 + A), s ||Dg_s|| - d2 ||f - g_s||.
+            # F is unimodal on the path, the convex Pareto front of the two
+            # norms, so where h changes sign on the bracket its root is the
+            # minimum; where it does not, F is flat to rounding and the scan
+            # minimum stands. For idx = 1 the bracket's lower end, s = 0, has
+            # no logarithm and is taken one scan step below ss[1].
+            lo = float(ss[idx - 1]) if idx > 1 else float(ss[1] * ss[1] / ss[2])
+
+            def slope(s):
+                aa_s, bb_s, _ = path_terms(s)
+                return s * math.sqrt(bb_s) - d2 * math.sqrt(tail2 + aa_s)
+
+            s_star = _log_root(slope, lo, float(ss[idx + 1]))
+            if s_star is not None:
+                aa_s, bb_s, c_s = path_terms(s_star)
+                val = math.sqrt(tail2 + aa_s) + d2 * math.sqrt(bb_s)
+                if val < best_s_val:
+                    best_s_val, best_s_c = val, c_s
         best_c, iterations, history = best_s_c, 0, [best_s_val]
     else:
         scale = float(np.max(np.abs(fv))) or 1.0
@@ -533,13 +604,12 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
             history = []
     candidates.append(best_c)
 
-    best_val = math.inf
-    best_poly = None
-    for cand in candidates:
-        gpoly = _poly_from_jacobi(cand)
-        val = norm(fv - gpoly(xs)) + d2 * norm(apply_D_poly(gpoly)(xs))
-        if val < best_val:
-            best_val, best_poly = val, gpoly
+    # the candidates are scored on J; the winner's value is recomputed from
+    # its Chebyshev form, so that it is the public norm at the witness
+    C = np.array(candidates)
+    scores = [norm(r) + d2 * norm(u) for r, u in zip(fv - C @ J, (C * lam) @ J)]
+    best_poly = _poly_from_jacobi(candidates[int(np.argmin(scores))])
+    best_val = norm(fv - best_poly(xs)) + d2 * norm(apply_D_poly(best_poly)(xs))
     return KFunctionalResult(
         value=float(best_val),
         witness=best_poly,

@@ -11,7 +11,7 @@ from .approx import best_approx
 from .errors import InvalidArgumentError, ReportIOError, SmoothnessLabError
 from .harness import Config, corpus, emit_report, run_lemma_suite, run_theorem_sweep
 from .space import SpaceParams
-from .translation import _moduli, build_multiplier_table
+from .translation import _moduli, multiplier_psi
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
 # Keys of retired Config fields (the old Jackson operator's t- and z-rules)
@@ -127,12 +127,7 @@ def _emit_rows(name: str, rows, fmt: str, path):
 def _run_table(cfg: Config, op: str, fmt: str, path) -> int:
     if op == "psi":
         ys = (-0.9, -0.5, 0.0, 0.5, 0.9, 1.0)
-        tab = build_multiplier_table(6, ys)
-        rows = [
-            {"n": int(n), "y": float(y), "psi": float(tab.values[i][j])}
-            for i, n in enumerate(tab.degrees)
-            for j, y in enumerate(tab.ys)
-        ]
+        rows = [{"n": n, "y": y, "psi": multiplier_psi(n, y)} for n in range(7) for y in ys]
     elif op == "modulus":
         params = SpaceParams(cfg.p, cfg.alpha)
         rows = [

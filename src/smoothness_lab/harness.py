@@ -920,7 +920,9 @@ def run_theorem_sweep(config: Config = Config()):
     reports.append(_run("modulus-k-damped-window", t(100.0), modulus_k_damped_window))
 
     def modulus_k_stability():
-        heavy = replace(cfg, quad_n=2 * cfg.quad_n, kdeg=min(max(48, cfg.kdeg + 16), MAX_WITNESS_DEG))
+        # 16 degrees deeper, at least 48, within the cap and the norm_nodes - 1 that Config allows
+        kdeg = min(max(48, cfg.kdeg + 16), MAX_WITNESS_DEG, cfg.norm_nodes - 1)
+        heavy = replace(cfg, quad_n=2 * cfg.quad_n, kdeg=kdeg)
         hv1, hv2, sh1, sh2 = [], [], [], []
         for e in entries:
             ks = [k_functional(e.handle, delta, params, heavy.kdeg, cfg.norm_nodes).value for delta in cfg.deltas]

@@ -10,7 +10,6 @@ product formula on the Jacobi basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -21,13 +20,11 @@ from .quadrature import _as_callable, gauss_chebyshev, sample
 from .space import SpaceParams, _positive_int, discrete_norm
 
 __all__ = [
-    "MultiplierTable",
     "compute_R",
     "kernel_B",
     "asym_translate",
     "sym_translate",
     "multiplier_psi",
-    "build_multiplier_table",
     "abs_rotation_average",
     "modulus",
 ]
@@ -314,43 +311,6 @@ def multiplier_psi(n: int, y) -> float:
     value comes from the three-term recurrence of jacobi_eval.
     """
     return jacobi_eval(n, 0, 4, _check_y(y))
-
-
-@dataclass(frozen=True)
-class MultiplierTable:
-    """Table of psi_n(y) over degrees x translation amounts."""
-
-    degrees: tuple
-    ys: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        ys = np.asarray(self.ys, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        ys.setflags(write=False)
-        vals.setflags(write=False)
-        object.__setattr__(self, "ys", ys)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
-        if vals.shape != (len(self.degrees), ys.size):
-            raise InvalidArgumentError("values must have shape (len(degrees), len(ys))")
-        at_one = np.isclose(ys, 1.0, rtol=0.0, atol=0.0)
-        if np.any(at_one) and np.any(np.abs(vals[:, at_one] - 1.0) > 1e-10):
-            raise InvalidArgumentError("psi_n(1) must equal 1 to 1e-10")
-
-    def value(self, n: int, y: float) -> float:
-        i = self.degrees.index(int(n))
-        j = int(np.argmin(np.abs(self.ys - y)))
-        if abs(self.ys[j] - y) > 1e-12:
-            raise InvalidArgumentError(f"y={y!r} is not tabulated")
-        return float(self.values[i, j])
-
-
-def build_multiplier_table(max_n: int, ys) -> MultiplierTable:
-    """Tabulate psi_n(y) for n = 0..max_n over the given translation amounts."""
-    ys = np.asarray(ys, dtype=float)
-    vals = np.array([[multiplier_psi(n, float(y)) for y in ys] for n in range(max_n + 1)])
-    return MultiplierTable(tuple(range(max_n + 1)), ys, vals)
 
 
 def abs_rotation_average(f, t, xs, quad_n: int = 128) -> np.ndarray:

@@ -38,7 +38,14 @@ from smoothness_lab import (
     weighted_norm,
 )
 import smoothness_lab.approx as approx_module
-from smoothness_lab.approx import _best_constant, _jackson_by_translation, _lstsq, _newton_k, _poly_from_jacobi
+from smoothness_lab.approx import (
+    _best_constant,
+    _jackson_by_translation,
+    _log_root,
+    _lstsq,
+    _newton_k,
+    _poly_from_jacobi,
+)
 from smoothness_lab.jacobi import jacobi_matrix
 from smoothness_lab.quadrature import gauss_jacobi, ordered_sum
 from smoothness_lab.space import discrete_norm, sample
@@ -152,6 +159,20 @@ def test_newton_irls_iterations_at_p3(label):
         res = best_approx(NEWTON_CASES[label], n, P3, grid_n=512)
         assert res.method == "irls-grid"
         assert res.diagnostics["iterations"] <= 50, n
+
+
+def test_damped_newton_at_p20_takes_powers_of_the_scaled_residual():
+    # at p = 20, |r|^(p-2) of a residual near rounding underflows to 0 and
+    # the step was 0/0 (a RuntimeWarning, an error under pytest); powers of
+    # r / max|r| do not underflow, so E_32(sin 3x) reaches rounding
+    params = SpaceParams(20.0, 1.225)
+    res = best_approx(lambda x: np.sin(3.0 * x), 32, params)
+    assert res.method == "irls-grid" and res.value <= 1e-13
+    for e in corpus(7):
+        fnorm = weighted_norm(e.handle, params)
+        errors = [best_approx(e.handle, n, params).value for n in (1, 4, 8, 16, 32)]
+        assert errors[0] <= fnorm * (1.0 + 1e-9), e.label
+        assert all(b <= a + 1e-9 * fnorm for a, b in zip(errors, errors[1:])), e.label
 
 
 @pytest.mark.parametrize(
@@ -386,55 +407,56 @@ def test_k_functional_value_is_the_public_norm_at_its_witness(params):
             assert res.value == diff + delta * delta * weighted_norm(apply_D_poly(w), params), (e.label, delta)
 
 
-def _separable_k_reference(f, delta, max_deg, quad_n):
-    """k_functional at (2, 1) with its scan taken one path_value call per point.
-
-    The golden section and the choice among the zero, projection and path
-    candidates are those of k_functional.
-    """
+def _separable_path(f, delta, max_deg, quad_n):
+    """k_functional's discretisation at (2, 1): the rule, samples, J, lam and the path c_s = a / (1 + s lam^2)."""
     norm = discrete_norm(P21, quad_n)
-    xs = norm.nodes
-    fv = sample(f, xs)
-    J = jacobi_matrix(max_deg, xs)
+    fv = sample(f, norm.nodes)
+    J = jacobi_matrix(max_deg, norm.nodes)
     lam = -np.arange(max_deg + 1.0) * (np.arange(max_deg + 1.0) + 5.0)
-    d2 = delta * delta
     rw = norm.weights
     hn = np.cumsum(rw[None, :] * J * J, axis=1)[:, -1]
     a = np.cumsum(rw[None, :] * J * fv[None, :], axis=1)[:, -1] / hn
     tail2 = max(float(np.cumsum(rw * fv * fv)[-1]) - float(np.sum(hn * a * a)), 0.0)
 
-    def path_value(s):
+    def path_terms(s):
+        # A = sum hn (a - c_s)^2 and B = sum hn (lam c_s)^2
         c_s = a / (1.0 + s * lam * lam)
-        aa = float(np.sum(hn * (a - c_s) ** 2))
-        bb = float(np.sum(hn * (lam * c_s) ** 2))
-        return math.sqrt(tail2 + aa) + d2 * math.sqrt(bb), c_s
+        return float(np.sum(hn * (a - c_s) ** 2)), float(np.sum(hn * (lam * c_s) ** 2)), c_s
 
     ss = np.concatenate(([0.0], np.logspace(-18.0, 18.0, 361)))
-    scan = [path_value(float(s)) for s in ss]
-    idx = int(np.argmin([val for val, _ in scan]))
-    best_s_val, best_s_c = scan[idx]
-    if 0 < idx < ss.size - 1:
-        lo, hi = float(ss[idx - 1]), float(ss[idx + 1])
-        known = {}
-        for _ in range(120):
-            m1 = lo + 0.381966011250105 * (hi - lo)
-            m2 = hi - 0.381966011250105 * (hi - lo)
-            known = {m: known[m] if m in known else path_value(m)[0] for m in (m1, m2)}
-            if known[m1] <= known[m2]:
-                hi = m2
-            else:
-                lo = m1
-        val, c_s = path_value(0.5 * (lo + hi))
-        if val < best_s_val:
-            best_s_c = c_s
     c_proj = expand_in_jacobi(f, max_deg, n_nodes=max(quad_n, 256))
-    best_val, best_poly = math.inf, None
-    for cand in (np.zeros(max_deg + 1), c_proj, best_s_c):
-        gpoly = _poly_from_jacobi(cand)
-        val = norm(fv - gpoly(xs)) + d2 * norm(apply_D_poly(gpoly)(xs))
-        if val < best_val:
-            best_val, best_poly = val, gpoly
-    return best_val, best_poly
+    return norm, fv, J, lam, delta * delta, tail2, path_terms, ss, c_proj
+
+
+def _separable_k_reference(f, delta, max_deg, quad_n):
+    """k_functional at (2, 1) with its scan taken one path_terms call per point.
+
+    The refine (the root of the path slope by _log_root) and the choice
+    among the zero, projection and path candidates, scored on J, are those
+    of k_functional.
+    """
+    norm, fv, J, lam, d2, tail2, path_terms, ss, c_proj = _separable_path(f, delta, max_deg, quad_n)
+    terms = [path_terms(float(s)) for s in ss]
+    scan = [math.sqrt(tail2 + aa) + d2 * math.sqrt(bb) for aa, bb, _ in terms]
+    idx = int(np.argmin(scan))
+    best_s_val, best_s_c = scan[idx], terms[idx][2]
+    if 0 < idx < ss.size - 1:
+        lo = float(ss[idx - 1]) if idx > 1 else float(ss[1] * ss[1] / ss[2])
+
+        def slope(s):
+            aa, bb, _ = path_terms(s)
+            return s * math.sqrt(bb) - d2 * math.sqrt(tail2 + aa)
+
+        s_star = _log_root(slope, lo, float(ss[idx + 1]))
+        if s_star is not None:
+            aa, bb, c_s = path_terms(s_star)
+            if math.sqrt(tail2 + aa) + d2 * math.sqrt(bb) < best_s_val:
+                best_s_c = c_s
+    C = np.array([np.zeros(max_deg + 1), c_proj, best_s_c])
+    scores = [norm(r) + d2 * norm(u) for r, u in zip(fv - C @ J, (C * lam) @ J)]
+    best_poly = _poly_from_jacobi(C[int(np.argmin(scores))])
+    xs = norm.nodes
+    return norm(fv - best_poly(xs)) + d2 * norm(apply_D_poly(best_poly)(xs)), best_poly
 
 
 @pytest.mark.parametrize("kdeg", [16, 32, 48])
@@ -448,6 +470,86 @@ def test_separable_scan_matches_point_by_point_reference(kdeg):
             value, witness = _separable_k_reference(e.handle, delta, kdeg, cfg.norm_nodes)
             assert res.value == value, (e.label, delta)
             assert np.array_equal(res.witness.cheb, witness.cheb), (e.label, delta)
+
+
+def _golden_section_k(f, delta, max_deg, quad_n):
+    """K at (2, 1) with the path minimum refined by 120 golden-section steps on F, each candidate scored as a polynomial."""
+    norm, fv, J, lam, d2, tail2, path_terms, ss, c_proj = _separable_path(f, delta, max_deg, quad_n)
+
+    def path_value(s):
+        aa, bb, c_s = path_terms(s)
+        return math.sqrt(tail2 + aa) + d2 * math.sqrt(bb), c_s
+
+    scan = [path_value(float(s)) for s in ss]
+    idx = int(np.argmin([val for val, _ in scan]))
+    best_s_val, best_s_c = scan[idx]
+    if 0 < idx < ss.size - 1:
+        lo, hi = float(ss[idx - 1]), float(ss[idx + 1])
+        for _ in range(120):
+            m1 = lo + 0.381966011250105 * (hi - lo)
+            m2 = hi - 0.381966011250105 * (hi - lo)
+            if path_value(m1)[0] <= path_value(m2)[0]:
+                hi = m2
+            else:
+                lo = m1
+        val, c_s = path_value(0.5 * (lo + hi))
+        if val < best_s_val:
+            best_s_c = c_s
+    xs = norm.nodes
+    return min(
+        norm(fv - g(xs)) + d2 * norm(apply_D_poly(g)(xs))
+        for g in map(_poly_from_jacobi, (np.zeros(max_deg + 1), c_proj, best_s_c))
+    )
+
+
+@pytest.mark.parametrize("kdeg", [16, 32, 48])
+def test_separable_refine_finds_the_root_of_the_path_slope(monkeypatch, kdeg):
+    # F'(s) on the path has the sign of h(s) = s ||Dg_s|| - delta^2 ||f - g_s||;
+    # where h changes sign on the scan bracket, the refine must pin its root
+    # to rounding, and K must never exceed the golden-section K
+    roots = []
+
+    def recording(h, lo, hi):
+        roots.append(_log_root(h, lo, hi))
+        return roots[-1]
+
+    monkeypatch.setattr(approx_module, "_log_root", recording)
+    cfg = Config()
+    bracketed = 0
+    for e in corpus(7):
+        fnorm = weighted_norm(e.handle, P21)
+        for delta in cfg.deltas:
+            roots.clear()
+            res = k_functional(e.handle, delta, P21, kdeg, cfg.norm_nodes)
+            golden = _golden_section_k(e.handle, delta, kdeg, cfg.norm_nodes)
+            # plus rounding of ||f||: K of the constant entry is itself rounding
+            assert res.value <= golden * (1.0 + 1e-13) + 1e-15 * fnorm, (e.label, delta)
+            assert len(roots) <= 1
+            if roots and roots[0] is not None:
+                bracketed += 1
+                _, _, _, _, d2, tail2, path_terms, _, _ = _separable_path(e.handle, delta, kdeg, cfg.norm_nodes)
+                aa, bb, _ = path_terms(roots[0])
+                residual = math.sqrt(tail2 + aa)
+                assert abs(roots[0] * math.sqrt(bb) - d2 * residual) <= 1e-12 * d2 * residual, (e.label, delta)
+    assert bracketed > 0
+
+
+def test_log_root_brackets_and_pins_the_root():
+    # a sign change is required; the root of a monotone h is found to a few ulps of log s
+    assert _log_root(lambda s: s - 2.0, 3.0, 4.0) is None
+    assert _log_root(lambda s: 2.0 - s, 1.0, 4.0) is None
+    for root in (1e-17, 0.37, 1.0, 5e11):
+        s = _log_root(lambda s: math.log(s / root) + (s / root - 1.0), root / 1.5, root * 1.2)
+        assert s == pytest.approx(root, rel=1e-14)
+
+
+def test_poly_from_jacobi_is_bitwise_poly_lincomb():
+    rng = np.random.default_rng(3)
+    for d in range(65):
+        for _ in range(5):
+            c = rng.standard_normal(d + 1) * rng.choice([1e-8, 1.0, 1e6])
+            want = poly_lincomb(c, [jacobi_poly(k, 2, 2) for k in range(d + 1)])
+            assert np.array_equal(_poly_from_jacobi(c).cheb, want.cheb), d
 
 
 def test_k_functional_reports_the_lp_gap(monkeypatch):

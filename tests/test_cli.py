@@ -149,6 +149,18 @@ def test_too_few_norm_nodes_for_the_witness_exits_two(tmp_path, capsys):
     assert "norm_nodes must be at least kdeg + 1 = 33, got 16" in err
 
 
+def test_sweep_with_fewer_norm_nodes_than_the_deeper_witness_needs(tmp_path, capsys):
+    # modulus-k-stability's deeper witness (degree 48 by default) is capped
+    # at norm_nodes - 1 = 39, the deepest the nodes determine and still
+    # deeper than kdeg = 32
+    path = tmp_path / "nodes.cfg"
+    path.write_text("norm_nodes = 40\n")
+    assert main(["sweep", "--config", str(path)]) == 0
+    checks = {c["check_id"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert len(checks) == 6 and all(c["status"] == "pass" for c in checks.values())
+    assert "deeper witness" in checks["modulus-k-stability"]["note"]
+
+
 def test_unknown_config_key(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("bogus = 3\n")

@@ -15,7 +15,6 @@ from smoothness_lab import (
     SpaceParams,
     abs_rotation_average,
     asym_translate,
-    build_multiplier_table,
     compute_R,
     jacobi_eval,
     jacobi_poly,
@@ -81,9 +80,9 @@ def test_multiplier_closed_forms(n, y, want):
 
 
 def test_multiplier_is_defined_up_to_degree_64():
-    table = build_multiplier_table(64, (-0.95, -0.5, 0.0, 0.5, 0.9, 1.0))
-    assert np.all(np.isfinite(table.values))
-    assert np.all(table.values[:, -1] == 1.0)
+    values = np.array([[multiplier_psi(n, y) for y in (-0.95, -0.5, 0.0, 0.5, 0.9, 1.0)] for n in range(65)])
+    assert np.all(np.isfinite(values))
+    assert np.all(values[:, -1] == 1.0)
 
 
 @pytest.mark.parametrize("y", [-0.95, -0.5, 0.0, 0.5, 0.9])
@@ -198,21 +197,16 @@ def test_translations_reject_a_bad_quad_n(call):
     assert np.all(np.isfinite(call(np.int64(16))))
 
 
-def test_multiplier_table_layout():
-    ys = (-0.5, 0.0, 0.5)
-    table = build_multiplier_table(4, ys)
-    assert table.values.shape == (5, 3)
-    assert tuple(table.degrees) == (0, 1, 2, 3, 4)
-    assert np.allclose(table.values[0], 1.0, atol=1e-10)
-    for j, y in enumerate(ys):
-        assert table.value(2, y) == pytest.approx(7.0 * y * y - 7.0 * y + 1.0, abs=1e-10)
-        assert table.values[2, j] == table.value(2, y)
+def test_multiplier_low_degrees():
+    for y in (-0.5, 0.0, 0.5):
+        assert multiplier_psi(0, y) == pytest.approx(1.0, abs=1e-10)
+        assert multiplier_psi(2, y) == pytest.approx(7.0 * y * y - 7.0 * y + 1.0, abs=1e-10)
 
 
-def test_multiplier_table_deterministic():
-    a = build_multiplier_table(3, (0.2, 0.8))
-    b = build_multiplier_table(3, (0.2, 0.8))
-    assert np.array_equal(a.values, b.values)
+def test_multiplier_deterministic():
+    for n in range(4):
+        for y in (0.2, 0.8):
+            assert multiplier_psi(n, y) == multiplier_psi(n, y)
 
 
 def test_rotation_average_shape_and_zero():
