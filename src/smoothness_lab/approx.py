@@ -14,6 +14,7 @@ from scipy.linalg.lapack import dgelsy, dgeqrf, dtrtrs
 from .errors import ConvergenceError, InvalidArgumentError
 from .jacobi import (
     PolynomialRep,
+    _cheb_rows,
     apply_D_poly,
     expand_in_jacobi,
     fourier_jacobi_coeff,
@@ -30,7 +31,6 @@ __all__ = [
     "JacksonParams",
     "KFunctionalResult",
     "best_approx",
-    "jackson_kernel",
     "gamma_norm",
     "jackson_operator",
     "jackson_degree_bound",
@@ -342,23 +342,16 @@ def jackson_degree_bound(params: JacksonParams) -> int:
 
 
 def _kernel_values(ts: np.ndarray, q: int, m: int) -> np.ndarray:
+    """Even trigonometric kernel (sin(mt/2)/sin(t/2))^(2(q+2)) at the array ts in [0, pi].
+
+    The removable singularity at t = 0 takes the limit value m^(2(q+2)).
+    """
     den = np.sin(ts / 2.0)
     num = np.sin(m * ts / 2.0)
     ratio = np.full(ts.shape, float(m))
     nz = den != 0.0
     ratio[nz] = num[nz] / den[nz]
     return ratio ** (2 * (q + 2))
-
-
-def jackson_kernel(t, params: JacksonParams) -> float:
-    """Even trigonometric kernel (sin(mt/2)/sin(t/2))^(2(q+2)) on [0, pi].
-
-    The removable singularity at t = 0 takes the limit value m^(2(q+2)).
-    """
-    t = float(t)
-    if not (math.isfinite(t) and 0.0 <= t <= math.pi):
-        raise InvalidArgumentError(f"t must lie in [0, pi], got {t!r}")
-    return float(_kernel_values(np.array([t]), params.q, params.m)[0])
 
 
 def _jackson_moments(params: JacksonParams, kmax: int) -> np.ndarray:
@@ -429,11 +422,15 @@ class KFunctionalResult:
 
 @lru_cache(maxsize=MAX_WITNESS_DEG + 1)
 def _jacobi_to_cheb(d: int) -> np.ndarray:
-    """(d+1) x (d+1) matrix whose column k holds the Chebyshev coefficients of P_k^{(2,2)}."""
-    M = np.zeros((d + 1, d + 1))
-    for k in range(d + 1):
-        cheb = jacobi_poly(k, 2, 2).cheb
-        M[: cheb.size, k] = cheb
+    """(d+1) x (d+1) matrix whose column k holds the Chebyshev coefficients of P_k^{(2,2)}.
+
+    One run of the recurrence gives every column; column k is normalized by
+    the sum of its first k + 1 entries, its value at 1, so it is bitwise
+    jacobi_poly(k, 2, 2).cheb padded with zeros.
+    """
+    M = np.empty((d + 1, d + 1))
+    for k, raw in enumerate(_cheb_rows(d, 2.0, 2.0)):
+        M[:, k] = raw / np.sum(raw[: k + 1])
     M.setflags(write=False)
     return M
 
@@ -518,10 +515,13 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
     quad_n must be at least max_deg + 1: on fewer nodes the witness is not
     determined and K would be rounding noise. iterations counts the
     solver's steps: Newton steps (0 when the best constant is shown to be
-    optimal), interior-point steps, or 0 for the scan. trace holds the last
-    objective values of the Newton solve or the scan, and is empty for the
-    interior-point solve. gap is the interior-point solve's final gap at p
-    in {1, inf}, whichever candidate wins, and None otherwise.
+    optimal), interior-point steps, or, in the separable case, the
+    evaluations of the path slope by _log_root, the two at the ends of its
+    bracket included (0 when the scan minimum is at an end of the scan).
+    trace holds the last objective values of the Newton solve or the scan,
+    and is empty for the interior-point solve. gap is the interior-point
+    solve's final gap at p in {1, inf}, whichever candidate wins, and None
+    otherwise.
     """
     delta = float(delta)
     if not (math.isfinite(delta) and delta >= 0.0):
@@ -568,6 +568,7 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
         scan = np.sqrt(tail2 + aa) + d2 * np.sqrt(bb)
         idx = int(np.argmin(scan))  # first minimum
         best_s_val, best_s_c = float(scan[idx]), cs[idx]
+        iterations = 0  # evaluations of the path slope
         if 0 < idx < ss.size - 1:
             # A' = -s B' along the path, so F'(s) has the sign of
             # h(s) = s sqrt(B) - d2 sqrt(tail2 + A), s ||Dg_s|| - d2 ||f - g_s||.
@@ -579,6 +580,8 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
             lo = float(ss[idx - 1]) if idx > 1 else float(ss[1] * ss[1] / ss[2])
 
             def slope(s):
+                nonlocal iterations
+                iterations += 1
                 aa_s, bb_s, _ = path_terms(s)
                 return s * math.sqrt(bb_s) - d2 * math.sqrt(tail2 + aa_s)
 
@@ -588,7 +591,7 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
                 val = math.sqrt(tail2 + aa_s) + d2 * math.sqrt(bb_s)
                 if val < best_s_val:
                     best_s_val, best_s_c = val, c_s
-        best_c, iterations, history = best_s_c, 0, [best_s_val]
+        best_c, history = best_s_c, [best_s_val]
     else:
         scale = float(np.max(np.abs(fv))) or 1.0
         const = np.zeros(max_deg + 1)

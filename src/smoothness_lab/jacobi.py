@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -137,17 +137,42 @@ def jacobi_eval(n, a, b, x):
     return float(out) if np.isscalar(x) or xv.shape == () else out
 
 
+# Rows built by jacobi_matrix, per (a, b, node values), least recently used
+# first. The package uses a handful of node sets per run, each well under
+# _ROWS_BYTES; older sets are dropped once the rows kept exceed it.
+_ROWS: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
+_ROWS_BYTES = 1 << 20
+
+
 def jacobi_matrix(nmax, x, a=2.0, b=2.0):
-    """Rows P_0..P_nmax (normalized at 1) evaluated on a 1-d array."""
+    """Rows P_0..P_nmax (normalized at 1) evaluated on a 1-d array, as a read-only array.
+
+    The rows of each node set and (a, b) are built once per process and
+    kept in a bounded in-memory cache keyed on the node values. A call asks
+    for a prefix of the longest run built so far; P_0..P_nmax do not depend
+    on how far the recurrence runs, so the slice is bitwise the rows a
+    fresh run would give.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.empty((nmax + 1, x.size))
-    for k, raw in enumerate(_raw_rows(nmax, a, b, x)):
-        out[k] = raw / _value_at_one(k, a, b)
-    return out
+    key = (float(a), float(b), x.tobytes())
+    rows = _ROWS.pop(key, None)
+    if rows is None or rows.shape[0] <= nmax:
+        rows = np.empty((nmax + 1, x.size))
+        for k, raw in enumerate(_raw_rows(nmax, a, b, x)):
+            rows[k] = raw / _value_at_one(k, a, b)
+        rows.setflags(write=False)
+    _ROWS[key] = rows
+    while sum(r.nbytes for r in _ROWS.values()) > _ROWS_BYTES:
+        _ROWS.popitem(last=False)
+    return rows[: nmax + 1]
 
 
-@lru_cache(maxsize=512)
-def _poly_cached(n, a, b):
+def _cheb_rows(n, a, b):
+    """Unnormalized P_0..P_n^{(a,b)} in Chebyshev coefficients, each of length n + 1.
+
+    P_k has degree k, so entries k + 1..n of its row are zero, and its
+    first k + 1 entries do not depend on n.
+    """
     one = np.zeros(n + 1)
     one[0] = 1.0
 
@@ -156,7 +181,12 @@ def _poly_cached(n, a, b):
         xp = ncheb.chebmulx(p)
         return c * p + d * np.pad(xp, (0, n + 1 - xp.size))
 
-    raw = deque(_recurrence(n, a, b, one, affine), maxlen=1)[0]
+    return _recurrence(n, a, b, one, affine)
+
+
+@lru_cache(maxsize=512)
+def _poly_cached(n, a, b):
+    raw = deque(_cheb_rows(n, a, b), maxlen=1)[0]
     return PolynomialRep(raw / np.sum(raw))  # T_k(1) = 1: the sum is the value at 1
 
 

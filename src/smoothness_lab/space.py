@@ -115,8 +115,11 @@ class FunctionHandle:
 
     breaks lists the points of (-1, 1), in increasing order, where eval is
     not smooth (a kink or a jump). The convergence-stopped z-rule of the
-    translation kernels splits its integral where R crosses a break, which
-    keeps its convergence spectral on a piecewise-smooth function.
+    translation kernels splits its integral at each break that R crosses
+    at the point, which keeps its convergence spectral on a
+    piecewise-smooth function; where R crosses none, the point takes the
+    break-free rule and gets the value of f declared without breaks.
+    expand_in_jacobi splits its rule at every break.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]

@@ -105,20 +105,29 @@ def _nested_rule(kind: str, n: int):
     return s, w
 
 
-def _panels(x, y, breaks):
-    """Centre and half-width in theta = arccos z of each panel, shape (len(x), P, 1), for points (x, y).
+def _crossing(x, y, breaks):
+    """z* = (x y - b) / (sqrt(1-x^2) sqrt(1-y^2)) of each break b, shape (len(x), len(breaks)).
 
-    R is linear in z, so break b is crossed at
-    z* = (x y - b) / (sqrt(1-x^2) sqrt(1-y^2)); the panels run between 0,
-    the crossings theta* = arccos z* and pi. A break that R does not cross
-    leaves an empty panel at 0 or pi.
+    R is linear in z, so it takes the value b at z = z* and crosses b
+    inside (-1, 1) exactly when |z*| < 1. Where sqrt(1-y^2) is 0, R is x
+    for every z and z* reads 1: no crossing.
     """
     x = x[:, None]
     y = y[:, None]
     den = np.sqrt(1.0 - x * x) * np.sqrt(np.maximum(1.0 - y * y, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        zs = np.where(den > 0.0, (x * y - np.asarray(breaks)) / den, 1.0)
-    theta = np.arccos(np.clip(zs, -1.0, 1.0))
+        return np.where(den > 0.0, (x * y - np.asarray(breaks)) / den, 1.0)
+
+
+def _panels(x, y, breaks):
+    """Centre and half-width in theta = arccos z of each panel, shape (len(x), len(breaks) + 1, 1), for points (x, y).
+
+    The panels run between 0, the crossings theta* = arccos z* of the
+    breaks (see _crossing) and pi. Every break must be crossed by R at
+    every point, or its panel is empty: _nested_integral passes each point
+    only the breaks it crosses.
+    """
+    theta = np.arccos(np.clip(_crossing(x, y, breaks), -1.0, 1.0))
     shape = (theta.shape[0], 1)
     edges = np.concatenate((np.zeros(shape), theta, np.full(shape, math.pi)), axis=-1)
     return (
@@ -162,30 +171,38 @@ def _dot(a, w):
 def _nested_integral(fn, kernel, ys, xs, quad_n, breaks):
     """z-integral of kernel * f(R) by a nested rule stopped at convergence, shape (len(ys), len(xs)).
 
-    With z = cos theta the z-integral is a theta-integral over [0, pi]. One
-    panel takes the trapezoid rule in theta (Gauss-Chebyshev-Lobatto in z,
-    exact to degree 2n - 1); with breaks, each panel takes a Clenshaw-Curtis
-    rule in theta. Every (y, x) pair is a point of its own. The rule starts
-    at _Z_START intervals per panel and doubles, reusing every sample. A
-    point stops when two successive levels agree to _Z_RTOL times its
-    integral of |integrand|, or when the next level would have more than
-    quad_n intervals in all. Points are taken in chunks whose arrays hold
-    at most len(xs) * quad_n elements, and only unconverged points go on to
-    the next level.
+    With z = cos theta the z-integral is a theta-integral over [0, pi].
+    Every (y, x) pair is a point of its own, and the points are grouped by
+    the breaks that R actually crosses there (_crossing). A point that
+    crosses none has a smooth, even and 2 pi-periodic integrand in theta and
+    takes one panel with the trapezoid rule (Gauss-Chebyshev-Lobatto in z,
+    exact to degree 2n - 1): bitwise the value of the same f declared
+    without breaks. A point that crosses k breaks takes k + 1 panels, split
+    at the crossings, each with a Clenshaw-Curtis rule in theta. The rule
+    starts at _Z_START intervals per panel and doubles, reusing every
+    sample. A point stops when two successive levels agree to _Z_RTOL times
+    its integral of |integrand|, or when the next level would have more
+    than quad_n intervals in all. Points are taken in chunks whose arrays
+    hold at most len(xs) * quad_n elements, and only unconverged points go
+    on to the next level.
     """
-    kind = "clenshaw-curtis" if breaks else "trapezoid"
-    npanel = len(breaks) + 1
-    cap = max(int(quad_n) // npanel, 1)
-    budget = xs.size * int(quad_n)
     x_all = np.tile(xs, ys.size)
     y_all = np.repeat(ys, xs.size)
     out = np.empty(x_all.size)
-    # points, intervals per panel, their samples at the previous level, and
-    # the previous estimate
-    work = [(np.arange(out.size), min(_Z_START, cap), None, None)]
+    budget = xs.size * int(quad_n)
+    crossed = np.abs(_crossing(x_all, y_all, breaks)) < 1.0
+    patterns, group = np.unique(crossed, axis=0, return_inverse=True)
+    group = group.ravel()
+    # points, the breaks they cross, intervals per panel, their samples at
+    # the previous level, and the previous estimate
+    work = []
+    for k, pattern in enumerate(patterns):
+        cut = tuple(b for b, c in zip(breaks, pattern) if c)
+        work.append((np.flatnonzero(group == k), cut, min(_Z_START, _z_cap(quad_n, cut)), None, None))
     while work:
-        pts, n, old, prev = work.pop()
-        last = 2 * n > cap
+        pts, cut, n, old, prev = work.pop()
+        npanel = len(cut) + 1
+        last = 2 * n > _z_cap(quad_n, cut)
         # samples per point taken at this level, and kept for the next one
         new_cols = npanel * (n + 1 if old is None else n // 2)
         kept_cols = 0 if last else npanel * (n + 1)
@@ -193,17 +210,19 @@ def _nested_integral(fn, kernel, ys, xs, quad_n, breaks):
         if pts.size > chunk:
             for lo in reversed(range(0, pts.size, chunk)):
                 part = slice(lo, lo + chunk)
-                work.append((pts[part], n, None if old is None else old[part], None if prev is None else prev[part]))
+                work.append(
+                    (pts[part], cut, n, None if old is None else old[part], None if prev is None else prev[part])
+                )
             continue
         x = x_all[pts, None, None]
         y = y_all[pts, None, None]
         sx = np.sqrt(1.0 - x * x)
         sy = np.sqrt(np.maximum(1.0 - y * y, 0.0))
-        s, w = _nested_rule(kind, n)
+        s, w = _nested_rule("clenshaw-curtis" if cut else "trapezoid", n)
         if old is not None:
             s = s[1::2]
-        if breaks:
-            centre, half = _panels(x_all[pts], y_all[pts], breaks)
+        if cut:
+            centre, half = _panels(x_all[pts], y_all[pts], cut)
             z = np.cos(centre + half * s)
             half = half[..., 0]
         else:
@@ -226,8 +245,13 @@ def _nested_integral(fn, kernel, ys, xs, quad_n, breaks):
                 samples = np.empty((int(np.sum(more)),) + g.shape[1:-1] + (n + 1,))
                 samples[..., ::2] = old[more]
                 samples[..., 1::2] = g[more]
-            work.append((pts[more], 2 * n, samples, est[more]))
+            work.append((pts[more], cut, 2 * n, samples, est[more]))
     return out.reshape(ys.size, xs.size)
+
+
+def _z_cap(quad_n, cut):
+    """Most intervals per panel of the nested rule: quad_n in all over the len(cut) + 1 panels."""
+    return max(int(quad_n) // (len(cut) + 1), 1)
 
 
 def _z_integral(fn, kernel, y, xs, quad_n):

@@ -27,7 +27,6 @@ from smoothness_lab import (
     gamma_norm,
     gauss_legendre,
     jackson_degree_bound,
-    jackson_kernel,
     jackson_operator,
     jacobi_poly,
     k_functional,
@@ -41,6 +40,8 @@ import smoothness_lab.approx as approx_module
 from smoothness_lab.approx import (
     _best_constant,
     _jackson_by_translation,
+    _jacobi_to_cheb,
+    _kernel_values,
     _log_root,
     _lstsq,
     _newton_k,
@@ -204,12 +205,12 @@ def test_dimension_validation():
 
 
 def test_kernel_closed_values():
-    p = JacksonParams(3, 2)
-    assert jackson_kernel(math.pi / 2.0, p) == pytest.approx(32.0, rel=1e-12)
-    assert jackson_kernel(math.pi, p) == pytest.approx(0.0, abs=1e-12)
+    kernel = lambda t: float(_kernel_values(np.array([t]), 3, 2)[0])
+    assert kernel(math.pi / 2.0) == pytest.approx(32.0, rel=1e-12)
+    assert kernel(math.pi) == pytest.approx(0.0, abs=1e-12)
     # removable singularity at t = 0 with limit m^(2(q+2))
-    assert jackson_kernel(1e-9, p) == pytest.approx(2.0**10, rel=1e-6)
-    assert jackson_kernel(0.0, p) == pytest.approx(2.0**10, rel=1e-12)
+    assert kernel(1e-9) == pytest.approx(2.0**10, rel=1e-6)
+    assert kernel(0.0) == pytest.approx(2.0**10, rel=1e-12)
 
 
 def test_kernel_normalizer_unit_frequency():
@@ -541,6 +542,38 @@ def test_log_root_brackets_and_pins_the_root():
     for root in (1e-17, 0.37, 1.0, 5e11):
         s = _log_root(lambda s: math.log(s / root) + (s / root - 1.0), root / 1.5, root * 1.2)
         assert s == pytest.approx(root, rel=1e-14)
+
+
+def test_jacobi_to_cheb_columns_are_jacobi_poly():
+    # one run of the recurrence builds every column, bitwise the coefficients of jacobi_poly
+    for d in (0, 1, 7, 32, 64):
+        M = _jacobi_to_cheb(d)
+        for k in range(d + 1):
+            cheb = jacobi_poly(k, 2, 2).cheb
+            assert np.array_equal(M[: cheb.size, k], cheb), (d, k)
+            assert np.all(M[cheb.size :, k] == 0.0) and not np.any(np.signbit(M[cheb.size :, k])), (d, k)
+
+
+def test_separable_iterations_count_the_path_slope_evaluations(monkeypatch):
+    counts = []
+
+    def counting(h, lo, hi):
+        def counted(s):
+            counts.append(s)
+            return h(s)
+
+        return _log_root(counted, lo, hi)
+
+    monkeypatch.setattr(approx_module, "_log_root", counting)
+    cfg = Config()
+    total = 0
+    for e in corpus(7):
+        for delta in cfg.deltas:
+            counts.clear()
+            res = k_functional(e.handle, delta, P21, cfg.kdeg, cfg.norm_nodes)
+            assert res.iterations == len(counts), (e.label, delta)
+            total += res.iterations
+    assert total > 0
 
 
 def test_poly_from_jacobi_is_bitwise_poly_lincomb():

@@ -24,6 +24,7 @@ from smoothness_lab import (
     make_grid,
     poly_lincomb,
 )
+from smoothness_lab.jacobi import _ROWS, _ROWS_BYTES, _raw_rows, _value_at_one
 
 
 def exact_h(n: int) -> Fraction:
@@ -84,6 +85,37 @@ def test_matrix_rows_match_pointwise_eval():
     assert m.shape == (7, 17)
     for n in (0, 3, 6):
         assert np.allclose(m[n], jacobi_eval(n, 2, 2, xs), atol=1e-14)
+
+
+def _fresh_rows(nmax, x, a, b):
+    """P_0..P_nmax^{(a,b)} at x from a run of the recurrence of their own, outside any cache."""
+    return np.array([raw / _value_at_one(k, a, b) for k, raw in enumerate(_raw_rows(nmax, a, b, x))])
+
+
+def test_matrix_rows_are_cached_read_only_prefixes():
+    # a short call, then a longer one that rebuilds the run, then the short
+    # one again: every answer is bitwise a fresh run of its own length
+    x = np.linspace(-0.97, 0.97, 101)
+    for a, b in ((2.0, 2.0), (1.5, 1.5), (2.0, 1.0)):
+        for nmax in (4, 40, 4, 40, 17):
+            rows = jacobi_matrix(nmax, x, a, b)
+            assert rows.shape == (nmax + 1, x.size)
+            assert np.array_equal(rows, _fresh_rows(nmax, x, a, b)), (a, b, nmax)
+            assert not rows.flags.writeable
+            with pytest.raises(ValueError):
+                rows[0, 0] = 2.0
+    # the short rows are a view of the long run, built once
+    assert np.shares_memory(jacobi_matrix(4, x), jacobi_matrix(40, x))
+    # the same nodes under another (a, b), or other nodes, are other rows
+    assert not np.array_equal(jacobi_matrix(8, x, 2.0, 2.0), jacobi_matrix(8, x, 1.5, 1.5))
+    assert not np.array_equal(jacobi_matrix(8, x, 2.0, 1.0), jacobi_matrix(8, x, 1.0, 2.0))
+    assert np.array_equal(jacobi_matrix(8, x[::-1], 2.0, 2.0), _fresh_rows(8, x[::-1], 2.0, 2.0))
+
+
+def test_matrix_cache_stays_within_its_bound():
+    for k in range(40):
+        jacobi_matrix(64, np.linspace(-0.9, 0.9, 256) * (1.0 - k / 100.0))
+    assert 0 < sum(r.nbytes for r in _ROWS.values()) <= _ROWS_BYTES
 
 
 @pytest.mark.parametrize("n", range(17))

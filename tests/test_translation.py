@@ -313,13 +313,14 @@ REF_XS = 0.9 * make_grid(64)
 REF_GL = gauss_legendre(2048)
 
 
-def _reference(f, y, kind):
+def _reference(f, y, kind, breaks=(0.0,), xs=REF_XS):
     out = []
-    for x in REF_XS:
-        zs = x * y / (math.sqrt(1.0 - x * x) * math.sqrt(1.0 - y * y))
-        split = math.acos(min(max(zs, -1.0), 1.0))
+    for x in xs:
+        den = math.sqrt(1.0 - x * x) * math.sqrt(1.0 - y * y)
+        splits = sorted(math.acos(min(max((x * y - c) / den, -1.0), 1.0)) for c in breaks)
+        edges = [0.0] + splits + [math.pi]
         total = 0.0
-        for a, b in ((0.0, split), (split, math.pi)):
+        for a, b in zip(edges[:-1], edges[1:]):
             z = np.cos((a + b) / 2.0 + (b - a) / 2.0 * REF_GL.nodes)
             xv, yv = np.full_like(z, x), np.full_like(z, y)
             weight = kernel_B(xv, z, yv) if kind == "asym" else (1.0 - z * z) ** 2
@@ -335,14 +336,56 @@ CORPUS = {e.label: e.handle for e in corpus(7)}
 KERNELS = {"asym": _asym_core, "sym": _sym_core}
 
 
+def _crosses(xs, y, b):
+    """Whether R crosses b inside the z-range at each x: |z*| < 1."""
+    return np.abs((xs * y - b) / (np.sqrt(1.0 - xs * xs) * math.sqrt(1.0 - y * y))) < 1.0
+
+
 @pytest.mark.parametrize("kind", ["asym", "sym"])
 @pytest.mark.parametrize("y", [-0.5, 0.3, 0.9])
 def test_abs_is_split_at_its_break(kind, y):
-    # the default quad_n: one global rule of 2,048 nodes is still off by 1e-7
+    # the default quad_n: one global rule of 2,048 nodes is still off by 1e-7;
+    # the points where R crosses the break and those where it does not are
+    # held to the same bound
     h = CORPUS["|x|"]
     assert h.breaks == (0.0,)
-    got = KERNELS[kind](h, y, REF_XS, 128)
-    assert np.max(np.abs(got - _reference(h.eval, y, kind))) <= 1e-12
+    xs = 0.995 * make_grid(64)
+    crossing = _crosses(xs, y, 0.0)
+    assert 0 < np.sum(crossing) < xs.size
+    err = np.abs(KERNELS[kind](h, y, xs, 128) - _reference(h.eval, y, kind, xs=xs))
+    assert np.max(err[crossing]) <= 1e-12
+    assert np.max(err[~crossing]) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["asym", "sym"])
+def test_points_that_cross_no_break_take_the_break_free_rule(kind):
+    # where R stays on one side of 0 the integrand in theta is smooth and
+    # periodic: |x| declared with its break must then be, bit for bit, the
+    # same |x| declared without it
+    kernel = _asym_kernel if kind == "asym" else _sym_kernel
+    xs = 0.995 * make_grid(64)
+    ys = np.array([-0.9, -0.5, 0.3, 0.6, 0.9, 0.99, 1.0])
+    split = _nested_integral(CORPUS["|x|"], kernel, ys, xs, 128, (0.0,))
+    plain = _nested_integral(CORPUS["|x|"], kernel, ys, xs, 128, ())
+    free = np.array([~_crosses(xs, y, 0.0) if y < 1.0 else np.full(xs.size, True) for y in ys])
+    assert 0 < np.sum(free) < free.size
+    assert np.array_equal(split[free], plain[free])
+    assert np.all(split[~free] != plain[~free])
+
+
+@pytest.mark.parametrize("kind", ["asym", "sym"])
+@pytest.mark.parametrize("y", [-0.5, 0.3, 0.9])
+def test_two_breaks_where_R_crosses_only_some_of_them(kind, y):
+    # kinks at -0.4 and 0.3: at each y some points cross both, some one and
+    # some neither, and each takes only its own panels
+    breaks = (-0.4, 0.3)
+    f = lambda x: np.abs(x - 0.3) + 2.0 * np.maximum(x + 0.4, 0.0)
+    h = FunctionHandle(eval=f, breaks=breaks)
+    xs = 0.995 * make_grid(64)
+    crossings = _crosses(xs, y, breaks[0]).astype(int) + _crosses(xs, y, breaks[1])
+    assert set(crossings.tolist()) == {0, 1, 2}
+    got = KERNELS[kind](h, y, xs, 128)
+    assert np.max(np.abs(got - _reference(f, y, kind, breaks=breaks, xs=xs))) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["asym", "sym"])
