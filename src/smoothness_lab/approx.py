@@ -272,6 +272,11 @@ def _lstsq(M, rhs):
     return dgelsy(M, rhs, np.zeros(k, dtype=np.int32), np.finfo(float).eps * max(m, k), lwork)[1][:k]
 
 
+def _gradient_max(V, w, u, p):
+    """max |V^T (w sign(u) |u|^(p-1))|: the largest component of the gradient of sum w |u|^p / p."""
+    return float(np.max(np.abs(V.T @ (w * np.sign(u) * np.abs(u) ** (p - 1.0)))))
+
+
 def _damped_newton(fv, V, w, p, scale):
     """Minimise sum w|fv - V c|^p, 1 < p < inf; returns (coeffs, iterations, backtracks).
 
@@ -282,13 +287,18 @@ def _damped_newton(fv, V, w, p, scale):
     never of r, so none underflows at large p. The weights |r|^(p-2) are
     floored at 1e-12 max|r| where they shape the step, while the right-hand
     side keeps the true gradient, so the fixed point is the true minimiser.
-    The loop stops when the residual, or a step that still fails to decrease
-    the objective, is within rounding of f.
+    Once no halved step decreases the objective, its rounding hides the
+    rest of the descent: a gradient of about sqrt(eps) relative moves it
+    by only eps. Full Newton steps then go on while each halves the largest
+    gradient component, which rounds at eps of its own size. The loop stops
+    when the residual, or the step, is within rounding of f, or when a
+    Newton step no longer halves the gradient.
     """
     tiny = 64.0 * np.finfo(float).eps * scale
     sw = np.sqrt(w)
     coeffs = _lstsq(V * sw[:, None], fv * sw)  # weighted L2 fit
     backtracks = 0
+    polish = None  # the scale of r and the gradient, once the objective stops decreasing
     for iterations in range(1, 501):
         r = fv - V @ coeffs
         rmax = float(np.max(np.abs(r)))
@@ -311,13 +321,21 @@ def _damped_newton(fv, V, w, p, scale):
         vd = V @ d
         vmax = float(np.max(np.abs(vd)))
         t = 1.0 / (p - 1.0)
-        while t * vmax > tiny:
-            if ordered_sum(w * np.abs((r - t * vd) / rmax) ** p) < phi:
-                break
-            t *= 0.5
-            backtracks += 1
-        else:
-            return coeffs, iterations, backtracks  # the objective stopped decreasing
+        if polish is None:
+            while t * vmax > tiny:
+                if ordered_sum(w * np.abs((r - t * vd) / rmax) ** p) < phi:
+                    break
+                t *= 0.5
+                backtracks += 1
+            else:
+                # the objective stopped decreasing: from here on the gradient ranks full Newton steps
+                polish = rmax, _gradient_max(V, w, rn, p)
+        if polish is not None:
+            t = 1.0 / (p - 1.0)
+            g = _gradient_max(V, w, (r - t * vd) / polish[0], p)
+            if t * vmax <= tiny or g > 0.5 * polish[1]:
+                return coeffs, iterations, backtracks
+            polish = polish[0], g
         coeffs = coeffs + t * d
     raise ConvergenceError("damped Newton did not converge within 500 iterations")
 

@@ -583,19 +583,18 @@ def run_lemma_suite(config: Config = Config()):
                 lhs = _asym_core(poly, math.cos(tt), xs, cfg.quad_n) - px
                 outer_t = tt * (gl.nodes + 1.0) / 2.0
                 outer_w = gl.weights * tt / 2.0
+                # every inner node u of every outer node v in one translation
+                inner_t = outer_t[:, None] * (gl.nodes + 1.0) / 2.0
+                inner_w = gl.weights * outer_t[:, None] / 2.0
+                us = inner_t.ravel().tolist()
+                inner = _asym_core(dpoly, np.array([math.cos(u) for u in us]), xs, 64)
+                wu = np.reshape([32.0 * math.sin(u / 2.0) * math.cos(u / 2.0) ** 9 for u in us], inner_t.shape)
+                acc = np.cumsum((inner_w * wu)[..., None] * inner.reshape(inner_t.shape + xs.shape), axis=1)[:, -1]
                 rhs = np.zeros_like(xs)
                 for j in range(outer_t.size):
                     v = outer_t[j]
-                    inner_t = v * (gl.nodes + 1.0) / 2.0
-                    inner_w = gl.weights * v / 2.0
-                    inner = _asym_core(dpoly, np.array([math.cos(u) for u in inner_t]), xs, 64)
-                    acc = np.zeros_like(xs)
-                    for k in range(inner_t.size):
-                        u = inner_t[k]
-                        wu = 32.0 * math.sin(u / 2.0) * math.cos(u / 2.0) ** 9
-                        acc += inner_w[k] * wu * inner[k]
                     dens = 32.0 * math.sin(v / 2.0) * math.cos(v / 2.0) ** 9
-                    rhs += outer_w[j] * acc / dens
+                    rhs += outer_w[j] * acc[j] / dens
                 diff = float(np.max(np.abs(lhs - rhs)))
                 details.append({"case": f"{label},t={tt}", "value": diff})
                 worst = max(worst, diff)

@@ -1,16 +1,25 @@
 """Gaussian quadrature rules on [-1, 1] and deterministic integration.
 
 The Legendre and Jacobi rules start from the eigenvalues of the symmetric
-tridiagonal Jacobi matrix (Golub & Welsch, Math. Comp. 1969), computed
-without eigenvectors. One Newton step on p_n, evaluated by the orthonormal
-three-term recurrence whose coefficients fill that matrix, refines each
-node, and the weights are the Christoffel numbers mu0 / sum_{k<n} p_k(x)^2
-of the same recurrence at the refined nodes (as in Hale & Townsend, SIAM
-J. Sci. Comput. 2013). This takes O(n^2) time and O(n) memory, where the
-eigenvectors took an n x n matrix, and the weights near the ends are at
-least as accurate. The Chebyshev rule is closed form. Node order is always
-ascending and summation order is fixed, so repeated calls are bitwise
-reproducible on the same platform.
+tridiagonal Jacobi matrix T (Golub & Welsch, Math. Comp. 1969), computed
+without eigenvectors. For the symmetric weights of the package, (1-x^2)^a
+(Legendre, the (2, 2) rule and each norm's (p alpha, p alpha) rule), T has
+a zero diagonal: its eigenvalues come in pairs +-x, and the positive ones
+are the square roots of the eigenvalues of the half-size tridiagonal block
+of T^2 on the odd indices. Only the nonnegative nodes are refined and
+weighted, and the rule is their exact mirror image. One pass of the
+orthonormal three-term recurrence whose coefficients fill T gives p_n, p_n'
+and p_{n-1}, p_{n-1}' at each eigenvalue: one Newton step refines the
+node, and the weight is the Christoffel number mu0 / sum_{k<n} p_k^2 at the
+refined node, by Christoffel-Darboux mu0 / (p_n' p_{n-1}) there, both
+factors carried to the refined node to first order with p_n'' from the
+Jacobi differential equation (as in Hale & Townsend, SIAM J. Sci. Comput.
+2013). This takes O(n^2) time and O(n) memory, and the weights near the
+ends are more accurate than those of the eigenvectors. Unequal exponents
+take the full eigenproblem and the same pass over all n nodes. The
+Chebyshev rule is closed form. Node order is always ascending, every
+symmetric rule is bitwise symmetric, and summation order is fixed, so
+repeated calls are bitwise reproducible on the same platform.
 """
 
 from __future__ import annotations
@@ -91,25 +100,42 @@ def _check_n(n: int) -> int:
     return int(n)
 
 
-def _orthonormal_sums(x, diag, off):
-    """p_n(x) and p_n'(x), both times off[n-1], and sum_{k<n} p_k(x)^2.
+def _last_two(x, diag, off):
+    """p_n, p_n', p_{n-1} and p_{n-1}' at x, the first two times off[n-1].
 
     p_k are the orthonormal polynomials of the recurrence diag, off scaled to
-    p_0 = 1: off[k] p_{k+1} = (x - diag[k]) p_k - off[k-1] p_{k-1}.
+    p_0 = 1: off[k] p_{k+1} = (x - diag[k]) p_k - off[k-1] p_{k-1}. A diag
+    of None stands for a zero diagonal.
     """
-    n = diag.size
+    n = off.size + 1
     p_prev, p = np.zeros_like(x), np.ones_like(x)
     d_prev, d = np.zeros_like(x), np.zeros_like(x)
-    total = np.zeros_like(x)
     for k in range(n):
-        total += p * p
-        t = x - diag[k]
+        t = x if diag is None else x - diag[k]
         beta = off[k - 1] if k else 0.0
         scale = off[k] if k < n - 1 else 1.0
         p_next = (t * p - beta * p_prev) / scale
         d_prev, d = d, (p + t * d - beta * d_prev) / scale
         p_prev, p = p, p_next
-    return p, d, total
+    return p, d, p_prev, d_prev
+
+
+def _newton_christoffel(x, diag, off, a, b, mu0):
+    """Nodes and weights of the Gauss-Jacobi rule from approximate zeros x of p_n.
+
+    One pass of _last_two gives P = off[n-1] p_n, P', p_{n-1} and p_{n-1}'
+    at x. One Newton step x + h, h = -P / P', refines each node. Its weight
+    is the Christoffel number mu0 / sum_{k<n} p_k^2, where by
+    Christoffel-Darboux the sum is P' p_{n-1} - p_{n-1}' P, at a zero of P
+    just P' p_{n-1}. Both factors are carried to x + h to first order in h,
+    with P'' from the Jacobi differential equation
+    (1 - x^2) y'' = (a - b + (a + b + 2) x) y' - n (n + a + b + 1) y.
+    """
+    n = off.size + 1
+    p_n, d_n, p_m, d_m = _last_two(x, diag, off)
+    h = -p_n / d_n
+    dd_n = ((a - b + (a + b + 2.0) * x) * d_n - n * (n + a + b + 1.0) * p_n) / ((1.0 - x) * (1.0 + x))
+    return x + h, mu0 / ((d_n + dd_n * h) * (p_m + d_m * h))
 
 
 def _golub_welsch(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -134,12 +160,22 @@ def _golub_welsch(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     )
     if n == 1:
         return np.array([diag[0]]), np.array([mu0])
-    # one Newton step on the zeros of p_n from the eigenvalues, then the
-    # Christoffel weights at the refined nodes
-    x = eigh_tridiagonal(diag, off, eigvals_only=True)
-    p_n, d_n, _ = _orthonormal_sums(x, diag, off)
-    x = x - p_n / d_n
-    return x, mu0 / _orthonormal_sums(x, diag, off)[2]
+    if a != b:
+        x = eigh_tridiagonal(diag, off, eigvals_only=True)
+        return _newton_christoffel(x, diag, off, a, b, mu0)
+    # a == b: the diagonal is zero, so the zeros come in pairs +-x and T^2
+    # keeps the parity of an index. Its block on the odd indices is
+    # tridiagonal, with the squares of the n // 2 positive zeros for
+    # eigenvalues. Only those zeros are refined and weighted; an odd rule
+    # adds the midpoint, where p_n is exactly 0 and the node stays 0.0. The
+    # negative half is their mirror image.
+    o = np.append(off, 0.0)
+    m = n // 2
+    square_diag = o[0 : 2 * m : 2] ** 2 + o[1 : 2 * m : 2] ** 2
+    square_off = o[1 : 2 * m - 2 : 2] * o[2 : 2 * m - 1 : 2]
+    x = np.sqrt(eigh_tridiagonal(square_diag, square_off, eigvals_only=True))
+    x, w = _newton_christoffel(np.concatenate(([0.0], x)) if n % 2 else x, None, off, a, a, mu0)
+    return np.concatenate((-x[::-1][:m], x)), np.concatenate((w[::-1][:m], w))
 
 
 @lru_cache(maxsize=256)

@@ -71,6 +71,9 @@ def kernel_B(x, z, y):
 _Z_RTOL = 1e-14
 # Intervals per panel at the first level of the convergence-stopped z-rule.
 _Z_START = 8
+# Elements that a chunk of the exact z-rule may hold whatever len(xs) *
+# quad_n is, so that many y on a few x take a few chunks, not one per y.
+_EXACT_CHUNK = 2**16
 
 
 def _z_nodes(fn, quad_n: int) -> int:
@@ -140,15 +143,16 @@ def _exact_integral(fn, kernel, ys, xs, quad_n, nodes):
     """z-integral of kernel * f(R) by the Gauss-Chebyshev rule of nodes nodes, shape (len(ys), len(xs)).
 
     Rows of y are taken in chunks whose arrays hold at most
-    len(xs) * quad_n elements; each element goes through the same
-    operations in the same order as a call with a scalar y.
+    max(len(xs) * quad_n, _EXACT_CHUNK) elements; each element goes through
+    the same operations in the same order as a call with a scalar y, so the
+    values do not depend on the chunks.
     """
     rule = gauss_chebyshev(nodes)
     z = rule.nodes
     x = xs[None, :, None]
     sx = np.sqrt(1.0 - x * x)
     out = np.empty((ys.size, xs.size))
-    chunk = max(1, int(quad_n) // nodes)
+    chunk = max(1, max(xs.size * int(quad_n), _EXACT_CHUNK) // (xs.size * nodes))
     for lo in range(0, ys.size, chunk):
         y = ys[lo : lo + chunk, None, None]
         sy = np.sqrt(np.maximum(1.0 - y * y, 0.0))

@@ -143,6 +143,21 @@ def test_newton_irls_converges_to_a_stationary_point(params, label):
         assert np.max(np.abs(grad)) <= 1e-8 * scale, n
 
 
+@pytest.mark.parametrize("params,n", [(P15, 8), (P3, 9)], ids=["p1.5-n8", "p3-n9"])
+def test_newton_irls_goes_on_where_the_objective_stops_ranking_steps(params, n):
+    # (1-x)^0.75 leaves a residual of 2% of f, but no halved step lowered the
+    # rounded objective once the gradient was near sqrt(eps); Newton steps
+    # that halve the gradient take it to rounding
+    f = NEWTON_CASES["(1-x)^0.75"]
+    p = params.p
+    rule = gauss_jacobi(512, p * params.alpha, p * params.alpha)
+    r = f(rule.nodes) - best_approx(f, n, params, grid_n=512).argmin(rule.nodes)
+    V = chebvander(rule.nodes, n - 1)
+    grad = V.T @ (rule.weights * np.abs(r) ** (p - 1.0) * np.sign(r))
+    scale = ordered_sum(rule.weights * np.abs(r) ** (p - 1.0)) * np.max(np.abs(V))
+    assert np.max(np.abs(grad)) <= 1e-10 * scale
+
+
 @pytest.mark.parametrize("shape,rank", [((40, 7), 7), ((6, 6), 4), ((5, 9), 5)], ids=["tall", "singular", "wide"])
 def test_lstsq_is_the_minimum_norm_least_squares_solution(shape, rank):
     # the Newton solves take dgelsy's rank-revealing QR in place of an SVD;

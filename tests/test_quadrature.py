@@ -193,3 +193,14 @@ def test_endpoint_nodes_and_weights_against_a_40_digit_reference(n, a, b):
         w = scale / ((1 - x * x) * derivative(x) ** 2)
         assert abs(float(nodes[i] - x)) <= 1e-16, i
         assert abs(float(weights[i] / w) - 1.0) <= 1e-10, i
+
+
+@pytest.mark.parametrize("a", EXPONENTS)
+@pytest.mark.parametrize("n", [4, 5, 64, 2047, 2048])
+def test_symmetric_rules_are_bitwise_symmetric(n, a):
+    # a symmetric weight gets its nonnegative half and the mirror image of it
+    for rule in (gauss_legendre(n), gauss_jacobi(n, a, a)):
+        assert np.array_equal(rule.nodes, -rule.nodes[::-1]), rule.kind
+        assert np.array_equal(rule.weights, rule.weights[::-1]), rule.kind
+        if n % 2:
+            assert rule.nodes[n // 2] == 0.0, rule.kind

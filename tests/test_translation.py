@@ -437,6 +437,18 @@ def test_batched_y_matches_calls_per_y(kind, quad_n):
     assert core(CORPUS["|x|"], 0.5, xs, quad_n).shape == xs.shape
 
 
+@pytest.mark.parametrize("n_x", [5, 16])
+def test_exact_rule_rows_do_not_depend_on_their_chunk(n_x):
+    # 4,096 y on a few x go through the exact rule in a few large chunks;
+    # every row must be bitwise the row of a call with that y alone
+    xs = make_grid(n_x)
+    ys = np.cos(np.linspace(0.0, 3.0, 4096))
+    for poly in (jacobi_poly(5, 2, 2), jacobi_poly(12, 2, 2)):
+        batched = _asym_core(poly, ys, xs, 64)
+        single = np.array([_asym_core(poly, float(y), xs, 64) for y in ys])
+        assert np.array_equal(batched, single), poly.degree
+
+
 MODULI_SPACES = {
     "p1": SpaceParams(1.0, 0.75),
     "p1.5": SpaceParams(1.5, 11.0 / 12.0),
