@@ -8,15 +8,16 @@ import sys
 from dataclasses import fields, replace
 
 from .approx import best_approx
-from .errors import InvalidArgumentError, ReportIOError, SmoothnessLabError
-from .harness import Config, corpus, emit_report, run_lemma_suite, run_theorem_sweep
+from .errors import InvalidArgumentError, SmoothnessLabError
+from .harness import SCHEMA_VERSION, Config, _write_report, corpus, emit_report, run_lemma_suite, run_theorem_sweep
 from .space import SpaceParams
 from .translation import _moduli, multiplier_psi
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
-# Keys of retired Config fields (the old Jackson operator's t- and z-rules)
-# that older config files still set: ignored with a warning.
-_RETIRED_KEYS = ("jackson_quad", "jackson_t_nodes")
+# Keys of retired Config fields that older config files still set, ignored
+# with a warning: the old Jackson operator's t- and z-rules, and the fixed
+# rules of self-adjointness, coefficient-multiplier and l2-optimality.
+_RETIRED_KEYS = ("jackson_quad", "jackson_t_nodes", "pair_nodes", "pair_quad", "coeff_nodes", "coeff_quad")
 
 
 def _parse_value(key: str, raw: str):
@@ -106,7 +107,7 @@ def _merge_config(args) -> Config:
 
 def _emit_rows(name: str, rows, fmt: str, path):
     if fmt == "json":
-        payload = {"schema_version": 1, "table": name, "rows": rows}
+        payload = {"schema_version": SCHEMA_VERSION, "table": name, "rows": rows}
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         cols = sorted({k for row in rows for k in row})
@@ -117,11 +118,7 @@ def _emit_rows(name: str, rows, fmt: str, path):
     if path is None:
         sys.stdout.write(text)
     else:
-        try:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as e:
-            raise ReportIOError(f"cannot write table to {path!r}: {e}") from e
+        _write_report(text, path)
 
 
 def _run_table(cfg: Config, op: str, fmt: str, path) -> int:

@@ -61,17 +61,12 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 # node counts, degrees and grid sizes: each must be a positive integer
-_RESOLUTION_FIELDS = (
-    "quad_n",
-    "norm_nodes",
-    "t_points",
-    "kdeg",
-    "pair_nodes",
-    "pair_quad",
-    "coeff_nodes",
-    "coeff_quad",
-    "approx_grid",
-)
+_RESOLUTION_FIELDS = ("quad_n", "norm_nodes", "t_points", "kdeg", "approx_grid")
+# Fixed node counts of the checks whose tolerances demand more than quad_n:
+# x-panels and z-rule of self-adjointness, and the x-rule, z-rule and
+# projection grid of coefficient-multiplier and l2-optimality.
+_PAIR_NODES = 1024
+_COEFF_NODES = 2048
 
 
 def _is_positive_int(v) -> bool:
@@ -96,11 +91,6 @@ class Config:
     tol_scale: float = 1.0
     deltas: tuple = (0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.4)
     degrees: tuple = (2, 4, 8, 16, 32)
-    # heavier resolutions for the checks whose tolerances demand them
-    pair_nodes: int = 1024
-    pair_quad: int = 1024
-    coeff_nodes: int = 2048
-    coeff_quad: int = 2048
     approx_grid: int = 512
 
     def __post_init__(self):
@@ -293,6 +283,35 @@ def _run(check_id: str, tolerance: Optional[float], fn: Callable[[], tuple]) -> 
     return VerificationReport(check_id, status, observed, tolerance, tuple(details), note, elapsed)
 
 
+def _run_checks(cfg: Config, checks) -> list:
+    """Run a table of (check_id, tolerance, fn) in order, each tolerance scaled by tol_scale."""
+    return [_run(cid, None if tol is None else tol * cfg.tol_scale, fn) for cid, tol, fn in checks]
+
+
+def _worst(rows) -> float:
+    """The largest value of the detail rows, and at least 0.0; a NaN wins, so its check fails."""
+    return float(np.max([d["value"] for d in rows if d["value"] is not None], initial=0.0))
+
+
+def _spread(vals) -> float:
+    """max(vals) / min(vals); a NaN wins."""
+    return float(np.max(vals) / np.min(vals))
+
+
+def _skip(case: str, note: str) -> dict:
+    return {"case": case, "value": None, "note": note}
+
+
+def _space(cfg: Config) -> SpaceParams:
+    """The space of cfg; InvalidArgumentError when (p, alpha) is not admissible."""
+    verdict = validate_params(cfg.p, cfg.alpha)
+    if not verdict.admissible:
+        raise InvalidArgumentError(
+            f"(p, alpha) = ({cfg.p:g}, {cfg.alpha:g}) is outside the admissible range {verdict.interval()}"
+        )
+    return SpaceParams(cfg.p, cfg.alpha)
+
+
 def _split_rule(n_panel: int, y: float):
     """Composite Gauss rule for the (1-x^2)^2 inner product of tau_y f.
 
@@ -330,39 +349,30 @@ def run_lemma_suite(config: Config = Config()):
     raises is reported as failed, never aborting the suite.
     """
     cfg = config
-    verdict = validate_params(cfg.p, cfg.alpha)
-    if not verdict.admissible:
-        raise InvalidArgumentError(
-            f"(p, alpha) = ({cfg.p:g}, {cfg.alpha:g}) is outside the admissible range {verdict.interval()}"
-        )
+    params = _space(cfg)
     entries = corpus(cfg.seed)
+    handle = {e.label: e.handle for e in entries}
     grid16 = make_grid(16)
-    reports = []
-    t = lambda v: v * cfg.tol_scale
+    p21 = SpaceParams(2.0, 1.0)
 
     def quadrature_exactness():
-        worst, details = 0.0, []
+        rows = []
         cases = [
             ("legendre", gauss_legendre, _legendre_moment),
             ("chebyshev1", gauss_chebyshev, _chebyshev_moment),
             ("jacobi(2,2)", lambda n: gauss_jacobi(n, 2.0, 2.0), _jacobi22_moment),
         ]
         for name, make, moment in cases:
-            err = 0.0
-            for n in (2, 4, 8, 16):
-                rule = make(n)
-                for k in range(2 * n):
-                    got = ordered_sum(rule.weights * rule.nodes ** k)
-                    ref = moment(k)
-                    err = max(err, abs(got - ref) / max(1.0, abs(ref)))
-            details.append({"case": name, "value": err})
-            worst = max(worst, err)
-        return worst, details, ""
-
-    reports.append(_run("quadrature-exactness", t(1e-12), quadrature_exactness))
+            errs = [
+                abs(ordered_sum(rule.weights * rule.nodes ** k) - moment(k)) / max(1.0, abs(moment(k)))
+                for rule in map(make, (2, 4, 8, 16))
+                for k in range(2 * rule.nodes.size)
+            ]
+            rows.append({"case": name, "value": float(np.max(errs))})
+        return _worst(rows), rows, ""
 
     def quadrature_doubling():
-        worst, details = 0.0, []
+        rows = []
         base = max(int(cfg.quad_n), 2)
         cases = [(e.label, e.handle.eval, e.tag) for e in entries]
         # near-pole rational sentinel: its Gauss error is visible at low node
@@ -370,29 +380,21 @@ def run_lemma_suite(config: Config = Config()):
         cases.append(("1/(1.1+x)", lambda x: 1.0 / (1.1 + np.asarray(x, dtype=float)), "analytic"))
         for label, fn, tag in cases:
             if tag in ("kink", "endpoint-singular"):
-                details.append({"case": label, "value": None, "note": "non-smooth integrand, excluded"})
+                rows.append(_skip(label, "non-smooth integrand, excluded"))
                 continue
-            lo = integrate(fn, gauss_legendre(base))
-            hi = integrate(fn, gauss_legendre(2 * base))
-            diff = abs(lo - hi)
-            details.append({"case": label, "value": diff})
-            worst = max(worst, diff)
-        return worst, details, "non-smooth entries excluded: plain Gauss converges only algebraically there"
-
-    reports.append(_run("quadrature-doubling", t(1e-8), quadrature_doubling))
+            diff = abs(integrate(fn, gauss_legendre(base)) - integrate(fn, gauss_legendre(2 * base)))
+            rows.append({"case": label, "value": diff})
+        return _worst(rows), rows, "non-smooth entries excluded: plain Gauss converges only algebraically there"
 
     def jacobi_orthogonality():
         rule = gauss_jacobi(64, 2.0, 2.0)
         mat = jacobi_matrix(16, rule.nodes)
         gram = (mat * rule.weights[None, :]) @ mat.T
-        off = gram - np.diag(np.diag(gram))
-        worst = float(np.max(np.abs(off)))
-        return worst, [{"case": "n<=16", "value": worst}], ""
-
-    reports.append(_run("jacobi-orthogonality", t(1e-10), jacobi_orthogonality))
+        rows = [{"case": "n<=16", "value": float(np.max(np.abs(gram - np.diag(np.diag(gram)))))}]
+        return _worst(rows), rows, ""
 
     def jacobi_eigenrelation():
-        worst, details = 0.0, []
+        rows = []
         for n in range(0, 17):
             poly = jacobi_poly(n, 2, 2)
             image = apply_D_poly(poly)
@@ -401,149 +403,93 @@ def run_lemma_suite(config: Config = Config()):
             resid[: image.cheb.size] += image.cheb
             resid -= lam * poly.cheb
             scale = max(1.0, float(np.max(np.abs(lam * poly.cheb))))
-            rel = float(np.max(np.abs(resid))) / scale
-            details.append({"case": f"n={n}", "value": rel})
-            worst = max(worst, rel)
-        return worst, details, "residual relative to the largest coefficient of the eigenvalue image"
-
-    reports.append(_run("jacobi-eigenrelation", t(1e-10), jacobi_eigenrelation))
+            rows.append({"case": f"n={n}", "value": float(np.max(np.abs(resid))) / scale})
+        return _worst(rows), rows, "residual relative to the largest coefficient of the eigenvalue image"
 
     def jacobi_normalization():
-        worst = 0.0
-        for n in range(33):
-            worst = max(worst, abs(jacobi_eval(n, 2, 2, 1.0) - 1.0))
-        return worst, [{"case": "n<=32", "value": worst}], ""
-
-    reports.append(_run("jacobi-normalization", 0.0, jacobi_normalization))
+        rows = [{"case": "n<=32", "value": float(np.max([abs(jacobi_eval(n, 2, 2, 1.0) - 1.0) for n in range(33)]))}]
+        return _worst(rows), rows, ""
 
     def jacobi_eval_agreement():
-        worst, details = 0.0, []
         grid = make_grid(64)
-        for n in (8, 12, 16, 24, 32, 48, 64):
-            diff = float(np.max(np.abs(jacobi_eval(n, 2, 2, grid) - jacobi_poly(n, 2, 2)(grid))))
-            details.append({"case": f"n={n}", "value": diff})
-            worst = max(worst, diff)
-        return worst, details, ""
-
-    reports.append(_run("jacobi-eval-agreement", t(1e-12), jacobi_eval_agreement))
+        rows = [
+            {"case": f"n={n}", "value": float(np.max(np.abs(jacobi_eval(n, 2, 2, grid) - jacobi_poly(n, 2, 2)(grid))))}
+            for n in (8, 12, 16, 24, 32, 48, 64)
+        ]
+        return _worst(rows), rows, ""
 
     def translation_identity():
-        worst, details = 0.0, []
+        rows = []
         for e in entries:
             fx = np.asarray(e.handle(grid16), dtype=float)
             tv = _asym_core(e.handle, 1.0, grid16, cfg.quad_n)
-            diff = float(np.max(np.abs(tv - fx)))
-            details.append({"case": e.label, "value": diff})
-            worst = max(worst, diff)
-        return worst, details, ""
-
-    reports.append(_run("translation-identity", t(1e-10), translation_identity))
+            rows.append({"case": e.label, "value": float(np.max(np.abs(tv - fx)))})
+        return _worst(rows), rows, ""
 
     def translation_constant():
-        worst, details = 0.0, []
         one = lambda r: np.ones_like(r)
-        for y in (-0.9, -0.5, 0.0, 0.5, 0.9, 1.0):
-            tv = _asym_core(one, y, grid16, cfg.quad_n)
-            diff = float(np.max(np.abs(tv - 1.0)))
-            details.append({"case": f"y={y:g}", "value": diff})
-            worst = max(worst, diff)
-        return worst, details, ""
-
-    reports.append(_run("translation-constant", t(1e-10), translation_constant))
+        rows = [
+            {"case": f"y={y:g}", "value": float(np.max(np.abs(_asym_core(one, y, grid16, cfg.quad_n) - 1.0)))}
+            for y in (-0.9, -0.5, 0.0, 0.5, 0.9, 1.0)
+        ]
+        return _worst(rows), rows, ""
 
     def translation_linearity():
-        worst, details = 0.0, []
-        by_label = {e.label: e.handle for e in entries}
-        pairs = (("x", "sin(3x)"), ("x^2", "|x|"))
+        rows = []
         a, b = 0.7, -1.3
-        for la, lb in pairs:
-            fa, fb = by_label[la], by_label[lb]
+        for la, lb in (("x", "sin(3x)"), ("x^2", "|x|")):
+            fa, fb = handle[la], handle[lb]
             combo = lambda r: a * np.asarray(fa(r), dtype=float) + b * np.asarray(fb(r), dtype=float)
             for y in (-0.5, 0.5):
                 lhs = _asym_core(combo, y, grid16, cfg.quad_n)
-                rhs = a * _asym_core(fa.eval, y, grid16, cfg.quad_n) + b * _asym_core(
-                    fb.eval, y, grid16, cfg.quad_n
-                )
-                diff = float(np.max(np.abs(lhs - rhs)))
-                details.append({"case": f"{la},{lb},y={y:g}", "value": diff})
-                worst = max(worst, diff)
-        return worst, details, ""
+                rhs = a * _asym_core(fa.eval, y, grid16, cfg.quad_n) + b * _asym_core(fb.eval, y, grid16, cfg.quad_n)
+                rows.append({"case": f"{la},{lb},y={y:g}", "value": float(np.max(np.abs(lhs - rhs)))})
+        return _worst(rows), rows, ""
 
-    reports.append(_run("translation-linearity", t(1e-12), translation_linearity))
+    def product_formula(core, multiplier, note):
+        # each mode P_n, translated by core, against P_n times its multiplier at y
+        def check():
+            rows = []
+            for n in range(9):
+                fn = lambda r, n=n: jacobi_eval(n, 2, 2, r)
+                px = jacobi_eval(n, 2, 2, grid16)
+                errs = [np.abs(core(fn, y, grid16, cfg.quad_n) - px * multiplier(n, y)) for y in (-0.5, 0.0, 0.5, 0.9)]
+                rows.append({"case": f"n={n}", "value": float(np.max(errs))})
+            return _worst(rows), rows, note
 
-    def product_formula():
-        worst, details = 0.0, []
-        for n in range(9):
-            fn = lambda r, n=n: jacobi_eval(n, 2, 2, r)
-            px = jacobi_eval(n, 2, 2, grid16)
-            err = 0.0
-            for y in (-0.5, 0.0, 0.5, 0.9):
-                psi = multiplier_psi(n, y)
-                tv = _asym_core(fn, y, grid16, cfg.quad_n)
-                err = max(err, float(np.max(np.abs(tv - px * psi))))
-            details.append({"case": f"n={n}", "value": err})
-            worst = max(worst, err)
-        return worst, details, "z-quadrature translate of each mode against the mode scaled by its closed-form multiplier"
-
-    reports.append(_run("product-formula", t(1e-8), product_formula))
-
-    def sym_product_formula():
-        worst, details = 0.0, []
-        for n in range(9):
-            fn = lambda r, n=n: jacobi_eval(n, 2, 2, r)
-            px = jacobi_eval(n, 2, 2, grid16)
-            err = 0.0
-            for y in (-0.5, 0.0, 0.5, 0.9):
-                tv = _sym_core(fn, y, grid16, cfg.quad_n)
-                err = max(err, float(np.max(np.abs(tv - px * jacobi_eval(n, 2, 2, y)))))
-            details.append({"case": f"n={n}", "value": err})
-            worst = max(worst, err)
-        return worst, details, "symmetric average of each mode splits into a product"
-
-    reports.append(_run("sym-product-formula", t(1e-8), sym_product_formula))
+        return check
 
     def coefficient_multiplier():
-        worst, details = 0.0, []
+        rows = []
         y = 0.5
-        xs, ws = _split_rule(cfg.coeff_nodes // 2, y)
+        xs, ws = _split_rule(_COEFF_NODES // 2, y)
         basis = jacobi_matrix(6, xs)
         hs = np.array([jacobi_h(m) for m in range(7)])
         psis = np.array([multiplier_psi(m, y) for m in range(7)])
         for e in entries:
             fv = np.asarray(e.handle(xs), dtype=float)
-            tv = _asym_core(e.handle, y, xs, cfg.coeff_quad)
+            tv = _asym_core(e.handle, y, xs, _COEFF_NODES)
             a_f = np.cumsum(basis * (ws * fv)[None, :], axis=1)[:, -1] / hs
             a_t = np.cumsum(basis * (ws * tv)[None, :], axis=1)[:, -1] / hs
-            err = float(np.max(np.abs(a_t - psis * a_f)))
-            details.append({"case": e.label, "value": err})
-            worst = max(worst, err)
-        return worst, details, f"y={y}"
-
-    reports.append(_run("coefficient-multiplier", t(1e-7), coefficient_multiplier))
+            rows.append({"case": e.label, "value": float(np.max(np.abs(a_t - psis * a_f)))})
+        return _worst(rows), rows, f"y={y}"
 
     def self_adjointness():
-        worst, details = 0.0, []
+        rows = []
+        labels = list(handle)
         for y in (-0.5, 0.5):
-            xs, ws = _split_rule(cfg.pair_nodes, y)
-            values = {}
-            translated = {}
-            for e in entries:
-                values[e.label] = np.asarray(e.handle(xs), dtype=float)
-                translated[e.label] = _asym_core(e.handle, y, xs, cfg.pair_quad)
-            labels = [e.label for e in entries]
+            xs, ws = _split_rule(_PAIR_NODES, y)
+            values = {e.label: np.asarray(e.handle(xs), dtype=float) for e in entries}
+            translated = {e.label: _asym_core(e.handle, y, xs, _PAIR_NODES) for e in entries}
             for i, la in enumerate(labels):
                 for lb in labels[i:]:
                     lhs = ordered_sum(ws * translated[la] * values[lb])
                     rhs = ordered_sum(ws * values[la] * translated[lb])
-                    diff = abs(lhs - rhs)
-                    details.append({"case": f"({la},{lb}),y={y:g}", "value": diff})
-                    worst = max(worst, diff)
-        return worst, details, "weight (1-x^2)^2"
-
-    reports.append(_run("self-adjointness", t(1e-8), self_adjointness))
+                    rows.append({"case": f"({la},{lb}),y={y:g}", "value": abs(lhs - rhs)})
+        return _worst(rows), rows, "weight (1-x^2)^2"
 
     def d_commutation():
-        worst, details = 0.0, []
+        rows = []
         polys = {
             "x": jacobi_poly(1, 2, 2),
             "x^2": PolynomialRep(cheb=[0.5, 0.0, 0.5]),
@@ -560,15 +506,11 @@ def run_lemma_suite(config: Config = Config()):
                 samples = _asym_core(poly, y, fit_grid, cfg.quad_n)
                 coeffs, *_ = np.linalg.lstsq(vander, samples, rcond=None)
                 rhs = apply_D_poly(PolynomialRep(cheb=coeffs))(grid16)
-                diff = float(np.max(np.abs(lhs - rhs)))
-                details.append({"case": f"{label},y={y:g}", "value": diff})
-                worst = max(worst, diff)
-        return worst, details, "translated polynomial refit at degree 8 before applying the operator"
-
-    reports.append(_run("d-commutation", t(1e-7), d_commutation))
+                rows.append({"case": f"{label},y={y:g}", "value": float(np.max(np.abs(lhs - rhs)))})
+        return _worst(rows), rows, "translated polynomial refit at degree 8 before applying the operator"
 
     def integral_representation():
-        worst, details = 0.0, []
+        rows = []
         gl = gauss_legendre(64)
         xs = make_grid(5)
         cases = {
@@ -595,62 +537,29 @@ def run_lemma_suite(config: Config = Config()):
                     v = outer_t[j]
                     dens = 32.0 * math.sin(v / 2.0) * math.cos(v / 2.0) ** 9
                     rhs += outer_w[j] * acc[j] / dens
-                diff = float(np.max(np.abs(lhs - rhs)))
-                details.append({"case": f"{label},t={tt}", "value": diff})
-                worst = max(worst, diff)
-        return worst, details, "nested 64-point rules"
+                rows.append({"case": f"{label},t={tt}", "value": float(np.max(np.abs(lhs - rhs)))})
+        return _worst(rows), rows, "nested 64-point rules"
 
-    reports.append(_run("integral-representation", t(1e-6), integral_representation))
-
-    params = SpaceParams(cfg.p, cfg.alpha)
     ts_bound = (0.3, 0.8, 1.5, 2.2, 2.8, 3.0)
 
-    def translation_norm_bound():
-        details = []
-        norm = discrete_norm(params, cfg.norm_nodes)
-        ratios = {}
-        for qn in (cfg.quad_n, 2 * cfg.quad_n):
-            cmax = 0.0
-            for e in entries:
-                fn = e.handle
-                base = norm(sample(fn, norm.nodes))
-                if base < 1e-13:
-                    continue
-                for tt in ts_bound:
-                    tv = _asym_core(fn, math.cos(tt), norm.nodes, qn)
-                    val = norm(tv) * math.cos(tt / 2.0) ** 4 / base
-                    cmax = max(cmax, val)
-            ratios[qn] = cmax
-        lo, hi = ratios[cfg.quad_n], ratios[2 * cfg.quad_n]
-        drift = abs(hi - lo) / max(hi, 1e-300)
-        details.append({"case": "empirical-constant", "value": hi})
-        details.append({"case": "drift", "value": drift})
-        return drift, details, f"norm growth constant {hi:.6g} stable under quadrature doubling"
+    def doubling_drift(image, damping, constant):
+        # the largest ratio ||image of f|| damping(t) / ||f|| over entries and
+        # ts_bound, at quad_n and at 2 quad_n z-nodes; the drift is observed
+        def check():
+            norm = discrete_norm(params, cfg.norm_nodes)
+            bases = [(e, norm(sample(e.handle, norm.nodes))) for e in entries]
+            bases = [(e, base) for e, base in bases if not base < 1e-13]  # a NaN norm stays and fails the check
 
-    reports.append(_run("translation-norm-bound", t(0.10), translation_norm_bound))
+            def largest(qn):
+                ratios = [norm(image(e, tt, norm.nodes, qn)) * damping(tt) / base for e, base in bases for tt in ts_bound]
+                return float(np.max(ratios, initial=0.0))
 
-    def rotation_average_bound():
-        details = []
-        norm = discrete_norm(params, cfg.norm_nodes)
-        ratios = {}
-        for qn in (cfg.quad_n, 2 * cfg.quad_n):
-            cmax = 0.0
-            for e in entries:
-                fn = e.handle.eval
-                base = norm(sample(fn, norm.nodes))
-                if base < 1e-13:
-                    continue
-                for tt in ts_bound:
-                    gv = abs_rotation_average(fn, tt, norm.nodes, qn)
-                    cmax = max(cmax, norm(gv) / base)
-            ratios[qn] = cmax
-        lo, hi = ratios[cfg.quad_n], ratios[2 * cfg.quad_n]
-        drift = abs(hi - lo) / max(hi, 1e-300)
-        details.append({"case": "empirical-constant", "value": hi})
-        details.append({"case": "drift", "value": drift})
-        return drift, details, f"positive-kernel constant {hi:.6g} stable under quadrature doubling"
+            lo, hi = largest(cfg.quad_n), largest(2 * cfg.quad_n)
+            drift = abs(hi - lo) / max(hi, 1e-300)
+            rows = [{"case": "empirical-constant", "value": hi}, {"case": "drift", "value": drift}]
+            return drift, rows, f"{constant} constant {hi:.6g} stable under quadrature doubling"
 
-    reports.append(_run("rotation-average-bound", t(0.10), rotation_average_bound))
+        return check
 
     def kernel_pointwise_bound():
         rng = np.random.default_rng(cfg.seed)
@@ -658,140 +567,109 @@ def run_lemma_suite(config: Config = Config()):
         z = rng.uniform(-1.0, 1.0, 20000)
         y = rng.uniform(-1.0, 1.0, 20000)
         excess = np.abs(kernel_B(x, z, y)) - 19.0 * (1.0 - compute_R(x, z, y) ** 2)
-        worst = float(np.max(excess))
-        return max(worst, 0.0), [{"case": "samples=20000", "value": worst}], ""
+        rows = [{"case": "samples=20000", "value": float(np.max(excess))}]
+        return _worst(rows), rows, ""
 
-    reports.append(_run("kernel-pointwise-bound", t(1e-12), kernel_pointwise_bound))
+    def monotone(labels, values):
+        # values(h) lists a quantity over cfg.deltas; a drop as delta grows is a violation
+        def check():
+            rows = []
+            for label in labels:
+                vals = values(handle[label])
+                rows += [
+                    {"case": f"{label},{a:g}->{b:g}", "value": va - vb}
+                    for a, b, va, vb in zip(cfg.deltas, cfg.deltas[1:], vals, vals[1:])
+                ]
+            return _worst(rows), rows, ""
 
-    def modulus_monotonicity():
-        worst, details = 0.0, []
-        for label in ("x", "|x|", "sin(3x)"):
-            h = next(e.handle for e in entries if e.label == label)
-            vals = _moduli(h, cfg.deltas, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
-            for i in range(len(vals) - 1):
-                viol = vals[i] - vals[i + 1]
-                details.append({"case": f"{label},{cfg.deltas[i]:g}->{cfg.deltas[i+1]:g}", "value": viol})
-                worst = max(worst, viol)
-        return max(worst, 0.0), details, ""
-
-    reports.append(_run("modulus-monotonicity", t(1e-12), modulus_monotonicity))
+        return check
 
     def modulus_stability():
-        h = next(e.handle for e in entries if e.label == "x")
-        lo = modulus(h, 0.5, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
-        hi = modulus(h, 0.5, params, 2 * cfg.t_points, 2 * cfg.quad_n, 2 * cfg.norm_nodes)
-        diff = abs(hi - lo)
-        return diff, [{"case": "delta=0.5", "value": diff}], ""
-
-    reports.append(_run("modulus-stability", t(1e-6), modulus_stability))
+        lo = modulus(handle["x"], 0.5, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
+        hi = modulus(handle["x"], 0.5, params, 2 * cfg.t_points, 2 * cfg.quad_n, 2 * cfg.norm_nodes)
+        rows = [{"case": "delta=0.5", "value": abs(hi - lo)}]
+        return _worst(rows), rows, ""
 
     def l2_optimality():
-        worst, details = 0.0, []
-        p21 = SpaceParams(2.0, 1.0)
+        rows = []
         for label in ("x^2", "sin(3x)", "|x|"):
-            h = next(e.handle for e in entries if e.label == label)
+            h = handle[label]
             for n in (4, 8):
                 # orthogonality must be tested on the rule the projection
                 # itself uses; any other rule measures quadrature error of
                 # the integrand instead of optimality
-                rule = discrete_norm(p21, max(cfg.coeff_nodes, 2 * n))
+                rule = discrete_norm(p21, max(_COEFF_NODES, 2 * n))
                 fv = sample(h, rule.nodes)
-                res = best_approx(h, n, p21, grid_n=cfg.coeff_nodes)
+                res = best_approx(h, n, p21, grid_n=_COEFF_NODES)
                 rv = fv - res.argmin(rule.nodes)
                 basis = jacobi_matrix(n - 1, rule.nodes)
                 pr = np.cumsum(basis * (rule.weights * rv)[None, :], axis=1)[:, -1]
-                err = float(np.max(np.abs(pr)))
-                details.append({"case": f"{label},n={n}", "value": err})
-                worst = max(worst, err)
-        return worst, details, "projection residual against every lower-degree mode"
-
-    reports.append(_run("l2-optimality", t(1e-9), l2_optimality))
+                rows.append({"case": f"{label},n={n}", "value": float(np.max(np.abs(pr)))})
+        return _worst(rows), rows, "projection residual against every lower-degree mode"
 
     def direct_estimate_decay():
-        p21 = SpaceParams(2.0, 1.0)
-        details = []
+        rows = []
         families = {}
-        global_u = 0.0
-        smooth = [e for e in entries if e.tag in ("polynomial", "analytic")]
-        for e in smooth:
+        for e in entries:
+            if e.tag not in ("polynomial", "analytic"):
+                continue
             dh = _d_handle(e)
             dnorm = weighted_norm(dh, p21, cfg.norm_nodes) if dh is not None else 0.0
             fnorm = weighted_norm(e.handle, p21, cfg.norm_nodes)
             if dnorm < 1e-13:
-                details.append({"case": e.label, "value": None, "note": "operator image vanishes"})
+                rows.append(_skip(e.label, "operator image vanishes"))
                 continue
             for n in cfg.degrees:
                 en = best_approx(e.handle, n, p21, grid_n=cfg.approx_grid).value
                 if en < 1e-9 * fnorm:
-                    details.append({"case": f"{e.label},n={n}", "value": None, "note": "below resolution floor"})
+                    rows.append(_skip(f"{e.label},n={n}", "below resolution floor"))
                     continue
                 ratio = n * n * en / dnorm
-                details.append({"case": f"{e.label},n={n}", "value": ratio})
+                rows.append({"case": f"{e.label},n={n}", "value": ratio})
                 families.setdefault(n, []).append(ratio)
-                global_u = max(global_u, ratio)
-        worst = 0.0
-        for n, vals in sorted(families.items()):
-            spread = max(vals) / min(vals)
-            details.append({"case": f"uniformity,n={n}", "value": spread})
-            worst = max(worst, spread)
-        details.append({"case": "empirical-constant", "value": global_u})
-        note = "per-degree spread across smooth entries; upper constant recorded"
-        return worst, details, note
-
-    reports.append(_run("direct-estimate-decay", t(100.0), direct_estimate_decay))
+        upper = _worst(rows)
+        spreads = [{"case": f"uniformity,n={n}", "value": _spread(vals)} for n, vals in sorted(families.items())]
+        rows += spreads + [{"case": "empirical-constant", "value": upper}]
+        return _worst(spreads), rows, "per-degree spread across smooth entries; upper constant recorded"
 
     def jackson_cutoff():
         # jackson_operator stops at the degree bound by construction; the
         # multipliers beyond it, and the images, come from the t-average instead
-        worst, details = 0.0, []
+        rows = []
         for q, m in ((3, 2), (3, 3), (4, 2)):
             jp = JacksonParams(q, m)
             bound = jackson_degree_bound(jp)
-            theta = max(abs(_jackson_by_translation(jacobi_poly(k, 2, 2), jp, [1.0])[0]) for k in range(bound + 1, bound + 7))
-            details.append({"case": f"q={q},m={m},theta_{bound + 1}..{bound + 6}", "value": theta})
-            worst = max(worst, theta)
+            thetas = [_jackson_by_translation(jacobi_poly(k, 2, 2), jp, [1.0])[0] for k in range(bound + 1, bound + 7)]
+            theta = float(np.max(np.abs(thetas)))
+            rows.append({"case": f"q={q},m={m},theta_{bound + 1}..{bound + 6}", "value": theta})
             for e in entries:
                 case = f"q={q},m={m},{e.label}"
                 if e.handle.degree is None:
                     note = "no declared degree: the reference needs the convergence-stopped z-rule at each t"
                     if e.handle.breaks:
                         note = "breaks: the reference's t-integrand has kinks, which 256 t-nodes resolve to about 1e-8"
-                    details.append({"case": case, "value": None, "note": note})
+                    rows.append(_skip(case, note))
                     continue
                 image = jackson_operator(e.handle, jp)(grid16)
                 diff = float(np.max(np.abs(image - _jackson_by_translation(e.handle, jp, grid16))))
-                details.append({"case": case, "value": diff})
-                worst = max(worst, diff)
-        return worst, details, "multipliers beyond the degree bound and images, both against the t-averaged translation"
-
-    reports.append(_run("jackson-cutoff", t(1e-8), jackson_cutoff))
+                rows.append({"case": case, "value": diff})
+        return _worst(rows), rows, "multipliers beyond the degree bound and images, both against the t-averaged translation"
 
     def jackson_gamma_scaling():
-        details = []
-        vals = {}
-        for m in (4, 8, 16):
-            vals[m] = gamma_norm(JacksonParams(3, m)) / m ** 4
-            details.append({"case": f"m={m}", "value": vals[m]})
-        spread = max(vals.values()) / min(vals.values())
-        details.append({"case": "spread", "value": spread})
-        return spread, details, "normalizer scaled by m^4"
-
-    reports.append(_run("jackson-gamma-scaling", t(2.0), jackson_gamma_scaling))
+        rows = [{"case": f"m={m}", "value": gamma_norm(JacksonParams(3, m)) / m ** 4} for m in (4, 8, 16)]
+        spread = _spread([d["value"] for d in rows])
+        return spread, rows + [{"case": "spread", "value": spread}], "normalizer scaled by m^4"
 
     def bernstein_markov_bounded():
-        worst, details = 0.0, []
-        p21 = SpaceParams(2.0, 1.0)
+        rows = []
         for n in (2, 4, 8, 16):
             r_deriv, r_weight = bernstein_markov_ratios(jacobi_poly(n, 2, 2), p21, rho=0.5)
-            details.append({"case": f"n={n},derivative", "value": r_deriv})
-            details.append({"case": f"n={n},weight-shift", "value": r_weight})
-            worst = max(worst, r_deriv, r_weight)
-        return worst, details, "degree-normalized ratios stay bounded as the degree grows"
-
-    reports.append(_run("bernstein-markov-bounded", t(10.0), bernstein_markov_bounded))
+            rows.append({"case": f"n={n},derivative", "value": r_deriv})
+            rows.append({"case": f"n={n},weight-shift", "value": r_weight})
+        return _worst(rows), rows, "degree-normalized ratios stay bounded as the degree grows"
 
     def k_two_candidate():
-        worst, details = 0.0, []
+        rows = []
         norm = discrete_norm(params, cfg.norm_nodes)
         for e in entries:
             proj = expand_in_jacobi(e.handle, cfg.kdeg, n_nodes=max(cfg.norm_nodes, 256))
@@ -803,38 +681,67 @@ def run_lemma_suite(config: Config = Config()):
             for delta in (0.1, 0.5):
                 res = k_functional(e.handle, delta, params, cfg.kdeg, cfg.norm_nodes)
                 cap = min(fnorm, base + delta * delta * dnorm)
-                excess = res.value - cap
-                details.append({"case": f"{e.label},delta={delta:g}", "value": excess})
-                worst = max(worst, excess)
-        return max(worst, 0.0), details, "never above the zero or projection candidate"
-
-    reports.append(_run("k-two-candidate", t(1e-10), k_two_candidate))
-
-    def k_monotonicity():
-        worst, details = 0.0, []
-        for label in ("x^2", "sin(3x)", "|x|"):
-            h = next(e.handle for e in entries if e.label == label)
-            vals = [k_functional(h, d, params, cfg.kdeg, cfg.norm_nodes).value for d in cfg.deltas]
-            for i in range(len(vals) - 1):
-                viol = vals[i] - vals[i + 1]
-                details.append({"case": f"{label},{cfg.deltas[i]:g}->{cfg.deltas[i+1]:g}", "value": viol})
-                worst = max(worst, viol)
-        return max(worst, 0.0), details, ""
-
-    reports.append(_run("k-monotonicity", t(1e-10), k_monotonicity))
+                rows.append({"case": f"{e.label},delta={delta:g}", "value": res.value - cap})
+        return _worst(rows), rows, "never above the zero or projection candidate"
 
     def corpus_determinism():
-        a = corpus(cfg.seed)
-        b = corpus(cfg.seed)
         xs = make_grid(32)
-        worst = 0.0
-        for ea, eb in zip(a, b):
-            worst = max(worst, float(np.max(np.abs(np.asarray(ea.handle(xs)) - np.asarray(eb.handle(xs))))))
-        return worst, [{"case": f"seed={cfg.seed}", "value": worst}], "bitwise identical corpus regeneration"
+        pairs = zip(corpus(cfg.seed), corpus(cfg.seed))
+        worst = float(np.max([np.abs(np.asarray(a.handle(xs)) - np.asarray(b.handle(xs))) for a, b in pairs]))
+        rows = [{"case": f"seed={cfg.seed}", "value": worst}]
+        return _worst(rows), rows, "bitwise identical corpus regeneration"
 
-    reports.append(_run("corpus-determinism", 0.0, corpus_determinism))
-
-    return reports
+    moduli = lambda h: _moduli(h, cfg.deltas, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
+    k_values = lambda h: [k_functional(h, d, params, cfg.kdeg, cfg.norm_nodes).value for d in cfg.deltas]
+    translate = lambda e, tt, xs, qn: _asym_core(e.handle, math.cos(tt), xs, qn)
+    rotate = lambda e, tt, xs, qn: abs_rotation_average(e.handle.eval, tt, xs, qn)
+    return _run_checks(
+        cfg,
+        [
+            ("quadrature-exactness", 1e-12, quadrature_exactness),
+            ("quadrature-doubling", 1e-8, quadrature_doubling),
+            ("jacobi-orthogonality", 1e-10, jacobi_orthogonality),
+            ("jacobi-eigenrelation", 1e-10, jacobi_eigenrelation),
+            ("jacobi-normalization", 0.0, jacobi_normalization),
+            ("jacobi-eval-agreement", 1e-12, jacobi_eval_agreement),
+            ("translation-identity", 1e-10, translation_identity),
+            ("translation-constant", 1e-10, translation_constant),
+            ("translation-linearity", 1e-12, translation_linearity),
+            (
+                "product-formula",
+                1e-8,
+                product_formula(
+                    _asym_core,
+                    multiplier_psi,
+                    "z-quadrature translate of each mode against the mode scaled by its closed-form multiplier",
+                ),
+            ),
+            (
+                "sym-product-formula",
+                1e-8,
+                product_formula(
+                    _sym_core, lambda n, y: jacobi_eval(n, 2, 2, y), "symmetric average of each mode splits into a product"
+                ),
+            ),
+            ("coefficient-multiplier", 1e-7, coefficient_multiplier),
+            ("self-adjointness", 1e-8, self_adjointness),
+            ("d-commutation", 1e-7, d_commutation),
+            ("integral-representation", 1e-6, integral_representation),
+            ("translation-norm-bound", 0.10, doubling_drift(translate, lambda tt: math.cos(tt / 2.0) ** 4, "norm growth")),
+            ("rotation-average-bound", 0.10, doubling_drift(rotate, lambda tt: 1.0, "positive-kernel")),
+            ("kernel-pointwise-bound", 1e-12, kernel_pointwise_bound),
+            ("modulus-monotonicity", 1e-12, monotone(("x", "|x|", "sin(3x)"), moduli)),
+            ("modulus-stability", 1e-6, modulus_stability),
+            ("l2-optimality", 1e-9, l2_optimality),
+            ("direct-estimate-decay", 100.0, direct_estimate_decay),
+            ("jackson-cutoff", 1e-8, jackson_cutoff),
+            ("jackson-gamma-scaling", 2.0, jackson_gamma_scaling),
+            ("bernstein-markov-bounded", 10.0, bernstein_markov_bounded),
+            ("k-two-candidate", 1e-10, k_two_candidate),
+            ("k-monotonicity", 1e-10, monotone(("x^2", "sin(3x)", "|x|"), k_values)),
+            ("corpus-determinism", 0.0, corpus_determinism),
+        ],
+    )
 
 
 def _sum_weighted_errors(e_by_nu: dict, n: int) -> float:
@@ -849,15 +756,8 @@ def run_theorem_sweep(config: Config = Config()):
     the pooled constants.
     """
     cfg = config
-    verdict = validate_params(cfg.p, cfg.alpha)
-    if not verdict.admissible:
-        raise InvalidArgumentError(
-            f"(p, alpha) = ({cfg.p:g}, {cfg.alpha:g}) is outside the admissible range {verdict.interval()}"
-        )
-    params = SpaceParams(cfg.p, cfg.alpha)
+    params = _space(cfg)
     entries = corpus(cfg.seed)
-    reports = []
-    t = lambda v: v * cfg.tol_scale
 
     max_deg = max(cfg.degrees)
     data = {}
@@ -871,25 +771,23 @@ def run_theorem_sweep(config: Config = Config()):
         omega_inv = dict(zip(cfg.degrees, oms[len(cfg.deltas) :]))
         data[e.label] = {"fnorm": fnorm, "omega": omegas, "k": kvals, "e": errs, "omega_inv": omega_inv}
 
-    def pooled_ratios(kfloor=1e-13):
-        r1, r2, rows1, rows2 = [], [], [], []
-        for label, d in data.items():
-            for delta in cfg.deltas:
-                k = d["k"][delta]
-                if k < kfloor:
-                    skip = {"case": f"{label},delta={delta:g}", "value": None, "note": "K below floor"}
-                    rows1.append(skip)
-                    rows2.append(dict(skip))
-                    continue
-                v1 = d["omega"][delta] / k
-                v2 = v1 * math.cos(delta / 2.0) ** 4
-                r1.append(v1)
-                r2.append(v2)
-                rows1.append({"case": f"{label},delta={delta:g}", "value": v1})
-                rows2.append({"case": f"{label},delta={delta:g}", "value": v2})
-        return r1, r2, rows1, rows2
-
-    r1, r2, raw_rows, damped_rows = pooled_ratios()
+    # the pooled ratios omega / K, raw and cos^4-damped, over entries and deltas
+    raw_rows, damped_rows = [], []
+    for label, d in data.items():
+        for delta in cfg.deltas:
+            case = f"{label},delta={delta:g}"
+            if d["k"][delta] < 1e-13:
+                raw_rows.append(_skip(case, "K below floor"))
+                damped_rows.append(_skip(case, "K below floor"))
+                continue
+            v1 = d["omega"][delta] / d["k"][delta]
+            raw_rows.append({"case": case, "value": v1})
+            damped_rows.append({"case": case, "value": v1 * math.cos(delta / 2.0) ** 4})
+    r1 = [d["value"] for d in raw_rows if d["value"] is not None]
+    r2 = [d["value"] for d in damped_rows if d["value"] is not None]
+    # min and max that let a NaN through, so that its check fails
+    lo = lambda vals: float(np.min(vals))
+    hi = lambda vals: float(np.max(vals))
 
     def modulus_k_equivalence():
         # the sandwich has two constants: the lower one multiplies K directly,
@@ -898,25 +796,19 @@ def run_theorem_sweep(config: Config = Config()):
         # like the inverse damping toward the top of the delta grid
         if not r1:
             return None, raw_rows, "every pair skipped"
-        lower, upper = min(r1), max(r2)
-        rows = list(raw_rows)
-        rows.append({"case": "lower-constant", "value": lower})
-        rows.append({"case": "upper-constant", "value": upper})
-        rows.append({"case": "raw-spread", "value": max(r1) / lower})
+        lower, upper = lo(r1), hi(r2)
+        rows = raw_rows + [
+            {"case": "lower-constant", "value": lower},
+            {"case": "upper-constant", "value": upper},
+            {"case": "raw-spread", "value": _spread(r1)},
+        ]
         return upper / lower, rows, "certified constant pair bracketing the modulus by K"
-
-    reports.append(_run("modulus-k-equivalence", t(100.0), modulus_k_equivalence))
 
     def modulus_k_damped_window():
         if not r2:
             return None, [], "every pair skipped"
-        spread = max(r2) / min(r2)
-        rows = list(damped_rows)
-        rows.append({"case": "lower-constant", "value": min(r2)})
-        rows.append({"case": "upper-constant", "value": max(r2)})
-        return spread, rows, "cos^4-damped pooled ratio"
-
-    reports.append(_run("modulus-k-damped-window", t(100.0), modulus_k_damped_window))
+        rows = damped_rows + [{"case": "lower-constant", "value": lo(r2)}, {"case": "upper-constant", "value": hi(r2)}]
+        return _spread(r2), rows, "cos^4-damped pooled ratio"
 
     def modulus_k_stability():
         # 16 degrees deeper, at least 48, within the cap and the norm_nodes - 1 that Config allows
@@ -925,91 +817,78 @@ def run_theorem_sweep(config: Config = Config()):
         hv1, hv2, sh1, sh2 = [], [], [], []
         for e in entries:
             ks = [k_functional(e.handle, delta, params, heavy.kdeg, cfg.norm_nodes).value for delta in cfg.deltas]
-            kept = [(delta, k) for delta, k in zip(cfg.deltas, ks) if k >= 1e-13]
+            # not k < floor: a NaN K stays in, so that the check fails
+            kept = [(delta, k) for delta, k in zip(cfg.deltas, ks) if not k < 1e-13]
             oms = _moduli(e.handle, [delta for delta, _ in kept], params, cfg.t_points, heavy.quad_n, cfg.norm_nodes)
             for (delta, k), om in zip(kept, oms):
                 hv1.append(om / k)
                 hv2.append(om * math.cos(delta / 2.0) ** 4 / k)
             for delta in cfg.deltas:
                 k16 = k_functional(e.handle, delta, params, 16, cfg.norm_nodes).value
-                if k16 >= 1e-13:
+                if not k16 < 1e-13:
                     om0 = data[e.label]["omega"][delta]
                     sh1.append(om0 / k16)
                     sh2.append(om0 * math.cos(delta / 2.0) ** 4 / k16)
         if not hv1 or not r1:
             return None, [], "no comparable ratios"
-        drift_u = abs(max(hv2) - max(r2)) / max(max(hv2), 1e-300)
-        drift_l = abs(min(hv1) - min(r1)) / max(min(hv1), 1e-300)
-        worst = max(drift_u, drift_l)
         rows = [
-            {"case": "upper-drift", "value": drift_u},
-            {"case": "lower-drift", "value": drift_l},
+            {"case": "upper-drift", "value": abs(hi(hv2) - hi(r2)) / max(hi(hv2), 1e-300)},
+            {"case": "lower-drift", "value": abs(lo(hv1) - lo(r1)) / max(lo(hv1), 1e-300)},
         ]
+        worst = _worst(rows)
         if sh1:
-            rows.append({"case": "witness-16-upper", "value": max(sh2)})
-            rows.append({"case": "witness-16-lower", "value": min(sh1)})
+            rows.append({"case": "witness-16-upper", "value": hi(sh2)})
+            rows.append({"case": "witness-16-lower", "value": lo(sh1)})
         witness = "deeper witness" if heavy.kdeg > cfg.kdeg else f"witness at the degree cap {heavy.kdeg}"
         return worst, rows, f"constant pair under doubled quadrature and {witness}; degree-16 witness recorded"
 
-    reports.append(_run("modulus-k-stability", t(0.15), modulus_k_stability))
+    def upper_constant(ratio, note):
+        # ratio(d, n) is the ratio of entry data d at degree n, or the reason it is skipped
+        def check():
+            rows = []
+            for label, d in data.items():
+                for n in cfg.degrees:
+                    v = ratio(d, n)
+                    rows.append(_skip(f"{label},n={n}", v) if isinstance(v, str) else {"case": f"{label},n={n}", "value": v})
+            if all(row["value"] is None for row in rows):
+                return None, rows, "every pair skipped"
+            worst = _worst(rows)
+            return worst, rows + [{"case": "upper-constant", "value": worst}], note
 
-    def direct_constant():
-        vals, rows = [], []
-        for label, d in data.items():
-            for n in cfg.degrees:
-                om = d["omega_inv"][n]
-                if om < 1e-9 * max(d["fnorm"], 1e-300):
-                    rows.append({"case": f"{label},n={n}", "value": None, "note": "modulus below floor"})
-                    continue
-                if d["e"][n] < 1e-9 * d["fnorm"]:
-                    # a rounding-level E_n measures rounding, not an approximation rate
-                    rows.append({"case": f"{label},n={n}", "value": None, "note": "E_n below resolution floor"})
-                    continue
-                v = d["e"][n] / om
-                vals.append(v)
-                rows.append({"case": f"{label},n={n}", "value": v})
-        if not vals:
-            return None, rows, "every pair skipped"
-        worst = max(vals)
-        rows.append({"case": "upper-constant", "value": worst})
-        ok = all(math.isfinite(v) for v in vals)
-        return (worst if ok else math.inf), rows, "best approximation controlled by the modulus"
+        return check
 
-    reports.append(_run("modulus-direct-constant", None, direct_constant))
+    def direct_ratio(d, n):
+        if d["omega_inv"][n] < 1e-9 * max(d["fnorm"], 1e-300):
+            return "modulus below floor"
+        if d["e"][n] < 1e-9 * d["fnorm"]:
+            # a rounding-level E_n measures rounding, not an approximation rate
+            return "E_n below resolution floor"
+        return d["e"][n] / d["omega_inv"][n]
 
-    def inverse_constant():
-        vals, rows = [], []
-        for label, d in data.items():
-            for n in cfg.degrees:
-                om = d["omega_inv"][n]
-                s = _sum_weighted_errors(d["e"], n)
-                if s < 1e-9 * max(d["fnorm"], 1e-300):
-                    rows.append({"case": f"{label},n={n}", "value": None, "note": "error sum below floor"})
-                    continue
-                v = om * n * n / s
-                vals.append(v)
-                rows.append({"case": f"{label},n={n}", "value": v})
-        if not vals:
-            return None, rows, "every pair skipped"
-        worst = max(vals)
-        rows.append({"case": "upper-constant", "value": worst})
-        ok = all(math.isfinite(v) for v in vals)
-        return (worst if ok else math.inf), rows, "modulus controlled by the weighted error sum"
-
-    reports.append(_run("modulus-inverse-constant", None, inverse_constant))
+    def inverse_ratio(d, n):
+        s = _sum_weighted_errors(d["e"], n)
+        if s < 1e-9 * max(d["fnorm"], 1e-300):
+            return "error sum below floor"
+        return d["omega_inv"][n] * n * n / s
 
     def kink_error_decay():
         d = data["|x|"]["e"]
         if 4 not in d or 32 not in d:
             return None, [], "degree grid lacks 4 or 32; decay not checkable"
-        e4, e32 = d[4], d[32]
-        ratio = 4.0 * e32 / e4
-        rows = [{"case": "E_4", "value": e4}, {"case": "E_32", "value": e32}]
-        return ratio, rows, "kink error decays by at least 4x from degree 4 to 32"
+        rows = [{"case": "E_4", "value": d[4]}, {"case": "E_32", "value": d[32]}]
+        return 4.0 * d[32] / d[4], rows, "kink error decays by at least 4x from degree 4 to 32"
 
-    reports.append(_run("kink-error-decay", t(1.0), kink_error_decay))
-
-    return reports
+    return _run_checks(
+        cfg,
+        [
+            ("modulus-k-equivalence", 100.0, modulus_k_equivalence),
+            ("modulus-k-damped-window", 100.0, modulus_k_damped_window),
+            ("modulus-k-stability", 0.15, modulus_k_stability),
+            ("modulus-direct-constant", None, upper_constant(direct_ratio, "best approximation controlled by the modulus")),
+            ("modulus-inverse-constant", None, upper_constant(inverse_ratio, "modulus controlled by the weighted error sum")),
+            ("kink-error-decay", 1.0, kink_error_decay),
+        ],
+    )
 
 
 def _csv_text(reports) -> str:
@@ -1054,9 +933,13 @@ def emit_report(reports, format: str = "json", path=None, config: Optional[Confi
     else:
         text = _csv_text(reports)
     if path is not None:
-        try:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as e:
-            raise ReportIOError(f"cannot write report to {path!r}: {e}") from e
+        _write_report(text, path)
     return text
+
+
+def _write_report(text: str, path) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise ReportIOError(f"cannot write report to {path!r}: {e}") from e

@@ -14,10 +14,6 @@ quad_n = 8
 norm_nodes = 64
 t_points = 4
 kdeg = 16     # witness degree cap for the K-functional checks
-pair_nodes = 64
-pair_quad = 64
-coeff_nodes = 128
-coeff_quad = 128
 approx_grid = 64
 """
 
@@ -55,6 +51,15 @@ def test_table_psi(capsys):
     for row in rows:
         if row["n"] == 0 or row["y"] == 1.0:
             assert abs(row["psi"] - 1.0) < 1e-10
+
+
+def test_table_write_failure_exits_one(tmp_path, capsys):
+    assert main(["table", "--op", "psi", "--out", str(tmp_path / "missing" / "t.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "t.json" in captured.err
 
 
 def test_table_requires_op(capsys):
@@ -170,19 +175,21 @@ def test_unknown_config_key(tmp_path, capsys):
     assert f"{path}:1" in err
 
 
-def test_retired_config_key_is_ignored_with_a_warning(tmp_path, capsys, config_file):
-    # files written for the t-rule Jackson operator still set its two knobs
+@pytest.mark.parametrize("key", ["pair_nodes", "pair_quad", "coeff_nodes", "coeff_quad", "jackson_quad"])
+def test_retired_config_key_is_ignored_with_a_warning(tmp_path, capsys, config_file, key):
+    # older files still set the knobs of the t-rule Jackson operator and of
+    # the fixed rules of self-adjointness, coefficient-multiplier and l2-optimality
     old = tmp_path / "old.cfg"
-    old.write_text(REDUCED + "jackson_quad = 256\n")
+    old.write_text(REDUCED + f"{key} = 256\n")
     argv = ["sweep", "--deltas", "0.4", "--degrees", "2"]
     assert main(argv + ["--config", config_file]) == 0
     want = capsys.readouterr().out
     assert main(argv + ["--config", str(old)]) == 0
     captured = capsys.readouterr()
     assert captured.out == want
-    assert "jackson_quad" not in json.loads(captured.out)["config"]
+    assert key not in json.loads(captured.out)["config"]
     assert captured.err.startswith("warning: ") and captured.err.count("\n") == 1
-    assert f"{old}:{len(REDUCED.splitlines()) + 1}: config key 'jackson_quad'" in captured.err
+    assert f"{old}:{len(REDUCED.splitlines()) + 1}: config key '{key}'" in captured.err
 
 
 def test_config_line_without_equals(tmp_path, capsys):

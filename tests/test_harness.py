@@ -6,9 +6,12 @@ configuration so the suite finishes in seconds, and only assert on control
 flow and serialization.
 """
 
+import importlib.util
 import json
+import math
 import types
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,10 +33,6 @@ SMALL = Config(
     norm_nodes=64,
     t_points=4,
     kdeg=16,
-    pair_nodes=64,
-    pair_quad=64,
-    coeff_nodes=128,
-    coeff_quad=128,
     approx_grid=64,
 )
 
@@ -112,6 +111,67 @@ def test_reduced_sweep_runs():
     rows = [d for d in direct.details if d["case"].startswith("x,n=")]
     assert len(rows) == len(SMALL.degrees)
     assert all(d["value"] is None and d["note"] == "E_n below resolution floor" for d in rows)
+
+
+def _expected_checks():
+    # the benchmark's gate compares the ordered ids of each report with these
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "batch.py"
+    spec = importlib.util.spec_from_file_location("perfbench_batch", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.EXPECTED_CHECKS
+
+
+def test_check_order_is_the_benchmarks(small_reports):
+    expected = _expected_checks()
+    assert [r.check_id for r in small_reports] == list(expected["verify"])
+    assert [r.check_id for r in run_theorem_sweep(SMALL)] == list(expected["sweep"])
+
+
+def _k_with_one_nan(monkeypatch):
+    # K of sin(3x) at delta 0.4 is NaN; every other value is the real one
+    real = harness.k_functional
+
+    def k_functional(f, delta, *args):
+        res = real(f, delta, *args)
+        return types.SimpleNamespace(value=math.nan) if f.label == "sin(3x)" and delta == 0.4 else res
+
+    monkeypatch.setattr(harness, "k_functional", k_functional)
+
+
+def test_a_nan_value_fails_its_verify_check(monkeypatch):
+    # a NaN row must not vanish into a running maximum that starts at 0.0
+    monkeypatch.setattr(harness, "_asym_core", lambda f, y, xs, quad_n: np.full(np.shape(xs), np.nan))
+    _k_with_one_nan(monkeypatch)
+    reports = by_id(run_lemma_suite(SMALL))
+    for check_id in (
+        "translation-identity",
+        "translation-constant",
+        "product-formula",
+        "self-adjointness",
+        "translation-norm-bound",
+        "k-monotonicity",
+    ):
+        assert reports[check_id].status == "fail", check_id
+
+
+def test_a_nan_ratio_fails_the_pooled_sweep_checks(monkeypatch):
+    _k_with_one_nan(monkeypatch)
+    reports = by_id(run_theorem_sweep(SMALL))
+    for check_id in ("modulus-k-equivalence", "modulus-k-damped-window", "modulus-k-stability"):
+        assert reports[check_id].status == "fail", check_id
+
+
+def test_a_nan_deeper_witness_fails_the_stability_check(monkeypatch):
+    # the deeper witness is degree 48 at kdeg 16; a NaN K there is no K below the floor
+    real = harness.k_functional
+
+    def k_functional(f, delta, params, max_deg, quad_n):
+        res = real(f, delta, params, max_deg, quad_n)
+        return types.SimpleNamespace(value=math.nan) if max_deg == 48 and f.label == "sin(3x)" else res
+
+    monkeypatch.setattr(harness, "k_functional", k_functional)
+    assert by_id(run_theorem_sweep(SMALL))["modulus-k-stability"].status == "fail"
 
 
 @pytest.mark.parametrize("kdeg,heavy", [(16, 48), (40, 56), (64, 64)])
