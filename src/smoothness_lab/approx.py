@@ -434,7 +434,6 @@ class KFunctionalResult:
     delta: float
     max_deg: int
     iterations: int
-    trace: tuple = ()
     gap: Optional[float] = None
 
 
@@ -536,14 +535,28 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
     optimal), interior-point steps, or, in the separable case, the
     evaluations of the path slope by _log_root, the two at the ends of its
     bracket included (0 when the scan minimum is at an end of the scan).
-    trace holds the last objective values of the Newton solve or the scan,
-    and is empty for the interior-point solve. gap is the interior-point
-    solve's final gap at p in {1, inf}, whichever candidate wins, and None
-    otherwise.
+    gap is the interior-point solve's final gap at p in {1, inf}, whichever
+    candidate wins, and None otherwise. This is the one-delta case of
+    _k_functionals, which shares the work that does not depend on delta.
     """
-    delta = float(delta)
-    if not (math.isfinite(delta) and delta >= 0.0):
-        raise InvalidArgumentError(f"delta must be a finite nonnegative number, got {delta!r}")
+    return _k_functionals(f, [delta], params, max_deg, quad_n)[0]
+
+
+def _k_functionals(f, deltas, params, max_deg: int, quad_n: int) -> list:
+    """k_functional(f, delta, params, max_deg, quad_n) for each delta, bitwise, with the delta-free work done once.
+
+    Done once: the samples of f, J, the projection c_proj and the scores
+    of the candidates that do not depend on delta (zero, projection, and
+    the best constant outside the separable case). In the separable case
+    also the projection a on the rule, its residual tail2 and the terms of
+    the 362-point scan; at 1 < p < inf also the face test of _newton_k at
+    the best constant (_const_face). Each delta then takes only its scan
+    minimum and refine, or its solve, and the scores of its own candidate.
+    """
+    deltas = [float(d) for d in deltas]
+    for delta in deltas:
+        if not (math.isfinite(delta) and delta >= 0.0):
+            raise InvalidArgumentError(f"delta must be a finite nonnegative number, got {delta!r}")
     if not isinstance(max_deg, (int, np.integer)) or isinstance(max_deg, bool) or not 0 <= max_deg <= MAX_WITNESS_DEG:
         raise InvalidArgumentError(f"max_deg must be an integer in [0, {MAX_WITNESS_DEG}]")
     params = _as_params(params)
@@ -557,33 +570,70 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
     fv = sample(f, xs)
     J = jacobi_matrix(max_deg, xs)
     lam = -np.arange(max_deg + 1.0) * (np.arange(max_deg + 1.0) + 5.0)
-    d2 = delta * delta
     p = params.p
     c_proj = expand_in_jacobi(f, max_deg, n_nodes=max(int(quad_n), 256))
     candidates = [np.zeros(max_deg + 1), c_proj]
-    gap = None
 
     if p == 2.0 and params.alpha == 1.0:
-        # separable case: the basis is orthogonal under this exact weight, so
-        # the optimum lies on the path c_nu(s) = a_nu / (1 + s lam_nu^2) and a
-        # one-dimensional scan over s replaces the descent
-        rw = norm.weights
-        hn = np.cumsum(rw[None, :] * J * J, axis=1)[:, -1]
-        a = np.cumsum(rw[None, :] * J * fv[None, :], axis=1)[:, -1] / hn
-        total = float(np.cumsum(rw * fv * fv)[-1])
-        tail2 = max(total - float(np.sum(hn * a * a)), 0.0)
+        solve = _separable_solver(fv, J, lam, norm.weights)
+    else:
+        scale = float(np.max(np.abs(fv))) or 1.0
+        const = np.zeros(max_deg + 1)
+        const[0] = _best_constant(fv, norm, scale)
+        candidates.append(const)
+        if 1.0 < p < math.inf:
+            face = _const_face(fv, J, lam, norm, const, scale)
+            solve = lambda d2: _newton_k(fv, J, lam, norm, d2, c_proj, const, face) + (None,)
+        else:
+            block = (J.T, fv, norm.weights)
 
-        def path_terms(s):
-            # A = sum hn (a - c_s)^2 and B = sum hn (lam c_s)^2 on the path
-            c_s = a / (1.0 + s * lam * lam)
-            return float(np.sum(hn * (a - c_s) ** 2)), float(np.sum(hn * (lam * c_s) ** 2)), c_s
+            def solve(d2):
+                blocks = [block, (J.T * lam, np.zeros_like(fv), d2 * norm.weights)] if d2 > 0.0 else [block]
+                return _lp_fit(p, blocks)
 
-        # the scan as one array op; same operations in the same order as path_terms
-        ss = np.concatenate(([0.0], np.logspace(-18.0, 18.0, 361)))
-        cs = a / (1.0 + ss[:, None] * lam * lam)
-        aa = np.sum(hn * (a - cs) ** 2, axis=1)
-        bb = np.sum(hn * (lam * cs) ** 2, axis=1)
-        scan = np.sqrt(tail2 + aa) + d2 * np.sqrt(bb)
+    # the candidates are scored on J; the winner's value is recomputed from
+    # its Chebyshev form, so that it is the public norm at the witness
+    C = np.array(candidates)
+    fixed = [(norm(r), norm(u)) for r, u in zip(fv - C @ J, (C * lam) @ J)]
+    out = []
+    for delta in deltas:
+        d2 = delta * delta
+        best_c, iterations, gap = solve(d2)
+        # the product of all candidates: a row alone may round differently
+        C = np.array(candidates + [best_c])
+        r, u = fv - C @ J, (C * lam) @ J
+        scores = [nr + d2 * nu for nr, nu in fixed] + [norm(r[-1]) + d2 * norm(u[-1])]
+        best_poly = _poly_from_jacobi(C[int(np.argmin(scores))])
+        best_val = norm(fv - best_poly(xs)) + d2 * norm(apply_D_poly(best_poly)(xs))
+        out.append(KFunctionalResult(float(best_val), best_poly, delta, max_deg, iterations, gap))
+    return out
+
+
+def _separable_solver(fv, J, lam, rw):
+    """The path minimum at (2, 1) as a function of d2 = delta^2: (coefficients, slope evaluations, None).
+
+    The basis is orthogonal under this exact weight, so the optimum lies on
+    the path c_nu(s) = a_nu / (1 + s lam_nu^2) and a one-dimensional scan
+    over s replaces the descent. a, its residual tail2 = sum rw (fv - J^T
+    a)^2 and the scan terms do not depend on d2 and are built here once.
+    """
+    hn = np.cumsum(rw[None, :] * J * J, axis=1)[:, -1]
+    a = np.cumsum(rw[None, :] * J * fv[None, :], axis=1)[:, -1] / hn
+    tail2 = float(np.cumsum(rw * (fv - a @ J) ** 2)[-1])
+
+    def path_terms(s):
+        # A = sum hn (a - c_s)^2 and B = sum hn (lam c_s)^2 on the path
+        c_s = a / (1.0 + s * lam * lam)
+        return float(np.sum(hn * (a - c_s) ** 2)), float(np.sum(hn * (lam * c_s) ** 2)), c_s
+
+    # the scan as one array op; same operations in the same order as path_terms
+    ss = np.concatenate(([0.0], np.logspace(-18.0, 18.0, 361)))
+    cs = a / (1.0 + ss[:, None] * lam * lam)
+    root_a = np.sqrt(tail2 + np.sum(hn * (a - cs) ** 2, axis=1))
+    root_b = np.sqrt(np.sum(hn * (lam * cs) ** 2, axis=1))
+
+    def solve(d2):
+        scan = root_a + d2 * root_b
         idx = int(np.argmin(scan))  # first minimum
         best_s_val, best_s_c = float(scan[idx]), cs[idx]
         iterations = 0  # evaluations of the path slope
@@ -606,40 +656,11 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
             s_star = _log_root(slope, lo, float(ss[idx + 1]))
             if s_star is not None:
                 aa_s, bb_s, c_s = path_terms(s_star)
-                val = math.sqrt(tail2 + aa_s) + d2 * math.sqrt(bb_s)
-                if val < best_s_val:
-                    best_s_val, best_s_c = val, c_s
-        best_c, history = best_s_c, [best_s_val]
-    else:
-        scale = float(np.max(np.abs(fv))) or 1.0
-        const = np.zeros(max_deg + 1)
-        const[0] = _best_constant(fv, norm, scale)
-        candidates.append(const)
-        if 1.0 < p < math.inf:
-            best_c, iterations, history = _newton_k(fv, J, lam, norm, d2, c_proj, const, scale)
-        else:
-            blocks = [(J.T, fv, norm.weights)]
-            if d2 > 0.0:
-                blocks.append((J.T * lam, np.zeros_like(fv), d2 * norm.weights))
-            best_c, iterations, gap = _lp_fit(p, blocks)
-            history = []
-    candidates.append(best_c)
+                if math.sqrt(tail2 + aa_s) + d2 * math.sqrt(bb_s) < best_s_val:
+                    best_s_c = c_s
+        return best_s_c, iterations, None
 
-    # the candidates are scored on J; the winner's value is recomputed from
-    # its Chebyshev form, so that it is the public norm at the witness
-    C = np.array(candidates)
-    scores = [norm(r) + d2 * norm(u) for r, u in zip(fv - C @ J, (C * lam) @ J)]
-    best_poly = _poly_from_jacobi(candidates[int(np.argmin(scores))])
-    best_val = norm(fv - best_poly(xs)) + d2 * norm(apply_D_poly(best_poly)(xs))
-    return KFunctionalResult(
-        value=float(best_val),
-        witness=best_poly,
-        delta=delta,
-        max_deg=max_deg,
-        iterations=iterations,
-        trace=tuple(history[-8:]),
-        gap=gap,
-    )
+    return solve
 
 
 def _best_constant(fv, norm, scale):
@@ -658,21 +679,41 @@ def _best_constant(fv, norm, scale):
     return float(coeffs[0])
 
 
-def _newton_k(fv, J, lam, norm, d2, c_proj, const, scale):
+def _const_face(fv, J, lam, norm, const, scale):
+    """The steepest descent off the face Dg = 0 at the best constant const: (sigma, v), as _steepest gives them.
+
+    F decreases along v from const exactly when d2 < sigma; sigma is 0 when
+    f is constant to rounding. Neither depends on d2.
+    """
+    r0 = fv - const[0]
+    if float(np.max(np.abs(r0))) <= 64.0 * np.finfo(float).eps * scale:
+        return 0.0, None  # f is constant to rounding
+    sigma, v = _steepest((lam[:, None] * J)[1:], (J @ _grad_norm(r0, norm))[1:], norm)
+    return sigma, None if v is None else np.concatenate(([0.0], v))
+
+
+def _grad_norm(v, norm):
+    """Gradient of norm at v in v, 1 < p < inf."""
+    p = norm.p
+    return norm.weights * np.sign(v) * np.abs(v) ** (p - 1.0) / norm(v) ** (p - 1.0)
+
+
+def _newton_k(fv, J, lam, norm, d2, c_proj, const, face):
     """Minimise F(c) = N(fv - J^T c) + d2 N(J^T (lam c)) for the discrete norm N, 1 < p < inf.
 
-    Returns (coeffs, iterations, history of F); iterations counts Newton
-    steps. F has kinks where either norm vanishes: on the face Dg = 0 of the
-    constants, and at the exact fit, which the projection c_proj is for a
-    polynomial f. Newton steps cannot leave a kink, and approach one only
-    linearly, so both are settled first by the steepest descent direction
-    there (_steepest):
+    Returns (coeffs, iterations); iterations counts Newton steps. F has
+    kinks where either norm vanishes: on the face Dg = 0 of the constants,
+    and at the exact fit, which the projection c_proj is for a polynomial
+    f. Newton steps cannot leave a kink, and approach one only linearly, so
+    both are settled first by the steepest descent direction there
+    (_steepest); face = (sigma, v) is that of the best constant const, from
+    _const_face:
 
-    - if no direction off the face lowers F, the best constant const is the
+    - if no direction off the face lowers F (d2 >= sigma), const is the
       minimiser and no Newton step is taken (an exact constant fit included);
-    - otherwise F is minimised along that direction from const, and along
-      the one from c_proj, and Newton starts from the best of these points
-      and c_proj.
+    - otherwise F is minimised along v from const, and along the steepest
+      direction from c_proj, and Newton starts from the best of these
+      points and c_proj.
 
     Each Newton step solves the Hessian system, assembled as J diag(.) J^T,
     by least squares, because the Hessian of a 1-homogeneous norm is
@@ -688,38 +729,30 @@ def _newton_k(fv, J, lam, norm, d2, c_proj, const, scale):
     def objective(c):
         return norm(fv - J.T @ c) + d2 * norm(LJ.T @ c)
 
-    def grad_norm(v):
-        return rw * np.sign(v) * np.abs(v) ** (p - 1.0) / norm(v) ** (p - 1.0)
-
     def descend_from(c, v):
         # F is convex along c + t v, t >= 0, and decreasing at t = 0
         return c + _line_min(lambda t: objective(c + t * v), objective(c)) * v
 
-    r0 = fv - const[0]
-    if float(np.max(np.abs(r0))) > 64.0 * np.finfo(float).eps * scale:
-        sigma, v = _steepest(LJ[1:], (J @ grad_norm(r0))[1:], norm)
-    else:
-        sigma = 0.0  # f is constant to rounding
+    sigma, v = face
     if d2 >= sigma:
-        return const, 0, [norm(r0)]
-    starts = [c_proj, descend_from(const, np.concatenate(([0.0], v)))]
+        return const, 0
+    starts = [c_proj, descend_from(const, v)]
     u = LJ.T @ c_proj
     if d2 > 0.0 and np.any(u):
-        sigma, v = _steepest(J, -d2 * (LJ @ grad_norm(u)), norm)
+        sigma, v = _steepest(J, -d2 * (LJ @ _grad_norm(u, norm)), norm)
         if sigma > 1.0:  # F decreases along v even from an exact fit
             starts.append(descend_from(c_proj, v))
 
     c = min(starts, key=objective)
     r, u = fv - J.T @ c, LJ.T @ c
     F = norm(r) + d2 * norm(u)
-    history = [F]
 
     def derivatives(v, B):
         # gradient and Hessian of N(B^T c) in c; zero where N vanishes
         n = norm(v)
         if n == 0.0:
             return 0.0, 0.0
-        g = B @ grad_norm(v)
+        g = B @ _grad_norm(v, norm)
         a = np.maximum(np.abs(v), 1e-12 * float(np.max(np.abs(v))))
         h = (p - 1.0) * rw * a ** (p - 2.0) / n ** (p - 1.0)
         return g, (B * h) @ B.T - (p - 1.0) / n * np.outer(g, g)
@@ -737,15 +770,14 @@ def _newton_k(fv, J, lam, norm, d2, c_proj, const, scale):
                 break
             t *= 0.5
         else:
-            return c, iterations, history  # F stopped decreasing
+            return c, iterations  # F stopped decreasing
         c = c + t * step
         r, u = r - t * dr, u + t * du
         drop, F = F - F_new, F_new
-        history.append(F)
         # squared Newton decrement / 2 <= 1e-15 F, or a decrease at rounding level
         if -float(grad @ step) <= 2e-15 * F or drop <= 1e-13 * F:
-            return c, iterations, history
-    return c, iterations, history
+            return c, iterations
+    return c, iterations
 
 
 def _steepest(B, b, norm):

@@ -17,6 +17,7 @@ from .approx import (
     MAX_WITNESS_DEG,
     JacksonParams,
     _jackson_by_translation,
+    _k_functionals,
     bernstein_markov_ratios,
     best_approx,
     gamma_norm,
@@ -38,6 +39,7 @@ from .jacobi import (
 from .quadrature import gauss_chebyshev, gauss_jacobi, gauss_legendre, integrate, ordered_sum
 from .space import FunctionHandle, SpaceParams, discrete_norm, make_grid, sample, validate_params, weighted_norm
 from .translation import (
+    _Translates,
     _asym_core,
     _moduli,
     _sym_core,
@@ -679,6 +681,7 @@ def run_lemma_suite(config: Config = Config()):
             base = norm(fv - gpoly(norm.nodes))
             dnorm = norm(apply_D_poly(gpoly)(norm.nodes))
             for delta in (0.1, 0.5):
+                # the public entry point, whose guarantee this is
                 res = k_functional(e.handle, delta, params, cfg.kdeg, cfg.norm_nodes)
                 cap = min(fnorm, base + delta * delta * dnorm)
                 rows.append({"case": f"{e.label},delta={delta:g}", "value": res.value - cap})
@@ -692,7 +695,7 @@ def run_lemma_suite(config: Config = Config()):
         return _worst(rows), rows, "bitwise identical corpus regeneration"
 
     moduli = lambda h: _moduli(h, cfg.deltas, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
-    k_values = lambda h: [k_functional(h, d, params, cfg.kdeg, cfg.norm_nodes).value for d in cfg.deltas]
+    k_values = lambda h: [r.value for r in _k_functionals(h, cfg.deltas, params, cfg.kdeg, cfg.norm_nodes)]
     translate = lambda e, tt, xs, qn: _asym_core(e.handle, math.cos(tt), xs, qn)
     rotate = lambda e, tt, xs, qn: abs_rotation_average(e.handle.eval, tt, xs, qn)
     return _run_checks(
@@ -764,12 +767,21 @@ def run_theorem_sweep(config: Config = Config()):
     for e in entries:
         fnorm = weighted_norm(e.handle, params, cfg.norm_nodes)
         grid = list(cfg.deltas) + [1.0 / n for n in cfg.degrees]  # one translation per y shared by both
-        oms = _moduli(e.handle, grid, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
+        # kept for modulus-k-stability, which integrates only their capped points again
+        translates = _Translates(e.handle, grid, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
+        oms = translates.moduli(grid)
         omegas = dict(zip(cfg.deltas, oms))
-        kvals = {d: k_functional(e.handle, d, params, cfg.kdeg, cfg.norm_nodes).value for d in cfg.deltas}
+        kvals = dict(zip(cfg.deltas, (r.value for r in _k_functionals(e.handle, cfg.deltas, params, cfg.kdeg, cfg.norm_nodes))))
         errs = {nu: best_approx(e.handle, nu, params, cfg.approx_grid).value for nu in range(1, max_deg + 1)}
         omega_inv = dict(zip(cfg.degrees, oms[len(cfg.deltas) :]))
-        data[e.label] = {"fnorm": fnorm, "omega": omegas, "k": kvals, "e": errs, "omega_inv": omega_inv}
+        data[e.label] = {
+            "fnorm": fnorm,
+            "omega": omegas,
+            "k": kvals,
+            "e": errs,
+            "omega_inv": omega_inv,
+            "translates": translates,
+        }
 
     # the pooled ratios omega / K, raw and cos^4-damped, over entries and deltas
     raw_rows, damped_rows = [], []
@@ -816,15 +828,16 @@ def run_theorem_sweep(config: Config = Config()):
         heavy = replace(cfg, quad_n=2 * cfg.quad_n, kdeg=kdeg)
         hv1, hv2, sh1, sh2 = [], [], [], []
         for e in entries:
-            ks = [k_functional(e.handle, delta, params, heavy.kdeg, cfg.norm_nodes).value for delta in cfg.deltas]
+            ks = [r.value for r in _k_functionals(e.handle, cfg.deltas, params, heavy.kdeg, cfg.norm_nodes)]
             # not k < floor: a NaN K stays in, so that the check fails
             kept = [(delta, k) for delta, k in zip(cfg.deltas, ks) if not k < 1e-13]
-            oms = _moduli(e.handle, [delta for delta, _ in kept], params, cfg.t_points, heavy.quad_n, cfg.norm_nodes)
+            # the moduli under heavy.quad_n: only the points that reached the cap quad_n can move
+            oms = data[e.label]["translates"].moduli([delta for delta, _ in kept], heavy.quad_n)
             for (delta, k), om in zip(kept, oms):
                 hv1.append(om / k)
                 hv2.append(om * math.cos(delta / 2.0) ** 4 / k)
-            for delta in cfg.deltas:
-                k16 = k_functional(e.handle, delta, params, 16, cfg.norm_nodes).value
+            k16s = [r.value for r in _k_functionals(e.handle, cfg.deltas, params, 16, cfg.norm_nodes)]
+            for delta, k16 in zip(cfg.deltas, k16s):
                 if not k16 < 1e-13:
                     om0 = data[e.label]["omega"][delta]
                     sh1.append(om0 / k16)

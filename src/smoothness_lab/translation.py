@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .jacobi import jacobi_eval
+from .jacobi import _raw_rows, _value_at_one, expand_in_jacobi, jacobi_eval, jacobi_matrix
 from .quadrature import _as_callable, gauss_chebyshev, sample
 from .space import SpaceParams, _positive_int, discrete_norm
 
@@ -69,6 +69,9 @@ def kernel_B(x, z, y):
 # The convergence-stopped z-rule stops once two successive levels agree to
 # this multiple of the integral of |integrand|: a rounding-level target.
 _Z_RTOL = 1e-14
+# ... or once the error extrapolated from its last two differences is below
+# this share of that target (_nested_points).
+_Z_EXTRAPOLATED = 0.1
 # Intervals per panel at the first level of the convergence-stopped z-rule.
 _Z_START = 8
 # Elements that a chunk of the exact z-rule may hold whatever len(xs) *
@@ -175,36 +178,55 @@ def _dot(a, w):
 def _nested_integral(fn, kernel, ys, xs, quad_n, breaks):
     """z-integral of kernel * f(R) by a nested rule stopped at convergence, shape (len(ys), len(xs)).
 
-    With z = cos theta the z-integral is a theta-integral over [0, pi].
-    Every (y, x) pair is a point of its own, and the points are grouped by
-    the breaks that R actually crosses there (_crossing). A point that
-    crosses none has a smooth, even and 2 pi-periodic integrand in theta and
-    takes one panel with the trapezoid rule (Gauss-Chebyshev-Lobatto in z,
-    exact to degree 2n - 1): bitwise the value of the same f declared
-    without breaks. A point that crosses k breaks takes k + 1 panels, split
-    at the crossings, each with a Clenshaw-Curtis rule in theta. The rule
-    starts at _Z_START intervals per panel and doubles, reusing every
-    sample. A point stops when two successive levels agree to _Z_RTOL times
-    its integral of |integrand|, or when the next level would have more
-    than quad_n intervals in all. Points are taken in chunks whose arrays
-    hold at most len(xs) * quad_n elements, and only unconverged points go
-    on to the next level.
+    Every (y, x) pair is a point of its own: the values are those of
+    _nested_points at the points of the grid.
     """
-    x_all = np.tile(xs, ys.size)
-    y_all = np.repeat(ys, xs.size)
+    y_all, x_all = np.repeat(ys, xs.size), np.tile(xs, ys.size)
+    out, _ = _nested_points(fn, kernel, y_all, x_all, quad_n, breaks, xs.size * int(quad_n))
+    return out.reshape(ys.size, xs.size)
+
+
+def _nested_points(fn, kernel, y_all, x_all, quad_n, breaks, budget):
+    """z-integral of kernel * f(R) at the points (y_all[i], x_all[i]), and whether each point reached the cap.
+
+    With z = cos theta the z-integral is a theta-integral over [0, pi].
+    The points are grouped by the breaks that R actually crosses there
+    (_crossing). A point that crosses none has a smooth, even and 2
+    pi-periodic integrand in theta and takes one panel with the trapezoid
+    rule (Gauss-Chebyshev-Lobatto in z, exact to degree 2n - 1): bitwise the
+    value of the same f declared without breaks. A point that crosses k
+    breaks takes k + 1 panels, split at the crossings, each with a
+    Clenshaw-Curtis rule in theta. The rule starts at _Z_START intervals per
+    panel and doubles, reusing every sample; the estimates I_{n/2} and
+    I_{n/4} of the first level come from its even samples. A point stops
+    when, with d = |I_n - I_{n/2}| and S its integral of |integrand|:
+
+    - d <= _Z_RTOL S (two levels agree), or
+    - d^2 <= _Z_EXTRAPOLATED _Z_RTOL S |I_{n/2} - I_{n/4}| and d <= 1e-6 S:
+      the error of I_n extrapolated from the last two differences, as for a
+      geometrically convergent rule (Trefethen & Weideman, SIAM Review 56,
+      2014), is below _Z_EXTRAPOLATED _Z_RTOL S;
+
+    or when the next level would have more than quad_n intervals in all: it
+    then ends capped, the only points whose value depends on quad_n. Points
+    are taken in chunks whose arrays hold at most budget elements, and only
+    unconverged points go on to the next level; _dot makes each point's
+    value independent of its chunk.
+    """
     out = np.empty(x_all.size)
-    budget = xs.size * int(quad_n)
+    capped = np.zeros(x_all.size, dtype=bool)
     crossed = np.abs(_crossing(x_all, y_all, breaks)) < 1.0
     patterns, group = np.unique(crossed, axis=0, return_inverse=True)
     group = group.ravel()
     # points, the breaks they cross, intervals per panel, their samples at
-    # the previous level, and the previous estimate
+    # the previous level, and the estimates I_{n/2} and I_{n/4} of the
+    # previous level
     work = []
     for k, pattern in enumerate(patterns):
         cut = tuple(b for b, c in zip(breaks, pattern) if c)
-        work.append((np.flatnonzero(group == k), cut, min(_Z_START, _z_cap(quad_n, cut)), None, None))
+        work.append((np.flatnonzero(group == k), cut, min(_Z_START, _z_cap(quad_n, cut)), None, None, None))
     while work:
-        pts, cut, n, old, prev = work.pop()
+        pts, cut, n, old, prev, prev2 = work.pop()
         npanel = len(cut) + 1
         last = 2 * n > _z_cap(quad_n, cut)
         # samples per point taken at this level, and kept for the next one
@@ -214,15 +236,14 @@ def _nested_integral(fn, kernel, ys, xs, quad_n, breaks):
         if pts.size > chunk:
             for lo in reversed(range(0, pts.size, chunk)):
                 part = slice(lo, lo + chunk)
-                work.append(
-                    (pts[part], cut, n, None if old is None else old[part], None if prev is None else prev[part])
-                )
+                work.append((pts[part], cut, n) + tuple(None if a is None else a[part] for a in (old, prev, prev2)))
             continue
         x = x_all[pts, None, None]
         y = y_all[pts, None, None]
         sx = np.sqrt(1.0 - x * x)
         sy = np.sqrt(np.maximum(1.0 - y * y, 0.0))
-        s, w = _nested_rule("clenshaw-curtis" if cut else "trapezoid", n)
+        kind = "clenshaw-curtis" if cut else "trapezoid"
+        s, w = _nested_rule(kind, n)
         if old is not None:
             s = s[1::2]
         if cut:
@@ -237,10 +258,24 @@ def _nested_integral(fn, kernel, ys, xs, quad_n, breaks):
         g = kernel(1.0, x, sx, y, sy, z, r) * sample(fn, r)
         est = np.sum(half * (_dot(g, w) if old is None else _dot(old, w[::2]) + _dot(g, w[1::2])), axis=-1)
         done = np.full(pts.size, last)
-        if old is not None and not last:
-            size = np.sum(half * (_dot(np.abs(old), w[::2]) + _dot(np.abs(g), w[1::2])), axis=-1)
-            done = np.abs(est - prev) <= _Z_RTOL * size
+        if not last:
+            if old is None:
+                size = np.sum(half * _dot(np.abs(g), w), axis=-1)
+                # I_{n/2} and I_{n/4}, from the samples at every 2nd and 4th index of the first level
+                prev, prev2 = (
+                    np.sum(half * _dot(g[..., ::k], _nested_rule(kind, n // k)[1]), axis=-1) if n % k == 0 else None
+                    for k in (2, 4)
+                )
+            else:
+                size = np.sum(half * (_dot(np.abs(old), w[::2]) + _dot(np.abs(g), w[1::2])), axis=-1)
+            if prev is not None:
+                diff = np.abs(est - prev)
+                done = diff <= _Z_RTOL * size
+                if prev2 is not None:
+                    extrapolated = diff * diff <= _Z_EXTRAPOLATED * _Z_RTOL * size * np.abs(prev - prev2)
+                    done |= extrapolated & (diff <= 1e-6 * size)
         out[pts[done]] = est[done]
+        capped[pts[done]] = last
         more = ~done
         if np.any(more):
             if old is None:
@@ -249,8 +284,8 @@ def _nested_integral(fn, kernel, ys, xs, quad_n, breaks):
                 samples = np.empty((int(np.sum(more)),) + g.shape[1:-1] + (n + 1,))
                 samples[..., ::2] = old[more]
                 samples[..., 1::2] = g[more]
-            work.append((pts[more], cut, 2 * n, samples, est[more]))
-    return out.reshape(ys.size, xs.size)
+            work.append((pts[more], cut, 2 * n, samples, est[more], None if prev is None else prev[more]))
+    return out, capped
 
 
 def _z_cap(quad_n, cut):
@@ -286,8 +321,13 @@ def _asym_core(fn, y, xs: np.ndarray, quad_n: int) -> np.ndarray:
     nodes; any other fn gets the nested rule of _nested_integral, with
     quad_n as its cap. A 1-d y gives shape (len(y), len(xs)).
     """
-    scale = [4.0 / (math.pi * (1.0 + v) ** 2) for v in np.atleast_1d(y).tolist()]
-    return np.reshape(scale, np.shape(y) + (1,)) * _z_integral(fn, _asym_kernel, y, xs, quad_n) / (1.0 - xs * xs)
+    scale = _asym_scale(np.atleast_1d(y)).reshape(np.shape(y) + (1,))
+    return scale * _z_integral(fn, _asym_kernel, y, xs, quad_n) / (1.0 - xs * xs)
+
+
+def _asym_scale(ys):
+    """The factor 4 / (pi (1 + y)^2) of tau_y for each y of a 1-d array, shape (len(ys), 1)."""
+    return np.reshape([4.0 / (math.pi * (1.0 + v) ** 2) for v in ys.tolist()], (-1, 1))
 
 
 def _check_y(y: float) -> float:
@@ -374,9 +414,10 @@ def modulus(
     The supremum is taken over the uniform grid t = delta k / t_points,
     k = 0..t_points; the k = 0 term is identically zero and skipped. Each
     norm is discrete_norm(params, norm_nodes) of tau_{cos t} f - f at its
-    nodes. t_points and quad_n must be positive integers. Over a grid of
-    deltas, _moduli gives the same values and translates f once per
-    distinct y.
+    nodes, computed as _Translates does: from the multipliers psi_k when f
+    declares a degree, else by the nested z-rule with cap quad_n. t_points
+    and quad_n must be positive integers. Over a grid of deltas, _moduli
+    gives the same values and translates f once per distinct y.
     """
     delta = float(delta)
     if not (math.isfinite(delta) and 0.0 <= delta < math.pi):
@@ -387,16 +428,87 @@ def modulus(
 
 
 def _moduli(f, deltas, params: SpaceParams, t_points: int, quad_n: int, norm_nodes: int) -> list:
-    """modulus(f, delta, ...) for each delta, by one _asym_core call over the distinct y of all grids.
+    """modulus(f, delta, ...) for each delta, from one _Translates over the distinct y of all grids.
 
-    A y = cos(delta k / t_points) that several deltas share, as the same float, is translated once.
+    A y = cos(delta k / t_points) that several deltas share, as the same
+    float, is translated once. A declared-degree f takes no z-integral.
     """
-    grids = [[math.cos(d * k / t_points) for k in range(1, t_points + 1)] if d != 0.0 else [] for d in deltas]
-    ys = sorted({y for grid in grids for y in grid})
-    if not ys:
-        return [0.0] * len(grids)
-    norm = discrete_norm(params, norm_nodes)
-    fn = _as_callable(f)
-    fx = sample(fn, norm.nodes)
-    by_y = dict(zip(ys, (norm(gv) for gv in _asym_core(fn, np.array(ys), norm.nodes, quad_n) - fx)))
-    return [max([0.0] + [by_y[y] for y in grid]) for grid in grids]
+    return _Translates(f, deltas, params, t_points, quad_n, norm_nodes).moduli(deltas)
+
+
+def _t_grids(deltas, t_points):
+    """y = cos(delta k / t_points), k = 1..t_points, for each delta; none for delta = 0."""
+    return [[math.cos(d * k / t_points) for k in range(1, t_points + 1)] if d != 0.0 else [] for d in deltas]
+
+
+def _psi_rows(degree, ys):
+    """psi_k(y) for k = 0..degree at each y, shape (len(ys), degree + 1), from one run of the recurrence.
+
+    Column k is P_k^{(0,4)} normalised at 1, bitwise multiplier_psi(k, y).
+    """
+    rows = _raw_rows(degree, 0.0, 4.0, ys)
+    return np.stack([raw / _value_at_one(k, 0.0, 4.0) for k, raw in enumerate(rows)], axis=-1)
+
+
+class _Translates:
+    """tau_y f - f on the nodes of discrete_norm(params, norm_nodes), for the distinct y of the t grids of deltas.
+
+    The modulus at a delta is the largest norm among the rows of its grid
+    (moduli). Where f declares a degree d (a PolynomialRep, or a handle with
+    degree), the rows come from the multipliers tau_y P_k = psi_k(y) P_k:
+    with a the exact (2,2) coefficients of f from the (d + 1)-node rule of
+    expand_in_jacobi, tau_y f - f = sum_k (psi_k(y) - 1) a_k P_k, one matrix
+    product for every y and no z-integral, which quad_n does not enter.
+    Any other f takes the nested z-rule of _nested_points with cap quad_n,
+    bitwise _asym_core(f, ys, nodes, quad_n) - f, and keeps the mask of the
+    points that reached that cap: moduli(deltas, quad_n=q) integrates only
+    those points again, under the cap q, and gives bitwise
+    _moduli(f, deltas, params, t_points, q, norm_nodes), because a point
+    that stopped by its test stops at the same level under any larger cap.
+    """
+
+    def __init__(self, f, deltas, params, t_points, quad_n, norm_nodes):
+        self.fn = _as_callable(f)
+        self.t_points = t_points
+        self.norm = discrete_norm(params, norm_nodes)
+        self.ys = sorted({y for grid in _t_grids(deltas, t_points) for y in grid})
+        # y -> (row, mask of its capped points), for the rows with a capped point
+        self.capped = {}
+        if not self.ys:
+            self.norms = {}
+            return
+        ys, xs = np.array(self.ys), self.norm.nodes
+        degree = getattr(self.fn, "degree", None)
+        if degree is not None:
+            a = expand_in_jacobi(self.fn, degree, n_nodes=degree + 1)
+            rows = ((_psi_rows(degree, ys) - 1.0) * a) @ jacobi_matrix(degree, xs)
+        else:
+            self.fx = sample(self.fn, xs)
+            x_all, y_all = np.tile(xs, ys.size), np.repeat(ys, xs.size)
+            z, capped = _nested_points(self.fn, _asym_kernel, y_all, x_all, quad_n, self._breaks(), xs.size * quad_n)
+            rows = _asym_scale(ys) * z.reshape(ys.size, xs.size) / (1.0 - xs * xs) - self.fx
+            masks = capped.reshape(rows.shape)
+            self.capped = {y: (row, mask) for y, row, mask in zip(self.ys, rows, masks) if mask.any()}
+        self.norms = dict(zip(self.ys, (self.norm(r) for r in rows)))
+
+    def _breaks(self):
+        return tuple(getattr(self.fn, "breaks", ()))
+
+    def moduli(self, deltas, quad_n=None) -> list:
+        """The modulus at each delta, whose t grid must be among those the rows were built for.
+
+        With quad_n, the capped points of the rows of these grids are first
+        integrated again under the cap quad_n, in one call.
+        """
+        grids = _t_grids(deltas, self.t_points)
+        norms = self.norms
+        redo = sorted({y for grid in grids for y in grid if y in self.capped}) if quad_n is not None else []
+        if redo:
+            xs = self.norm.nodes
+            ys = np.array(redo)
+            rows = np.array([self.capped[y][0] for y in redo])
+            iy, ix = np.nonzero([self.capped[y][1] for y in redo])
+            z, _ = _nested_points(self.fn, _asym_kernel, ys[iy], xs[ix], quad_n, self._breaks(), xs.size * quad_n)
+            rows[iy, ix] = _asym_scale(ys[iy])[:, 0] * z / (1.0 - xs[ix] * xs[ix]) - self.fx[ix]
+            norms = {**norms, **dict(zip(redo, (self.norm(r) for r in rows)))}
+        return [max([0.0] + [norms[y] for y in grid]) for grid in grids]

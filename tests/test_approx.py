@@ -39,8 +39,10 @@ from smoothness_lab import (
 import smoothness_lab.approx as approx_module
 from smoothness_lab.approx import (
     _best_constant,
+    _const_face,
     _jackson_by_translation,
     _jacobi_to_cheb,
+    _k_functionals,
     _kernel_values,
     _log_root,
     _lstsq,
@@ -432,7 +434,7 @@ def _separable_path(f, delta, max_deg, quad_n):
     rw = norm.weights
     hn = np.cumsum(rw[None, :] * J * J, axis=1)[:, -1]
     a = np.cumsum(rw[None, :] * J * fv[None, :], axis=1)[:, -1] / hn
-    tail2 = max(float(np.cumsum(rw * fv * fv)[-1]) - float(np.sum(hn * a * a)), 0.0)
+    tail2 = float(np.cumsum(rw * (fv - a @ J) ** 2)[-1])
 
     def path_terms(s):
         # A = sum hn (a - c_s)^2 and B = sum hn (lam c_s)^2
@@ -640,8 +642,9 @@ def test_k_newton_reaches_a_stationary_point(params):
         c_proj = expand_in_jacobi(e.handle, cfg.kdeg, n_nodes=max(cfg.norm_nodes, 256))
         const = np.zeros(cfg.kdeg + 1)
         const[0] = _best_constant(fv, norm, scale)
+        face = _const_face(fv, J, lam, norm, const, scale)
         for delta in cfg.deltas:
-            c, iterations, _ = _newton_k(fv, J, lam, norm, delta * delta, c_proj, const, scale)
+            c, iterations = _newton_k(fv, J, lam, norm, delta * delta, c_proj, const, face)
             assert iterations <= 50
             r, u = fv - J.T @ c, J.T @ (lam * c)
             n1, n2 = norm(r), norm(u)
@@ -855,3 +858,21 @@ def test_non_finite_f_raises_evaluation_error_quietly(call, capfd):
         call(_nan_above_half)
     assert info.value.node > 0.5
     assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("params", [P21, SpaceParams(1.5, 0.9), SpaceParams(math.inf, 1.2)], ids=["p2", "p1.5", "pinf"])
+def test_k_functionals_are_bitwise_k_functional_per_delta(params):
+    # the delta-free work is done once; each result must still be, bit for
+    # bit, that of the one-delta k_functional
+    cfg = Config()
+    for e in corpus(7):
+        for got, delta in zip(_k_functionals(e.handle, cfg.deltas, params, cfg.kdeg, cfg.norm_nodes), cfg.deltas):
+            want = k_functional(e.handle, delta, params, cfg.kdeg, cfg.norm_nodes)
+            assert got.value == want.value, (e.label, delta)
+            assert np.array_equal(got.witness.cheb, want.witness.cheb), (e.label, delta)
+            assert (got.iterations, got.gap, got.delta) == (want.iterations, want.gap, want.delta), (e.label, delta)
+
+
+def test_k_functionals_check_every_delta():
+    with pytest.raises(InvalidArgumentError, match="delta"):
+        _k_functionals(lambda x: np.abs(x), [0.1, -0.2], P21, 8, 64)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smoothness_lab import InvalidArgumentError, ReportIOError, SpaceParams, harness, make_grid, weighted_norm
+from smoothness_lab import InvalidArgumentError, ReportIOError, SpaceParams, harness, make_grid, translation, weighted_norm
 from smoothness_lab.harness import (
     Config,
     VerificationReport,
@@ -130,13 +130,14 @@ def test_check_order_is_the_benchmarks(small_reports):
 
 def _k_with_one_nan(monkeypatch):
     # K of sin(3x) at delta 0.4 is NaN; every other value is the real one
-    real = harness.k_functional
+    real = harness._k_functionals
 
-    def k_functional(f, delta, *args):
-        res = real(f, delta, *args)
-        return types.SimpleNamespace(value=math.nan) if f.label == "sin(3x)" and delta == 0.4 else res
+    def k_functionals(f, deltas, *args):
+        res = real(f, deltas, *args)
+        nan = types.SimpleNamespace(value=math.nan)
+        return [nan if f.label == "sin(3x)" and delta == 0.4 else r for delta, r in zip(deltas, res)]
 
-    monkeypatch.setattr(harness, "k_functional", k_functional)
+    monkeypatch.setattr(harness, "_k_functionals", k_functionals)
 
 
 def test_a_nan_value_fails_its_verify_check(monkeypatch):
@@ -164,13 +165,13 @@ def test_a_nan_ratio_fails_the_pooled_sweep_checks(monkeypatch):
 
 def test_a_nan_deeper_witness_fails_the_stability_check(monkeypatch):
     # the deeper witness is degree 48 at kdeg 16; a NaN K there is no K below the floor
-    real = harness.k_functional
+    real = harness._k_functionals
 
-    def k_functional(f, delta, params, max_deg, quad_n):
-        res = real(f, delta, params, max_deg, quad_n)
-        return types.SimpleNamespace(value=math.nan) if max_deg == 48 and f.label == "sin(3x)" else res
+    def k_functionals(f, deltas, params, max_deg, quad_n):
+        res = real(f, deltas, params, max_deg, quad_n)
+        return [types.SimpleNamespace(value=math.nan)] * len(res) if max_deg == 48 and f.label == "sin(3x)" else res
 
-    monkeypatch.setattr(harness, "k_functional", k_functional)
+    monkeypatch.setattr(harness, "_k_functionals", k_functionals)
     assert by_id(run_theorem_sweep(SMALL))["modulus-k-stability"].status == "fail"
 
 
@@ -180,11 +181,11 @@ def test_stability_witness_is_deeper_than_kdeg_up_to_the_cap(monkeypatch, kdeg, 
     # least 48 and at most the cap; at the cap it must not claim a deeper one
     degrees = set()
 
-    def fake_k(f, delta, params, max_deg, quad_n):
+    def fake_k(f, deltas, params, max_deg, quad_n):
         degrees.add(max_deg)
-        return types.SimpleNamespace(value=1.0)
+        return [types.SimpleNamespace(value=1.0)] * len(deltas)
 
-    monkeypatch.setattr(harness, "k_functional", fake_k)
+    monkeypatch.setattr(harness, "_k_functionals", fake_k)
     # Config needs norm_nodes >= kdeg + 1, so kdeg = 64 gets 65 nodes
     cfg = replace(SMALL, kdeg=kdeg, norm_nodes=max(SMALL.norm_nodes, kdeg + 1))
     reports = {r.check_id: r for r in run_theorem_sweep(cfg)}
@@ -292,3 +293,28 @@ def test_corpus_declares_true_polynomial_degrees(seed):
         assert _cheb_residual(values, grid, d) <= 1e-12, e.label
         if d > 0:
             assert _cheb_residual(values, grid, d - 1) >= 1e-6, e.label
+
+
+def test_sweep_translations_take_at_most_two_million_samples(monkeypatch):
+    # every sample of f that a translation takes goes through
+    # translation.sample; the default sweep took 5.19 M before the moduli of
+    # declared-degree f came from the multipliers (no z-integral at all, so
+    # no _exact_integral call), the nested z-rule stopped on its
+    # extrapolated error, and modulus-k-stability redid only capped points
+    samples, exact = [], []
+    real_sample, real_exact = translation.sample, translation._exact_integral
+
+    def counting(f, x):
+        samples.append(np.size(x))
+        return real_sample(f, x)
+
+    def recording(*args):
+        exact.append(args)
+        return real_exact(*args)
+
+    monkeypatch.setattr(translation, "sample", counting)
+    monkeypatch.setattr(translation, "_exact_integral", recording)
+    reports = run_theorem_sweep(Config(seed=7))
+    assert all(r.status == "pass" for r in reports)
+    assert 0 < sum(samples) <= 2_000_000
+    assert exact == []

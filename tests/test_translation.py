@@ -26,16 +26,23 @@ from smoothness_lab import (
 )
 from smoothness_lab.harness import _split_rule, corpus
 from smoothness_lab.quadrature import gauss_legendre, sample
+import smoothness_lab.translation as translation_module
+from smoothness_lab.approx import k_functional
+from smoothness_lab.space import discrete_norm, weighted_norm
 from smoothness_lab.translation import (
     _Z_RTOL,
     _Z_START,
+    _Translates,
     _asym_core,
     _asym_kernel,
     _moduli,
     _nested_integral,
+    _nested_points,
     _nested_rule,
+    _psi_rows,
     _sym_core,
     _sym_kernel,
+    _t_grids,
     _z_nodes,
 )
 
@@ -550,3 +557,125 @@ def test_per_point_stop_agrees_with_the_row_wise_stop(kind, label, quad_n):
     abs_kernel = lambda *args: np.abs(kernel(*args))
     size = _row_wise_integral(lambda x: np.abs(h.eval(x)), abs_kernel, ys, REF_XS, quad_n, h.breaks)
     assert np.all(np.abs(got - want) <= 1e-13 * size)
+
+
+def _z_rule_moduli(f, deltas, params, cfg):
+    """The moduli from the z-rule translations of _asym_core, one row per distinct y, as _moduli took them before the multipliers."""
+    grids = _t_grids(deltas, cfg.t_points)
+    ys = sorted({y for grid in grids for y in grid})
+    norm = discrete_norm(params, cfg.norm_nodes)
+    rows = _asym_core(f, np.array(ys), norm.nodes, cfg.quad_n) - sample(f, norm.nodes)
+    by_y = dict(zip(ys, map(norm, rows)))
+    return [max([0.0] + [by_y[y] for y in grid]) for grid in grids]
+
+
+def test_psi_rows_are_the_multipliers():
+    ys = np.array([math.cos(t) for t in np.linspace(0.0, 3.0, 25)])
+    rows = _psi_rows(64, ys)
+    for n in range(65):
+        assert np.array_equal(rows[:, n], [multiplier_psi(n, y) for y in ys]), n
+
+
+@pytest.mark.parametrize("name", sorted(MODULI_SPACES))
+def test_multiplier_moduli_agree_with_the_z_rule(name):
+    # a declared-degree f takes its moduli from psi_k(y) a_k, without a
+    # z-integral; the z-rule is exact for it too, so the two agree to
+    # rounding. The degree-48 K witness needs all of its d + 1 = 49 nodes.
+    params = MODULI_SPACES[name]
+    cfg = Config()
+    fs = [(f"{e.label},seed={seed}", e.handle) for seed in (7, 11) for e in corpus(seed) if e.handle.degree is not None]
+    witness = k_functional(CORPUS["sin(3x)"], 0.1, P21, 48, 256).witness
+    assert witness.degree == 48
+    fs.append(("witness-48", witness))
+    for label, f in fs:
+        got = _moduli(f, cfg.deltas, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
+        want = _z_rule_moduli(f, cfg.deltas, params, cfg)
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-13 * weighted_norm(f, params), label
+
+
+def test_moduli_of_a_declared_degree_take_no_z_integral(monkeypatch):
+    calls = []
+    real = translation_module._exact_integral
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(translation_module, "_exact_integral", recording)
+    cfg = Config()
+    for e in corpus(7):
+        if e.handle.degree is not None:
+            _moduli(e.handle, cfg.deltas, P21, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
+    assert calls == []
+    # the translations themselves still take the exact z-rule
+    _asym_core(CORPUS["P_5"], 0.5, make_grid(4), 128)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("label", ["|x|", "(1-x)^0.75", "sin(3x)"])
+def test_doubled_cap_redoes_only_the_capped_points(monkeypatch, label):
+    # modulus-k-stability's moduli under 2 quad_n come from the rows of the
+    # main pass with only their capped points integrated again; they must be
+    # bitwise the moduli of a fresh pass under 2 quad_n
+    cfg = Config()
+    h = CORPUS[label]
+    grid = list(cfg.deltas) + [1.0 / n for n in cfg.degrees]
+    translates = _Translates(h, grid, P21, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
+    assert translates.moduli(grid) == _moduli(h, grid, P21, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
+    points = []
+    real = translation_module._nested_points
+
+    def recording(fn, kernel, y_all, *args):
+        points.append(y_all.size)
+        return real(fn, kernel, y_all, *args)
+
+    monkeypatch.setattr(translation_module, "_nested_points", recording)
+    for deltas in (cfg.deltas, cfg.deltas[2:5]):
+        points.clear()
+        got = translates.moduli(deltas, 2 * cfg.quad_n)
+        ys = {y for grid in _t_grids(deltas, cfg.t_points) for y in grid}
+        assert sum(points) == sum(int(mask.sum()) for y, (_, mask) in translates.capped.items() if y in ys)
+        assert got == _moduli(h, deltas, P21, cfg.t_points, 2 * cfg.quad_n, cfg.norm_nodes), deltas
+    if label == "(1-x)^0.75":
+        assert translates.capped
+
+
+@pytest.mark.parametrize("label", ["|x|", "(1-x)^0.75", "sin(3x)"])
+def test_extrapolated_stop_is_within_rounding_of_a_deeper_two_level_rule(monkeypatch, label):
+    # on the sweep's y grid and norm nodes, every point that stops by a test
+    # is within 1e-13 S of the two-level test alone under a cap of 4 quad_n,
+    # S the point's integral of |integrand|; a point that reaches the cap
+    # passed neither test, and is bitwise the two-level rule's at that cap
+    cfg = Config()
+    h = CORPUS[label]
+    grids = _t_grids(list(cfg.deltas) + [1.0 / n for n in cfg.degrees], cfg.t_points)
+    ys = np.array(sorted({y for grid in grids for y in grid}))
+    xs = discrete_norm(P21, cfg.norm_nodes).nodes
+    y_all, x_all = np.repeat(ys, xs.size), np.tile(xs, ys.size)
+
+    def rule(f, kernel, quad_n):
+        return _nested_points(f, kernel, y_all, x_all, quad_n, h.breaks, xs.size * quad_n)
+
+    got, capped = rule(h, _asym_kernel, cfg.quad_n)
+    monkeypatch.setattr(translation_module, "_Z_EXTRAPOLATED", 0.0)
+    want, _ = rule(h, _asym_kernel, 4 * cfg.quad_n)
+    two_level, _ = rule(h, _asym_kernel, cfg.quad_n)
+    size, _ = rule(lambda x: np.abs(h.eval(x)), lambda *args: np.abs(_asym_kernel(*args)), 4 * cfg.quad_n)
+    assert np.all(np.abs(got - want)[~capped] <= 1e-13 * size[~capped])
+    assert np.array_equal(got[capped], two_level[capped])
+
+
+@pytest.mark.parametrize("label", ["|x|", "(1-x)^0.75", "sin(3x)"])
+def test_extrapolated_stop_takes_fewer_samples(monkeypatch, label):
+    cfg = Config()
+    h = CORPUS[label]
+    ys = np.array(sorted({y for grid in _t_grids(cfg.deltas, cfg.t_points) for y in grid}))
+    xs = discrete_norm(P21, cfg.norm_nodes).nodes
+    counts = []
+    f = FunctionHandle(eval=lambda x: counts.append(np.size(x)) or h.eval(x), breaks=h.breaks)
+    _nested_integral(f, _asym_kernel, ys, xs, cfg.quad_n, h.breaks)
+    extrapolated = sum(counts)
+    counts.clear()
+    monkeypatch.setattr(translation_module, "_Z_EXTRAPOLATED", 0.0)
+    _nested_integral(f, _asym_kernel, ys, xs, cfg.quad_n, h.breaks)
+    assert extrapolated < sum(counts)
