@@ -11,7 +11,7 @@ from .approx import best_approx
 from .errors import InvalidArgumentError, SmoothnessLabError
 from .harness import SCHEMA_VERSION, Config, _write_report, corpus, emit_report, run_lemma_suite, run_theorem_sweep
 from .space import SpaceParams
-from .translation import _moduli, multiplier_psi
+from .translation import modulus, multiplier_psi
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
 # Keys of retired Config fields that older config files still set, ignored
@@ -130,7 +130,7 @@ def _run_table(cfg: Config, op: str, fmt: str, path) -> int:
         rows = [
             {"label": e.label, "delta": float(d), "modulus": om}
             for e in corpus(cfg.seed)
-            for d, om in zip(cfg.deltas, _moduli(e.handle, cfg.deltas, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes))
+            for d, om in zip(cfg.deltas, modulus(e.handle, cfg.deltas, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes))
         ]
     else:
         params = SpaceParams(cfg.p, cfg.alpha)

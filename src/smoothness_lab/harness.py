@@ -41,7 +41,6 @@ from .space import FunctionHandle, SpaceParams, discrete_norm, make_grid, sample
 from .translation import (
     _Translates,
     _asym_core,
-    _moduli,
     _sym_core,
     abs_rotation_average,
     compute_R,
@@ -362,7 +361,7 @@ def run_lemma_suite(config: Config = Config()):
         cases = [
             ("legendre", gauss_legendre, _legendre_moment),
             ("chebyshev1", gauss_chebyshev, _chebyshev_moment),
-            ("jacobi(2,2)", lambda n: gauss_jacobi(n, 2.0, 2.0), _jacobi22_moment),
+            ("jacobi(2,2)", lambda n: gauss_jacobi(n, 2.0), _jacobi22_moment),
         ]
         for name, make, moment in cases:
             errs = [
@@ -389,7 +388,7 @@ def run_lemma_suite(config: Config = Config()):
         return _worst(rows), rows, "non-smooth entries excluded: plain Gauss converges only algebraically there"
 
     def jacobi_orthogonality():
-        rule = gauss_jacobi(64, 2.0, 2.0)
+        rule = gauss_jacobi(64, 2.0)
         mat = jacobi_matrix(16, rule.nodes)
         gram = (mat * rule.weights[None, :]) @ mat.T
         rows = [{"case": "n<=16", "value": float(np.max(np.abs(gram - np.diag(np.diag(gram)))))}]
@@ -694,7 +693,7 @@ def run_lemma_suite(config: Config = Config()):
         rows = [{"case": f"seed={cfg.seed}", "value": worst}]
         return _worst(rows), rows, "bitwise identical corpus regeneration"
 
-    moduli = lambda h: _moduli(h, cfg.deltas, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
+    moduli = lambda h: modulus(h, cfg.deltas, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
     k_values = lambda h: [r.value for r in _k_functionals(h, cfg.deltas, params, cfg.kdeg, cfg.norm_nodes)]
     translate = lambda e, tt, xs, qn: _asym_core(e.handle, math.cos(tt), xs, qn)
     rotate = lambda e, tt, xs, qn: abs_rotation_average(e.handle.eval, tt, xs, qn)

@@ -201,22 +201,14 @@ def jacobi_poly(n, a, b) -> PolynomialRep:
 
 
 @lru_cache(maxsize=4096)
-def jacobi_h(n, a=2, b=2) -> float:
-    """Squared weighted L2 norm of P_n^{(a,b)} (normalized at 1).
-
-    Closed form for the (2,2) pair; other exponent pairs fall back to
-    quadrature of the defining integral.
-    """
+def jacobi_h(n) -> float:
+    """Squared (1-x^2)^2-weighted L2 norm of P_n^{(2,2)} (normalized at 1), in closed form."""
     if n < 0:
         raise InvalidArgumentError("degree must be nonnegative")
-    if (a, b) == (2, 2):
-        tilde = Fraction(32, 2 * n + 5) * Fraction(
-            math.factorial(n + 2) ** 2, math.factorial(n + 4) * math.factorial(n)
-        )
-        return float(tilde / Fraction(math.comb(n + 2, 2)) ** 2)
-    rule = gauss_jacobi(max(2 * (n + 1), 16), float(a), float(b))
-    vals = jacobi_eval(n, a, b, rule.nodes)
-    return ordered_sum(rule.weights * vals * vals)
+    tilde = Fraction(32, 2 * n + 5) * Fraction(
+        math.factorial(n + 2) ** 2, math.factorial(n + 4) * math.factorial(n)
+    )
+    return float(tilde / Fraction(math.comb(n + 2, 2)) ** 2)
 
 
 def apply_D_poly(poly: PolynomialRep) -> PolynomialRep:
@@ -233,7 +225,7 @@ def apply_D_poly(poly: PolynomialRep) -> PolynomialRep:
 def fourier_jacobi_coeff(f, n, n_nodes: int = 64) -> float:
     """Expansion integral of f against P_n^{(2,2)} with weight (1-x^2)^2."""
     n, _, _ = _check_jacobi_args(n, 2, 2)
-    rule = gauss_jacobi(int(n_nodes), 2.0, 2.0)
+    rule = gauss_jacobi(int(n_nodes), 2.0)
     vals = sample(f, rule.nodes)
     return ordered_sum(rule.weights * vals * jacobi_eval(n, 2, 2, rule.nodes))
 
@@ -255,7 +247,7 @@ def expand_in_jacobi(f, nmax, n_nodes: int = 256) -> np.ndarray:
         nodes = (half * gl.nodes + mid).ravel()
         weights = (half * gl.weights).ravel() * (1.0 - nodes * nodes) ** 2
     else:
-        rule = gauss_jacobi(int(n_nodes), 2.0, 2.0)
+        rule = gauss_jacobi(int(n_nodes), 2.0)
         nodes, weights = rule.nodes, rule.weights
     vals = sample(f, nodes)
     basis = jacobi_matrix(nmax, nodes)

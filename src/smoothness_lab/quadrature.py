@@ -1,25 +1,24 @@
 """Gaussian quadrature rules on [-1, 1] and deterministic integration.
 
-The Legendre and Jacobi rules start from the eigenvalues of the symmetric
-tridiagonal Jacobi matrix T (Golub & Welsch, Math. Comp. 1969), computed
-without eigenvectors. For the symmetric weights of the package, (1-x^2)^a
-(Legendre, the (2, 2) rule and each norm's (p alpha, p alpha) rule), T has
-a zero diagonal: its eigenvalues come in pairs +-x, and the positive ones
-are the square roots of the eigenvalues of the half-size tridiagonal block
-of T^2 on the odd indices. Only the nonnegative nodes are refined and
-weighted, and the rule is their exact mirror image. One pass of the
-orthonormal three-term recurrence whose coefficients fill T gives p_n, p_n'
-and p_{n-1}, p_{n-1}' at each eigenvalue: one Newton step refines the
+The Legendre and Jacobi rules are those of the symmetric weights
+(1-x^2)^a: Legendre, the (2, 2) rule and each norm's (p alpha, p alpha)
+rule. They start from the eigenvalues of the symmetric tridiagonal Jacobi
+matrix T (Golub & Welsch, Math. Comp. 1969), computed without
+eigenvectors. T has a zero diagonal: its eigenvalues come in pairs +-x, and
+the positive ones are the square roots of the eigenvalues of the half-size
+tridiagonal block of T^2 on the odd indices. Only the nonnegative nodes are
+refined and weighted, and the rule is their exact mirror image. One pass of
+the orthonormal three-term recurrence whose coefficients fill T gives p_n,
+p_n' and p_{n-1}, p_{n-1}' at each eigenvalue: one Newton step refines the
 node, and the weight is the Christoffel number mu0 / sum_{k<n} p_k^2 at the
 refined node, by Christoffel-Darboux mu0 / (p_n' p_{n-1}) there, both
 factors carried to the refined node to first order with p_n'' from the
 Jacobi differential equation (as in Hale & Townsend, SIAM J. Sci. Comput.
 2013). This takes O(n^2) time and O(n) memory, and the weights near the
-ends are more accurate than those of the eigenvectors. Unequal exponents
-take the full eigenproblem and the same pass over all n nodes. The
-Chebyshev rule is closed form. Node order is always ascending, every
-symmetric rule is bitwise symmetric, and summation order is fixed, so
-repeated calls are bitwise reproducible on the same platform.
+ends are more accurate than those of the eigenvectors. The Chebyshev rule
+is closed form. Node order is always ascending, every rule is bitwise
+symmetric, and summation order is fixed, so repeated calls are bitwise
+reproducible on the same platform.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ class QuadratureRule:
     Attributes
     ----------
     kind : str
-        "legendre", "chebyshev1", or "jacobi(a,b)".
+        "legendre", "chebyshev1", or "jacobi(a,a)".
     nodes : ndarray
         Strictly increasing, all inside the open interval.
     weights : ndarray
@@ -100,28 +99,27 @@ def _check_n(n: int) -> int:
     return int(n)
 
 
-def _last_two(x, diag, off):
+def _last_two(x, off):
     """p_n, p_n', p_{n-1} and p_{n-1}' at x, the first two times off[n-1].
 
-    p_k are the orthonormal polynomials of the recurrence diag, off scaled to
-    p_0 = 1: off[k] p_{k+1} = (x - diag[k]) p_k - off[k-1] p_{k-1}. A diag
-    of None stands for a zero diagonal.
+    p_k are the orthonormal polynomials of the recurrence with zero
+    diagonal and off-diagonal off, scaled to p_0 = 1:
+    off[k] p_{k+1} = x p_k - off[k-1] p_{k-1}.
     """
     n = off.size + 1
     p_prev, p = np.zeros_like(x), np.ones_like(x)
     d_prev, d = np.zeros_like(x), np.zeros_like(x)
     for k in range(n):
-        t = x if diag is None else x - diag[k]
         beta = off[k - 1] if k else 0.0
         scale = off[k] if k < n - 1 else 1.0
-        p_next = (t * p - beta * p_prev) / scale
-        d_prev, d = d, (p + t * d - beta * d_prev) / scale
+        p_next = (x * p - beta * p_prev) / scale
+        d_prev, d = d, (p + x * d - beta * d_prev) / scale
         p_prev, p = p, p_next
     return p, d, p_prev, d_prev
 
 
-def _newton_christoffel(x, diag, off, a, b, mu0):
-    """Nodes and weights of the Gauss-Jacobi rule from approximate zeros x of p_n.
+def _newton_christoffel(x, off, a, mu0):
+    """Nodes and weights of the Gauss-Jacobi rule of (1-x^2)^a from approximate zeros x of p_n.
 
     One pass of _last_two gives P = off[n-1] p_n, P', p_{n-1} and p_{n-1}'
     at x. One Newton step x + h, h = -P / P', refines each node. Its weight
@@ -129,52 +127,41 @@ def _newton_christoffel(x, diag, off, a, b, mu0):
     Christoffel-Darboux the sum is P' p_{n-1} - p_{n-1}' P, at a zero of P
     just P' p_{n-1}. Both factors are carried to x + h to first order in h,
     with P'' from the Jacobi differential equation
-    (1 - x^2) y'' = (a - b + (a + b + 2) x) y' - n (n + a + b + 1) y.
+    (1 - x^2) y'' = (2 a + 2) x y' - n (n + 2 a + 1) y.
     """
     n = off.size + 1
-    p_n, d_n, p_m, d_m = _last_two(x, diag, off)
+    p_n, d_n, p_m, d_m = _last_two(x, off)
     h = -p_n / d_n
-    dd_n = ((a - b + (a + b + 2.0) * x) * d_n - n * (n + a + b + 1.0) * p_n) / ((1.0 - x) * (1.0 + x))
+    dd_n = ((a + a + 2.0) * x * d_n - n * (n + a + a + 1.0) * p_n) / ((1.0 - x) * (1.0 + x))
     return x + h, mu0 / ((d_n + dd_n * h) * (p_m + d_m * h))
 
 
-def _golub_welsch(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+def _golub_welsch(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     # Recurrence coefficients of monic Jacobi polynomials for weight
-    # (1-x)^a (1+x)^b; see Gautschi, "Orthogonal Polynomials", table 1.1.
-    k = np.arange(n, dtype=float)
-    s = 2.0 * k + a + b
-    with np.errstate(invalid="ignore", divide="ignore"):
-        diag = (b * b - a * a) / (s * (s + 2.0))
-    diag[0] = (b - a) / (a + b + 2.0)
-    if n > 1:
-        k = np.arange(1, n, dtype=float)
-        s = 2.0 * k + a + b
-        num = 4.0 * k * (k + a) * (k + b) * (k + a + b)
-        den = s * s * (s + 1.0) * (s - 1.0)
-        off = np.sqrt(num / den)
-        off[0] = math.sqrt(4.0 * (a + 1.0) * (b + 1.0) / ((a + b + 2.0) ** 2 * (a + b + 3.0)))
-    else:
-        off = np.zeros(0)
-    mu0 = 2.0 ** (a + b + 1.0) * math.exp(
-        math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0)
+    # (1-x^2)^a; see Gautschi, "Orthogonal Polynomials", table 1.1. The
+    # diagonal is zero.
+    mu0 = 2.0 ** (a + a + 1.0) * math.exp(
+        math.lgamma(a + 1.0) + math.lgamma(a + 1.0) - math.lgamma(a + a + 2.0)
     )
     if n == 1:
-        return np.array([diag[0]]), np.array([mu0])
-    if a != b:
-        x = eigh_tridiagonal(diag, off, eigvals_only=True)
-        return _newton_christoffel(x, diag, off, a, b, mu0)
-    # a == b: the diagonal is zero, so the zeros come in pairs +-x and T^2
-    # keeps the parity of an index. Its block on the odd indices is
-    # tridiagonal, with the squares of the n // 2 positive zeros for
-    # eigenvalues. Only those zeros are refined and weighted; an odd rule
-    # adds the midpoint, where p_n is exactly 0 and the node stays 0.0. The
-    # negative half is their mirror image.
+        return np.array([0.0]), np.array([mu0])
+    k = np.arange(1, n, dtype=float)
+    s = 2.0 * k + a + a
+    num = 4.0 * k * (k + a) * (k + a) * (k + a + a)
+    den = s * s * (s + 1.0) * (s - 1.0)
+    off = np.sqrt(num / den)
+    off[0] = math.sqrt(4.0 * (a + 1.0) * (a + 1.0) / ((a + a + 2.0) ** 2 * (a + a + 3.0)))
+    # The zeros come in pairs +-x and T^2 keeps the parity of an index. Its
+    # block on the odd indices is tridiagonal, with the squares of the
+    # n // 2 positive zeros for eigenvalues. Only those zeros are refined
+    # and weighted; an odd rule adds the midpoint, where p_n is exactly 0
+    # and the node stays 0.0. The negative half is their mirror image.
     o = np.append(off, 0.0)
     m = n // 2
     square_diag = o[0 : 2 * m : 2] ** 2 + o[1 : 2 * m : 2] ** 2
     square_off = o[1 : 2 * m - 2 : 2] * o[2 : 2 * m - 1 : 2]
     x = np.sqrt(eigh_tridiagonal(square_diag, square_off, eigvals_only=True))
-    x, w = _newton_christoffel(np.concatenate(([0.0], x)) if n % 2 else x, None, off, a, a, mu0)
+    x, w = _newton_christoffel(np.concatenate(([0.0], x)) if n % 2 else x, off, a, mu0)
     return np.concatenate((-x[::-1][:m], x)), np.concatenate((w[::-1][:m], w))
 
 
@@ -192,7 +179,7 @@ def gauss_legendre(n: int) -> QuadratureRule:
     QuadratureRule
     """
     n = _check_n(n)
-    nodes, weights = _golub_welsch(n, 0.0, 0.0)
+    nodes, weights = _golub_welsch(n, 0.0)
     return QuadratureRule("legendre", nodes, weights)
 
 
@@ -213,15 +200,15 @@ def gauss_chebyshev(n: int) -> QuadratureRule:
 
 
 @lru_cache(maxsize=512)
-def gauss_jacobi(n: int, a: float, b: float) -> QuadratureRule:
-    """Gauss-Jacobi rule for the weight (1-x)^a (1+x)^b, a, b > -1.
+def gauss_jacobi(n: int, a: float) -> QuadratureRule:
+    """Gauss-Jacobi rule for the symmetric weight (1-x^2)^a, a > -1.
 
     Parameters
     ----------
     n : int
         Number of nodes, 1 <= n <= 4096.
-    a, b : float
-        Weight exponents; each must be greater than -1 for the weight to be
+    a : float
+        Weight exponent; it must be greater than -1 for the weight to be
         integrable.
 
     Returns
@@ -230,13 +217,12 @@ def gauss_jacobi(n: int, a: float, b: float) -> QuadratureRule:
     """
     n = _check_n(n)
     a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise InvalidArgumentError("jacobi exponents must be finite")
-    if a <= -1.0 or b <= -1.0:
-        raise InvalidArgumentError(f"jacobi exponents must exceed -1, got a={a}, b={b}")
-    nodes, weights = _golub_welsch(n, a, b)
-    return QuadratureRule(f"jacobi({a:g},{b:g})", nodes, weights)
+    if not math.isfinite(a):
+        raise InvalidArgumentError("jacobi exponent must be finite")
+    if a <= -1.0:
+        raise InvalidArgumentError(f"jacobi exponent must exceed -1, got a={a}")
+    nodes, weights = _golub_welsch(n, a)
+    return QuadratureRule(f"jacobi({a:g},{a:g})", nodes, weights)
 
 
 def _as_callable(f):

@@ -212,7 +212,7 @@ def discrete_norm(params, n_nodes: int) -> DiscreteNorm:
     exponent = params.p * params.alpha
     if exponent <= -1.0:
         raise InvalidArgumentError(f"p * alpha must exceed -1 for an integrable weight, got {exponent:g}")
-    rule = gauss_jacobi(n_nodes, exponent, exponent)
+    rule = gauss_jacobi(n_nodes, exponent)
     return DiscreteNorm(params.p, rule.nodes, rule.weights)
 
 

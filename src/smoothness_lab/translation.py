@@ -22,8 +22,6 @@ from .space import SpaceParams, _positive_int, discrete_norm
 __all__ = [
     "compute_R",
     "kernel_B",
-    "asym_translate",
-    "sym_translate",
     "multiplier_psi",
     "abs_rotation_average",
     "modulus",
@@ -31,10 +29,12 @@ __all__ = [
 
 
 def _check_cube(x, z, y):
-    for name, v in (("x", x), ("z", z), ("y", y)):
-        v = np.asarray(v, dtype=float)
+    """x, z and y as float arrays, each checked to lie in [-1, 1]."""
+    arrays = tuple(np.asarray(v, dtype=float) for v in (x, z, y))
+    for name, v in zip("xzy", arrays):
         if not np.all(np.isfinite(v)) or np.any(np.abs(v) > 1.0):
             raise InvalidArgumentError(f"{name} must lie in [-1, 1]")
+    return arrays
 
 
 def compute_R(x, z, y):
@@ -43,10 +43,7 @@ def compute_R(x, z, y):
     The clip removes rounding excursions of a few ulp outside the interval
     so downstream evaluations never leave the domain.
     """
-    _check_cube(x, z, y)
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, z, y = _check_cube(x, z, y)
     r = x * y - z * np.sqrt(1.0 - x * x) * np.sqrt(1.0 - y * y)
     out = np.clip(r, -1.0, 1.0)
     return float(out) if out.shape == () else out
@@ -54,10 +51,7 @@ def compute_R(x, z, y):
 
 def kernel_B(x, z, y):
     """Sign-changing translation kernel B_y(x, z)."""
-    _check_cube(x, z, y)
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, z, y = _check_cube(x, z, y)
     sx = np.sqrt(1.0 - x * x)
     sy = np.sqrt(1.0 - y * y)
     r = np.clip(x * y - z * sx * sy, -1.0, 1.0)
@@ -74,17 +68,9 @@ _Z_RTOL = 1e-14
 _Z_EXTRAPOLATED = 0.1
 # Intervals per panel at the first level of the convergence-stopped z-rule.
 _Z_START = 8
-# Elements that a chunk of the exact z-rule may hold whatever len(xs) *
-# quad_n is, so that many y on a few x take a few chunks, not one per y.
+# Elements that a chunk of the exact z-rule may hold whatever its budget,
+# so that many y on a few x take a few chunks, not one per y.
 _EXACT_CHUNK = 2**16
-
-
-def _z_nodes(fn, quad_n: int) -> int:
-    """Nodes of the z-rule: quad_n, capped at the exact d // 2 + 3 when fn declares a degree d."""
-    degree = getattr(fn, "degree", None)
-    if degree is None:
-        return int(quad_n)
-    return min(int(quad_n), degree // 2 + 3)
 
 
 @lru_cache(maxsize=64)
@@ -130,7 +116,7 @@ def _panels(x, y, breaks):
 
     The panels run between 0, the crossings theta* = arccos z* of the
     breaks (see _crossing) and pi. Every break must be crossed by R at
-    every point, or its panel is empty: _nested_integral passes each point
+    every point, or its panel is empty: _nested_points passes each point
     only the breaks it crosses.
     """
     theta = np.arccos(np.clip(_crossing(x, y, breaks), -1.0, 1.0))
@@ -142,22 +128,37 @@ def _panels(x, y, breaks):
     )
 
 
-def _exact_integral(fn, kernel, ys, xs, quad_n, nodes):
-    """z-integral of kernel * f(R) by the Gauss-Chebyshev rule of nodes nodes, shape (len(ys), len(xs)).
+def _z_points(fn, kernel, y_all, x_all, quad_n, budget):
+    """z-integral of kernel * f(R) at the points (y_all[i], x_all[i]), and whether each point reached the z-rule's cap.
 
-    Rows of y are taken in chunks whose arrays hold at most
-    max(len(xs) * quad_n, _EXACT_CHUNK) elements; each element goes through
-    the same operations in the same order as a call with a scalar y, so the
-    values do not depend on the chunks.
+    The one place that picks the z-rule. The kernels have degree 4 in z, so
+    an fn of declared degree d takes the exact Gauss-Chebyshev rule of
+    min(quad_n, d // 2 + 3) nodes, and none of its points is capped; any
+    other fn the nested rule of _nested_points, with cap quad_n.
+    """
+    degree = getattr(fn, "degree", None)
+    if degree is None:
+        return _nested_points(fn, kernel, y_all, x_all, quad_n, budget)
+    nodes = min(int(quad_n), degree // 2 + 3)
+    return _exact_points(fn, kernel, y_all, x_all, nodes, budget), np.zeros(x_all.size, dtype=bool)
+
+
+def _exact_points(fn, kernel, y_all, x_all, nodes, budget):
+    """z-integral of kernel * f(R) at the points (y_all[i], x_all[i]) by the Gauss-Chebyshev rule of nodes nodes.
+
+    Points are taken in chunks whose arrays hold at most
+    max(budget, _EXACT_CHUNK) elements; each element goes through the same
+    operations in the same order whatever its chunk, so the values do not
+    depend on the chunks.
     """
     rule = gauss_chebyshev(nodes)
     z = rule.nodes
-    x = xs[None, :, None]
-    sx = np.sqrt(1.0 - x * x)
-    out = np.empty((ys.size, xs.size))
-    chunk = max(1, max(xs.size * int(quad_n), _EXACT_CHUNK) // (xs.size * nodes))
-    for lo in range(0, ys.size, chunk):
-        y = ys[lo : lo + chunk, None, None]
+    out = np.empty(x_all.size)
+    chunk = max(1, max(budget, _EXACT_CHUNK) // nodes)
+    for lo in range(0, x_all.size, chunk):
+        x = x_all[lo : lo + chunk, None]
+        y = y_all[lo : lo + chunk, None]
+        sx = np.sqrt(1.0 - x * x)
         sy = np.sqrt(np.maximum(1.0 - y * y, 0.0))
         r = np.clip(x * y - z * sx * sy, -1.0, 1.0)
         kw = kernel(rule.weights, x, sx, y, sy, z, r)
@@ -175,31 +176,21 @@ def _dot(a, w):
     return np.einsum("...j,j->...", a, w)
 
 
-def _nested_integral(fn, kernel, ys, xs, quad_n, breaks):
-    """z-integral of kernel * f(R) by a nested rule stopped at convergence, shape (len(ys), len(xs)).
-
-    Every (y, x) pair is a point of its own: the values are those of
-    _nested_points at the points of the grid.
-    """
-    y_all, x_all = np.repeat(ys, xs.size), np.tile(xs, ys.size)
-    out, _ = _nested_points(fn, kernel, y_all, x_all, quad_n, breaks, xs.size * int(quad_n))
-    return out.reshape(ys.size, xs.size)
-
-
-def _nested_points(fn, kernel, y_all, x_all, quad_n, breaks, budget):
+def _nested_points(fn, kernel, y_all, x_all, quad_n, budget):
     """z-integral of kernel * f(R) at the points (y_all[i], x_all[i]), and whether each point reached the cap.
 
     With z = cos theta the z-integral is a theta-integral over [0, pi].
-    The points are grouped by the breaks that R actually crosses there
-    (_crossing). A point that crosses none has a smooth, even and 2
-    pi-periodic integrand in theta and takes one panel with the trapezoid
-    rule (Gauss-Chebyshev-Lobatto in z, exact to degree 2n - 1): bitwise the
-    value of the same f declared without breaks. A point that crosses k
-    breaks takes k + 1 panels, split at the crossings, each with a
-    Clenshaw-Curtis rule in theta. The rule starts at _Z_START intervals per
-    panel and doubles, reusing every sample; the estimates I_{n/2} and
-    I_{n/4} of the first level come from its even samples. A point stops
-    when, with d = |I_n - I_{n/2}| and S its integral of |integrand|:
+    The points are grouped by the breaks of fn (FunctionHandle.breaks) that
+    R actually crosses there (_crossing). A point that crosses none has a
+    smooth, even and 2 pi-periodic integrand in theta and takes one panel
+    with the trapezoid rule (Gauss-Chebyshev-Lobatto in z, exact to degree
+    2n - 1): bitwise the value of the same f declared without breaks. A
+    point that crosses k breaks takes k + 1 panels, split at the crossings,
+    each with a Clenshaw-Curtis rule in theta. The rule starts at _Z_START
+    intervals per panel and doubles, reusing every sample; the estimates
+    I_{n/2} and I_{n/4} of the first level come from its even samples. A
+    point stops when, with d = |I_n - I_{n/2}| and S its integral of
+    |integrand|:
 
     - d <= _Z_RTOL S (two levels agree), or
     - d^2 <= _Z_EXTRAPOLATED _Z_RTOL S |I_{n/2} - I_{n/4}| and d <= 1e-6 S:
@@ -213,6 +204,7 @@ def _nested_points(fn, kernel, y_all, x_all, quad_n, breaks, budget):
     unconverged points go on to the next level; _dot makes each point's
     value independent of its chunk.
     """
+    breaks = tuple(getattr(fn, "breaks", ()))
     out = np.empty(x_all.size)
     capped = np.zeros(x_all.size, dtype=bool)
     crossed = np.abs(_crossing(x_all, y_all, breaks)) < 1.0
@@ -293,16 +285,6 @@ def _z_cap(quad_n, cut):
     return max(int(quad_n) // (len(cut) + 1), 1)
 
 
-def _z_integral(fn, kernel, y, xs, quad_n):
-    """z-integral of kernel * f(R) for each y: (len(y), len(xs)) for a 1-d y, (len(xs),) for a scalar."""
-    ys = np.atleast_1d(np.asarray(y, dtype=float))
-    if getattr(fn, "degree", None) is not None:
-        out = _exact_integral(fn, kernel, ys, xs, quad_n, _z_nodes(fn, quad_n))
-    else:
-        out = _nested_integral(fn, kernel, ys, xs, quad_n, tuple(getattr(fn, "breaks", ())))
-    return out[0] if np.ndim(y) == 0 else out
-
-
 def _asym_kernel(w, x, sx, y, sy, z, r):
     br = sx * y + z * x * sy + sx * (1.0 - y) * (1.0 - z * z)
     return w * (2.0 * br * br - (1.0 - r * r))
@@ -313,62 +295,45 @@ def _sym_kernel(w, x, sx, y, sy, z, r):
     return w * zz * zz
 
 
+def _asym_points(fn, ys, iy, x_all, quad_n, budget):
+    """tau_y f at the points (ys[iy[i]], x_all[i]), and whether each point reached the z-rule's cap (_z_points).
+
+    tau_y f = 4 / (pi (1 + y)^2) (1 - x^2)^-1 times the z-integral of kb f(R);
+    the factor is taken once per entry of ys (_asym_scale).
+    """
+    z, capped = _z_points(fn, _asym_kernel, ys[iy], x_all, quad_n, budget)
+    return _asym_scale(ys)[iy] * z / (1.0 - x_all * x_all), capped
+
+
 def _asym_core(fn, y, xs: np.ndarray, quad_n: int) -> np.ndarray:
     """tau_y f on a 1-d array of interior points, for a scalar y or a 1-d array of y.
 
-    The kernel kb has degree 4 in z, so a polynomial fn of declared degree d
-    is integrated exactly by the Chebyshev rule of _z_nodes(fn, quad_n)
-    nodes; any other fn gets the nested rule of _nested_integral, with
-    quad_n as its cap. A 1-d y gives shape (len(y), len(xs)).
+    The z-rule is that of _z_points, with quad_n as its cap. A 1-d y gives
+    shape (len(y), len(xs)).
     """
-    scale = _asym_scale(np.atleast_1d(y)).reshape(np.shape(y) + (1,))
-    return scale * _z_integral(fn, _asym_kernel, y, xs, quad_n) / (1.0 - xs * xs)
+    ys = np.atleast_1d(np.asarray(y, dtype=float))
+    iy = np.repeat(np.arange(ys.size), xs.size)
+    tau, _ = _asym_points(fn, ys, iy, np.tile(xs, ys.size), quad_n, xs.size * int(quad_n))
+    return tau.reshape(np.shape(y) + xs.shape)
 
 
 def _asym_scale(ys):
-    """The factor 4 / (pi (1 + y)^2) of tau_y for each y of a 1-d array, shape (len(ys), 1)."""
-    return np.reshape([4.0 / (math.pi * (1.0 + v) ** 2) for v in ys.tolist()], (-1, 1))
+    """The factor 4 / (pi (1 + y)^2) of tau_y for each y of a 1-d array.
 
-
-def _check_y(y: float) -> float:
-    y = float(y)
-    if not math.isfinite(y) or y <= -1.0 or y > 1.0:
-        raise InvalidArgumentError(f"translation parameter y must lie in (-1, 1], got {y!r}")
-    return y
-
-
-def asym_translate(f, y, x, quad_n: int = 128) -> float:
-    """Asymmetric translation tau_y(f) at a single interior point x."""
-    y = _check_y(y)
-    x = float(x)
-    if not abs(x) < 1.0:
-        raise InvalidArgumentError(f"x must lie in (-1, 1), got {x!r}")
-    quad_n = _positive_int(quad_n, "quad_n")
-    return float(_asym_core(_as_callable(f), y, np.array([x]), quad_n)[0])
+    In Python floats: numpy's (1.0 + y) ** 2 differs in the last bit for some y.
+    """
+    return np.array([4.0 / (math.pi * (1.0 + v) ** 2) for v in ys.tolist()])
 
 
 def _sym_core(fn, y, xs: np.ndarray, quad_n: int) -> np.ndarray:
-    """Symmetric translation on a 1-d array of points, for a scalar y or a 1-d array of y.
+    """Symmetric translation, the (1-z^2)^2 average of f(R), on a 1-d array of points, for a scalar y or a 1-d array of y.
 
-    The weight (1-z^2)^2 has degree 4 in z, so a polynomial fn of declared
-    degree d is integrated exactly by the Chebyshev rule of
-    _z_nodes(fn, quad_n) nodes; any other fn gets the nested rule of
-    _nested_integral, with quad_n as its cap. A 1-d y gives shape
-    (len(y), len(xs)).
+    The z-rule is that of _z_points, with quad_n as its cap. A 1-d y gives
+    shape (len(y), len(xs)).
     """
-    return 8.0 / (3.0 * math.pi) * _z_integral(fn, _sym_kernel, y, xs, quad_n)
-
-
-def sym_translate(f, y, x, quad_n: int = 128) -> float:
-    """Symmetric translation with the (1-z^2)^2 average; product formula holds."""
-    y = float(y)
-    if not (math.isfinite(y) and abs(y) <= 1.0):
-        raise InvalidArgumentError(f"y must lie in [-1, 1], got {y!r}")
-    x = float(x)
-    if abs(x) > 1.0:
-        raise InvalidArgumentError(f"x must lie in [-1, 1], got {x!r}")
-    quad_n = _positive_int(quad_n, "quad_n")
-    return float(_sym_core(_as_callable(f), y, np.array([x]), quad_n)[0])
+    ys = np.atleast_1d(np.asarray(y, dtype=float))
+    z, _ = _z_points(fn, _sym_kernel, np.repeat(ys, xs.size), np.tile(xs, ys.size), quad_n, xs.size * int(quad_n))
+    return 8.0 / (3.0 * math.pi) * z.reshape(np.shape(y) + xs.shape)
 
 
 def multiplier_psi(n: int, y) -> float:
@@ -378,7 +343,10 @@ def multiplier_psi(n: int, y) -> float:
     Jacobi convolution structure of Gasper (Ann. of Math. 93, 1971). The
     value comes from the three-term recurrence of jacobi_eval.
     """
-    return jacobi_eval(n, 0, 4, _check_y(y))
+    y = float(y)
+    if not math.isfinite(y) or y <= -1.0 or y > 1.0:
+        raise InvalidArgumentError(f"translation parameter y must lie in (-1, 1], got {y!r}")
+    return jacobi_eval(n, 0, 4, y)
 
 
 def abs_rotation_average(f, t, xs, quad_n: int = 128) -> np.ndarray:
@@ -386,12 +354,15 @@ def abs_rotation_average(f, t, xs, quad_n: int = 128) -> np.ndarray:
 
     This is the positive-kernel transform whose weighted norm stays
     uniformly controlled by the norm of f. It always uses the full quad_n
-    rule: |f| is not a polynomial even when f declares a degree.
+    rule: |f| is not a polynomial even when f declares a degree. Its R
+    takes sin t, not the sqrt(1-y^2) of the translations' z-rule.
     """
     t = float(t)
     if not (math.isfinite(t) and 0.0 <= t <= math.pi):
         raise InvalidArgumentError(f"t must lie in [0, pi], got {t!r}")
     xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1 or not np.all(np.abs(xs) < 1.0):
+        raise InvalidArgumentError("xs must be a 1-d array of finite points in (-1, 1)")
     rule = gauss_chebyshev(_positive_int(quad_n, "quad_n"))
     z = rule.nodes[None, :]
     x = xs[:, None]
@@ -408,32 +379,30 @@ def modulus(
     t_points: int = 16,
     quad_n: int = 128,
     norm_nodes: int = 256,
-) -> float:
+):
     """Smoothness modulus sup_{0 <= t <= delta} of the weighted norm of tau_{cos t} f - f.
 
     The supremum is taken over the uniform grid t = delta k / t_points,
     k = 0..t_points; the k = 0 term is identically zero and skipped. Each
     norm is discrete_norm(params, norm_nodes) of tau_{cos t} f - f at its
-    nodes, computed as _Translates does: from the multipliers psi_k when f
-    declares a degree, else by the nested z-rule with cap quad_n. t_points
-    and quad_n must be positive integers. Over a grid of deltas, _moduli
-    gives the same values and translates f once per distinct y.
+    nodes (_Translates). A number delta gives a float, a 1-d sequence the
+    list of its moduli: f is translated once per distinct y = cos t across
+    them, and each value is bitwise the modulus at its delta alone.
     """
-    delta = float(delta)
-    if not (math.isfinite(delta) and 0.0 <= delta < math.pi):
-        raise InvalidArgumentError(f"delta must lie in [0, pi), got {delta!r}")
+    try:
+        values = np.asarray(delta, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise InvalidArgumentError(f"delta must be a number or a 1-d sequence of numbers, got {delta!r}") from e
+    if values.ndim > 1:
+        raise InvalidArgumentError(f"delta must be a number or a 1-d sequence, got shape {values.shape}")
+    deltas = [float(d) for d in values.ravel()]
+    for d in deltas:
+        if not (math.isfinite(d) and 0.0 <= d < math.pi):
+            raise InvalidArgumentError(f"delta must lie in [0, pi), got {d!r}")
     t_points = _positive_int(t_points, "t_points")
     quad_n = _positive_int(quad_n, "quad_n")
-    return _moduli(f, [delta], params, t_points, quad_n, norm_nodes)[0]
-
-
-def _moduli(f, deltas, params: SpaceParams, t_points: int, quad_n: int, norm_nodes: int) -> list:
-    """modulus(f, delta, ...) for each delta, from one _Translates over the distinct y of all grids.
-
-    A y = cos(delta k / t_points) that several deltas share, as the same
-    float, is translated once. A declared-degree f takes no z-integral.
-    """
-    return _Translates(f, deltas, params, t_points, quad_n, norm_nodes).moduli(deltas)
+    moduli = _Translates(f, deltas, params, t_points, quad_n, norm_nodes).moduli(deltas)
+    return moduli if values.ndim else moduli[0]
 
 
 def _t_grids(deltas, t_points):
@@ -459,11 +428,11 @@ class _Translates:
     with a the exact (2,2) coefficients of f from the (d + 1)-node rule of
     expand_in_jacobi, tau_y f - f = sum_k (psi_k(y) - 1) a_k P_k, one matrix
     product for every y and no z-integral, which quad_n does not enter.
-    Any other f takes the nested z-rule of _nested_points with cap quad_n,
+    Any other f takes the nested z-rule of _asym_points with cap quad_n,
     bitwise _asym_core(f, ys, nodes, quad_n) - f, and keeps the mask of the
     points that reached that cap: moduli(deltas, quad_n=q) integrates only
     those points again, under the cap q, and gives bitwise
-    _moduli(f, deltas, params, t_points, q, norm_nodes), because a point
+    modulus(f, deltas, params, t_points, q, norm_nodes), because a point
     that stopped by its test stops at the same level under any larger cap.
     """
 
@@ -484,15 +453,12 @@ class _Translates:
             rows = ((_psi_rows(degree, ys) - 1.0) * a) @ jacobi_matrix(degree, xs)
         else:
             self.fx = sample(self.fn, xs)
-            x_all, y_all = np.tile(xs, ys.size), np.repeat(ys, xs.size)
-            z, capped = _nested_points(self.fn, _asym_kernel, y_all, x_all, quad_n, self._breaks(), xs.size * quad_n)
-            rows = _asym_scale(ys) * z.reshape(ys.size, xs.size) / (1.0 - xs * xs) - self.fx
+            iy = np.repeat(np.arange(ys.size), xs.size)
+            tau, capped = _asym_points(self.fn, ys, iy, np.tile(xs, ys.size), quad_n, xs.size * quad_n)
+            rows = tau.reshape(ys.size, xs.size) - self.fx
             masks = capped.reshape(rows.shape)
             self.capped = {y: (row, mask) for y, row, mask in zip(self.ys, rows, masks) if mask.any()}
         self.norms = dict(zip(self.ys, (self.norm(r) for r in rows)))
-
-    def _breaks(self):
-        return tuple(getattr(self.fn, "breaks", ()))
 
     def moduli(self, deltas, quad_n=None) -> list:
         """The modulus at each delta, whose t grid must be among those the rows were built for.
@@ -508,7 +474,7 @@ class _Translates:
             ys = np.array(redo)
             rows = np.array([self.capped[y][0] for y in redo])
             iy, ix = np.nonzero([self.capped[y][1] for y in redo])
-            z, _ = _nested_points(self.fn, _asym_kernel, ys[iy], xs[ix], quad_n, self._breaks(), xs.size * quad_n)
-            rows[iy, ix] = _asym_scale(ys[iy])[:, 0] * z / (1.0 - xs[ix] * xs[ix]) - self.fx[ix]
+            tau, _ = _asym_points(self.fn, ys, iy, xs[ix], quad_n, xs.size * quad_n)
+            rows[iy, ix] = tau - self.fx[ix]
             norms = {**norms, **dict(zip(redo, (self.norm(r) for r in rows)))}
         return [max([0.0] + [norms[y] for y in grid]) for grid in grids]

@@ -128,7 +128,7 @@ def test_newton_irls_converges_to_a_stationary_point(params, label):
     f = NEWTON_CASES[label]
     p = params.p
     norm = weighted_norm(f, params)
-    rule = gauss_jacobi(512, p * params.alpha, p * params.alpha)
+    rule = gauss_jacobi(512, p * params.alpha)
     fv = f(rule.nodes)
     prev = math.inf
     for n in range(1, 17):
@@ -152,7 +152,7 @@ def test_newton_irls_goes_on_where_the_objective_stops_ranking_steps(params, n):
     # that halve the gradient take it to rounding
     f = NEWTON_CASES["(1-x)^0.75"]
     p = params.p
-    rule = gauss_jacobi(512, p * params.alpha, p * params.alpha)
+    rule = gauss_jacobi(512, p * params.alpha)
     r = f(rule.nodes) - best_approx(f, n, params, grid_n=512).argmin(rule.nodes)
     V = chebvander(rule.nodes, n - 1)
     grad = V.T @ (rule.weights * np.abs(r) ** (p - 1.0) * np.sign(r))

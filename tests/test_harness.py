@@ -299,10 +299,10 @@ def test_sweep_translations_take_at_most_two_million_samples(monkeypatch):
     # every sample of f that a translation takes goes through
     # translation.sample; the default sweep took 5.19 M before the moduli of
     # declared-degree f came from the multipliers (no z-integral at all, so
-    # no _exact_integral call), the nested z-rule stopped on its
+    # no _exact_points call), the nested z-rule stopped on its
     # extrapolated error, and modulus-k-stability redid only capped points
     samples, exact = [], []
-    real_sample, real_exact = translation.sample, translation._exact_integral
+    real_sample, real_exact = translation.sample, translation._exact_points
 
     def counting(f, x):
         samples.append(np.size(x))
@@ -313,7 +313,7 @@ def test_sweep_translations_take_at_most_two_million_samples(monkeypatch):
         return real_exact(*args)
 
     monkeypatch.setattr(translation, "sample", counting)
-    monkeypatch.setattr(translation, "_exact_integral", recording)
+    monkeypatch.setattr(translation, "_exact_points", recording)
     reports = run_theorem_sweep(Config(seed=7))
     assert all(r.status == "pass" for r in reports)
     assert 0 < sum(samples) <= 2_000_000

@@ -71,7 +71,7 @@ def test_chebyshev_form_agrees_to_degree_64(n):
 
 
 def test_orthogonality_on_gauss_rule():
-    rule = gauss_jacobi(64, 2.0, 2.0)
+    rule = gauss_jacobi(64, 2.0)
     basis = jacobi_matrix(16, rule.nodes)
     gram = (basis * rule.weights[None, :]) @ basis.T
     off = gram - np.diag(np.diag(gram))
@@ -154,7 +154,7 @@ def test_mode_coefficient_recovers_norm():
 
 def test_expansion_roundtrip_and_convergence():
     f = lambda x: np.sin(3.0 * x)
-    rule = gauss_jacobi(256, 2.0, 2.0)
+    rule = gauss_jacobi(256, 2.0)
     fv = f(rule.nodes)
 
     def residual(nmax):

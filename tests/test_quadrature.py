@@ -39,7 +39,7 @@ def chebyshev_moment(k: int) -> float:
 
 
 def test_two_node_jacobi_rule_is_exact():
-    rule = gauss_jacobi(2, 2.0, 2.0)
+    rule = gauss_jacobi(2, 2.0)
     assert np.allclose(sorted(rule.nodes), [-1.0 / math.sqrt(7.0), 1.0 / math.sqrt(7.0)], atol=1e-15)
     assert np.allclose(rule.weights, [8.0 / 15.0, 8.0 / 15.0], atol=1e-15)
 
@@ -55,7 +55,7 @@ def test_legendre_exact_through_degree_2n_minus_1(n):
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
 def test_jacobi22_exact_through_degree_2n_minus_1(n):
-    rule = gauss_jacobi(n, 2.0, 2.0)
+    rule = gauss_jacobi(n, 2.0)
     for k in range(2 * n):
         got = ordered_sum(rule.weights * rule.nodes**k)
         want = float(jacobi22_moment(k))
@@ -105,7 +105,7 @@ def test_ordered_sum_is_deterministic_and_accurate():
 
 
 def test_rule_fields():
-    rule = gauss_jacobi(5, 2.0, 2.0)
+    rule = gauss_jacobi(5, 2.0)
     assert rule.kind == "jacobi(2,2)"
     assert rule.nodes.shape == rule.weights.shape == (5,)
     assert np.all(np.diff(rule.nodes) > 0)
@@ -130,10 +130,9 @@ def test_integrate_samples_through_sample():
 
 
 def test_jacobi_exponent_validation():
-    with pytest.raises(InvalidArgumentError):
-        gauss_jacobi(4, -1.0, 0.0)
-    with pytest.raises(InvalidArgumentError):
-        gauss_jacobi(4, 0.0, -1.5)
+    for bad in (-1.0, -1.5, math.inf, math.nan):
+        with pytest.raises(InvalidArgumentError):
+            gauss_jacobi(4, bad)
 
 
 def _mu0(a, b):
@@ -164,7 +163,7 @@ EXPONENTS = [0.0, 0.75, 1.375, 2.0, 3.0, 3.25]
 @pytest.mark.parametrize("a", EXPONENTS)
 @pytest.mark.parametrize("n", [1, 2, 7, 64, 256, 1024, 2048])
 def test_rule_without_eigenvectors_matches_the_eigenvector_rule(n, a):
-    nodes, weights = _golub_welsch(n, a, a)
+    nodes, weights = _golub_welsch(n, a)
     old_nodes, old_weights = _eigenvector_rule(n, a, a)
     assert np.max(np.abs(nodes - old_nodes)) <= 1e-15
     # the weights are symmetric, and match the eigenvector rule on x <= 0;
@@ -176,7 +175,8 @@ def test_rule_without_eigenvectors_matches_the_eigenvector_rule(n, a):
     assert abs(math.fsum(weights) / _mu0(a, a) - 1.0) <= 1e-14
 
 
-@pytest.mark.parametrize("a,b", [(0.0, 0.0), (2.0, 2.0), (3.25, 3.25), (3.0, 0.0), (0.75, 2.0)])
+# the package builds rules of symmetric weights (1-x^2)^a only
+@pytest.mark.parametrize("a,b", [(0.0, 0.0), (2.0, 2.0), (3.25, 3.25)])
 @pytest.mark.parametrize("n", [64, 2048])
 def test_endpoint_nodes_and_weights_against_a_40_digit_reference(n, a, b):
     mp = pytest.importorskip("mpmath")
@@ -185,7 +185,7 @@ def test_endpoint_nodes_and_weights_against_a_40_digit_reference(n, a, b):
     scale = mp.gamma(n + am + 1) * mp.gamma(n + bm + 1) / (mp.gamma(n + am + bm + 1) * mp.factorial(n))
     scale *= mp.mpf(2) ** (am + bm + 1)
     derivative = lambda x: (n + am + bm + 1) / 2 * mp.jacobi(n - 1, am + 1, bm + 1, x)
-    nodes, weights = _golub_welsch(n, a, b)
+    nodes, weights = _golub_welsch(n, a)
     for i in (0, 1, n - 2, n - 1):
         x = mp.mpf(float(nodes[i]))
         for _ in range(3):
@@ -199,7 +199,7 @@ def test_endpoint_nodes_and_weights_against_a_40_digit_reference(n, a, b):
 @pytest.mark.parametrize("n", [4, 5, 64, 2047, 2048])
 def test_symmetric_rules_are_bitwise_symmetric(n, a):
     # a symmetric weight gets its nonnegative half and the mirror image of it
-    for rule in (gauss_legendre(n), gauss_jacobi(n, a, a)):
+    for rule in (gauss_legendre(n), gauss_jacobi(n, a)):
         assert np.array_equal(rule.nodes, -rule.nodes[::-1]), rule.kind
         assert np.array_equal(rule.weights, rule.weights[::-1]), rule.kind
         if n % 2:

@@ -14,7 +14,6 @@ from smoothness_lab import (
     InvalidArgumentError,
     SpaceParams,
     abs_rotation_average,
-    asym_translate,
     compute_R,
     jacobi_eval,
     jacobi_poly,
@@ -22,7 +21,6 @@ from smoothness_lab import (
     make_grid,
     modulus,
     multiplier_psi,
-    sym_translate,
 )
 from smoothness_lab.harness import _split_rule, corpus
 from smoothness_lab.quadrature import gauss_legendre, sample
@@ -35,15 +33,14 @@ from smoothness_lab.translation import (
     _Translates,
     _asym_core,
     _asym_kernel,
-    _moduli,
-    _nested_integral,
+    _exact_points,
     _nested_points,
     _nested_rule,
     _psi_rows,
     _sym_core,
     _sym_kernel,
     _t_grids,
-    _z_nodes,
+    _z_points,
 )
 
 P21 = SpaceParams(2.0, 1.0)
@@ -51,25 +48,24 @@ P21 = SpaceParams(2.0, 1.0)
 
 def test_translate_by_one_is_identity():
     f = lambda x: np.sin(3.0 * x)
-    for x in make_grid(16):
-        assert asym_translate(f, 1.0, x) == pytest.approx(f(x), abs=1e-10)
+    xs = make_grid(16)
+    assert np.max(np.abs(_asym_core(f, 1.0, xs, 128) - f(xs))) <= 1e-10
 
 
 @pytest.mark.parametrize("y", [-0.9, -0.5, 0.0, 0.5, 0.9, 1.0])
 def test_constants_are_preserved(y):
     one = lambda x: np.ones_like(np.asarray(x, dtype=float))
-    for x in (-0.7, 0.0, 0.4):
-        assert asym_translate(one, y, x) == pytest.approx(1.0, abs=1e-10)
+    assert np.max(np.abs(_asym_core(one, y, np.array([-0.7, 0.0, 0.4]), 128) - 1.0)) <= 1e-10
 
 
 def test_translation_is_linear():
     f = lambda x: np.asarray(x, dtype=float)
     g = lambda x: np.abs(x)
     combo = lambda x: 0.7 * f(x) - 1.3 * g(x)
+    xs = np.array([-0.3, 0.6])
     for y in (-0.5, 0.5):
-        for x in (-0.3, 0.6):
-            want = 0.7 * asym_translate(f, y, x) - 1.3 * asym_translate(g, y, x)
-            assert asym_translate(combo, y, x) == pytest.approx(want, abs=1e-12)
+        want = 0.7 * _asym_core(f, y, xs, 128) - 1.3 * _asym_core(g, y, xs, 128)
+        assert np.max(np.abs(_asym_core(combo, y, xs, 128) - want)) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -111,14 +107,14 @@ def test_multiplier_matches_z_quadrature_ratio(y):
 def test_product_formula(n, y):
     poly = jacobi_poly(n, 2, 2)
     psi = multiplier_psi(n, y)
-    for x in (-0.7, 0.2):
-        assert asym_translate(poly, y, x) == pytest.approx(poly(x) * psi, abs=1e-8)
+    xs = np.array([-0.7, 0.2])
+    assert np.max(np.abs(_asym_core(poly, y, xs, 128) - poly(xs) * psi)) <= 1e-8
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_symmetric_product_formula(n):
     poly = jacobi_poly(n, 2, 2)
-    got = sym_translate(poly, 0.5, 0.3)
+    got = _sym_core(poly, 0.5, np.array([0.3]), 128)[0]
     assert got == pytest.approx(poly(0.3) * poly(0.5), abs=1e-8)
 
 
@@ -141,11 +137,10 @@ def test_argument_reduction():
 
 
 def test_translation_rejects_bad_y():
-    f = lambda x: np.asarray(x, dtype=float)
-    with pytest.raises(InvalidArgumentError):
-        asym_translate(f, -1.0, 0.3)
-    with pytest.raises(InvalidArgumentError):
-        asym_translate(f, 1.2, 0.3)
+    # tau_y is defined for y in (-1, 1]; its multiplier checks y
+    for bad in (-1.0, 1.2, math.nan):
+        with pytest.raises(InvalidArgumentError, match="translation parameter y"):
+            multiplier_psi(2, bad)
 
 
 def test_modulus_frozen_values():
@@ -189,12 +184,8 @@ def test_modulus_validation():
 
 @pytest.mark.parametrize(
     "call",
-    [
-        lambda q: asym_translate(np.abs, 0.5, 0.3, quad_n=q),
-        lambda q: sym_translate(np.abs, 0.5, 0.3, quad_n=q),
-        lambda q: abs_rotation_average(np.abs, 0.7, make_grid(5), quad_n=q),
-    ],
-    ids=["asym", "sym", "rotation"],
+    [lambda q: abs_rotation_average(np.abs, 0.7, make_grid(5), quad_n=q)],
+    ids=["rotation"],
 )
 def test_translations_reject_a_bad_quad_n(call):
     # an unchecked quad_n of 0 or -3 gives wrong values, and 2.5 is truncated
@@ -216,6 +207,13 @@ def test_multiplier_deterministic():
             assert multiplier_psi(n, y) == multiplier_psi(n, y)
 
 
+@pytest.mark.parametrize("xs", [[1.0, 0.3], [-1.0], [0.2, math.nan], [math.inf], [[0.1, 0.2], [0.3, 0.4]]])
+def test_rotation_average_rejects_bad_xs(xs):
+    # x = +-1 divided by zero, and a 2-d xs leaked numpy's broadcasting error
+    with pytest.raises(InvalidArgumentError, match="xs"):
+        abs_rotation_average(np.abs, 0.5, xs)
+
+
 def test_rotation_average_shape_and_zero():
     xs = make_grid(9)
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
@@ -232,7 +230,7 @@ def test_translate_polynomial_stays_close_to_eval_grid():
     poly = jacobi_poly(3, 2, 2)
     psi = multiplier_psi(3, 0.4)
     xs = make_grid(7)
-    got = np.array([asym_translate(poly, 0.4, float(x)) for x in xs])
+    got = _asym_core(poly, 0.4, xs, 128)
     assert np.max(np.abs(got - psi * jacobi_eval(3, 2, 2, xs))) <= 1e-8
 
 
@@ -269,17 +267,41 @@ def test_sym_exact_rule_matches_full_rule(label, fn, quad_n):
         assert np.max(np.abs(short - full)) <= 1e-13 * _sup(fn), (label, y)
 
 
-def test_z_nodes_uses_the_exact_rule_capped_at_quad_n():
+def test_z_points_picks_the_exact_rule_capped_at_quad_n(monkeypatch):
+    # a declared degree d takes the exact rule of min(quad_n, d // 2 + 3)
+    # nodes and caps no point; anything else takes the nested rule, with
+    # quad_n as its cap
+    rules = []
+    real_exact, real_nested = translation_module._exact_points, translation_module._nested_points
+
+    def exact(fn, kernel, y_all, x_all, nodes, budget):
+        rules.append(("exact", nodes))
+        return real_exact(fn, kernel, y_all, x_all, nodes, budget)
+
+    def nested(fn, kernel, y_all, x_all, quad_n, budget):
+        rules.append(("nested", quad_n))
+        return real_nested(fn, kernel, y_all, x_all, quad_n, budget)
+
+    monkeypatch.setattr(translation_module, "_exact_points", exact)
+    monkeypatch.setattr(translation_module, "_nested_points", nested)
     p12 = jacobi_poly(12, 2, 2)
-    assert _z_nodes(p12, 2048) == 9
-    assert _z_nodes(p12, 4) == 4
-    assert _z_nodes(FunctionHandle(eval=p12.eval, degree=12), 4) == 4
-    assert _z_nodes(FunctionHandle(eval=lambda x: x, degree=0), 128) == 3
-    # no declared degree, or a bound method without one: quad_n, the cap of
-    # the convergence-stopped rule
-    assert _z_nodes(FunctionHandle(eval=p12.eval), 128) == 128
-    assert _z_nodes(p12.eval, 128) == 128
-    assert _z_nodes(lambda x: x, 128) == 128
+    y_all, x_all = np.array([0.3, -0.5]), np.array([0.2, 0.7])
+    cases = [
+        (p12, 2048, ("exact", 9)),
+        (p12, 4, ("exact", 4)),
+        (FunctionHandle(eval=p12.eval, degree=12), 4, ("exact", 4)),
+        (FunctionHandle(eval=lambda x: x, degree=0), 128, ("exact", 3)),
+        # no declared degree, or a bound method without one
+        (FunctionHandle(eval=p12.eval), 128, ("nested", 128)),
+        (p12.eval, 128, ("nested", 128)),
+        (lambda x: x, 128, ("nested", 128)),
+    ]
+    for fn, quad_n, rule in cases:
+        rules.clear()
+        _, capped = _z_points(fn, _asym_kernel, y_all, x_all, quad_n, 2 * quad_n)
+        assert rules == [rule]
+        if rule[0] == "exact":
+            assert capped.shape == x_all.shape and not capped.any()
 
 
 @pytest.mark.parametrize("label,fn", CORPUS_POLYS, ids=[c[0] for c in CORPUS_POLYS])
@@ -343,6 +365,12 @@ CORPUS = {e.label: e.handle for e in corpus(7)}
 KERNELS = {"asym": _asym_core, "sym": _sym_core}
 
 
+def _nested_grid(fn, kernel, ys, xs, quad_n):
+    """The nested z-rule at every (y, x) of a grid, shape (len(ys), len(xs))."""
+    z, _ = _nested_points(fn, kernel, np.repeat(ys, xs.size), np.tile(xs, ys.size), quad_n, xs.size * quad_n)
+    return z.reshape(ys.size, xs.size)
+
+
 def _crosses(xs, y, b):
     """Whether R crosses b inside the z-range at each x: |z*| < 1."""
     return np.abs((xs * y - b) / (np.sqrt(1.0 - xs * xs) * math.sqrt(1.0 - y * y))) < 1.0
@@ -372,8 +400,8 @@ def test_points_that_cross_no_break_take_the_break_free_rule(kind):
     kernel = _asym_kernel if kind == "asym" else _sym_kernel
     xs = 0.995 * make_grid(64)
     ys = np.array([-0.9, -0.5, 0.3, 0.6, 0.9, 0.99, 1.0])
-    split = _nested_integral(CORPUS["|x|"], kernel, ys, xs, 128, (0.0,))
-    plain = _nested_integral(CORPUS["|x|"], kernel, ys, xs, 128, ())
+    split = _nested_grid(CORPUS["|x|"], kernel, ys, xs, 128)
+    plain = _nested_grid(FunctionHandle(eval=CORPUS["|x|"].eval), kernel, ys, xs, 128)
     free = np.array([~_crosses(xs, y, 0.0) if y < 1.0 else np.full(xs.size, True) for y in ys])
     assert 0 < np.sum(free) < free.size
     assert np.array_equal(split[free], plain[free])
@@ -444,6 +472,22 @@ def test_batched_y_matches_calls_per_y(kind, quad_n):
     assert core(CORPUS["|x|"], 0.5, xs, quad_n).shape == xs.shape
 
 
+def test_exact_points_do_not_depend_on_their_chunk():
+    # 4,096 y on 16 x take chunks of 2**16 elements under a small budget and
+    # one chunk under a budget of all of them; a point alone is its own chunk
+    xs = make_grid(16)
+    ys = np.cos(np.linspace(0.0, 3.0, 4096))
+    y_all, x_all = np.repeat(ys, xs.size), np.tile(xs, ys.size)
+    for poly in (jacobi_poly(5, 2, 2), jacobi_poly(12, 2, 2)):
+        nodes = poly.degree // 2 + 3
+        small = _exact_points(poly, _asym_kernel, y_all, x_all, nodes, 1)
+        whole = _exact_points(poly, _asym_kernel, y_all, x_all, nodes, y_all.size * nodes)
+        assert np.array_equal(small, whole), poly.degree
+        for i in range(0, y_all.size, 997):
+            alone = _exact_points(poly, _asym_kernel, y_all[i : i + 1], x_all[i : i + 1], nodes, 1)
+            assert alone[0] == small[i], (poly.degree, i)
+
+
 @pytest.mark.parametrize("n_x", [5, 16])
 def test_exact_rule_rows_do_not_depend_on_their_chunk(n_x):
     # 4,096 y on a few x go through the exact rule in a few large chunks;
@@ -467,17 +511,26 @@ MODULI_SPACES = {
 
 @pytest.mark.parametrize("name", sorted(MODULI_SPACES))
 def test_moduli_equal_modulus_per_delta(name):
-    # _moduli translates once per distinct y across its deltas; each value
-    # must still be, bit for bit, the single-delta modulus, also for a zero
-    # and a repeated delta
+    # modulus over a sequence translates once per distinct y across its
+    # deltas; each value must still be, bit for bit, the single-delta
+    # modulus, also for a zero and a repeated delta
     params = MODULI_SPACES[name]
     cfg = Config()
-    grids = (cfg.deltas, [1.0 / n for n in cfg.degrees], (0.3, 0.0, 2.9, 0.3))
+    grids = (cfg.deltas, [1.0 / n for n in cfg.degrees], (0.3, 0.0, 2.9, 0.3), np.array([0.5]), [])
     for e in corpus(7):
         for deltas in grids:
             want = [modulus(e.handle, d, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes) for d in deltas]
-            got = _moduli(e.handle, deltas, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
-            assert got == want, (e.label, deltas)
+            got = modulus(e.handle, deltas, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
+            assert isinstance(got, list) and got == want, (e.label, deltas)
+            assert all(type(v) is float for v in got)
+
+
+def test_modulus_over_a_sequence_validates_every_delta():
+    f = lambda x: np.asarray(x, dtype=float)
+    for bad in ([[0.1, 0.2]], [0.1, math.pi], (0.2, -0.1), [0.3, math.nan], ["a"], [[0.1], [0.2, 0.3]]):
+        with pytest.raises(InvalidArgumentError, match="delta"):
+            modulus(f, bad, P21)
+    assert type(modulus(f, np.float64(0.5), P21)) is float
 
 
 def _row_wise_integral(fn, kernel, ys, xs, quad_n, breaks):
@@ -552,7 +605,7 @@ def test_per_point_stop_agrees_with_the_row_wise_stop(kind, label, quad_n):
     kernel = _asym_kernel if kind == "asym" else _sym_kernel
     h = CORPUS[label]
     ys = np.array([-0.5, 0.3, 0.5, 0.9])
-    got = _nested_integral(h, kernel, ys, REF_XS, quad_n, h.breaks)
+    got = _nested_grid(h, kernel, ys, REF_XS, quad_n)
     want = _row_wise_integral(h, kernel, ys, REF_XS, quad_n, h.breaks)
     abs_kernel = lambda *args: np.abs(kernel(*args))
     size = _row_wise_integral(lambda x: np.abs(h.eval(x)), abs_kernel, ys, REF_XS, quad_n, h.breaks)
@@ -560,7 +613,7 @@ def test_per_point_stop_agrees_with_the_row_wise_stop(kind, label, quad_n):
 
 
 def _z_rule_moduli(f, deltas, params, cfg):
-    """The moduli from the z-rule translations of _asym_core, one row per distinct y, as _moduli took them before the multipliers."""
+    """The moduli from the z-rule translations of _asym_core, one row per distinct y, as modulus took them before the multipliers."""
     grids = _t_grids(deltas, cfg.t_points)
     ys = sorted({y for grid in grids for y in grid})
     norm = discrete_norm(params, cfg.norm_nodes)
@@ -588,24 +641,24 @@ def test_multiplier_moduli_agree_with_the_z_rule(name):
     assert witness.degree == 48
     fs.append(("witness-48", witness))
     for label, f in fs:
-        got = _moduli(f, cfg.deltas, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
+        got = modulus(f, cfg.deltas, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
         want = _z_rule_moduli(f, cfg.deltas, params, cfg)
         assert np.max(np.abs(np.subtract(got, want))) <= 1e-13 * weighted_norm(f, params), label
 
 
 def test_moduli_of_a_declared_degree_take_no_z_integral(monkeypatch):
     calls = []
-    real = translation_module._exact_integral
+    real = translation_module._z_points
 
     def recording(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(translation_module, "_exact_integral", recording)
+    monkeypatch.setattr(translation_module, "_z_points", recording)
     cfg = Config()
     for e in corpus(7):
         if e.handle.degree is not None:
-            _moduli(e.handle, cfg.deltas, P21, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
+            modulus(e.handle, cfg.deltas, P21, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
     assert calls == []
     # the translations themselves still take the exact z-rule
     _asym_core(CORPUS["P_5"], 0.5, make_grid(4), 128)
@@ -621,7 +674,7 @@ def test_doubled_cap_redoes_only_the_capped_points(monkeypatch, label):
     h = CORPUS[label]
     grid = list(cfg.deltas) + [1.0 / n for n in cfg.degrees]
     translates = _Translates(h, grid, P21, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
-    assert translates.moduli(grid) == _moduli(h, grid, P21, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
+    assert translates.moduli(grid) == modulus(h, grid, P21, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
     points = []
     real = translation_module._nested_points
 
@@ -635,7 +688,7 @@ def test_doubled_cap_redoes_only_the_capped_points(monkeypatch, label):
         got = translates.moduli(deltas, 2 * cfg.quad_n)
         ys = {y for grid in _t_grids(deltas, cfg.t_points) for y in grid}
         assert sum(points) == sum(int(mask.sum()) for y, (_, mask) in translates.capped.items() if y in ys)
-        assert got == _moduli(h, deltas, P21, cfg.t_points, 2 * cfg.quad_n, cfg.norm_nodes), deltas
+        assert got == modulus(h, deltas, P21, cfg.t_points, 2 * cfg.quad_n, cfg.norm_nodes), deltas
     if label == "(1-x)^0.75":
         assert translates.capped
 
@@ -654,13 +707,14 @@ def test_extrapolated_stop_is_within_rounding_of_a_deeper_two_level_rule(monkeyp
     y_all, x_all = np.repeat(ys, xs.size), np.tile(xs, ys.size)
 
     def rule(f, kernel, quad_n):
-        return _nested_points(f, kernel, y_all, x_all, quad_n, h.breaks, xs.size * quad_n)
+        return _nested_points(f, kernel, y_all, x_all, quad_n, xs.size * quad_n)
 
     got, capped = rule(h, _asym_kernel, cfg.quad_n)
     monkeypatch.setattr(translation_module, "_Z_EXTRAPOLATED", 0.0)
     want, _ = rule(h, _asym_kernel, 4 * cfg.quad_n)
     two_level, _ = rule(h, _asym_kernel, cfg.quad_n)
-    size, _ = rule(lambda x: np.abs(h.eval(x)), lambda *args: np.abs(_asym_kernel(*args)), 4 * cfg.quad_n)
+    abs_f = FunctionHandle(eval=lambda x: np.abs(h.eval(x)), breaks=h.breaks)
+    size, _ = rule(abs_f, lambda *args: np.abs(_asym_kernel(*args)), 4 * cfg.quad_n)
     assert np.all(np.abs(got - want)[~capped] <= 1e-13 * size[~capped])
     assert np.array_equal(got[capped], two_level[capped])
 
@@ -673,9 +727,9 @@ def test_extrapolated_stop_takes_fewer_samples(monkeypatch, label):
     xs = discrete_norm(P21, cfg.norm_nodes).nodes
     counts = []
     f = FunctionHandle(eval=lambda x: counts.append(np.size(x)) or h.eval(x), breaks=h.breaks)
-    _nested_integral(f, _asym_kernel, ys, xs, cfg.quad_n, h.breaks)
+    _nested_grid(f, _asym_kernel, ys, xs, cfg.quad_n)
     extrapolated = sum(counts)
     counts.clear()
     monkeypatch.setattr(translation_module, "_Z_EXTRAPOLATED", 0.0)
-    _nested_integral(f, _asym_kernel, ys, xs, cfg.quad_n, h.breaks)
+    _nested_grid(f, _asym_kernel, ys, xs, cfg.quad_n)
     assert extrapolated < sum(counts)
