@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -14,13 +13,11 @@ from scipy.linalg.lapack import dgelsy, dgeqrf, dtrtrs
 from .errors import ConvergenceError, InvalidArgumentError
 from .jacobi import (
     PolynomialRep,
-    _cheb_rows,
+    _jacobi_series,
     apply_D_poly,
     expand_in_jacobi,
     fourier_jacobi_coeff,
     jacobi_matrix,
-    jacobi_poly,
-    poly_lincomb,
 )
 from .quadrature import _as_callable, gauss_chebyshev, gauss_legendre, ordered_sum, sample
 from .space import FunctionHandle, SpaceParams, _as_params, _positive_int, discrete_norm, weighted_norm
@@ -123,9 +120,7 @@ def _best_l2(f, n, params, grid_n):
     wf = norm.weights * fv
     numer = np.cumsum(basis * wf[None, :], axis=1)[:, -1]
     denom = np.cumsum(basis * basis * norm.weights[None, :], axis=1)[:, -1]
-    coeffs = numer / denom
-    argmin = poly_lincomb(coeffs, [jacobi_poly(k, a, a) for k in range(n)])
-    return argmin, "l2-projection", {"grid_n": norm.nodes.size, "iterations": 0}
+    return _jacobi_series(numer / denom, a), "l2-projection", {"grid_n": norm.nodes.size, "iterations": 0}
 
 
 def _best_grid(f, n, params, grid_n):
@@ -350,8 +345,7 @@ class JacksonParams:
     def __post_init__(self):
         if not isinstance(self.q, (int, np.integer)) or self.q <= 2:
             raise InvalidArgumentError(f"q must be an integer greater than 2, got {self.q!r}")
-        if not isinstance(self.m, (int, np.integer)) or self.m < 1:
-            raise InvalidArgumentError(f"m must be a positive integer, got {self.m!r}")
+        _positive_int(self.m, "m")
 
 
 def jackson_degree_bound(params: JacksonParams) -> int:
@@ -406,22 +400,26 @@ def jackson_operator(f, params: JacksonParams) -> PolynomialRep:
             f"degree bound (q+2)(m-1) = {bound} exceeds the supported {MAX_WITNESS_DEG}"
         )
     moments = _jackson_moments(params, bound)
-    return _poly_from_jacobi(moments / moments[0] * expand_in_jacobi(f, bound))
+    return _jacobi_series(moments / moments[0] * expand_in_jacobi(f, bound), 2.0)
 
 
-def _jackson_by_translation(f, params: JacksonParams, xs, t_nodes: int = 256, quad_n: int = 2048) -> np.ndarray:
+_JACKSON_T_NODES = 256
+_JACKSON_QUAD = 2048
+
+
+def _jackson_by_translation(f, params: JacksonParams, xs) -> np.ndarray:
     """The image of jackson_operator at xs from its definition, a reference independent of the multipliers.
 
-    _sym_core(f, cos t) is averaged against K(t) sin^5 t by a t_nodes-point
-    Legendre rule on [0, pi], normalised on the same rule; at x = 1 the
-    image of P_k is the multiplier theta_k. The t-integrand is analytic for
-    a polynomial f, where 256 nodes reach rounding level; the kink of |x|
-    leaves an error of about 1e-8.
+    _sym_core(f, cos t, cap _JACKSON_QUAD) is averaged against K(t) sin^5 t by
+    a _JACKSON_T_NODES-point Legendre rule on [0, pi], normalised on the same
+    rule; at x = 1 the image of P_k is the multiplier theta_k. The t-integrand
+    is analytic for a polynomial f, where 256 nodes reach rounding level; the
+    kink of |x| leaves an error of about 1e-8.
     """
-    rule = gauss_legendre(int(t_nodes))
+    rule = gauss_legendre(_JACKSON_T_NODES)
     ts = (rule.nodes + 1.0) * (math.pi / 2.0)
     wts = rule.weights * _kernel_values(ts, params.q, params.m) * np.sin(ts) ** 5
-    translated = _sym_core(_as_callable(f), np.cos(ts), np.asarray(xs, dtype=float), quad_n)
+    translated = _sym_core(_as_callable(f), np.cos(ts), np.asarray(xs, dtype=float), _JACKSON_QUAD)
     return np.cumsum(wts[:, None] * translated, axis=0)[-1] / ordered_sum(wts)
 
 
@@ -435,26 +433,6 @@ class KFunctionalResult:
     max_deg: int
     iterations: int
     gap: Optional[float] = None
-
-
-@lru_cache(maxsize=MAX_WITNESS_DEG + 1)
-def _jacobi_to_cheb(d: int) -> np.ndarray:
-    """(d+1) x (d+1) matrix whose column k holds the Chebyshev coefficients of P_k^{(2,2)}.
-
-    One run of the recurrence gives every column; column k is normalized by
-    the sum of its first k + 1 entries, its value at 1, so it is bitwise
-    jacobi_poly(k, 2, 2).cheb padded with zeros.
-    """
-    M = np.empty((d + 1, d + 1))
-    for k, raw in enumerate(_cheb_rows(d, 2.0, 2.0)):
-        M[:, k] = raw / np.sum(raw[: k + 1])
-    M.setflags(write=False)
-    return M
-
-
-def _poly_from_jacobi(c: np.ndarray) -> PolynomialRep:
-    """sum_k c[k] P_k^{(2,2)}, summed over k in order as poly_lincomb does, so bitwise equal to it."""
-    return PolynomialRep(np.cumsum(_jacobi_to_cheb(c.size - 1) * c, axis=1)[:, -1])
 
 
 def _log_root(h, lo, hi):
@@ -603,7 +581,7 @@ def _k_functionals(f, deltas, params, max_deg: int, quad_n: int) -> list:
         C = np.array(candidates + [best_c])
         r, u = fv - C @ J, (C * lam) @ J
         scores = [nr + d2 * nu for nr, nu in fixed] + [norm(r[-1]) + d2 * norm(u[-1])]
-        best_poly = _poly_from_jacobi(C[int(np.argmin(scores))])
+        best_poly = _jacobi_series(C[int(np.argmin(scores))], 2.0)
         best_val = norm(fv - best_poly(xs)) + d2 * norm(apply_D_poly(best_poly)(xs))
         out.append(KFunctionalResult(float(best_val), best_poly, delta, max_deg, iterations, gap))
     return out

@@ -9,8 +9,7 @@ from dataclasses import fields, replace
 
 from .approx import best_approx
 from .errors import InvalidArgumentError, SmoothnessLabError
-from .harness import SCHEMA_VERSION, Config, _write_report, corpus, emit_report, run_lemma_suite, run_theorem_sweep
-from .space import SpaceParams
+from .harness import SCHEMA_VERSION, Config, _space, _write_report, corpus, emit_report, run_lemma_suite, run_theorem_sweep
 from .translation import modulus, multiplier_psi
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
@@ -126,14 +125,14 @@ def _run_table(cfg: Config, op: str, fmt: str, path) -> int:
         ys = (-0.9, -0.5, 0.0, 0.5, 0.9, 1.0)
         rows = [{"n": n, "y": y, "psi": multiplier_psi(n, y)} for n in range(7) for y in ys]
     elif op == "modulus":
-        params = SpaceParams(cfg.p, cfg.alpha)
+        params = _space(cfg)
         rows = [
             {"label": e.label, "delta": float(d), "modulus": om}
             for e in corpus(cfg.seed)
             for d, om in zip(cfg.deltas, modulus(e.handle, cfg.deltas, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes))
         ]
     else:
-        params = SpaceParams(cfg.p, cfg.alpha)
+        params = _space(cfg)
         rows = []
         for e in corpus(cfg.seed):
             for n in cfg.degrees:

@@ -28,6 +28,7 @@ from .approx import (
 from .errors import InvalidArgumentError, ReportIOError, SmoothnessLabError
 from .jacobi import (
     PolynomialRep,
+    _jacobi_series,
     apply_D_poly,
     expand_in_jacobi,
     jacobi_eval,
@@ -36,8 +37,8 @@ from .jacobi import (
     jacobi_poly,
     poly_lincomb,
 )
-from .quadrature import gauss_chebyshev, gauss_jacobi, gauss_legendre, integrate, ordered_sum
-from .space import FunctionHandle, SpaceParams, discrete_norm, make_grid, sample, validate_params, weighted_norm
+from .quadrature import _panel_rule, gauss_chebyshev, gauss_jacobi, gauss_legendre, integrate, ordered_sum
+from .space import FunctionHandle, SpaceParams, _positive_int, discrete_norm, make_grid, sample, validate_params, weighted_norm
 from .translation import (
     _Translates,
     _asym_core,
@@ -70,12 +71,13 @@ _PAIR_NODES = 1024
 _COEFF_NODES = 2048
 
 
-def _is_positive_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
-
-
 def _is_finite_real(v) -> bool:
     return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _check_seed(seed) -> None:
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise InvalidArgumentError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -96,9 +98,8 @@ class Config:
 
     def __post_init__(self):
         for name in _RESOLUTION_FIELDS:
-            v = getattr(self, name)
-            if not _is_positive_int(v):
-                raise InvalidArgumentError(f"{name} must be a positive integer, got {v!r}")
+            _positive_int(getattr(self, name), name)
+        _check_seed(self.seed)
         for name in ("degrees", "deltas"):
             if len(getattr(self, name)) == 0:
                 raise InvalidArgumentError(f"{name} must not be empty")
@@ -108,7 +109,7 @@ class Config:
             # the K-functional fits kdeg + 1 witness coefficients on these nodes
             raise InvalidArgumentError(f"norm_nodes must be at least kdeg + 1 = {self.kdeg + 1}, got {self.norm_nodes!r}")
         for n in self.degrees:
-            if not _is_positive_int(n):
+            if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
                 raise InvalidArgumentError(f"degrees must be positive integers, got {n!r}")
             if n > MAX_APPROX_DIM:
                 raise InvalidArgumentError(f"degrees must be at most {MAX_APPROX_DIM}, got {n!r}")
@@ -133,7 +134,6 @@ class CorpusEntry:
     label: str
     handle: FunctionHandle
     tag: str
-    seed: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -160,19 +160,18 @@ class VerificationReport:
         }
 
 
-def _poly_handle(poly: PolynomialRep, parity="none", label="") -> FunctionHandle:
+def _poly_handle(poly: PolynomialRep) -> FunctionHandle:
     d1 = poly.derivative()
     d2 = d1.derivative()
-    return FunctionHandle(
-        eval=poly.__call__, d1=d1.__call__, d2=d2.__call__, parity=parity, label=label, degree=poly.degree
-    )
+    return FunctionHandle(eval=poly.__call__, d1=d1.__call__, d2=d2.__call__, degree=poly.degree)
 
 
 def corpus(seed: int = 7):
-    """Deterministic corpus of test functions spanning the smoothness classes."""
+    """Deterministic corpus of test functions spanning the smoothness classes; seed is a nonnegative integer."""
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     series_coeffs = rng.uniform(-1.0, 1.0, 13) * (1.0 + np.arange(13.0)) ** -3.0
-    series_poly = poly_lincomb(series_coeffs, [jacobi_poly(k, 2, 2) for k in range(13)])
+    series_poly = _jacobi_series(series_coeffs, 2.0)
     p5 = jacobi_poly(5, 2, 2)
     entries = [
         CorpusEntry(
@@ -181,8 +180,6 @@ def corpus(seed: int = 7):
                 eval=lambda x: np.ones_like(np.asarray(x, dtype=float)),
                 d1=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
                 d2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                parity="even",
-                label="1",
                 degree=0,
             ),
             "polynomial",
@@ -193,8 +190,6 @@ def corpus(seed: int = 7):
                 eval=lambda x: np.asarray(x, dtype=float) + 0.0,
                 d1=lambda x: np.ones_like(np.asarray(x, dtype=float)),
                 d2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                parity="odd",
-                label="x",
                 degree=1,
             ),
             "polynomial",
@@ -205,18 +200,14 @@ def corpus(seed: int = 7):
                 eval=lambda x: np.asarray(x, dtype=float) ** 2,
                 d1=lambda x: 2.0 * np.asarray(x, dtype=float),
                 d2=lambda x: np.full_like(np.asarray(x, dtype=float), 2.0),
-                parity="even",
-                label="x^2",
                 degree=2,
             ),
             "polynomial",
         ),
-        CorpusEntry("P_5", _poly_handle(p5, parity="odd", label="P_5"), "polynomial"),
+        CorpusEntry("P_5", _poly_handle(p5), "polynomial"),
         CorpusEntry(
             "|x|",
-            FunctionHandle(
-                eval=lambda x: np.abs(np.asarray(x, dtype=float)), parity="even", label="|x|", breaks=(0.0,)
-            ),
+            FunctionHandle(eval=lambda x: np.abs(np.asarray(x, dtype=float)), breaks=(0.0,)),
             "kink",
         ),
         CorpusEntry(
@@ -225,8 +216,6 @@ def corpus(seed: int = 7):
                 eval=lambda x: np.maximum(1.0 - np.asarray(x, dtype=float), 0.0) ** 0.75,
                 d1=lambda x: -0.75 * np.maximum(1.0 - np.asarray(x, dtype=float), 1e-300) ** -0.25,
                 d2=lambda x: -0.1875 * np.maximum(1.0 - np.asarray(x, dtype=float), 1e-300) ** -1.25,
-                parity="none",
-                label="(1-x)^0.75",
             ),
             "endpoint-singular",
         ),
@@ -236,24 +225,16 @@ def corpus(seed: int = 7):
                 eval=lambda x: np.sin(3.0 * np.asarray(x, dtype=float)),
                 d1=lambda x: 3.0 * np.cos(3.0 * np.asarray(x, dtype=float)),
                 d2=lambda x: -9.0 * np.sin(3.0 * np.asarray(x, dtype=float)),
-                parity="odd",
-                label="sin(3x)",
             ),
             "analytic",
         ),
-        CorpusEntry(
-            "random-series",
-            _poly_handle(series_poly, parity="none", label="random-series"),
-            "random-series",
-            seed=seed,
-        ),
+        CorpusEntry("random-series", _poly_handle(series_poly), "random-series"),
     ]
     return entries
 
 
-def _d_handle(entry: CorpusEntry) -> Optional[FunctionHandle]:
-    """Image of the entry under the second-order operator, when derivatives exist."""
-    h = entry.handle
+def _d_handle(h: FunctionHandle) -> Optional[FunctionHandle]:
+    """Image of h under the second-order operator, when its derivatives exist."""
     if h.d1 is None or h.d2 is None:
         return None
 
@@ -261,7 +242,7 @@ def _d_handle(entry: CorpusEntry) -> Optional[FunctionHandle]:
         x = np.asarray(x, dtype=float)
         return (1.0 - x * x) * h.d2(x) - 6.0 * x * h.d1(x)
 
-    return FunctionHandle(eval=dv, label=f"D[{entry.label}]")
+    return FunctionHandle(eval=dv)
 
 
 def _run(check_id: str, tolerance: Optional[float], fn: Callable[[], tuple]) -> VerificationReport:
@@ -322,13 +303,8 @@ def _split_rule(n_panel: int, y: float):
     single global rule is stuck at O(n^-2). Four panels of n_panel // 2
     nodes keep the 2 * n_panel nodes of a split at 0 alone.
     """
-    gl = gauss_legendre(max(int(n_panel) // 2, 1))
     s = math.sqrt(1.0 - y * y)
-    edges = (-1.0, -s, 0.0, s, 1.0)
-    halves = [((b - a) / 2.0, (a + b) / 2.0) for a, b in zip(edges, edges[1:])]
-    xs = np.concatenate([h * gl.nodes + c for h, c in halves])
-    ws = np.concatenate([h * gl.weights for h, _ in halves]) * (1.0 - xs * xs) ** 2
-    return xs, ws
+    return _panel_rule((-1.0, -s, 0.0, s, 1.0), max(int(n_panel) // 2, 1))
 
 
 def _legendre_moment(k: int) -> float:
@@ -614,7 +590,7 @@ def run_lemma_suite(config: Config = Config()):
         for e in entries:
             if e.tag not in ("polynomial", "analytic"):
                 continue
-            dh = _d_handle(e)
+            dh = _d_handle(e.handle)
             dnorm = weighted_norm(dh, p21, cfg.norm_nodes) if dh is not None else 0.0
             fnorm = weighted_norm(e.handle, p21, cfg.norm_nodes)
             if dnorm < 1e-13:

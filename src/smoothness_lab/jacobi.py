@@ -12,7 +12,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as ncheb
 
 from .errors import InvalidArgumentError
-from .quadrature import gauss_jacobi, gauss_legendre, ordered_sum, sample
+from .quadrature import _panel_rule, gauss_jacobi, ordered_sum, sample
 
 __all__ = [
     "PolynomialRep",
@@ -69,8 +69,8 @@ class PolynomialRep:
     def derivative(self) -> "PolynomialRep":
         return PolynomialRep(ncheb.chebder(self.cheb))
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self.cheb) <= tol))
+    def is_zero(self) -> bool:
+        return not np.any(self.cheb)
 
 
 def poly_lincomb(weights, polys) -> PolynomialRep:
@@ -190,6 +190,27 @@ def _poly_cached(n, a, b):
     return PolynomialRep(raw / np.sum(raw))  # T_k(1) = 1: the sum is the value at 1
 
 
+@lru_cache(maxsize=256)
+def _cheb_matrix(d: int, a: float) -> np.ndarray:
+    """(d+1) x (d+1) matrix whose column k holds the Chebyshev coefficients of P_k^{(a,a)}.
+
+    One run of the recurrence gives every column; column k is normalized by
+    the sum of its first k + 1 entries, its value at 1, so it is bitwise
+    jacobi_poly(k, a, a).cheb padded with zeros.
+    """
+    M = np.empty((d + 1, d + 1))
+    for k, raw in enumerate(_cheb_rows(d, a, a)):
+        M[:, k] = raw / np.sum(raw[: k + 1])
+    M.setflags(write=False)
+    return M
+
+
+def _jacobi_series(c, a: float) -> PolynomialRep:
+    """sum_k c[k] P_k^{(a,a)}, summed over k in order as poly_lincomb does, so bitwise equal to it."""
+    c = np.asarray(c, dtype=float)
+    return PolynomialRep(np.cumsum(_cheb_matrix(c.size - 1, float(a)) * c, axis=1)[:, -1])
+
+
 def jacobi_poly(n, a, b) -> PolynomialRep:
     """Degree-n Jacobi polynomial P_n^{(a,b)}, P_n(1) = 1, in Chebyshev coefficients.
 
@@ -200,11 +221,14 @@ def jacobi_poly(n, a, b) -> PolynomialRep:
     return _poly_cached(n, a, b)
 
 
-@lru_cache(maxsize=4096)
 def jacobi_h(n) -> float:
     """Squared (1-x^2)^2-weighted L2 norm of P_n^{(2,2)} (normalized at 1), in closed form."""
-    if n < 0:
-        raise InvalidArgumentError("degree must be nonnegative")
+    # checked outside the cache, which keys True and 1 alike
+    return _h_cached(_check_jacobi_args(n, 2, 2)[0])
+
+
+@lru_cache(maxsize=4096)
+def _h_cached(n: int) -> float:
     tilde = Fraction(32, 2 * n + 5) * Fraction(
         math.factorial(n + 2) ** 2, math.factorial(n + 4) * math.factorial(n)
     )
@@ -241,16 +265,12 @@ def expand_in_jacobi(f, nmax, n_nodes: int = 256) -> np.ndarray:
     nmax, _, _ = _check_jacobi_args(nmax, 2, 2)
     breaks = tuple(getattr(f, "breaks", ()))
     if breaks:
-        gl = gauss_legendre(max(int(n_nodes) // (len(breaks) + 1), 1))
-        edges = np.array((-1.0,) + breaks + (1.0,))
-        half, mid = np.diff(edges)[:, None] / 2.0, (edges[1:] + edges[:-1])[:, None] / 2.0
-        nodes = (half * gl.nodes + mid).ravel()
-        weights = (half * gl.weights).ravel() * (1.0 - nodes * nodes) ** 2
+        nodes, weights = _panel_rule((-1.0,) + breaks + (1.0,), max(int(n_nodes) // (len(breaks) + 1), 1))
     else:
         rule = gauss_jacobi(int(n_nodes), 2.0)
         nodes, weights = rule.nodes, rule.weights
     vals = sample(f, nodes)
     basis = jacobi_matrix(nmax, nodes)
     prods = np.cumsum(basis * (weights * vals)[None, :], axis=1)[:, -1]
-    h = np.array([jacobi_h(k) for k in range(nmax + 1)])
+    h = np.array([_h_cached(k) for k in range(nmax + 1)])
     return prods / h

@@ -225,6 +225,18 @@ def gauss_jacobi(n: int, a: float) -> QuadratureRule:
     return QuadratureRule(f"jacobi({a:g},{a:g})", nodes, weights)
 
 
+def _panel_rule(edges, n: int):
+    """Nodes and weights of the n-point Gauss-Legendre rule on each panel between edges, weighted by (1-x^2)^2.
+
+    For a function smooth between the edges, where one global rule converges only algebraically.
+    """
+    gl = gauss_legendre(n)
+    edges = np.asarray(edges, dtype=float)
+    half, mid = np.diff(edges)[:, None] / 2.0, (edges[1:] + edges[:-1])[:, None] / 2.0
+    nodes = (half * gl.nodes + mid).ravel()
+    return nodes, (half * gl.weights).ravel() * (1.0 - nodes * nodes) ** 2
+
+
 def _as_callable(f):
     """f itself when it is callable, else the eval attribute of a function handle."""
     if callable(f):

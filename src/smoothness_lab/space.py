@@ -103,7 +103,6 @@ class FunctionHandle:
     """A function on [-1, 1] with optional derivatives and metadata.
 
     eval must accept numpy arrays of any shape and return matching shapes.
-    parity is "even", "odd", or "none" and is advisory.
 
     degree, when given, is a promise that eval is a polynomial of degree at
     most degree. The translation kernels then integrate it with the smallest
@@ -125,14 +124,10 @@ class FunctionHandle:
     eval: Callable[[np.ndarray], np.ndarray]
     d1: Optional[Callable[[np.ndarray], np.ndarray]] = None
     d2: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    parity: str = "none"
-    label: str = ""
     degree: Optional[int] = None
     breaks: tuple = ()
 
     def __post_init__(self):
-        if self.parity not in ("even", "odd", "none"):
-            raise InvalidArgumentError(f"parity must be even, odd, or none, got {self.parity!r}")
         d = self.degree
         if d is not None and (not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 0):
             raise InvalidArgumentError(f"degree must be None or a nonnegative integer, got {d!r}")

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .jacobi import _raw_rows, _value_at_one, expand_in_jacobi, jacobi_eval, jacobi_matrix
+from .jacobi import expand_in_jacobi, jacobi_eval, jacobi_matrix
 from .quadrature import _as_callable, gauss_chebyshev, sample
 from .space import SpaceParams, _positive_int, discrete_norm
 
@@ -410,15 +410,6 @@ def _t_grids(deltas, t_points):
     return [[math.cos(d * k / t_points) for k in range(1, t_points + 1)] if d != 0.0 else [] for d in deltas]
 
 
-def _psi_rows(degree, ys):
-    """psi_k(y) for k = 0..degree at each y, shape (len(ys), degree + 1), from one run of the recurrence.
-
-    Column k is P_k^{(0,4)} normalised at 1, bitwise multiplier_psi(k, y).
-    """
-    rows = _raw_rows(degree, 0.0, 4.0, ys)
-    return np.stack([raw / _value_at_one(k, 0.0, 4.0) for k, raw in enumerate(rows)], axis=-1)
-
-
 class _Translates:
     """tau_y f - f on the nodes of discrete_norm(params, norm_nodes), for the distinct y of the t grids of deltas.
 
@@ -450,7 +441,8 @@ class _Translates:
         degree = getattr(self.fn, "degree", None)
         if degree is not None:
             a = expand_in_jacobi(self.fn, degree, n_nodes=degree + 1)
-            rows = ((_psi_rows(degree, ys) - 1.0) * a) @ jacobi_matrix(degree, xs)
+            # psi_k(y) = P_k^{(0,4)}(y) normalised at 1, bitwise multiplier_psi(k, y)
+            rows = ((jacobi_matrix(degree, ys, 0.0, 4.0).T - 1.0) * a) @ jacobi_matrix(degree, xs)
         else:
             self.fx = sample(self.fn, xs)
             iy = np.repeat(np.arange(ys.size), xs.size)

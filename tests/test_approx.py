@@ -41,15 +41,13 @@ from smoothness_lab.approx import (
     _best_constant,
     _const_face,
     _jackson_by_translation,
-    _jacobi_to_cheb,
     _k_functionals,
     _kernel_values,
     _log_root,
     _lstsq,
     _newton_k,
-    _poly_from_jacobi,
 )
-from smoothness_lab.jacobi import jacobi_matrix
+from smoothness_lab.jacobi import _cheb_matrix, _jacobi_series, jacobi_matrix
 from smoothness_lab.quadrature import gauss_jacobi, ordered_sum
 from smoothness_lab.space import discrete_norm, sample
 
@@ -250,6 +248,8 @@ def test_params_validation():
         JacksonParams(2, 2)
     with pytest.raises(InvalidArgumentError):
         JacksonParams(3, 0)
+    with pytest.raises(InvalidArgumentError):
+        JacksonParams(3, True)
 
 
 def test_smoothing_output_is_low_degree():
@@ -321,7 +321,7 @@ def test_witness_from_jacobi_coefficients_matches_jacobi_matrix():
     # degree 48 it must still agree with the recurrence values
     x = make_grid(2001)
     c = expand_in_jacobi(lambda x: np.abs(x), 48)
-    assert np.max(np.abs(_poly_from_jacobi(c)(x) - jacobi_matrix(48, x).T @ c)) <= 1e-13
+    assert np.max(np.abs(_jacobi_series(c, 2.0)(x) - jacobi_matrix(48, x).T @ c)) <= 1e-13
 
 
 def test_k_functional_at_degree_64_stays_below_projection_witness():
@@ -472,7 +472,7 @@ def _separable_k_reference(f, delta, max_deg, quad_n):
                 best_s_c = c_s
     C = np.array([np.zeros(max_deg + 1), c_proj, best_s_c])
     scores = [norm(r) + d2 * norm(u) for r, u in zip(fv - C @ J, (C * lam) @ J)]
-    best_poly = _poly_from_jacobi(C[int(np.argmin(scores))])
+    best_poly = _jacobi_series(C[int(np.argmin(scores))], 2.0)
     xs = norm.nodes
     return norm(fv - best_poly(xs)) + d2 * norm(apply_D_poly(best_poly)(xs)), best_poly
 
@@ -516,7 +516,7 @@ def _golden_section_k(f, delta, max_deg, quad_n):
     xs = norm.nodes
     return min(
         norm(fv - g(xs)) + d2 * norm(apply_D_poly(g)(xs))
-        for g in map(_poly_from_jacobi, (np.zeros(max_deg + 1), c_proj, best_s_c))
+        for g in (_jacobi_series(c, 2.0) for c in (np.zeros(max_deg + 1), c_proj, best_s_c))
     )
 
 
@@ -561,12 +561,17 @@ def test_log_root_brackets_and_pins_the_root():
         assert s == pytest.approx(root, rel=1e-14)
 
 
-def test_jacobi_to_cheb_columns_are_jacobi_poly():
+# the exponents of the series the package builds: (2,2) and the 2 alpha of _best_l2
+SERIES_EXPONENTS = (1.0, 1.5, 11.0 / 6.0, 2.0, 13.0 / 6.0, 2.4, 2.5)
+
+
+@pytest.mark.parametrize("a", SERIES_EXPONENTS)
+def test_cheb_matrix_columns_are_jacobi_poly(a):
     # one run of the recurrence builds every column, bitwise the coefficients of jacobi_poly
     for d in (0, 1, 7, 32, 64):
-        M = _jacobi_to_cheb(d)
+        M = _cheb_matrix(d, a)
         for k in range(d + 1):
-            cheb = jacobi_poly(k, 2, 2).cheb
+            cheb = jacobi_poly(k, a, a).cheb
             assert np.array_equal(M[: cheb.size, k], cheb), (d, k)
             assert np.all(M[cheb.size :, k] == 0.0) and not np.any(np.signbit(M[cheb.size :, k])), (d, k)
 
@@ -593,13 +598,14 @@ def test_separable_iterations_count_the_path_slope_evaluations(monkeypatch):
     assert total > 0
 
 
-def test_poly_from_jacobi_is_bitwise_poly_lincomb():
+@pytest.mark.parametrize("a", SERIES_EXPONENTS)
+def test_jacobi_series_is_bitwise_poly_lincomb(a):
     rng = np.random.default_rng(3)
     for d in range(65):
         for _ in range(5):
             c = rng.standard_normal(d + 1) * rng.choice([1e-8, 1.0, 1e6])
-            want = poly_lincomb(c, [jacobi_poly(k, 2, 2) for k in range(d + 1)])
-            assert np.array_equal(_poly_from_jacobi(c).cheb, want.cheb), d
+            want = poly_lincomb(c, [jacobi_poly(k, a, a) for k in range(d + 1)])
+            assert np.array_equal(_jacobi_series(c, a).cheb, want.cheb), d
 
 
 def test_k_functional_reports_the_lp_gap(monkeypatch):

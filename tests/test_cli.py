@@ -112,6 +112,20 @@ def test_inadmissible_p_exits_two(capsys):
     assert "p must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("op", ["modulus", "bestapprox"])
+def test_table_of_an_inadmissible_space_exits_two(capsys, op):
+    # the range that verify and sweep enforce holds for the tables too
+    assert main(["table", "--op", op, "--p", "1.5", "--alpha", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: (p, alpha) = (1.5, 5) is outside the admissible range")
+
+
+def test_table_psi_needs_no_space(capsys):
+    assert main(["table", "--op", "psi", "--p", "1.5", "--alpha", "5"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["rows"]) == 42
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -126,6 +140,8 @@ def test_inadmissible_p_exits_two(capsys):
         (["verify", "--tol", "nan"], "tol_scale must be finite and positive, got nan"),
         (["sweep", "--kdeg", "65"], "kdeg must be at most 64, got 65"),
         (["sweep", "--degrees", "2,100"], "degrees must be at most 64, got 100"),
+        (["verify", "--seed", "-1"], "seed must be a nonnegative integer, got -1"),
+        (["sweep", "--seed", "-3"], "seed must be a nonnegative integer, got -3"),
     ],
 )
 def test_bad_config_value_exits_two(capsys, argv, message):

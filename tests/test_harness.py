@@ -56,8 +56,6 @@ def test_corpus_labels_and_tags():
     assert tags["|x|"] == "kink"
     assert tags["(1-x)^0.75"] == "endpoint-singular"
     assert tags["P_5"] == "polynomial"
-    # only the random entry records its seed
-    assert [e.seed for e in entries] == [None] * 7 + [7]
 
 
 def test_corpus_is_deterministic():
@@ -128,14 +126,29 @@ def test_check_order_is_the_benchmarks(small_reports):
     assert [r.check_id for r in run_theorem_sweep(SMALL)] == list(expected["sweep"])
 
 
+def _handles_of(monkeypatch, label):
+    """The handles of the corpus entry label, collected as the harness builds its corpus."""
+    made = []
+    real = harness.corpus
+
+    def corpus(seed):
+        entries = real(seed)
+        made.extend(e.handle for e in entries if e.label == label)
+        return entries
+
+    monkeypatch.setattr(harness, "corpus", corpus)
+    return lambda f: any(f is h for h in made)
+
+
 def _k_with_one_nan(monkeypatch):
     # K of sin(3x) at delta 0.4 is NaN; every other value is the real one
     real = harness._k_functionals
+    is_sin = _handles_of(monkeypatch, "sin(3x)")
 
     def k_functionals(f, deltas, *args):
         res = real(f, deltas, *args)
         nan = types.SimpleNamespace(value=math.nan)
-        return [nan if f.label == "sin(3x)" and delta == 0.4 else r for delta, r in zip(deltas, res)]
+        return [nan if is_sin(f) and delta == 0.4 else r for delta, r in zip(deltas, res)]
 
     monkeypatch.setattr(harness, "_k_functionals", k_functionals)
 
@@ -166,10 +179,11 @@ def test_a_nan_ratio_fails_the_pooled_sweep_checks(monkeypatch):
 def test_a_nan_deeper_witness_fails_the_stability_check(monkeypatch):
     # the deeper witness is degree 48 at kdeg 16; a NaN K there is no K below the floor
     real = harness._k_functionals
+    is_sin = _handles_of(monkeypatch, "sin(3x)")
 
     def k_functionals(f, deltas, params, max_deg, quad_n):
         res = real(f, deltas, params, max_deg, quad_n)
-        return [types.SimpleNamespace(value=math.nan)] * len(res) if max_deg == 48 and f.label == "sin(3x)" else res
+        return [types.SimpleNamespace(value=math.nan)] * len(res) if max_deg == 48 and is_sin(f) else res
 
     monkeypatch.setattr(harness, "_k_functionals", k_functionals)
     assert by_id(run_theorem_sweep(SMALL))["modulus-k-stability"].status == "fail"
@@ -199,6 +213,20 @@ def test_config_needs_a_norm_node_per_witness_coefficient(norm_nodes, kdeg):
     with pytest.raises(InvalidArgumentError, match=f"norm_nodes must be at least kdeg \\+ 1 = {kdeg + 1}"):
         Config(norm_nodes=norm_nodes, kdeg=kdeg)
     assert Config(norm_nodes=kdeg + 1, kdeg=kdeg).norm_nodes == kdeg + 1
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.5, "7", None])
+def test_config_and_corpus_take_only_a_nonnegative_integer_seed(seed):
+    with pytest.raises(InvalidArgumentError, match="seed must be a nonnegative integer"):
+        Config(seed=seed)
+    with pytest.raises(InvalidArgumentError, match="seed must be a nonnegative integer"):
+        corpus(seed)
+
+
+def test_config_and_corpus_accept_seed_zero_and_numpy_integers():
+    assert Config(seed=0).seed == 0
+    assert Config(seed=np.int64(3)).seed == 3
+    assert [e.label for e in corpus(np.int64(0))] == [e.label for e in corpus(0)]
 
 
 @pytest.mark.parametrize("runner", [run_lemma_suite, run_theorem_sweep])

@@ -264,7 +264,10 @@ def test_lincomb_matches_manual_sum():
 def test_degree_validation():
     with pytest.raises(InvalidArgumentError):
         jacobi_poly(-1, 2, 2)
-    with pytest.raises(InvalidArgumentError):
-        jacobi_h(-2)
+    # the cache of jacobi_h keys True and 1 alike: True must fail after 1 is cached
+    jacobi_h(1)
+    for n in (-2, 2.5, "3", True):
+        with pytest.raises(InvalidArgumentError):
+            jacobi_h(n)
     with pytest.raises(InvalidArgumentError):
         jacobi_eval(3, 2, 2, 1.5)

@@ -11,14 +11,17 @@ from scipy.linalg import eigh_tridiagonal
 
 from smoothness_lab import (
     EvaluationError,
+    FunctionHandle,
     InvalidArgumentError,
     gauss_chebyshev,
     gauss_jacobi,
     gauss_legendre,
+    harness,
     integrate,
+    jacobi,
     ordered_sum,
 )
-from smoothness_lab.quadrature import _golub_welsch
+from smoothness_lab.quadrature import _golub_welsch, _panel_rule
 
 
 def legendre_moment(k: int) -> Fraction:
@@ -204,3 +207,39 @@ def test_symmetric_rules_are_bitwise_symmetric(n, a):
         assert np.array_equal(rule.weights, rule.weights[::-1]), rule.kind
         if n % 2:
             assert rule.nodes[n // 2] == 0.0, rule.kind
+
+
+def test_panel_rule_is_gauss_legendre_per_panel_times_the_22_weight():
+    edges = (-1.0, -0.6, 0.0, 0.6, 1.0)
+    nodes, weights = _panel_rule(edges, 8)
+    gl = gauss_legendre(8)
+    for k, (a, b) in enumerate(zip(edges, edges[1:])):
+        part = slice(8 * k, 8 * (k + 1))
+        assert np.array_equal(nodes[part], (b - a) / 2.0 * gl.nodes + (a + b) / 2.0)
+        assert np.array_equal(weights[part], (b - a) / 2.0 * gl.weights * (1.0 - nodes[part] ** 2) ** 2)
+    # exact for a piecewise polynomial with joints at the edges
+    f = lambda x: np.abs(x) ** 3
+    assert ordered_sum(weights * f(nodes)) == pytest.approx(2.0 * (1 / 4 - 2 / 6 + 1 / 8), rel=1e-14)
+
+
+def test_split_rules_take_their_nodes_and_weights_from_panel_rule(monkeypatch):
+    # harness._split_rule and the break-split rule of expand_in_jacobi both
+    # return what _panel_rule built, bitwise
+    made = []
+
+    def recording(edges, n):
+        made.append((tuple(edges), n, _panel_rule(edges, n)))
+        return made[-1][2]
+
+    monkeypatch.setattr(harness, "_panel_rule", recording)
+    monkeypatch.setattr(jacobi, "_panel_rule", recording)
+    for n_panel, y in ((16, -0.5), (64, 0.0), (512, 0.3), (1024, 0.9)):
+        xs, ws = harness._split_rule(n_panel, y)
+        s = math.sqrt(1.0 - y * y)
+        assert made[-1][:2] == ((-1.0, -s, 0.0, s, 1.0), n_panel // 2)
+        assert xs is made[-1][2][0] and ws is made[-1][2][1]
+    seen = []
+    f = FunctionHandle(eval=lambda x: seen.append(x) or np.abs(x), breaks=(-0.25, 0.5))
+    jacobi.expand_in_jacobi(f, 4, n_nodes=96)
+    assert made[-1][:2] == ((-1.0, -0.25, 0.5, 1.0), 32)
+    assert seen[-1] is made[-1][2][0]

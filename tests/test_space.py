@@ -118,10 +118,10 @@ def test_make_grid_shape_and_range():
 
 
 def test_function_handle_carries_derivatives():
-    h = FunctionHandle(eval=lambda x: x * x, d1=lambda x: 2.0 * x, d2=lambda x: 2.0 + 0.0 * x, parity="even")
+    h = FunctionHandle(eval=lambda x: x * x, d1=lambda x: 2.0 * x, d2=lambda x: 2.0 + 0.0 * x)
     assert h(0.5) == 0.25
     assert h.d1(0.5) == 1.0
-    assert h.parity == "even"
+    assert h.d2(0.5) == 2.0
 
 
 def test_weighted_norm_accepts_handle():

@@ -16,6 +16,7 @@ from smoothness_lab import (
     abs_rotation_average,
     compute_R,
     jacobi_eval,
+    jacobi_matrix,
     jacobi_poly,
     kernel_B,
     make_grid,
@@ -36,7 +37,6 @@ from smoothness_lab.translation import (
     _exact_points,
     _nested_points,
     _nested_rule,
-    _psi_rows,
     _sym_core,
     _sym_kernel,
     _t_grids,
@@ -622,11 +622,12 @@ def _z_rule_moduli(f, deltas, params, cfg):
     return [max([0.0] + [by_y[y] for y in grid]) for grid in grids]
 
 
-def test_psi_rows_are_the_multipliers():
+def test_jacobi_matrix_0_4_rows_are_the_multipliers():
+    # _Translates takes psi_k(y) for a declared degree from these rows
     ys = np.array([math.cos(t) for t in np.linspace(0.0, 3.0, 25)])
-    rows = _psi_rows(64, ys)
+    rows = jacobi_matrix(64, ys, 0.0, 4.0)
     for n in range(65):
-        assert np.array_equal(rows[:, n], [multiplier_psi(n, y) for y in ys]), n
+        assert np.array_equal(rows[n], [multiplier_psi(n, y) for y in ys]), n
 
 
 @pytest.mark.parametrize("name", sorted(MODULI_SPACES))
