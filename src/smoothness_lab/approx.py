@@ -20,7 +20,16 @@ from .jacobi import (
     jacobi_matrix,
 )
 from .quadrature import _as_callable, gauss_chebyshev, gauss_legendre, ordered_sum, sample
-from .space import FunctionHandle, SpaceParams, _as_params, _positive_int, discrete_norm, weighted_norm
+from .space import (
+    FunctionHandle,
+    SpaceParams,
+    _as_params,
+    _check_delta,
+    _LastCall,
+    _positive_int,
+    discrete_norm,
+    weighted_norm,
+)
 from .translation import _sym_core
 
 __all__ = [
@@ -147,27 +156,57 @@ def _lp_fit(p, blocks):
     feasible whatever the final gap. Returns (c, iterations, gap).
 
     - p = 1, all blocks stacked: maximise g^T y subject to M^T y = 0 and
-      |y| <= w, with y = w (2u - 1).
+      |y| <= w, with y = w (2u - 1), so 0 <= u <= 1.
     - p = inf: maximise sum_k g_k^T W_k (lam_k - mu_k) subject to
       sum(lam_k + mu_k) = 1 for each block and
-      sum_k M_k^T W_k (lam_k - mu_k) = 0, with u = (lam_k, mu_k).
+      sum_k M_k^T W_k (lam_k - mu_k) = 0, with u = (lam_1..lam_K,
+      mu_1..mu_K) >= 0 and no upper bound: each block's simplex row already
+      caps its entries at 1. The normal equations take their factor from
+      _pair_factor.
     """
     if p == 1.0:
         M, g, w = (np.concatenate(parts) for parts in zip(*blocks))
         _, y, gap, iterations = _lp_box(M.T * w, 0.5 * (M.T @ w), -w * g)
         return -y, iterations, gap
     k = len(blocks)
-    simplex = np.repeat(np.eye(k), [2 * w.size for _, _, w in blocks], axis=1)
-    rows = np.hstack([np.hstack((M.T * w, -(M.T * w))) for M, _, w in blocks])
-    cost = np.concatenate([np.concatenate((-w * g, w * g)) for _, g, w in blocks])
-    b = np.concatenate((np.ones(k), np.zeros(rows.shape[0])))
-    u0 = np.concatenate([np.full(2 * w.size, 0.5 / w.size) for _, _, w in blocks])  # on each simplex
-    _, y, gap, iterations = _lp_box(np.vstack((simplex, rows)), b, cost, u0)
+    simplex = np.tile(np.repeat(np.eye(k), [w.size for _, _, w in blocks], axis=1), 2)
+    wm = np.hstack([M.T * w for M, _, w in blocks])
+    wg = np.concatenate([w * g for _, g, w in blocks])
+    cost = np.concatenate((-wg, wg))
+    b = np.concatenate((np.ones(k), np.zeros(wm.shape[0])))
+    u0 = np.tile(np.concatenate([np.full(w.size, 0.5 / w.size) for _, _, w in blocks]), 2)  # on each simplex
+    A = np.vstack((simplex, np.hstack((wm, -wm))))
+    _, y, gap, iterations = _lp_box(A, b, cost, u0, upper=False, factor=_pair_factor(k))
     return -y[k:], iterations, gap
 
 
-def _lp_box(A, b, c, u0=None):
-    """Solve min c^T u subject to A u = b and 0 <= u <= 1; never raises.
+def _pair_factor(k):
+    """The factor of the normal equations of the p = inf LP of _lp_fit, from half its rows.
+
+    Its columns pair up: lam_i is [e_i; a_i] and mu_i is [e_i; -a_i], e_i
+    the simplex rows (k of them) and a_i the rest, and so
+    dl [e; a][e; a]^T + dm [e; -a][e; -a]^T = s [tau e; a][tau e; a]^T
+    + 4 dl dm / s e e^T, with s = dl + dm and tau = (dl - dm) / s. So
+    A D A^T = F^T F for F of one row per pair, sqrt(s) [tau e_i; a_i], and
+    k rows that add the sums of 4 dl dm / s e e^T on the simplex rows'
+    diagonal: a QR of half the rows of D^(1/2) A^T's, with no subtraction.
+    """
+
+    def factor(A, d):
+        half = d.size // 2
+        dl, dm = d[:half], d[half:]
+        s = dl + dm
+        F = np.zeros((half + k, A.shape[0]), order="F")
+        F[:half] = A[:, :half].T * np.sqrt(s)[:, None]
+        F[:half, :k] *= ((dl - dm) / s)[:, None]
+        F[half + np.arange(k), np.arange(k)] = np.sqrt(A[:k, :half] ** 2 @ (4.0 * dl * (dm / s)))
+        return dgeqrf(F, overwrite_a=1)[0]
+
+    return factor
+
+
+def _lp_box(A, b, c, u0=None, upper=True, factor=None):
+    """Solve min c^T u subject to A u = b and 0 <= u <= 1 (0 <= u alone if not upper); never raises.
 
     An infeasible-start primal-dual interior-point method with Mehrotra's
     predictor-corrector steps (Mehrotra, SIAM J. Optim. 2, 1992; Wright,
@@ -175,11 +214,14 @@ def _lp_box(A, b, c, u0=None):
     unit length and c to unit maximum. Each step solves the m x m normal
     equations A D A^T dy = r, m the number of rows, through the triangular
     QR factor of D^(1/2) A^T from LAPACK's dgeqrf, which keeps the accuracy
-    that forming A D A^T would square away as D spreads near the optimum.
-    The bound pairs (u, 1 - u) and their slacks are held stacked, so each
-    ratio test is one _max_step. The iterates start at u0 (default 0.5
-    everywhere), which must lie strictly inside the box; a start that also
-    solves A u = b saves steps.
+    that forming A D A^T would square away as D spreads near the optimum;
+    factor(A, d), if given, returns instead the dgeqrf output of another
+    matrix F with F^T F = A D A^T, for the A with its rows scaled.
+    With upper bounds the pairs (u, 1 - u) and their slacks are held
+    stacked, so each ratio test is one _max_step; without them the state is
+    u and its slacks alone, half the size. The iterates start at u0
+    (default 0.5 everywhere), which must lie strictly inside the bounds; a
+    start that also solves A u = b saves steps.
 
     Returns (u, y, gap, iterations) at the point of smallest gap seen: y
     holds the multipliers of A u = b in the units of A, b and c, gap is the
@@ -197,43 +239,44 @@ def _lp_box(A, b, c, u0=None):
     n = c.size
     u = np.full(n, 0.5) if u0 is None else u0
     y = np.zeros(b.size)
-    # x = (u, v) with v = 1 - u, slacks sz = (s, z) and steps dx = (du, -du)
+    # x = (u, v) with v = 1 - u, slacks sz = (s, z) and steps dx = (du, -du);
+    # without upper bounds x = u, sz = s and dx = du, and v and z are empty
     s = np.maximum(c, 0.0) + 1.0
-    sz = np.concatenate((s, s - c))
+    sz = np.concatenate((s, s - c)) if upper else s
     s, z = sz[:n], sz[n:]
     bnorm, cnorm = 1.0 + np.linalg.norm(b), 1.0 + np.linalg.norm(c)
     best = (math.inf, u, y, 0)
     for iterations in range(1, 101):
-        x = np.concatenate((u, 1.0 - u))
+        x = np.concatenate((u, 1.0 - u)) if upper else u
         v = x[n:]
         rp = b - A @ u
-        rd = c - A.T @ y - s + z
+        rd = c - A.T @ y - s + z if upper else c - A.T @ y - s
         pobj, dobj = float(c @ u), float(b @ y - z.sum())
         gap = max(abs(pobj - dobj) / max(1.0, abs(pobj)), np.linalg.norm(rp) / bnorm, np.linalg.norm(rd) / cnorm)
         if gap < best[0]:
             best = (gap, u, y, iterations)
         if gap <= 1e-10 or iterations - best[3] >= 5:
             break
-        mu = (u @ s + v @ z) / (2.0 * n)
-        d = 1.0 / (s / u + z / v)
-        qr = dgeqrf(np.sqrt(d)[:, None] * A.T, overwrite_a=1)[0]
+        mu = (u @ s + v @ z) / x.size
+        d = 1.0 / (s / u + z / v) if upper else u / s
+        qr = dgeqrf(np.sqrt(d)[:, None] * A.T, overwrite_a=1)[0] if factor is None else factor(A, d)
         R = np.asfortranarray(qr[: b.size])  # A D A^T = R^T R; dtrtrs reads only the upper triangle
         if not np.all(np.diag(R)):
             break  # singular normal equations
 
         def direction(r):
             # Newton step whose complementarity products x sz aim at r
-            h = rd - r[:n] / u + r[n:] / v
+            h = rd - r[:n] / u + r[n:] / v if upper else rd - r / u
             dy = dtrtrs(R, dtrtrs(R, rp + A @ (d * h), trans=1)[0])[0]
             du = d * (A.T @ dy - h)
-            dx = np.concatenate((du, -du))
+            dx = np.concatenate((du, -du)) if upper else du
             return dx, dy, (r - sz * dx) / x
 
         dx, dy, dsz = direction(-x * sz)
         ap = min(1.0, _max_step(x, dx))
         ad = min(1.0, _max_step(sz, dsz))
         xa, sa = x + ap * dx, sz + ad * dsz
-        mu_aff = (xa[:n] @ sa[:n] + xa[n:] @ sa[n:]) / (2.0 * n)
+        mu_aff = (xa[:n] @ sa[:n] + xa[n:] @ sa[n:]) / x.size
         sigma = (mu_aff / mu) ** 3
         dx, dy, dsz = direction(sigma * mu - x * sz - dx * dsz)
         if not (np.isfinite(dx).all() and np.isfinite(dy).all()):
@@ -247,9 +290,22 @@ def _lp_box(A, b, c, u0=None):
 
 
 def _max_step(x, dx):
-    """Largest t >= 0 with x + t dx >= 0 (inf when dx >= 0)."""
-    neg = dx < 0.0
-    return float(np.min(x[neg] / -dx[neg], initial=math.inf))
+    """Largest t >= 0 with x + t dx >= 0 (inf when dx >= 0), for x > 0.
+
+    t is the least x / -dx over the entries with dx < 0. The entry where
+    dx / x is least gives it, found by one division and one argmin with no
+    masked copies; only where other entries lie within rounding of that
+    ratio are their quotients compared too, so t is the exact least
+    quotient.
+    """
+    r = dx / x
+    i = r.argmin()
+    if not r[i] < 0.0:
+        return math.inf
+    near = r <= r[i] * (1.0 - 1e-15)
+    if np.count_nonzero(near) == 1:
+        return float(x[i] / -dx[i])
+    return float((x[near] / -dx[near]).min())
 
 
 def _lstsq(M, rhs):
@@ -514,8 +570,13 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
     evaluations of the path slope by _log_root, the two at the ends of its
     bracket included (0 when the scan minimum is at an end of the scan).
     gap is the interior-point solve's final gap at p in {1, inf}, whichever
-    candidate wins, and None otherwise. This is the one-delta case of
-    _k_functionals, which shares the work that does not depend on delta.
+    candidate wins, and None otherwise.
+
+    This is the one-delta case of _k_functionals. The work that does not
+    depend on delta is kept for the last (f, params, max_deg, quad_n)
+    (_k_setup), so successive calls on the same f and settings, one delta
+    each, do it once, as one call over all their deltas would, and give
+    the same values bitwise.
     """
     return _k_functionals(f, [delta], params, max_deg, quad_n)[0]
 
@@ -523,18 +584,11 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
 def _k_functionals(f, deltas, params, max_deg: int, quad_n: int) -> list:
     """k_functional(f, delta, params, max_deg, quad_n) for each delta, bitwise, with the delta-free work done once.
 
-    Done once: the samples of f, J, the projection c_proj and the scores
-    of the candidates that do not depend on delta (zero, projection, and
-    the best constant outside the separable case). In the separable case
-    also the projection a on the rule, its residual tail2 and the terms of
-    the 362-point scan; at 1 < p < inf also the face test of _newton_k at
-    the best constant (_const_face). Each delta then takes only its scan
+    The delta-free work is _k_setup's, taken from _K_SETUP when the last
+    call had the same f and settings; each delta then takes only its scan
     minimum and refine, or its solve, and the scores of its own candidate.
     """
-    deltas = [float(d) for d in deltas]
-    for delta in deltas:
-        if not (math.isfinite(delta) and delta >= 0.0):
-            raise InvalidArgumentError(f"delta must be a finite nonnegative number, got {delta!r}")
+    deltas = [_check_delta(d) for d in deltas]
     if not isinstance(max_deg, (int, np.integer)) or isinstance(max_deg, bool) or not 0 <= max_deg <= MAX_WITNESS_DEG:
         raise InvalidArgumentError(f"max_deg must be an integer in [0, {MAX_WITNESS_DEG}]")
     params = _as_params(params)
@@ -543,6 +597,24 @@ def _k_functionals(f, deltas, params, max_deg: int, quad_n: int) -> list:
     if quad_n < max_deg + 1:
         # fewer nodes than witness coefficients leave the fit underdetermined
         raise InvalidArgumentError(f"quad_n must be at least max_deg + 1 = {max_deg + 1}, got {quad_n}")
+    at = _K_SETUP.get(f, (params, max_deg, quad_n), lambda: _k_setup(f, params, max_deg, quad_n))
+    return [at(delta) for delta in deltas]
+
+
+# the delta-free work of the last K-functional call (a one-entry memo)
+_K_SETUP = _LastCall()
+
+
+def _k_setup(f, params, max_deg, quad_n):
+    """The delta-free work of _k_functionals, as the function of delta that finishes it.
+
+    Done here once: the samples of f, J, the projection c_proj and the
+    scores of the candidates that do not depend on delta (zero, projection,
+    and the best constant outside the separable case). In the separable
+    case also the projection a on the rule, its residual tail2 and the
+    terms of the 362-point scan; at 1 < p < inf also the face test of
+    _newton_k at the best constant (_const_face).
+    """
     norm = discrete_norm(params, quad_n)
     xs = norm.nodes
     fv = sample(f, xs)
@@ -573,8 +645,8 @@ def _k_functionals(f, deltas, params, max_deg: int, quad_n: int) -> list:
     # its Chebyshev form, so that it is the public norm at the witness
     C = np.array(candidates)
     fixed = [(norm(r), norm(u)) for r, u in zip(fv - C @ J, (C * lam) @ J)]
-    out = []
-    for delta in deltas:
+
+    def at(delta):
         d2 = delta * delta
         best_c, iterations, gap = solve(d2)
         # the product of all candidates: a row alone may round differently
@@ -583,8 +655,9 @@ def _k_functionals(f, deltas, params, max_deg: int, quad_n: int) -> list:
         scores = [nr + d2 * nu for nr, nu in fixed] + [norm(r[-1]) + d2 * norm(u[-1])]
         best_poly = _jacobi_series(C[int(np.argmin(scores))], 2.0)
         best_val = norm(fv - best_poly(xs)) + d2 * norm(apply_D_poly(best_poly)(xs))
-        out.append(KFunctionalResult(float(best_val), best_poly, delta, max_deg, iterations, gap))
-    return out
+        return KFunctionalResult(float(best_val), best_poly, delta, max_deg, iterations, gap)
+
+    return at
 
 
 def _separable_solver(fv, J, lam, rw):

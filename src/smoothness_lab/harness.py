@@ -38,7 +38,7 @@ from .jacobi import (
     poly_lincomb,
 )
 from .quadrature import _panel_rule, gauss_chebyshev, gauss_jacobi, gauss_legendre, integrate, ordered_sum
-from .space import FunctionHandle, SpaceParams, _positive_int, discrete_norm, make_grid, sample, validate_params, weighted_norm
+from .space import FunctionHandle, SpaceParams, _check_delta, _positive_int, discrete_norm, make_grid, sample, validate_params, weighted_norm
 from .translation import (
     _Translates,
     _asym_core,
@@ -114,8 +114,7 @@ class Config:
             if n > MAX_APPROX_DIM:
                 raise InvalidArgumentError(f"degrees must be at most {MAX_APPROX_DIM}, got {n!r}")
         for d in self.deltas:
-            if not (_is_finite_real(d) and 0.0 <= d < math.pi):
-                raise InvalidArgumentError(f"deltas must be finite and lie in [0, pi), got {d!r}")
+            _check_delta(d, "deltas", below_pi=True)
         if not (_is_finite_real(self.tol_scale) and self.tol_scale > 0.0):
             raise InvalidArgumentError(f"tol_scale must be finite and positive, got {self.tol_scale!r}")
 
@@ -276,8 +275,9 @@ def _worst(rows) -> float:
 
 
 def _spread(vals) -> float:
-    """max(vals) / min(vals); a NaN wins."""
-    return float(np.max(vals) / np.min(vals))
+    """max(vals) / min(vals); a NaN wins, and a zero min gives inf (NaN if the max is 0 too), without a warning."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.max(vals) / np.min(vals))
 
 
 def _skip(case: str, note: str) -> dict:
@@ -763,6 +763,11 @@ def run_theorem_sweep(config: Config = Config()):
     for label, d in data.items():
         for delta in cfg.deltas:
             case = f"{label},delta={delta:g}"
+            if delta == 0.0:
+                # omega(f, 0) = 0: the ratio says nothing about the constants
+                raw_rows.append(_skip(case, "omega vanishes at delta = 0"))
+                damped_rows.append(_skip(case, "omega vanishes at delta = 0"))
+                continue
             if d["k"][delta] < 1e-13:
                 raw_rows.append(_skip(case, "K below floor"))
                 damped_rows.append(_skip(case, "K below floor"))
@@ -805,7 +810,7 @@ def run_theorem_sweep(config: Config = Config()):
         for e in entries:
             ks = [r.value for r in _k_functionals(e.handle, cfg.deltas, params, heavy.kdeg, cfg.norm_nodes)]
             # not k < floor: a NaN K stays in, so that the check fails
-            kept = [(delta, k) for delta, k in zip(cfg.deltas, ks) if not k < 1e-13]
+            kept = [(delta, k) for delta, k in zip(cfg.deltas, ks) if delta > 0.0 and not k < 1e-13]
             # the moduli under heavy.quad_n: only the points that reached the cap quad_n can move
             oms = data[e.label]["translates"].moduli([delta for delta, _ in kept], heavy.quad_n)
             for (delta, k), om in zip(kept, oms):
@@ -813,7 +818,7 @@ def run_theorem_sweep(config: Config = Config()):
                 hv2.append(om * math.cos(delta / 2.0) ** 4 / k)
             k16s = [r.value for r in _k_functionals(e.handle, cfg.deltas, params, 16, cfg.norm_nodes)]
             for delta, k16 in zip(cfg.deltas, k16s):
-                if not k16 < 1e-13:
+                if delta > 0.0 and not k16 < 1e-13:
                     om0 = data[e.label]["omega"][delta]
                     sh1.append(om0 / k16)
                     sh2.append(om0 * math.cos(delta / 2.0) ** 4 / k16)

@@ -9,6 +9,7 @@ admissible set encoded in validate_params.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -143,6 +144,42 @@ class FunctionHandle:
         return self.eval(x)
 
 
+class _LastCall:
+    """A one-entry memo: the value built for the last f and settings it was asked for.
+
+    f matches by identity, and so does the eval a FunctionHandle holds, so
+    a handle whose eval was reassigned misses; f's degree and breaks, and
+    the settings, match by value. The entry holds f and its eval, so their
+    identities cannot be reused while it is kept. A function whose values
+    change without any of these changing is not detected. The entry is one
+    attribute, read once and replaced whole, so concurrent callers may
+    build twice but never get each other's value.
+    """
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self._entry = None  # (key, value)
+
+    def get(self, f, settings, build):
+        """The kept value if the key matches, else build(), kept as the one entry."""
+        key = (
+            f,
+            f.eval if isinstance(f, FunctionHandle) else None,
+            getattr(f, "degree", None),
+            tuple(getattr(f, "breaks", ())),
+            settings,
+        )
+        entry = self._entry
+        if entry is not None and entry[0][0] is f and entry[0][1] is key[1] and entry[0][2:] == key[2:]:
+            return entry[1]
+        self._entry = None  # let the old entry go before building
+        value = build()
+        self._entry = (key, value)
+        return value
+
+
 def make_grid(n: int) -> np.ndarray:
     """Chebyshev-type evaluation grid of n points, clamped to |x| <= 1 - 1e-6.
 
@@ -165,6 +202,16 @@ def _positive_int(n, name: str) -> int:
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise InvalidArgumentError(f"{name} must be a positive integer, got {n!r}")
     return int(n)
+
+
+def _check_delta(d, name: str = "delta", below_pi: bool = False) -> float:
+    """d as a float, if it is a real number (not a bool) in [0, inf), or in [0, pi) when below_pi."""
+    if isinstance(d, np.ndarray) and d.ndim == 0:
+        d = d[()]
+    upper = math.pi if below_pi else math.inf
+    if not isinstance(d, numbers.Real) or isinstance(d, bool) or not (math.isfinite(d) and 0.0 <= d < upper):
+        raise InvalidArgumentError(f"{name} must be finite and lie in [0, {'pi' if below_pi else 'inf'}), got {d!r}")
+    return float(d)
 
 
 @dataclass(frozen=True)

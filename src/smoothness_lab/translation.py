@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .jacobi import expand_in_jacobi, jacobi_eval, jacobi_matrix
 from .quadrature import _as_callable, gauss_chebyshev, sample
-from .space import SpaceParams, _positive_int, discrete_norm
+from .space import SpaceParams, _as_params, _check_delta, _LastCall, _positive_int, discrete_norm
 
 __all__ = [
     "compute_R",
@@ -388,21 +388,31 @@ def modulus(
     nodes (_Translates). A number delta gives a float, a 1-d sequence the
     list of its moduli: f is translated once per distinct y = cos t across
     them, and each value is bitwise the modulus at its delta alone.
+
+    The norm at each y is kept for the last (f, params, t_points, quad_n,
+    norm_nodes), and a call translates only the y that are new to it: a
+    row's norm does not depend on the other y translated with it, so
+    successive calls, one delta each, give bitwise the values of one call
+    over all their deltas, and doubling deltas share half their y.
     """
     try:
-        values = np.asarray(delta, dtype=float)
+        values = np.asarray(delta, dtype=object)  # object, so that a bool stays a bool
     except (TypeError, ValueError) as e:
         raise InvalidArgumentError(f"delta must be a number or a 1-d sequence of numbers, got {delta!r}") from e
     if values.ndim > 1:
         raise InvalidArgumentError(f"delta must be a number or a 1-d sequence, got shape {values.shape}")
-    deltas = [float(d) for d in values.ravel()]
-    for d in deltas:
-        if not (math.isfinite(d) and 0.0 <= d < math.pi):
-            raise InvalidArgumentError(f"delta must lie in [0, pi), got {d!r}")
+    deltas = [_check_delta(d, below_pi=True) for d in values.ravel().tolist()]
     t_points = _positive_int(t_points, "t_points")
     quad_n = _positive_int(quad_n, "quad_n")
-    moduli = _Translates(f, deltas, params, t_points, quad_n, norm_nodes).moduli(deltas)
+    params = _as_params(params)
+    kept = _MODULUS_NORMS.get(f, (params, t_points, quad_n, norm_nodes), dict)
+    moduli = _Translates(f, deltas, params, t_points, quad_n, norm_nodes, norms=kept).moduli(deltas)
     return moduli if values.ndim else moduli[0]
+
+
+# the norm of tau_y f - f for each y that the last (f, params, t_points,
+# quad_n, norm_nodes) of modulus has met (a one-entry memo)
+_MODULUS_NORMS = _LastCall()
 
 
 def _t_grids(deltas, t_points):
@@ -425,19 +435,22 @@ class _Translates:
     those points again, under the cap q, and gives bitwise
     modulus(f, deltas, params, t_points, q, norm_nodes), because a point
     that stopped by its test stops at the same level under any larger cap.
+    norms, if given, maps y to the norms already computed for these
+    settings: those y are not translated again and keep no capped points,
+    and the new norms are added to it.
     """
 
-    def __init__(self, f, deltas, params, t_points, quad_n, norm_nodes):
+    def __init__(self, f, deltas, params, t_points, quad_n, norm_nodes, norms=None):
         self.fn = _as_callable(f)
         self.t_points = t_points
         self.norm = discrete_norm(params, norm_nodes)
-        self.ys = sorted({y for grid in _t_grids(deltas, t_points) for y in grid})
+        self.norms = {} if norms is None else norms
+        new = sorted({y for grid in _t_grids(deltas, t_points) for y in grid} - self.norms.keys())
         # y -> (row, mask of its capped points), for the rows with a capped point
         self.capped = {}
-        if not self.ys:
-            self.norms = {}
+        if not new:
             return
-        ys, xs = np.array(self.ys), self.norm.nodes
+        ys, xs = np.array(new), self.norm.nodes
         degree = getattr(self.fn, "degree", None)
         if degree is not None:
             a = expand_in_jacobi(self.fn, degree, n_nodes=degree + 1)
@@ -449,8 +462,8 @@ class _Translates:
             tau, capped = _asym_points(self.fn, ys, iy, np.tile(xs, ys.size), quad_n, xs.size * quad_n)
             rows = tau.reshape(ys.size, xs.size) - self.fx
             masks = capped.reshape(rows.shape)
-            self.capped = {y: (row, mask) for y, row, mask in zip(self.ys, rows, masks) if mask.any()}
-        self.norms = dict(zip(self.ys, (self.norm(r) for r in rows)))
+            self.capped = {y: (row, mask) for y, row, mask in zip(new, rows, masks) if mask.any()}
+        self.norms.update(zip(new, (self.norm(r) for r in rows)))
 
     def moduli(self, deltas, quad_n=None) -> list:
         """The modulus at each delta, whose t grid must be among those the rows were built for.

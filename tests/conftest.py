@@ -1,0 +1,12 @@
+"""Set-up shared by the test modules."""
+
+import pytest
+
+from smoothness_lab import approx, translation
+
+
+@pytest.fixture(autouse=True)
+def cold_memos():
+    """Empty the one-entry memos of k_functional and modulus before each test, so no test sees another's."""
+    approx._K_SETUP.clear()
+    translation._MODULUS_NORMS.clear()

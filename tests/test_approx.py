@@ -44,8 +44,11 @@ from smoothness_lab.approx import (
     _k_functionals,
     _kernel_values,
     _log_root,
+    _lp_box,
     _lstsq,
+    _max_step,
     _newton_k,
+    _pair_factor,
 )
 from smoothness_lab.jacobi import _cheb_matrix, _jacobi_series, jacobi_matrix
 from smoothness_lab.quadrature import gauss_jacobi, ordered_sum
@@ -713,6 +716,58 @@ def _highs_fit(p, blocks):
 
 
 LP_SPACES = {"p1": SpaceParams(1.0, 0.75), "pinf": SpaceParams(math.inf, 1.25)}
+
+
+def test_max_step_is_the_exact_least_quotient():
+    x = np.array([1.0, 2.0, 3.0])
+    assert _max_step(x, np.array([0.0, 1.0, 2.0])) == math.inf
+    assert _max_step(x, np.zeros(3)) == math.inf
+    assert _max_step(x, np.array([0.5, -3.0, 0.0])) == 2.0 / 3.0
+    # entries whose dx / x tie to rounding: the least quotient x / -dx wins
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        x = rng.random(64) * 10.0 ** rng.uniform(-8, 2, 64)
+        dx = rng.standard_normal(64) * 10.0 ** rng.uniform(-6, 3, 64)
+        i = int(np.argmin(dx / x))  # the binding entry, and j one within rounding of it
+        j = (i + 1) % 64
+        x[j], dx[j] = x[i] * (1.0 + rng.integers(-2, 3) * 2.0**-52), dx[i] * (1.0 + rng.integers(-2, 3) * 2.0**-52)
+        neg = dx < 0.0
+        assert _max_step(x, dx) == np.min(x[neg] / -dx[neg], initial=math.inf)
+
+
+def test_lp_box_finds_the_vertex_in_both_forms():
+    # with the box: min -u1 - 2 u2 - 3 u3 over u1 + u2 + u3 = 2 and 0 <= u <= 1
+    # is the vertex (0, 1, 1), where the upper bounds of u2 and u3 are active
+    A, b, c = np.ones((1, 3)), np.array([2.0]), np.array([-1.0, -2.0, -3.0])
+    u, _, gap, _ = _lp_box(A, b, c)
+    assert gap <= 1e-10
+    assert np.max(np.abs(u - [0.0, 1.0, 1.0])) <= 1e-9
+    # without it: min -u1 - u2 over u1 + u2 + u3 = 1 (the simplex row) and
+    # u1 = u2, u >= 0 is (1/2, 1/2, 0), the simplex row binding each entry
+    # below 1; its multipliers are (-1, 0)
+    A, b, c = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]]), np.array([1.0, 0.0]), np.array([-1.0, -1.0, 0.0])
+    u, y, gap, _ = _lp_box(A, b, c, np.full(3, 1.0 / 3.0), upper=False)
+    assert gap <= 1e-10
+    assert np.max(np.abs(u - [0.5, 0.5, 0.0])) <= 1e-9
+    assert np.max(np.abs(y - [-1.0, 0.0])) <= 1e-9
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_pair_factor_is_a_factor_of_the_normal_equations(k):
+    # the p = inf LP's columns pair up as [e; a] and [e; -a]; the factor
+    # from one row per pair is R with R^T R = A D A^T, also where D spreads
+    # over many decades as it does near the optimum
+    rng = np.random.default_rng(k)
+    sizes = (40, 25)[:k]
+    simplex = np.tile(np.repeat(np.eye(k), sizes, axis=1), 2) / rng.uniform(1.0, 9.0, (k, 1))
+    a = rng.standard_normal((6, sum(sizes)))
+    A = np.vstack((simplex, np.hstack((a, -a))))
+    for spread in (0.0, 12.0):
+        d = 10.0 ** rng.uniform(-spread, 0.0, A.shape[1])
+        m = A.shape[0]
+        R = np.triu(_pair_factor(k)(A, d)[:m])
+        want = (A * d) @ A.T
+        assert np.max(np.abs(R.T @ R - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("name", sorted(LP_SPACES))

@@ -1,8 +1,13 @@
 """Command-line behavior, exercised through main() without a subprocess."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import smoothness_lab
 
 from smoothness_lab.cli import main
 from smoothness_lab.harness import corpus
@@ -250,3 +255,32 @@ def test_sweep_accepts_infinite_p(capsys, config_file):
     assert rc in (0, 1)
     payload = json.loads(capsys.readouterr().out)
     assert payload["config"]["p"] == float("inf")
+
+
+QUIET_COMMANDS = (
+    ["verify"],
+    ["sweep"],
+    ["sweep", "--p", "inf", "--alpha", "1.2"],
+    ["sweep", "--deltas", "0,0.1"],
+    ["table", "--op", "psi"],
+    ["table", "--op", "modulus"],
+    ["table", "--op", "bestapprox"],
+)
+
+
+def test_commands_write_nothing_to_stderr(tmp_path):
+    # in a fresh interpreter, where a warning prints as it does for a user
+    # and LAPACK writes to the process's own stderr: every command exits 0
+    # and leaves stderr empty
+    code = (
+        "import sys\n"
+        "from smoothness_lab.cli import main\n"
+        f"for i, argv in enumerate({[list(c) for c in QUIET_COMMANDS]!r}):\n"
+        f"    print(main(argv + ['--out', {str(tmp_path)!r} + f'/{{i}}.out']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(smoothness_lab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env.pop("PYTHONWARNINGS", None)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=600)
+    assert out.stderr == ""
+    assert out.stdout.split() == ["0"] * len(QUIET_COMMANDS)

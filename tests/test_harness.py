@@ -111,6 +111,25 @@ def test_reduced_sweep_runs():
     assert all(d["value"] is None and d["note"] == "E_n below resolution floor" for d in rows)
 
 
+def test_a_zero_delta_skips_its_pooled_ratios():
+    # omega(f, 0) = 0, so delta = 0 has no omega / K ratio: its pooled rows
+    # are skipped with a note, and the other deltas still set the constants
+    reports = by_id(run_theorem_sweep(replace(SMALL, deltas=(0.0, 0.1))))
+    assert all(r.status == "pass" for r in reports.values())
+    for check_id in ("modulus-k-equivalence", "modulus-k-damped-window"):
+        rows = [d for d in reports[check_id].details if d["case"].endswith(",delta=0")]
+        assert len(rows) == len(corpus(SMALL.seed))
+        assert all(d["value"] is None and d["note"] == "omega vanishes at delta = 0" for d in rows)
+        assert reports[check_id].observed is not None
+
+
+def test_spread_of_a_zero_minimum_is_infinite_without_a_warning():
+    # a RuntimeWarning would fail this test
+    assert harness._spread([0.0, 1.0]) == math.inf
+    assert math.isnan(harness._spread([0.0, 0.0]))
+    assert math.isnan(harness._spread([1.0, math.nan]))
+
+
 def _expected_checks():
     # the benchmark's gate compares the ordered ids of each report with these
     path = Path(__file__).resolve().parents[1] / "perfbench" / "batch.py"

@@ -1,0 +1,129 @@
+"""The delta-free work that k_functional and modulus keep across calls: bitwise, and never stale."""
+
+import math
+
+import numpy as np
+import pytest
+
+from smoothness_lab import Config, FunctionHandle, SpaceParams, approx, corpus, k_functional, modulus, translation
+from smoothness_lab.approx import _k_functionals
+
+# the four spaces of the spaces benchmark, and the separable space
+SPACES = {
+    "p1": SpaceParams(1.0, 0.75),
+    "p1.5": SpaceParams(1.5, 11.0 / 12.0),
+    "p2": SpaceParams(2.0, 1.0),
+    "p3": SpaceParams(3.0, 13.0 / 12.0),
+    "pinf": SpaceParams(math.inf, 1.25),
+}
+
+
+def _cold():
+    approx._K_SETUP.clear()
+    translation._MODULUS_NORMS.clear()
+
+
+def _same_k(a, b):
+    return (
+        a.value == b.value
+        and np.array_equal(a.witness.cheb, b.witness.cheb)
+        and (a.delta, a.max_deg, a.iterations, a.gap) == (b.delta, b.max_deg, b.iterations, b.gap)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_one_delta_calls_equal_the_joint_call_bitwise(name):
+    # successive one-delta calls reuse the delta-free work of the first; in
+    # either order they give what one cold call over all the deltas gives
+    params = SPACES[name]
+    cfg = Config()
+    for e in corpus(7):
+        h = e.handle
+        _cold()
+        joint_k = dict(zip(cfg.deltas, _k_functionals(h, cfg.deltas, params, cfg.kdeg, cfg.norm_nodes)))
+        joint_m = dict(zip(cfg.deltas, modulus(h, cfg.deltas, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes)))
+        for order in (cfg.deltas, cfg.deltas[::-1]):
+            _cold()
+            for d in order:
+                assert _same_k(k_functional(h, d, params, cfg.kdeg, cfg.norm_nodes), joint_k[d]), (e.label, d)
+            for d in order:
+                assert modulus(h, d, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes) == joint_m[d], (e.label, d)
+
+
+def _bump(x):
+    return np.abs(x - 0.3)
+
+
+def _bend(x):
+    return np.abs(x + 0.2) ** 1.5
+
+
+@pytest.mark.parametrize("name", ["p1.5", "p2", "pinf"])
+def test_a_changed_function_or_setting_is_never_served_stale(name):
+    # warm both memos with h at the base settings, change one thing, and the
+    # call must give the value of a cold call on the changed input
+    params = SPACES[name]
+    other = SPACES["p3"]
+    delta = 0.1
+    base_k = dict(params=params, max_deg=16, quad_n=64)
+    base_m = dict(params=params, t_points=4, quad_n=32, norm_nodes=64)
+
+    def k_of(f, **kw):
+        return k_functional(f, delta, **{**base_k, **kw})
+
+    def m_of(f, **kw):
+        return modulus(f, delta, **{**base_m, **kw})
+
+    def warm_and_check(make, k_kw=None, m_kw=None):
+        # make() gives the handle to call after warming with the one it
+        # replaces or changes; the changed value is compared with a cold call
+        h = FunctionHandle(eval=_bump, breaks=(0.3,))
+        _cold()
+        stale = (k_of(h), m_of(h))
+        g = make(h)
+        got = (k_of(g, **(k_kw or {})), m_of(g, **(m_kw or {})))
+        _cold()
+        want = (k_of(g, **(k_kw or {})), m_of(g, **(m_kw or {})))
+        assert _same_k(got[0], want[0]) and got[1] == want[1]
+        # whether a stale entry would have shown: the K result or the modulus moved
+        return not _same_k(stale[0], got[0]) or stale[1] != got[1]
+
+    def reassign_eval(h):
+        h.eval = _bend
+        return h
+
+    def drop_breaks(h):
+        h.breaks = ()
+        return h
+
+    assert warm_and_check(lambda h: FunctionHandle(eval=_bend))  # a new handle
+    assert warm_and_check(reassign_eval)  # the same handle with another eval
+    assert warm_and_check(drop_breaks)
+    for k_kw, m_kw in (
+        ({"params": other}, {"params": other}),
+        ({"max_deg": 12}, {"t_points": 5}),
+        ({"quad_n": 80}, {"quad_n": 48}),
+        ({}, {"norm_nodes": 80}),
+    ):
+        assert warm_and_check(lambda h: h, k_kw, m_kw), (k_kw, m_kw)
+
+    # the same handle, warmed as a cubic without a degree and then declaring it
+    h = FunctionHandle(eval=lambda x: x**3 - x)
+    _cold()
+    k_of(h), m_of(h)
+    h.degree = 3
+    got = (k_of(h), m_of(h))
+    _cold()
+    assert _same_k(got[0], k_of(h)) and got[1] == m_of(h)
+
+
+def test_the_memos_hold_one_entry_each():
+    # a call on another function replaces the kept entry
+    params = SPACES["p1.5"]
+    f, g = FunctionHandle(eval=_bump), FunctionHandle(eval=_bend)
+    k_functional(f, 0.4, params, 16, 64)
+    modulus(f, 0.4, params, 4, 32, 64)
+    k_functional(g, 0.4, params, 16, 64)
+    modulus(g, 0.4, params, 4, 32, 64)
+    for memo in (approx._K_SETUP, translation._MODULUS_NORMS):
+        assert memo._entry[0][0] is g

@@ -21,6 +21,7 @@ from smoothness_lab import (
     weighted_norm,
 )
 from smoothness_lab import quadrature, space
+from smoothness_lab.harness import Config
 from smoothness_lab.space import sample
 
 P21 = SpaceParams(2.0, 1.0)
@@ -186,3 +187,27 @@ def test_modulus_and_norm_reject_non_finite_f(p):
     for call in (lambda: weighted_norm(f, SpaceParams(p, 1.0)), lambda: modulus(f, 0.3, SpaceParams(p, 1.0))):
         with pytest.raises(EvaluationError):
             call()
+
+
+@pytest.mark.parametrize("flag", [True, np.True_, False], ids=["True", "np.True_", "False"])
+def test_a_bool_delta_is_rejected(flag):
+    # a bool is not a delta: k_functional and modulus used to take True as 1.0
+    f = lambda x: np.abs(x)
+    for call in (
+        lambda: k_functional(f, flag, P21),
+        lambda: modulus(f, flag, P21),
+        lambda: modulus(f, [0.2, flag], P21),
+        lambda: modulus(f, np.array([flag]), P21),
+        lambda: Config(deltas=(flag, 0.2)),
+    ):
+        with pytest.raises(InvalidArgumentError, match="delta"):
+            call()
+
+
+def test_deltas_of_numpy_and_python_number_types_are_accepted():
+    f = lambda x: np.abs(x)
+    for d in (np.float64(0.25), np.float32(0.25), np.array(0.25), 0.25):
+        assert k_functional(f, d, P21, 16, 64).delta == 0.25
+        assert modulus(f, d, P21, 4, 16, 64) == modulus(f, 0.25, P21, 4, 16, 64)
+    assert k_functional(f, 1, P21, 16, 64).delta == 1.0
+    assert Config(deltas=(np.float64(0.1), 1)).deltas == (0.1, 1)

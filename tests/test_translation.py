@@ -520,6 +520,7 @@ def test_moduli_equal_modulus_per_delta(name):
     for e in corpus(7):
         for deltas in grids:
             want = [modulus(e.handle, d, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes) for d in deltas]
+            translation_module._MODULUS_NORMS.clear()  # the sequence translated afresh, not read from the kept norms
             got = modulus(e.handle, deltas, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
             assert isinstance(got, list) and got == want, (e.label, deltas)
             assert all(type(v) is float for v in got)
