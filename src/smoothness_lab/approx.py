@@ -10,7 +10,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as ncheb
 from scipy.linalg.lapack import dgelsy, dgeqrf, dtrtrs
 
-from .errors import ConvergenceError, InvalidArgumentError
+from .errors import ConvergenceError, InvalidArgumentError, _integer, _real
 from .jacobi import (
     PolynomialRep,
     _jacobi_series,
@@ -26,7 +26,6 @@ from .space import (
     _as_params,
     _check_delta,
     _LastCall,
-    _positive_int,
     discrete_norm,
     weighted_norm,
 )
@@ -90,11 +89,9 @@ def best_approx(f, n, params, grid_n: int = 256) -> BestApproxResult:
     {"grid_n": d + 1, "iterations": 0}. grid_n must be a positive integer
     on every path.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or not 1 <= n <= MAX_APPROX_DIM:
-        raise InvalidArgumentError(f"dimension must be an integer in [1, {MAX_APPROX_DIM}], got {n!r}")
-    grid_n = _positive_int(grid_n, "grid_n")
+    n = _integer(n, "dimension", 1, MAX_APPROX_DIM)
+    grid_n = _integer(grid_n, "grid_n", 1)
     params = _as_params(params)
-    n = int(n)
     degree = f.degree if isinstance(f, (PolynomialRep, FunctionHandle)) else None
     if degree is not None and degree < n:
         argmin, method, diagnostics = _exact_fit(f, degree), "exact-fit", {"grid_n": degree + 1, "iterations": 0}
@@ -399,9 +396,8 @@ class JacksonParams:
     m: int = 2
 
     def __post_init__(self):
-        if not isinstance(self.q, (int, np.integer)) or self.q <= 2:
-            raise InvalidArgumentError(f"q must be an integer greater than 2, got {self.q!r}")
-        _positive_int(self.m, "m")
+        _integer(self.q, "q", 3)
+        _integer(self.m, "m", 1)
 
 
 def jackson_degree_bound(params: JacksonParams) -> int:
@@ -572,33 +568,18 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
     gap is the interior-point solve's final gap at p in {1, inf}, whichever
     candidate wins, and None otherwise.
 
-    This is the one-delta case of _k_functionals. The work that does not
-    depend on delta is kept for the last (f, params, max_deg, quad_n)
-    (_k_setup), so successive calls on the same f and settings, one delta
-    each, do it once, as one call over all their deltas would, and give
-    the same values bitwise.
+    The delta-free work (_k_setup) is kept for the last f and settings
+    (_K_SETUP): successive calls, one delta each, do it once, and each
+    gives bitwise the value of a cold call.
     """
-    return _k_functionals(f, [delta], params, max_deg, quad_n)[0]
-
-
-def _k_functionals(f, deltas, params, max_deg: int, quad_n: int) -> list:
-    """k_functional(f, delta, params, max_deg, quad_n) for each delta, bitwise, with the delta-free work done once.
-
-    The delta-free work is _k_setup's, taken from _K_SETUP when the last
-    call had the same f and settings; each delta then takes only its scan
-    minimum and refine, or its solve, and the scores of its own candidate.
-    """
-    deltas = [_check_delta(d) for d in deltas]
-    if not isinstance(max_deg, (int, np.integer)) or isinstance(max_deg, bool) or not 0 <= max_deg <= MAX_WITNESS_DEG:
-        raise InvalidArgumentError(f"max_deg must be an integer in [0, {MAX_WITNESS_DEG}]")
+    delta = _check_delta(delta)
+    max_deg = _integer(max_deg, "max_deg", 0, MAX_WITNESS_DEG)
     params = _as_params(params)
-    max_deg = int(max_deg)
-    quad_n = _positive_int(quad_n, "quad_n")
+    quad_n = _integer(quad_n, "quad_n", 1)
     if quad_n < max_deg + 1:
         # fewer nodes than witness coefficients leave the fit underdetermined
         raise InvalidArgumentError(f"quad_n must be at least max_deg + 1 = {max_deg + 1}, got {quad_n}")
-    at = _K_SETUP.get(f, (params, max_deg, quad_n), lambda: _k_setup(f, params, max_deg, quad_n))
-    return [at(delta) for delta in deltas]
+    return _K_SETUP.get(f, (params, max_deg, quad_n), lambda: _k_setup(f, params, max_deg, quad_n))(delta)
 
 
 # the delta-free work of the last K-functional call (a one-entry memo)
@@ -606,7 +587,7 @@ _K_SETUP = _LastCall()
 
 
 def _k_setup(f, params, max_deg, quad_n):
-    """The delta-free work of _k_functionals, as the function of delta that finishes it.
+    """The delta-free work of k_functional, as the function of delta that finishes it.
 
     Done here once: the samples of f, J, the projection c_proj and the
     scores of the candidates that do not depend on delta (zero, projection,
@@ -880,7 +861,7 @@ def bernstein_markov_ratios(poly: PolynomialRep, params, rho: float = 0.5, n_nod
     with n = degree + 1. The zero polynomial has no meaningful ratio.
     """
     params = _as_params(params)
-    rho = float(rho)
+    rho = _real(rho, "rho")
     if not (math.isfinite(rho) and rho >= 0.0):
         raise InvalidArgumentError(f"rho must be finite and nonnegative, got {rho!r}")
     if poly.is_zero():

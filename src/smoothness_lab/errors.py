@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks of integer and real arguments."""
+
+import numpy as np
 
 
 class SmoothnessLabError(Exception):
@@ -23,3 +25,28 @@ class ConvergenceError(SmoothnessLabError):
 
 class ReportIOError(SmoothnessLabError):
     """A report could not be written or serialized."""
+
+
+def _integer(n, name: str, lo: int, hi=None) -> int:
+    """n as an int, if it is an integer (not a bool) in [lo, hi], or of at least lo when hi is None."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < lo or (hi is not None and n > hi):
+        kind = {0: "a nonnegative integer", 1: "a positive integer"}.get(lo, f"an integer >= {lo}")
+        raise InvalidArgumentError(f"{name} must be {kind if hi is None else f'an integer in [{lo}, {hi}]'}, got {n!r}")
+    return int(n)
+
+
+def _real(v, name: str) -> float:
+    """v as a float, if it is a real number (not a bool) or a 0-d array of one; inf and nan pass."""
+    if isinstance(v, np.ndarray) and v.ndim == 0:
+        v = v[()]
+    if not isinstance(v, (int, float, np.integer, np.floating)) or isinstance(v, bool):
+        raise InvalidArgumentError(f"{name} must be a real number, got {v!r}")
+    return float(v)
+
+
+def _reals(v, name: str) -> np.ndarray:
+    """v as a float array, if numpy reads it as one."""
+    try:
+        return np.asarray(v, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise InvalidArgumentError(f"{name} must be a real number or an array of them, got {v!r}") from e

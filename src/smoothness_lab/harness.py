@@ -17,7 +17,6 @@ from .approx import (
     MAX_WITNESS_DEG,
     JacksonParams,
     _jackson_by_translation,
-    _k_functionals,
     bernstein_markov_ratios,
     best_approx,
     gamma_norm,
@@ -25,7 +24,7 @@ from .approx import (
     jackson_operator,
     k_functional,
 )
-from .errors import InvalidArgumentError, ReportIOError, SmoothnessLabError
+from .errors import InvalidArgumentError, ReportIOError, SmoothnessLabError, _integer, _real
 from .jacobi import (
     PolynomialRep,
     _jacobi_series,
@@ -38,7 +37,7 @@ from .jacobi import (
     poly_lincomb,
 )
 from .quadrature import _panel_rule, gauss_chebyshev, gauss_jacobi, gauss_legendre, integrate, ordered_sum
-from .space import FunctionHandle, SpaceParams, _check_delta, _positive_int, discrete_norm, make_grid, sample, validate_params, weighted_norm
+from .space import FunctionHandle, SpaceParams, _check_delta, discrete_norm, make_grid, sample, validate_params, weighted_norm
 from .translation import (
     _Translates,
     _asym_core,
@@ -71,15 +70,6 @@ _PAIR_NODES = 1024
 _COEFF_NODES = 2048
 
 
-def _is_finite_real(v) -> bool:
-    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool) and math.isfinite(v)
-
-
-def _check_seed(seed) -> None:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-        raise InvalidArgumentError(f"seed must be a nonnegative integer, got {seed!r}")
-
-
 @dataclass(frozen=True)
 class Config:
     """Knobs shared by the verification suite and the theorem sweep."""
@@ -97,10 +87,14 @@ class Config:
     approx_grid: int = 512
 
     def __post_init__(self):
+        _real(self.p, "p")
+        _real(self.alpha, "alpha")
         for name in _RESOLUTION_FIELDS:
-            _positive_int(getattr(self, name), name)
-        _check_seed(self.seed)
+            _integer(getattr(self, name), name, 1)
+        _integer(self.seed, "seed", 0)
         for name in ("degrees", "deltas"):
+            if not isinstance(getattr(self, name), (tuple, list)):
+                raise InvalidArgumentError(f"{name} must be a tuple or list, got {getattr(self, name)!r}")
             if len(getattr(self, name)) == 0:
                 raise InvalidArgumentError(f"{name} must not be empty")
         if self.kdeg > MAX_WITNESS_DEG:
@@ -115,7 +109,7 @@ class Config:
                 raise InvalidArgumentError(f"degrees must be at most {MAX_APPROX_DIM}, got {n!r}")
         for d in self.deltas:
             _check_delta(d, "deltas", below_pi=True)
-        if not (_is_finite_real(self.tol_scale) and self.tol_scale > 0.0):
+        if not 0.0 < _real(self.tol_scale, "tol_scale") < math.inf:
             raise InvalidArgumentError(f"tol_scale must be finite and positive, got {self.tol_scale!r}")
 
     def to_dict(self) -> dict:
@@ -167,7 +161,7 @@ def _poly_handle(poly: PolynomialRep) -> FunctionHandle:
 
 def corpus(seed: int = 7):
     """Deterministic corpus of test functions spanning the smoothness classes; seed is a nonnegative integer."""
-    _check_seed(seed)
+    _integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     series_coeffs = rng.uniform(-1.0, 1.0, 13) * (1.0 + np.arange(13.0)) ** -3.0
     series_poly = _jacobi_series(series_coeffs, 2.0)
@@ -670,7 +664,7 @@ def run_lemma_suite(config: Config = Config()):
         return _worst(rows), rows, "bitwise identical corpus regeneration"
 
     moduli = lambda h: modulus(h, cfg.deltas, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
-    k_values = lambda h: [r.value for r in _k_functionals(h, cfg.deltas, params, cfg.kdeg, cfg.norm_nodes)]
+    k_values = lambda h: [k_functional(h, d, params, cfg.kdeg, cfg.norm_nodes).value for d in cfg.deltas]
     translate = lambda e, tt, xs, qn: _asym_core(e.handle, math.cos(tt), xs, qn)
     rotate = lambda e, tt, xs, qn: abs_rotation_average(e.handle.eval, tt, xs, qn)
     return _run_checks(
@@ -746,7 +740,7 @@ def run_theorem_sweep(config: Config = Config()):
         translates = _Translates(e.handle, grid, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
         oms = translates.moduli(grid)
         omegas = dict(zip(cfg.deltas, oms))
-        kvals = dict(zip(cfg.deltas, (r.value for r in _k_functionals(e.handle, cfg.deltas, params, cfg.kdeg, cfg.norm_nodes))))
+        kvals = {d: k_functional(e.handle, d, params, cfg.kdeg, cfg.norm_nodes).value for d in cfg.deltas}
         errs = {nu: best_approx(e.handle, nu, params, cfg.approx_grid).value for nu in range(1, max_deg + 1)}
         omega_inv = dict(zip(cfg.degrees, oms[len(cfg.deltas) :]))
         data[e.label] = {
@@ -808,7 +802,7 @@ def run_theorem_sweep(config: Config = Config()):
         heavy = replace(cfg, quad_n=2 * cfg.quad_n, kdeg=kdeg)
         hv1, hv2, sh1, sh2 = [], [], [], []
         for e in entries:
-            ks = [r.value for r in _k_functionals(e.handle, cfg.deltas, params, heavy.kdeg, cfg.norm_nodes)]
+            ks = [k_functional(e.handle, d, params, heavy.kdeg, cfg.norm_nodes).value for d in cfg.deltas]
             # not k < floor: a NaN K stays in, so that the check fails
             kept = [(delta, k) for delta, k in zip(cfg.deltas, ks) if delta > 0.0 and not k < 1e-13]
             # the moduli under heavy.quad_n: only the points that reached the cap quad_n can move
@@ -816,7 +810,7 @@ def run_theorem_sweep(config: Config = Config()):
             for (delta, k), om in zip(kept, oms):
                 hv1.append(om / k)
                 hv2.append(om * math.cos(delta / 2.0) ** 4 / k)
-            k16s = [r.value for r in _k_functionals(e.handle, cfg.deltas, params, 16, cfg.norm_nodes)]
+            k16s = [k_functional(e.handle, d, params, 16, cfg.norm_nodes).value for d in cfg.deltas]
             for delta, k16 in zip(cfg.deltas, k16s):
                 if delta > 0.0 and not k16 < 1e-13:
                     om0 = data[e.label]["omega"][delta]

@@ -11,7 +11,7 @@ import math
 import numpy as np
 from numpy.polynomial import chebyshev as ncheb
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _integer, _real, _reals
 from .quadrature import _panel_rule, gauss_jacobi, ordered_sum, sample
 
 __all__ = [
@@ -87,13 +87,10 @@ def poly_lincomb(weights, polys) -> PolynomialRep:
 
 
 def _check_jacobi_args(n, a, b):
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
-        raise InvalidArgumentError(f"degree must be a nonnegative integer, got {n!r}")
-    a = float(a)
-    b = float(b)
+    n, a, b = _integer(n, "degree", 0), _real(a, "jacobi exponent a"), _real(b, "jacobi exponent b")
     if not (math.isfinite(a) and math.isfinite(b)) or a <= -1.0 or b <= -1.0:
         raise InvalidArgumentError(f"jacobi exponents must be finite and exceed -1, got ({a}, {b})")
-    return int(n), a, b
+    return n, a, b
 
 
 def _recurrence(n, a, b, one, affine):
@@ -130,7 +127,7 @@ def _value_at_one(n, a, b):
 def jacobi_eval(n, a, b, x):
     """Jacobi polynomial of degree n normalized so that P_n(1) = 1."""
     n, a, b = _check_jacobi_args(n, a, b)
-    xv = np.asarray(x, dtype=float)
+    xv = _reals(x, "x")
     if np.any(np.abs(xv) > 1.0 + 1e-12):
         raise InvalidArgumentError("evaluation points must lie in [-1, 1]")
     out = deque(_raw_rows(n, a, b, xv), maxlen=1)[0] / _value_at_one(n, a, b)
@@ -249,7 +246,7 @@ def apply_D_poly(poly: PolynomialRep) -> PolynomialRep:
 def fourier_jacobi_coeff(f, n, n_nodes: int = 64) -> float:
     """Expansion integral of f against P_n^{(2,2)} with weight (1-x^2)^2."""
     n, _, _ = _check_jacobi_args(n, 2, 2)
-    rule = gauss_jacobi(int(n_nodes), 2.0)
+    rule = gauss_jacobi(_integer(n_nodes, "n_nodes", 1), 2.0)
     vals = sample(f, rule.nodes)
     return ordered_sum(rule.weights * vals * jacobi_eval(n, 2, 2, rule.nodes))
 
@@ -263,11 +260,12 @@ def expand_in_jacobi(f, nmax, n_nodes: int = 256) -> np.ndarray:
     piecewise polynomial such as |x|, where one global rule is algebraic.
     """
     nmax, _, _ = _check_jacobi_args(nmax, 2, 2)
+    n_nodes = _integer(n_nodes, "n_nodes", 1)
     breaks = tuple(getattr(f, "breaks", ()))
     if breaks:
-        nodes, weights = _panel_rule((-1.0,) + breaks + (1.0,), max(int(n_nodes) // (len(breaks) + 1), 1))
+        nodes, weights = _panel_rule((-1.0,) + breaks + (1.0,), max(n_nodes // (len(breaks) + 1), 1))
     else:
-        rule = gauss_jacobi(int(n_nodes), 2.0)
+        rule = gauss_jacobi(n_nodes, 2.0)
         nodes, weights = rule.nodes, rule.weights
     vals = sample(f, nodes)
     basis = jacobi_matrix(nmax, nodes)

@@ -30,7 +30,7 @@ import math
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import EvaluationError, InvalidArgumentError
+from .errors import EvaluationError, InvalidArgumentError, _integer, _real
 
 __all__ = [
     "QuadratureRule",
@@ -89,14 +89,6 @@ class QuadratureRule:
 
     def __len__(self):
         return self.nodes.size
-
-
-def _check_n(n: int) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise InvalidArgumentError(f"node count must be an integer, got {n!r}")
-    if n < 1 or n > MAX_NODES:
-        raise InvalidArgumentError(f"node count must be in [1, {MAX_NODES}], got {n}")
-    return int(n)
 
 
 def _last_two(x, off):
@@ -165,7 +157,7 @@ def _golub_welsch(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate((-x[::-1][:m], x)), np.concatenate((w[::-1][:m], w))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def gauss_legendre(n: int) -> QuadratureRule:
     """Gauss-Legendre rule with n nodes, exact for polynomials of degree 2n-1.
 
@@ -178,12 +170,12 @@ def gauss_legendre(n: int) -> QuadratureRule:
     -------
     QuadratureRule
     """
-    n = _check_n(n)
+    n = _integer(n, "node count", 1, MAX_NODES)
     nodes, weights = _golub_welsch(n, 0.0)
     return QuadratureRule("legendre", nodes, weights)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def gauss_chebyshev(n: int) -> QuadratureRule:
     """Gauss-Chebyshev rule (first kind, weight 1/sqrt(1-x^2)), closed form.
 
@@ -192,14 +184,14 @@ def gauss_chebyshev(n: int) -> QuadratureRule:
     point (and the midpoint of an odd rule is exactly 0.0). All weights
     equal pi/n.
     """
-    n = _check_n(n)
+    n = _integer(n, "node count", 1, MAX_NODES)
     k = np.arange(1, n + 1, dtype=float)
     nodes = np.sin(math.pi * (2.0 * k - n - 1.0) / (2.0 * n))
     weights = np.full(n, math.pi / n)
     return QuadratureRule("chebyshev1", nodes, weights)
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=512, typed=True)
 def gauss_jacobi(n: int, a: float) -> QuadratureRule:
     """Gauss-Jacobi rule for the symmetric weight (1-x^2)^a, a > -1.
 
@@ -215,12 +207,10 @@ def gauss_jacobi(n: int, a: float) -> QuadratureRule:
     -------
     QuadratureRule
     """
-    n = _check_n(n)
-    a = float(a)
-    if not math.isfinite(a):
-        raise InvalidArgumentError("jacobi exponent must be finite")
-    if a <= -1.0:
-        raise InvalidArgumentError(f"jacobi exponent must exceed -1, got a={a}")
+    n = _integer(n, "node count", 1, MAX_NODES)
+    a = _real(a, "jacobi exponent")
+    if not -1.0 < a < math.inf:
+        raise InvalidArgumentError(f"jacobi exponent must be finite and exceed -1, got a={a}")
     nodes, weights = _golub_welsch(n, a)
     return QuadratureRule(f"jacobi({a:g},{a:g})", nodes, weights)
 
@@ -283,4 +273,6 @@ def integrate(fn, rule: QuadratureRule) -> float:
         If the integrand is non-finite at any node (raised by sample); the
         offending node is attached to the exception.
     """
+    if not isinstance(rule, QuadratureRule):
+        raise InvalidArgumentError(f"rule must be a QuadratureRule, got {rule!r}")
     return ordered_sum(rule.weights * sample(fn, rule.nodes))

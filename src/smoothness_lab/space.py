@@ -9,13 +9,12 @@ admissible set encoded in validate_params.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _integer, _real
 from .quadrature import gauss_jacobi, sample
 
 __all__ = [
@@ -43,8 +42,8 @@ class SpaceParams:
     alpha: float
 
     def __post_init__(self):
-        p = float(self.p)
-        alpha = float(self.alpha)
+        p = _real(self.p, "p")
+        alpha = _real(self.alpha, "alpha")
         if math.isnan(p) or p < 1.0:
             raise InvalidArgumentError(f"p must be >= 1 (or inf), got {self.p!r}")
         if not math.isfinite(alpha):
@@ -82,12 +81,8 @@ def validate_params(p: float, alpha: float) -> Admissibility:
     interval (1 - 1/(2p), 3/2 - 1/(2p)) for 1 < p < inf, and [1, 3/2)
     for p = inf. p below 1 is rejected outright.
     """
-    p = float(p)
-    alpha = float(alpha)
-    if math.isnan(p) or p < 1.0:
-        raise InvalidArgumentError(f"p must be >= 1 (or inf), got {p!r}")
-    if not math.isfinite(alpha):
-        raise InvalidArgumentError(f"alpha must be finite, got {alpha!r}")
+    params = SpaceParams(p, alpha)
+    p, alpha = params.p, params.alpha
     if p == 1.0:
         lower, upper, lc, uc = 0.5, 1.0, False, True
     elif math.isinf(p):
@@ -129,16 +124,16 @@ class FunctionHandle:
     breaks: tuple = ()
 
     def __post_init__(self):
-        d = self.degree
-        if d is not None and (not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 0):
-            raise InvalidArgumentError(f"degree must be None or a nonnegative integer, got {d!r}")
-        breaks = tuple(self.breaks)
-        for b in breaks:
-            if not isinstance(b, (int, float, np.integer, np.floating)) or isinstance(b, bool) or not -1.0 < b < 1.0:
-                raise InvalidArgumentError(f"breaks must be finite numbers inside (-1, 1), got {b!r}")
+        if self.degree is not None:
+            _integer(self.degree, "degree", 0)
+        if not isinstance(self.breaks, (tuple, list)):
+            raise InvalidArgumentError(f"breaks must be a tuple or list, got {self.breaks!r}")
+        breaks = tuple(_real(b, "breaks") for b in self.breaks)
+        if not all(-1.0 < b < 1.0 for b in breaks):
+            raise InvalidArgumentError(f"breaks must be finite numbers inside (-1, 1), got {breaks!r}")
         if any(a >= b for a, b in zip(breaks, breaks[1:])):
             raise InvalidArgumentError(f"breaks must be strictly increasing, got {breaks!r}")
-        self.breaks = tuple(float(b) for b in breaks)
+        self.breaks = breaks
 
     def __call__(self, x):
         return self.eval(x)
@@ -186,8 +181,7 @@ def make_grid(n: int) -> np.ndarray:
     Points are sin(pi (2k - n - 1) / (2n)) for k = 1..n, ascending; the sine
     form keeps the grid exactly symmetric about 0.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 2:
-        raise InvalidArgumentError(f"grid size must be an integer >= 2, got {n!r}")
+    n = _integer(n, "grid size", 2)
     k = np.arange(1, n + 1, dtype=float)
     pts = np.sin(math.pi * (2.0 * k - n - 1.0) / (2.0 * n))
     return np.clip(pts, -(1.0 - EPS_INTERIOR), 1.0 - EPS_INTERIOR)
@@ -197,21 +191,12 @@ def _as_params(params) -> SpaceParams:
     return params if isinstance(params, SpaceParams) else SpaceParams(*params)
 
 
-def _positive_int(n, name: str) -> int:
-    """n as an int, if it is an integer (not a bool) of at least 1."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise InvalidArgumentError(f"{name} must be a positive integer, got {n!r}")
-    return int(n)
-
-
 def _check_delta(d, name: str = "delta", below_pi: bool = False) -> float:
     """d as a float, if it is a real number (not a bool) in [0, inf), or in [0, pi) when below_pi."""
-    if isinstance(d, np.ndarray) and d.ndim == 0:
-        d = d[()]
-    upper = math.pi if below_pi else math.inf
-    if not isinstance(d, numbers.Real) or isinstance(d, bool) or not (math.isfinite(d) and 0.0 <= d < upper):
+    d = _real(d, name)
+    if not (math.isfinite(d) and 0.0 <= d < (math.pi if below_pi else math.inf)):
         raise InvalidArgumentError(f"{name} must be finite and lie in [0, {'pi' if below_pi else 'inf'}), got {d!r}")
-    return float(d)
+    return d
 
 
 @dataclass(frozen=True)
@@ -245,7 +230,7 @@ def discrete_norm(params, n_nodes: int) -> DiscreteNorm:
     p = inf the nodes are make_grid(max(n_nodes, 2)) and +-(1 - 1e-6).
     n_nodes must be a positive integer.
     """
-    n_nodes = _positive_int(n_nodes, "node count")
+    n_nodes = _integer(n_nodes, "node count", 1)
     params = _as_params(params)
     if params.is_sup:
         edge = 1.0 - EPS_INTERIOR

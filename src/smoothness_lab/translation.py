@@ -14,10 +14,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _integer, _real, _reals
 from .jacobi import expand_in_jacobi, jacobi_eval, jacobi_matrix
 from .quadrature import _as_callable, gauss_chebyshev, sample
-from .space import SpaceParams, _as_params, _check_delta, _LastCall, _positive_int, discrete_norm
+from .space import SpaceParams, _as_params, _check_delta, _LastCall, discrete_norm
 
 __all__ = [
     "compute_R",
@@ -30,7 +30,7 @@ __all__ = [
 
 def _check_cube(x, z, y):
     """x, z and y as float arrays, each checked to lie in [-1, 1]."""
-    arrays = tuple(np.asarray(v, dtype=float) for v in (x, z, y))
+    arrays = tuple(_reals(v, name) for name, v in zip("xzy", (x, z, y)))
     for name, v in zip("xzy", arrays):
         if not np.all(np.isfinite(v)) or np.any(np.abs(v) > 1.0):
             raise InvalidArgumentError(f"{name} must lie in [-1, 1]")
@@ -44,20 +44,23 @@ def compute_R(x, z, y):
     so downstream evaluations never leave the domain.
     """
     x, z, y = _check_cube(x, z, y)
-    r = x * y - z * np.sqrt(1.0 - x * x) * np.sqrt(1.0 - y * y)
-    out = np.clip(r, -1.0, 1.0)
+    out = _rotation(x, z, y)[2]
     return float(out) if out.shape == () else out
 
 
 def kernel_B(x, z, y):
-    """Sign-changing translation kernel B_y(x, z)."""
+    """Sign-changing translation kernel B_y(x, z), the kernel of the asymmetric translation (_asym_kernel)."""
     x, z, y = _check_cube(x, z, y)
-    sx = np.sqrt(1.0 - x * x)
-    sy = np.sqrt(1.0 - y * y)
-    r = np.clip(x * y - z * sx * sy, -1.0, 1.0)
-    br = sx * y + z * x * sy + sx * (1.0 - y) * (1.0 - z * z)
-    out = 2.0 * br * br - (1.0 - r * r)
+    sx, sy, r = _rotation(x, z, y)
+    out = _asym_kernel(1.0, x, sx, y, sy, z, r)
     return float(out) if out.shape == () else out
+
+
+def _rotation(x, z, y):
+    """sqrt(1-x^2), sqrt(1-y^2) and R = x y - z sqrt(1-x^2) sqrt(1-y^2), clipped to [-1, 1], of broadcastable arrays."""
+    sx = np.sqrt(1.0 - x * x)
+    sy = np.sqrt(np.maximum(1.0 - y * y, 0.0))
+    return sx, sy, np.clip(x * y - z * sx * sy, -1.0, 1.0)
 
 
 # The convergence-stopped z-rule stops once two successive levels agree to
@@ -68,9 +71,8 @@ _Z_RTOL = 1e-14
 _Z_EXTRAPOLATED = 0.1
 # Intervals per panel at the first level of the convergence-stopped z-rule.
 _Z_START = 8
-# Elements that a chunk of the exact z-rule may hold whatever its budget,
-# so that many y on a few x take a few chunks, not one per y.
-_EXACT_CHUNK = 2**16
+# Most elements per array of the z-rule, which takes its points in chunks.
+_CHUNK = 2**15
 
 
 @lru_cache(maxsize=64)
@@ -128,7 +130,7 @@ def _panels(x, y, breaks):
     )
 
 
-def _z_points(fn, kernel, y_all, x_all, quad_n, budget):
+def _z_points(fn, kernel, y_all, x_all, quad_n):
     """z-integral of kernel * f(R) at the points (y_all[i], x_all[i]), and whether each point reached the z-rule's cap.
 
     The one place that picks the z-rule. The kernels have degree 4 in z, so
@@ -138,29 +140,26 @@ def _z_points(fn, kernel, y_all, x_all, quad_n, budget):
     """
     degree = getattr(fn, "degree", None)
     if degree is None:
-        return _nested_points(fn, kernel, y_all, x_all, quad_n, budget)
+        return _nested_points(fn, kernel, y_all, x_all, quad_n)
     nodes = min(int(quad_n), degree // 2 + 3)
-    return _exact_points(fn, kernel, y_all, x_all, nodes, budget), np.zeros(x_all.size, dtype=bool)
+    return _exact_points(fn, kernel, y_all, x_all, nodes), np.zeros(x_all.size, dtype=bool)
 
 
-def _exact_points(fn, kernel, y_all, x_all, nodes, budget):
+def _exact_points(fn, kernel, y_all, x_all, nodes):
     """z-integral of kernel * f(R) at the points (y_all[i], x_all[i]) by the Gauss-Chebyshev rule of nodes nodes.
 
-    Points are taken in chunks whose arrays hold at most
-    max(budget, _EXACT_CHUNK) elements; each element goes through the same
-    operations in the same order whatever its chunk, so the values do not
-    depend on the chunks.
+    Points are taken in chunks whose arrays hold at most _CHUNK elements;
+    each element goes through the same operations in the same order
+    whatever its chunk, so the values do not depend on the chunks.
     """
     rule = gauss_chebyshev(nodes)
     z = rule.nodes
     out = np.empty(x_all.size)
-    chunk = max(1, max(budget, _EXACT_CHUNK) // nodes)
+    chunk = max(1, _CHUNK // nodes)
     for lo in range(0, x_all.size, chunk):
         x = x_all[lo : lo + chunk, None]
         y = y_all[lo : lo + chunk, None]
-        sx = np.sqrt(1.0 - x * x)
-        sy = np.sqrt(np.maximum(1.0 - y * y, 0.0))
-        r = np.clip(x * y - z * sx * sy, -1.0, 1.0)
+        sx, sy, r = _rotation(x, z, y)
         kw = kernel(rule.weights, x, sx, y, sy, z, r)
         out[lo : lo + chunk] = np.cumsum(kw * sample(fn, r), axis=-1)[..., -1]
     return out
@@ -176,7 +175,7 @@ def _dot(a, w):
     return np.einsum("...j,j->...", a, w)
 
 
-def _nested_points(fn, kernel, y_all, x_all, quad_n, budget):
+def _nested_points(fn, kernel, y_all, x_all, quad_n):
     """z-integral of kernel * f(R) at the points (y_all[i], x_all[i]), and whether each point reached the cap.
 
     With z = cos theta the z-integral is a theta-integral over [0, pi].
@@ -200,7 +199,7 @@ def _nested_points(fn, kernel, y_all, x_all, quad_n, budget):
 
     or when the next level would have more than quad_n intervals in all: it
     then ends capped, the only points whose value depends on quad_n. Points
-    are taken in chunks whose arrays hold at most budget elements, and only
+    are taken in chunks whose arrays hold at most _CHUNK elements, and only
     unconverged points go on to the next level; _dot makes each point's
     value independent of its chunk.
     """
@@ -224,7 +223,7 @@ def _nested_points(fn, kernel, y_all, x_all, quad_n, budget):
         # samples per point taken at this level, and kept for the next one
         new_cols = npanel * (n + 1 if old is None else n // 2)
         kept_cols = 0 if last else npanel * (n + 1)
-        chunk = max(1, budget // max(new_cols, kept_cols))
+        chunk = max(1, _CHUNK // max(new_cols, kept_cols))
         if pts.size > chunk:
             for lo in reversed(range(0, pts.size, chunk)):
                 part = slice(lo, lo + chunk)
@@ -232,8 +231,6 @@ def _nested_points(fn, kernel, y_all, x_all, quad_n, budget):
             continue
         x = x_all[pts, None, None]
         y = y_all[pts, None, None]
-        sx = np.sqrt(1.0 - x * x)
-        sy = np.sqrt(np.maximum(1.0 - y * y, 0.0))
         kind = "clenshaw-curtis" if cut else "trapezoid"
         s, w = _nested_rule(kind, n)
         if old is not None:
@@ -246,7 +243,7 @@ def _nested_points(fn, kernel, y_all, x_all, quad_n, budget):
             # one panel, [0, pi], the same for every point
             z = np.cos(math.pi / 2.0 + math.pi / 2.0 * s)
             half = math.pi / 2.0
-        r = np.clip(x * y - z * sx * sy, -1.0, 1.0)
+        sx, sy, r = _rotation(x, z, y)
         g = kernel(1.0, x, sx, y, sy, z, r) * sample(fn, r)
         est = np.sum(half * (_dot(g, w) if old is None else _dot(old, w[::2]) + _dot(g, w[1::2])), axis=-1)
         done = np.full(pts.size, last)
@@ -295,13 +292,13 @@ def _sym_kernel(w, x, sx, y, sy, z, r):
     return w * zz * zz
 
 
-def _asym_points(fn, ys, iy, x_all, quad_n, budget):
+def _asym_points(fn, ys, iy, x_all, quad_n):
     """tau_y f at the points (ys[iy[i]], x_all[i]), and whether each point reached the z-rule's cap (_z_points).
 
     tau_y f = 4 / (pi (1 + y)^2) (1 - x^2)^-1 times the z-integral of kb f(R);
     the factor is taken once per entry of ys (_asym_scale).
     """
-    z, capped = _z_points(fn, _asym_kernel, ys[iy], x_all, quad_n, budget)
+    z, capped = _z_points(fn, _asym_kernel, ys[iy], x_all, quad_n)
     return _asym_scale(ys)[iy] * z / (1.0 - x_all * x_all), capped
 
 
@@ -313,7 +310,7 @@ def _asym_core(fn, y, xs: np.ndarray, quad_n: int) -> np.ndarray:
     """
     ys = np.atleast_1d(np.asarray(y, dtype=float))
     iy = np.repeat(np.arange(ys.size), xs.size)
-    tau, _ = _asym_points(fn, ys, iy, np.tile(xs, ys.size), quad_n, xs.size * int(quad_n))
+    tau, _ = _asym_points(fn, ys, iy, np.tile(xs, ys.size), quad_n)
     return tau.reshape(np.shape(y) + xs.shape)
 
 
@@ -332,7 +329,7 @@ def _sym_core(fn, y, xs: np.ndarray, quad_n: int) -> np.ndarray:
     shape (len(y), len(xs)).
     """
     ys = np.atleast_1d(np.asarray(y, dtype=float))
-    z, _ = _z_points(fn, _sym_kernel, np.repeat(ys, xs.size), np.tile(xs, ys.size), quad_n, xs.size * int(quad_n))
+    z, _ = _z_points(fn, _sym_kernel, np.repeat(ys, xs.size), np.tile(xs, ys.size), quad_n)
     return 8.0 / (3.0 * math.pi) * z.reshape(np.shape(y) + xs.shape)
 
 
@@ -343,7 +340,7 @@ def multiplier_psi(n: int, y) -> float:
     Jacobi convolution structure of Gasper (Ann. of Math. 93, 1971). The
     value comes from the three-term recurrence of jacobi_eval.
     """
-    y = float(y)
+    y = _real(y, "translation parameter y")
     if not math.isfinite(y) or y <= -1.0 or y > 1.0:
         raise InvalidArgumentError(f"translation parameter y must lie in (-1, 1], got {y!r}")
     return jacobi_eval(n, 0, 4, y)
@@ -357,13 +354,13 @@ def abs_rotation_average(f, t, xs, quad_n: int = 128) -> np.ndarray:
     rule: |f| is not a polynomial even when f declares a degree. Its R
     takes sin t, not the sqrt(1-y^2) of the translations' z-rule.
     """
-    t = float(t)
+    t = _real(t, "t")
     if not (math.isfinite(t) and 0.0 <= t <= math.pi):
         raise InvalidArgumentError(f"t must lie in [0, pi], got {t!r}")
-    xs = np.asarray(xs, dtype=float)
+    xs = _reals(xs, "xs")
     if xs.ndim != 1 or not np.all(np.abs(xs) < 1.0):
         raise InvalidArgumentError("xs must be a 1-d array of finite points in (-1, 1)")
-    rule = gauss_chebyshev(_positive_int(quad_n, "quad_n"))
+    rule = gauss_chebyshev(_integer(quad_n, "quad_n", 1))
     z = rule.nodes[None, :]
     x = xs[:, None]
     r = np.clip(x * math.cos(t) - z * np.sqrt(1.0 - x * x) * math.sin(t), -1.0, 1.0)
@@ -402,8 +399,8 @@ def modulus(
     if values.ndim > 1:
         raise InvalidArgumentError(f"delta must be a number or a 1-d sequence, got shape {values.shape}")
     deltas = [_check_delta(d, below_pi=True) for d in values.ravel().tolist()]
-    t_points = _positive_int(t_points, "t_points")
-    quad_n = _positive_int(quad_n, "quad_n")
+    t_points = _integer(t_points, "t_points", 1)
+    quad_n = _integer(quad_n, "quad_n", 1)
     params = _as_params(params)
     kept = _MODULUS_NORMS.get(f, (params, t_points, quad_n, norm_nodes), dict)
     moduli = _Translates(f, deltas, params, t_points, quad_n, norm_nodes, norms=kept).moduli(deltas)
@@ -459,7 +456,7 @@ class _Translates:
         else:
             self.fx = sample(self.fn, xs)
             iy = np.repeat(np.arange(ys.size), xs.size)
-            tau, capped = _asym_points(self.fn, ys, iy, np.tile(xs, ys.size), quad_n, xs.size * quad_n)
+            tau, capped = _asym_points(self.fn, ys, iy, np.tile(xs, ys.size), quad_n)
             rows = tau.reshape(ys.size, xs.size) - self.fx
             masks = capped.reshape(rows.shape)
             self.capped = {y: (row, mask) for y, row, mask in zip(new, rows, masks) if mask.any()}
@@ -479,7 +476,7 @@ class _Translates:
             ys = np.array(redo)
             rows = np.array([self.capped[y][0] for y in redo])
             iy, ix = np.nonzero([self.capped[y][1] for y in redo])
-            tau, _ = _asym_points(self.fn, ys, iy, xs[ix], quad_n, xs.size * quad_n)
+            tau, _ = _asym_points(self.fn, ys, iy, xs[ix], quad_n)
             rows[iy, ix] = tau - self.fx[ix]
             norms = {**norms, **dict(zip(redo, (self.norm(r) for r in rows)))}
         return [max([0.0] + [norms[y] for y in grid]) for grid in grids]

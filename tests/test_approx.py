@@ -41,7 +41,6 @@ from smoothness_lab.approx import (
     _best_constant,
     _const_face,
     _jackson_by_translation,
-    _k_functionals,
     _kernel_values,
     _log_root,
     _lp_box,
@@ -921,19 +920,9 @@ def test_non_finite_f_raises_evaluation_error_quietly(call, capfd):
     assert capfd.readouterr().err == ""
 
 
-@pytest.mark.parametrize("params", [P21, SpaceParams(1.5, 0.9), SpaceParams(math.inf, 1.2)], ids=["p2", "p1.5", "pinf"])
-def test_k_functionals_are_bitwise_k_functional_per_delta(params):
-    # the delta-free work is done once; each result must still be, bit for
-    # bit, that of the one-delta k_functional
-    cfg = Config()
-    for e in corpus(7):
-        for got, delta in zip(_k_functionals(e.handle, cfg.deltas, params, cfg.kdeg, cfg.norm_nodes), cfg.deltas):
-            want = k_functional(e.handle, delta, params, cfg.kdeg, cfg.norm_nodes)
-            assert got.value == want.value, (e.label, delta)
-            assert np.array_equal(got.witness.cheb, want.witness.cheb), (e.label, delta)
-            assert (got.iterations, got.gap, got.delta) == (want.iterations, want.gap, want.delta), (e.label, delta)
-
-
 def test_k_functionals_check_every_delta():
+    # the delta-free work kept from a good delta does not let a bad one through
+    f = lambda x: np.abs(x)
+    k_functional(f, 0.1, P21, 8, 64)
     with pytest.raises(InvalidArgumentError, match="delta"):
-        _k_functionals(lambda x: np.abs(x), [0.1, -0.2], P21, 8, 64)
+        k_functional(f, -0.2, P21, 8, 64)

@@ -40,3 +40,17 @@ def test_counted_arguments_keep_their_names():
     for core in (translation._asym_core, translation._sym_core):
         assert {"xs", "quad_n"} <= set(_params(core)), core.__name__
     assert "n_nodes" in _params(space.weighted_norm)
+
+
+def test_traced_sweep_counts_its_k_functional_calls():
+    # the sweep takes each K from k_functional: one call per entry and delta
+    # in each of its three passes (its values, and the deeper and the
+    # degree-16 witness of modulus-k-stability), all under the tracer's span
+    from smoothness_lab import Config, corpus
+
+    cfg = Config(quad_n=8, norm_nodes=64, t_points=4, kdeg=16, approx_grid=64, deltas=(0.1, 0.4), degrees=(2, 4))
+    with _tracing().Tracer() as tracer:
+        harness.run_theorem_sweep(cfg)
+    metrics = tracer.layer_metrics()
+    assert metrics["approx.k_functional.calls"][0] == len(corpus(cfg.seed)) * len(cfg.deltas) * 3
+    assert metrics["approx.k_functional.iterations"][0] > 0

@@ -161,15 +161,13 @@ def _handles_of(monkeypatch, label):
 
 def _k_with_one_nan(monkeypatch):
     # K of sin(3x) at delta 0.4 is NaN; every other value is the real one
-    real = harness._k_functionals
+    real = harness.k_functional
     is_sin = _handles_of(monkeypatch, "sin(3x)")
 
-    def k_functionals(f, deltas, *args):
-        res = real(f, deltas, *args)
-        nan = types.SimpleNamespace(value=math.nan)
-        return [nan if is_sin(f) and delta == 0.4 else r for delta, r in zip(deltas, res)]
+    def k_functional(f, delta, *args):
+        return types.SimpleNamespace(value=math.nan) if is_sin(f) and delta == 0.4 else real(f, delta, *args)
 
-    monkeypatch.setattr(harness, "_k_functionals", k_functionals)
+    monkeypatch.setattr(harness, "k_functional", k_functional)
 
 
 def test_a_nan_value_fails_its_verify_check(monkeypatch):
@@ -197,14 +195,13 @@ def test_a_nan_ratio_fails_the_pooled_sweep_checks(monkeypatch):
 
 def test_a_nan_deeper_witness_fails_the_stability_check(monkeypatch):
     # the deeper witness is degree 48 at kdeg 16; a NaN K there is no K below the floor
-    real = harness._k_functionals
+    real = harness.k_functional
     is_sin = _handles_of(monkeypatch, "sin(3x)")
 
-    def k_functionals(f, deltas, params, max_deg, quad_n):
-        res = real(f, deltas, params, max_deg, quad_n)
-        return [types.SimpleNamespace(value=math.nan)] * len(res) if max_deg == 48 and is_sin(f) else res
+    def k_functional(f, delta, params, max_deg, quad_n):
+        return types.SimpleNamespace(value=math.nan) if max_deg == 48 and is_sin(f) else real(f, delta, params, max_deg, quad_n)
 
-    monkeypatch.setattr(harness, "_k_functionals", k_functionals)
+    monkeypatch.setattr(harness, "k_functional", k_functional)
     assert by_id(run_theorem_sweep(SMALL))["modulus-k-stability"].status == "fail"
 
 
@@ -214,11 +211,11 @@ def test_stability_witness_is_deeper_than_kdeg_up_to_the_cap(monkeypatch, kdeg, 
     # least 48 and at most the cap; at the cap it must not claim a deeper one
     degrees = set()
 
-    def fake_k(f, deltas, params, max_deg, quad_n):
+    def fake_k(f, delta, params, max_deg, quad_n):
         degrees.add(max_deg)
-        return [types.SimpleNamespace(value=1.0)] * len(deltas)
+        return types.SimpleNamespace(value=1.0)
 
-    monkeypatch.setattr(harness, "_k_functionals", fake_k)
+    monkeypatch.setattr(harness, "k_functional", fake_k)
     # Config needs norm_nodes >= kdeg + 1, so kdeg = 64 gets 65 nodes
     cfg = replace(SMALL, kdeg=kdeg, norm_nodes=max(SMALL.norm_nodes, kdeg + 1))
     reports = {r.check_id: r for r in run_theorem_sweep(cfg)}

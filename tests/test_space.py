@@ -20,6 +20,7 @@ from smoothness_lab import (
     validate_params,
     weighted_norm,
 )
+import smoothness_lab as sl
 from smoothness_lab import quadrature, space
 from smoothness_lab.harness import Config
 from smoothness_lab.space import sample
@@ -211,3 +212,51 @@ def test_deltas_of_numpy_and_python_number_types_are_accepted():
         assert modulus(f, d, P21, 4, 16, 64) == modulus(f, 0.25, P21, 4, 16, 64)
     assert k_functional(f, 1, P21, 16, 64).delta == 1.0
     assert Config(deltas=(np.float64(0.1), 1)).deltas == (0.1, 1)
+
+
+_ABS = lambda x: np.abs(x)
+_XS = np.array([-0.5, 0.0, 0.5])
+
+# (call, the argument its message must name): every public numeric argument
+# is checked one way, and a malformed one raises InvalidArgumentError, never
+# a ValueError, TypeError or AttributeError of its own, and is never accepted
+MALFORMED_CALLS = {
+    "SpaceParams-p-str": (lambda: SpaceParams("a", 1.0), "p"),
+    "SpaceParams-alpha-None": (lambda: SpaceParams(2.0, None), "alpha"),
+    "SpaceParams-p-bool": (lambda: SpaceParams(True, 1.0), "p"),
+    "validate_params-p-None": (lambda: validate_params(None, 1.0), "p"),
+    "validate_params-alpha-str": (lambda: validate_params(2.0, "a"), "alpha"),
+    "validate_params-alpha-bool": (lambda: validate_params(2.0, True), "alpha"),
+    "k_functional-p-str": (lambda: k_functional(_ABS, 0.1, ("a", 1.0), 8, 64), "p"),
+    "k_functional-alpha-None": (lambda: k_functional(_ABS, 0.1, (2.0, None), 8, 64), "alpha"),
+    "k_functional-p-bool": (lambda: k_functional(_ABS, 0.1, (True, 1.0), 8, 64), "p"),
+    "multiplier_psi-y-str": (lambda: sl.multiplier_psi(2, "a"), "translation parameter y"),
+    "multiplier_psi-y-None": (lambda: sl.multiplier_psi(2, None), "translation parameter y"),
+    "multiplier_psi-y-bool": (lambda: sl.multiplier_psi(2, True), "translation parameter y"),
+    "abs_rotation_average-t-str": (lambda: sl.abs_rotation_average(_ABS, "a", _XS), "t"),
+    "abs_rotation_average-t-bool": (lambda: sl.abs_rotation_average(_ABS, True, _XS), "t"),
+    "bernstein_markov_ratios-rho-str": (lambda: sl.bernstein_markov_ratios(jacobi_poly(3, 2, 2), P21, "a"), "rho"),
+    "bernstein_markov_ratios-rho-bool": (lambda: sl.bernstein_markov_ratios(jacobi_poly(3, 2, 2), P21, True), "rho"),
+    "jacobi_eval-exponent-str": (lambda: sl.jacobi_eval(2, "a", 2, 0.5), "jacobi exponent"),
+    "gauss_jacobi-exponent-str": (lambda: sl.gauss_jacobi(4, "a"), "jacobi exponent"),
+    # the rule of (4, 1.0) is kept by the cache, which must not answer for True
+    "gauss_jacobi-exponent-bool": (lambda: (sl.gauss_jacobi(4, 1.0), sl.gauss_jacobi(4, True)), "jacobi exponent"),
+    "expand_in_jacobi-n_nodes-float": (lambda: sl.expand_in_jacobi(_ABS, 4, n_nodes=2.5), "n_nodes"),
+    "expand_in_jacobi-n_nodes-bool": (lambda: sl.expand_in_jacobi(_ABS, 4, n_nodes=True), "n_nodes"),
+    "fourier_jacobi_coeff-n_nodes-float": (lambda: sl.fourier_jacobi_coeff(_ABS, 2, n_nodes=2.5), "n_nodes"),
+    "fourier_jacobi_coeff-n_nodes-bool": (lambda: sl.fourier_jacobi_coeff(_ABS, 2, n_nodes=True), "n_nodes"),
+    "compute_R-x-str": (lambda: sl.compute_R("a", 0.0, 0.0), "x"),
+    "kernel_B-x-str": (lambda: sl.kernel_B("a", 0.0, 0.0), "x"),
+    "jacobi_eval-x-str": (lambda: sl.jacobi_eval(2, 2, 2, "x"), "x"),
+    "FunctionHandle-breaks-float": (lambda: FunctionHandle(_ABS, breaks=0.5), "breaks"),
+    "Config-deltas-float": (lambda: Config(deltas=0.1), "deltas"),
+    "Config-p-str": (lambda: Config(p="a"), "p"),
+    "Config-alpha-None": (lambda: Config(alpha=None), "alpha"),
+    "integrate-rule-None": (lambda: sl.integrate(_ABS, None), "rule"),
+}
+
+
+@pytest.mark.parametrize("call,name", MALFORMED_CALLS.values(), ids=MALFORMED_CALLS.keys())
+def test_a_malformed_argument_raises_invalid_argument_error(call, name):
+    with pytest.raises(InvalidArgumentError, match=f"^{name} "):
+        call()

@@ -274,13 +274,13 @@ def test_z_points_picks_the_exact_rule_capped_at_quad_n(monkeypatch):
     rules = []
     real_exact, real_nested = translation_module._exact_points, translation_module._nested_points
 
-    def exact(fn, kernel, y_all, x_all, nodes, budget):
+    def exact(fn, kernel, y_all, x_all, nodes):
         rules.append(("exact", nodes))
-        return real_exact(fn, kernel, y_all, x_all, nodes, budget)
+        return real_exact(fn, kernel, y_all, x_all, nodes)
 
-    def nested(fn, kernel, y_all, x_all, quad_n, budget):
+    def nested(fn, kernel, y_all, x_all, quad_n):
         rules.append(("nested", quad_n))
-        return real_nested(fn, kernel, y_all, x_all, quad_n, budget)
+        return real_nested(fn, kernel, y_all, x_all, quad_n)
 
     monkeypatch.setattr(translation_module, "_exact_points", exact)
     monkeypatch.setattr(translation_module, "_nested_points", nested)
@@ -298,7 +298,7 @@ def test_z_points_picks_the_exact_rule_capped_at_quad_n(monkeypatch):
     ]
     for fn, quad_n, rule in cases:
         rules.clear()
-        _, capped = _z_points(fn, _asym_kernel, y_all, x_all, quad_n, 2 * quad_n)
+        _, capped = _z_points(fn, _asym_kernel, y_all, x_all, quad_n)
         assert rules == [rule]
         if rule[0] == "exact":
             assert capped.shape == x_all.shape and not capped.any()
@@ -367,7 +367,7 @@ KERNELS = {"asym": _asym_core, "sym": _sym_core}
 
 def _nested_grid(fn, kernel, ys, xs, quad_n):
     """The nested z-rule at every (y, x) of a grid, shape (len(ys), len(xs))."""
-    z, _ = _nested_points(fn, kernel, np.repeat(ys, xs.size), np.tile(xs, ys.size), quad_n, xs.size * quad_n)
+    z, _ = _nested_points(fn, kernel, np.repeat(ys, xs.size), np.tile(xs, ys.size), quad_n)
     return z.reshape(ys.size, xs.size)
 
 
@@ -472,20 +472,21 @@ def test_batched_y_matches_calls_per_y(kind, quad_n):
     assert core(CORPUS["|x|"], 0.5, xs, quad_n).shape == xs.shape
 
 
-def test_exact_points_do_not_depend_on_their_chunk():
-    # 4,096 y on 16 x take chunks of 2**16 elements under a small budget and
-    # one chunk under a budget of all of them; a point alone is its own chunk
+def test_exact_points_do_not_depend_on_their_chunk(monkeypatch):
+    # 4,096 y on 16 x, in chunks of the default size and of 2**10 elements;
+    # every 97th point also one point per chunk (a _CHUNK of 1)
     xs = make_grid(16)
     ys = np.cos(np.linspace(0.0, 3.0, 4096))
     y_all, x_all = np.repeat(ys, xs.size), np.tile(xs, ys.size)
+    default = translation_module._CHUNK
     for poly in (jacobi_poly(5, 2, 2), jacobi_poly(12, 2, 2)):
         nodes = poly.degree // 2 + 3
-        small = _exact_points(poly, _asym_kernel, y_all, x_all, nodes, 1)
-        whole = _exact_points(poly, _asym_kernel, y_all, x_all, nodes, y_all.size * nodes)
-        assert np.array_equal(small, whole), poly.degree
-        for i in range(0, y_all.size, 997):
-            alone = _exact_points(poly, _asym_kernel, y_all[i : i + 1], x_all[i : i + 1], nodes, 1)
-            assert alone[0] == small[i], (poly.degree, i)
+        monkeypatch.setattr(translation_module, "_CHUNK", default)
+        whole = _exact_points(poly, _asym_kernel, y_all, x_all, nodes)
+        monkeypatch.setattr(translation_module, "_CHUNK", 2**10)
+        assert np.array_equal(_exact_points(poly, _asym_kernel, y_all, x_all, nodes), whole), poly.degree
+        monkeypatch.setattr(translation_module, "_CHUNK", 1)
+        assert np.array_equal(_exact_points(poly, _asym_kernel, y_all[::97], x_all[::97], nodes), whole[::97]), poly.degree
 
 
 @pytest.mark.parametrize("n_x", [5, 16])
@@ -709,7 +710,7 @@ def test_extrapolated_stop_is_within_rounding_of_a_deeper_two_level_rule(monkeyp
     y_all, x_all = np.repeat(ys, xs.size), np.tile(xs, ys.size)
 
     def rule(f, kernel, quad_n):
-        return _nested_points(f, kernel, y_all, x_all, quad_n, xs.size * quad_n)
+        return _nested_points(f, kernel, y_all, x_all, quad_n)
 
     got, capped = rule(h, _asym_kernel, cfg.quad_n)
     monkeypatch.setattr(translation_module, "_Z_EXTRAPOLATED", 0.0)
