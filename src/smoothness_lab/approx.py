@@ -13,6 +13,7 @@ from scipy.linalg.lapack import dgelsy, dgeqrf, dtrtrs
 from .errors import ConvergenceError, InvalidArgumentError, _integer, _real
 from .jacobi import (
     PolynomialRep,
+    _d_eigenvalues,
     _jacobi_series,
     apply_D_poly,
     expand_in_jacobi,
@@ -56,9 +57,8 @@ class BestApproxResult:
     256-node weighted_norm, so it is consistent with the public norm by
     construction, and the two rules coincide at the default grid_n = 256.
     diagnostics always holds grid_n (the node count of the solve rule) and
-    iterations (0 for the projection and the exact fit); irls-grid also
-    reports backtracks, the number of halved steps, and lp-interior-point
-    reports gap, the LP's final relative duality gap (or its relative
+    iterations (0 for the projection and the exact fit); lp-interior-point
+    also reports gap, the LP's final relative duality gap (or its relative
     residual, if larger). method is "exact-fit" when f declares a degree d
     < n: argmin is then f itself, no solver runs, and grid_n is d + 1, the
     nodes of its Chebyshev interpolant.
@@ -140,7 +140,7 @@ def _best_grid(f, n, params, grid_n):
         coeffs, diagnostics["iterations"], diagnostics["gap"] = _lp_fit(params.p, [(V, fv, norm.weights)])
         return PolynomialRep(coeffs), "lp-interior-point", diagnostics
     scale = float(np.max(np.abs(fv))) or 1.0
-    coeffs, diagnostics["iterations"], diagnostics["backtracks"] = _damped_newton(fv, V, norm.weights, params.p, scale)
+    coeffs, diagnostics["iterations"] = _damped_newton(fv, V, norm.weights, params.p, scale)
     return PolynomialRep(coeffs), "irls-grid", diagnostics
 
 
@@ -326,7 +326,7 @@ def _gradient_max(V, w, u, p):
 
 
 def _damped_newton(fv, V, w, p, scale):
-    """Minimise sum w|fv - V c|^p, 1 < p < inf; returns (coeffs, iterations, backtracks).
+    """Minimise sum w|fv - V c|^p, 1 < p < inf; returns (coeffs, iterations).
 
     The reweighted least-squares fit is c + (p - 1) * (Newton step), so each
     step starts at the Newton length 1 / (p - 1) and is halved until the
@@ -345,13 +345,12 @@ def _damped_newton(fv, V, w, p, scale):
     tiny = 64.0 * np.finfo(float).eps * scale
     sw = np.sqrt(w)
     coeffs = _lstsq(V * sw[:, None], fv * sw)  # weighted L2 fit
-    backtracks = 0
     polish = None  # the scale of r and the gradient, once the objective stops decreasing
     for iterations in range(1, 501):
         r = fv - V @ coeffs
         rmax = float(np.max(np.abs(r)))
         if rmax <= tiny:
-            return coeffs, iterations, backtracks
+            return coeffs, iterations
         rn = r / rmax
         a = np.abs(rn)
         phi = ordered_sum(w * a ** p)
@@ -374,7 +373,6 @@ def _damped_newton(fv, V, w, p, scale):
                 if ordered_sum(w * np.abs((r - t * vd) / rmax) ** p) < phi:
                     break
                 t *= 0.5
-                backtracks += 1
             else:
                 # the objective stopped decreasing: from here on the gradient ranks full Newton steps
                 polish = rmax, _gradient_max(V, w, rn, p)
@@ -382,7 +380,7 @@ def _damped_newton(fv, V, w, p, scale):
             t = 1.0 / (p - 1.0)
             g = _gradient_max(V, w, (r - t * vd) / polish[0], p)
             if t * vmax <= tiny or g > 0.5 * polish[1]:
-                return coeffs, iterations, backtracks
+                return coeffs, iterations
             polish = polish[0], g
         coeffs = coeffs + t * d
     raise ConvergenceError("damped Newton did not converge within 500 iterations")
@@ -600,7 +598,7 @@ def _k_setup(f, params, max_deg, quad_n):
     xs = norm.nodes
     fv = sample(f, xs)
     J = jacobi_matrix(max_deg, xs)
-    lam = -np.arange(max_deg + 1.0) * (np.arange(max_deg + 1.0) + 5.0)
+    lam = _d_eigenvalues(max_deg)
     p = params.p
     c_proj = expand_in_jacobi(f, max_deg, n_nodes=max(int(quad_n), 256))
     candidates = [np.zeros(max_deg + 1), c_proj]
@@ -654,15 +652,15 @@ def _separable_solver(fv, J, lam, rw):
     tail2 = float(np.cumsum(rw * (fv - a @ J) ** 2)[-1])
 
     def path_terms(s):
-        # A = sum hn (a - c_s)^2 and B = sum hn (lam c_s)^2 on the path
-        c_s = a / (1.0 + s * lam * lam)
-        return float(np.sum(hn * (a - c_s) ** 2)), float(np.sum(hn * (lam * c_s) ** 2)), c_s
+        # A = sum hn (a - c_s)^2 and B = sum hn (lam c_s)^2 on the path, for
+        # a number s or along a 1-d array of s: each s takes the same operations
+        c_s = a / (1.0 + np.asarray(s)[..., None] * lam * lam)
+        return np.sum(hn * (a - c_s) ** 2, axis=-1), np.sum(hn * (lam * c_s) ** 2, axis=-1), c_s
 
-    # the scan as one array op; same operations in the same order as path_terms
+    # the scan, one call over its 362 points
     ss = np.concatenate(([0.0], np.logspace(-18.0, 18.0, 361)))
-    cs = a / (1.0 + ss[:, None] * lam * lam)
-    root_a = np.sqrt(tail2 + np.sum(hn * (a - cs) ** 2, axis=1))
-    root_b = np.sqrt(np.sum(hn * (lam * cs) ** 2, axis=1))
+    aa, bb, cs = path_terms(ss)
+    root_a, root_b = np.sqrt(tail2 + aa), np.sqrt(bb)
 
     def solve(d2):
         scan = root_a + d2 * root_b
@@ -707,7 +705,7 @@ def _best_constant(fv, norm, scale):
         order = np.argsort(fv, kind="stable")
         cum = np.cumsum(norm.weights[order])
         return float(fv[order[int(np.searchsorted(cum, 0.5 * cum[-1]))]])
-    coeffs, _, _ = _damped_newton(fv, np.ones((fv.size, 1)), norm.weights, norm.p, scale)
+    coeffs, _ = _damped_newton(fv, np.ones((fv.size, 1)), norm.weights, norm.p, scale)
     return float(coeffs[0])
 
 
@@ -825,7 +823,7 @@ def _steepest(B, b, norm):
     rest = np.arange(b.size) != k
     u0 = B[k] / b[k]
     V = np.outer(u0, b[rest]) - B[rest].T  # B^T v = u0 - V z for v[rest] = z on the hyperplane
-    z, _, _ = _damped_newton(u0, V, norm.weights, norm.p, float(np.max(np.abs(u0))))
+    z, _ = _damped_newton(u0, V, norm.weights, norm.p, float(np.max(np.abs(u0))))
     v = np.empty(b.size)
     v[rest] = z
     v[k] = (1.0 - b[rest] @ z) / b[k]

@@ -45,8 +45,11 @@ def _real(v, name: str) -> float:
 
 
 def _reals(v, name: str) -> np.ndarray:
-    """v as a float array, if numpy reads it as one."""
+    """v as a float array, if numpy reads it as an array of integers or floats (not of bools or strings)."""
     try:
-        return np.asarray(v, dtype=float)
-    except (TypeError, ValueError) as e:
-        raise InvalidArgumentError(f"{name} must be a real number or an array of them, got {v!r}") from e
+        kind = np.asarray(v).dtype.kind
+    except (TypeError, ValueError):
+        kind = None
+    if kind not in ("i", "u", "f"):
+        raise InvalidArgumentError(f"{name} must be a real number or an array of them, got {v!r}")
+    return np.asarray(v, dtype=float)

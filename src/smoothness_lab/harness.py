@@ -27,6 +27,7 @@ from .approx import (
 from .errors import InvalidArgumentError, ReportIOError, SmoothnessLabError, _integer, _real
 from .jacobi import (
     PolynomialRep,
+    _d_eigenvalues,
     _jacobi_series,
     apply_D_poly,
     expand_in_jacobi,
@@ -153,12 +154,6 @@ class VerificationReport:
         }
 
 
-def _poly_handle(poly: PolynomialRep) -> FunctionHandle:
-    d1 = poly.derivative()
-    d2 = d1.derivative()
-    return FunctionHandle(eval=poly.__call__, d1=d1.__call__, d2=d2.__call__, degree=poly.degree)
-
-
 def corpus(seed: int = 7):
     """Deterministic corpus of test functions spanning the smoothness classes; seed is a nonnegative integer."""
     _integer(seed, "seed", 0)
@@ -167,37 +162,10 @@ def corpus(seed: int = 7):
     series_poly = _jacobi_series(series_coeffs, 2.0)
     p5 = jacobi_poly(5, 2, 2)
     entries = [
-        CorpusEntry(
-            "1",
-            FunctionHandle(
-                eval=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                d1=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                d2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                degree=0,
-            ),
-            "polynomial",
-        ),
-        CorpusEntry(
-            "x",
-            FunctionHandle(
-                eval=lambda x: np.asarray(x, dtype=float) + 0.0,
-                d1=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                d2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                degree=1,
-            ),
-            "polynomial",
-        ),
-        CorpusEntry(
-            "x^2",
-            FunctionHandle(
-                eval=lambda x: np.asarray(x, dtype=float) ** 2,
-                d1=lambda x: 2.0 * np.asarray(x, dtype=float),
-                d2=lambda x: np.full_like(np.asarray(x, dtype=float), 2.0),
-                degree=2,
-            ),
-            "polynomial",
-        ),
-        CorpusEntry("P_5", _poly_handle(p5), "polynomial"),
+        CorpusEntry("1", FunctionHandle(eval=lambda x: np.ones_like(np.asarray(x, dtype=float)), degree=0), "polynomial"),
+        CorpusEntry("x", FunctionHandle(eval=lambda x: np.asarray(x, dtype=float) + 0.0, degree=1), "polynomial"),
+        CorpusEntry("x^2", FunctionHandle(eval=lambda x: np.asarray(x, dtype=float) ** 2, degree=2), "polynomial"),
+        CorpusEntry("P_5", FunctionHandle(eval=p5.__call__, degree=p5.degree), "polynomial"),
         CorpusEntry(
             "|x|",
             FunctionHandle(eval=lambda x: np.abs(np.asarray(x, dtype=float)), breaks=(0.0,)),
@@ -205,37 +173,26 @@ def corpus(seed: int = 7):
         ),
         CorpusEntry(
             "(1-x)^0.75",
-            FunctionHandle(
-                eval=lambda x: np.maximum(1.0 - np.asarray(x, dtype=float), 0.0) ** 0.75,
-                d1=lambda x: -0.75 * np.maximum(1.0 - np.asarray(x, dtype=float), 1e-300) ** -0.25,
-                d2=lambda x: -0.1875 * np.maximum(1.0 - np.asarray(x, dtype=float), 1e-300) ** -1.25,
-            ),
+            FunctionHandle(eval=lambda x: np.maximum(1.0 - np.asarray(x, dtype=float), 0.0) ** 0.75),
             "endpoint-singular",
         ),
-        CorpusEntry(
-            "sin(3x)",
-            FunctionHandle(
-                eval=lambda x: np.sin(3.0 * np.asarray(x, dtype=float)),
-                d1=lambda x: 3.0 * np.cos(3.0 * np.asarray(x, dtype=float)),
-                d2=lambda x: -9.0 * np.sin(3.0 * np.asarray(x, dtype=float)),
-            ),
-            "analytic",
-        ),
-        CorpusEntry("random-series", _poly_handle(series_poly), "random-series"),
+        CorpusEntry("sin(3x)", FunctionHandle(eval=lambda x: np.sin(3.0 * np.asarray(x, dtype=float))), "analytic"),
+        CorpusEntry("random-series", FunctionHandle(eval=series_poly.__call__, degree=series_poly.degree), "random-series"),
     ]
     return entries
 
 
-def _d_handle(h: FunctionHandle) -> Optional[FunctionHandle]:
-    """Image of h under the second-order operator, when its derivatives exist."""
-    if h.d1 is None or h.d2 is None:
-        return None
+def _d_image(h: FunctionHandle, xs: np.ndarray) -> np.ndarray:
+    """Df at xs, from the (2,2) coefficients of h times -k(k+5), the way k_functional applies D.
 
-    def dv(x):
-        x = np.asarray(x, dtype=float)
-        return (1.0 - x * x) * h.d2(x) - 6.0 * x * h.d1(x)
-
-    return FunctionHandle(eval=dv)
+    At a declared degree d the coefficients are exact, from the (d + 1)-node
+    rule; otherwise they are those of expand_in_jacobi(h, MAX_WITNESS_DEG).
+    """
+    if h.degree is None:
+        a = expand_in_jacobi(h, MAX_WITNESS_DEG)
+    else:
+        a = expand_in_jacobi(h, h.degree, n_nodes=h.degree + 1)
+    return (_d_eigenvalues(a.size - 1) * a) @ jacobi_matrix(a.size - 1, xs)
 
 
 def _run(check_id: str, tolerance: Optional[float], fn: Callable[[], tuple]) -> VerificationReport:
@@ -581,11 +538,11 @@ def run_lemma_suite(config: Config = Config()):
     def direct_estimate_decay():
         rows = []
         families = {}
+        norm = discrete_norm(p21, cfg.norm_nodes)
         for e in entries:
             if e.tag not in ("polynomial", "analytic"):
                 continue
-            dh = _d_handle(e.handle)
-            dnorm = weighted_norm(dh, p21, cfg.norm_nodes) if dh is not None else 0.0
+            dnorm = norm(_d_image(e.handle, norm.nodes))
             fnorm = weighted_norm(e.handle, p21, cfg.norm_nodes)
             if dnorm < 1e-13:
                 rows.append(_skip(e.label, "operator image vanishes"))
@@ -737,7 +694,7 @@ def run_theorem_sweep(config: Config = Config()):
         fnorm = weighted_norm(e.handle, params, cfg.norm_nodes)
         grid = list(cfg.deltas) + [1.0 / n for n in cfg.degrees]  # one translation per y shared by both
         # kept for modulus-k-stability, which integrates only their capped points again
-        translates = _Translates(e.handle, grid, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
+        translates = _Translates(e.handle, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
         oms = translates.moduli(grid)
         omegas = dict(zip(cfg.deltas, oms))
         kvals = {d: k_functional(e.handle, d, params, cfg.kdeg, cfg.norm_nodes).value for d in cfg.deltas}

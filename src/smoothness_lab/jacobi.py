@@ -119,18 +119,18 @@ def _raw_rows(n, a, b, x):
     return _recurrence(n, a, b, np.ones_like(x), lambda p, c, d: (c + d * x) * p)
 
 
-@lru_cache(maxsize=4096)
-def _value_at_one(n, a, b):
-    return float(deque(_raw_rows(n, a, b, np.ones(())), maxlen=1)[0])
-
-
 def jacobi_eval(n, a, b, x):
-    """Jacobi polynomial of degree n normalized so that P_n(1) = 1."""
+    """Jacobi polynomial of degree n normalized so that P_n(1) = 1.
+
+    One run of the recurrence takes the points of x with 1 appended, and
+    divides by its value at 1.
+    """
     n, a, b = _check_jacobi_args(n, a, b)
     xv = _reals(x, "x")
-    if np.any(np.abs(xv) > 1.0 + 1e-12):
-        raise InvalidArgumentError("evaluation points must lie in [-1, 1]")
-    out = deque(_raw_rows(n, a, b, xv), maxlen=1)[0] / _value_at_one(n, a, b)
+    if not np.all(np.abs(xv) <= 1.0 + 1e-12):
+        raise InvalidArgumentError("x must lie in [-1, 1]")
+    raw = deque(_raw_rows(n, a, b, np.append(xv, 1.0)), maxlen=1)[0]
+    out = (raw[:-1] / raw[-1]).reshape(xv.shape)
     return float(out) if np.isscalar(x) or xv.shape == () else out
 
 
@@ -144,19 +144,19 @@ _ROWS_BYTES = 1 << 20
 def jacobi_matrix(nmax, x, a=2.0, b=2.0):
     """Rows P_0..P_nmax (normalized at 1) evaluated on a 1-d array, as a read-only array.
 
-    The rows of each node set and (a, b) are built once per process and
-    kept in a bounded in-memory cache keyed on the node values. A call asks
-    for a prefix of the longest run built so far; P_0..P_nmax do not depend
-    on how far the recurrence runs, so the slice is bitwise the rows a
-    fresh run would give.
+    The recurrence runs on the points with 1 appended, and each row is
+    divided by its last entry, its value at 1. The rows of each node set
+    and (a, b) are built once per process and kept in a bounded in-memory
+    cache keyed on the node values. A call asks for a prefix of the longest
+    run built so far; P_0..P_nmax do not depend on how far the recurrence
+    runs, so the slice is bitwise the rows a fresh run would give.
     """
     x = np.asarray(x, dtype=float)
     key = (float(a), float(b), x.tobytes())
     rows = _ROWS.pop(key, None)
     if rows is None or rows.shape[0] <= nmax:
-        rows = np.empty((nmax + 1, x.size))
-        for k, raw in enumerate(_raw_rows(nmax, a, b, x)):
-            rows[k] = raw / _value_at_one(k, a, b)
+        raw = np.array(list(_raw_rows(nmax, a, b, np.append(x, 1.0))))
+        rows = raw[:, :-1] / raw[:, -1:]
         rows.setflags(write=False)
     _ROWS[key] = rows
     while sum(r.nbytes for r in _ROWS.values()) > _ROWS_BYTES:
@@ -230,6 +230,12 @@ def _h_cached(n: int) -> float:
         math.factorial(n + 2) ** 2, math.factorial(n + 4) * math.factorial(n)
     )
     return float(tilde / Fraction(math.comb(n + 2, 2)) ** 2)
+
+
+def _d_eigenvalues(n) -> np.ndarray:
+    """-k(k+5) for k = 0..n: the second-order operator D multiplies P_k^{(2,2)} by the k-th."""
+    k = np.arange(n + 1.0)
+    return -k * (k + 5.0)
 
 
 def apply_D_poly(poly: PolynomialRep) -> PolynomialRep:

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidArgumentError, _integer, _real
-from .quadrature import gauss_jacobi, sample
+from .quadrature import MAX_NODES, gauss_chebyshev, gauss_jacobi, sample
 
 __all__ = [
     "EPS_INTERIOR",
@@ -96,9 +96,12 @@ def validate_params(p: float, alpha: float) -> Admissibility:
 
 @dataclass
 class FunctionHandle:
-    """A function on [-1, 1] with optional derivatives and metadata.
+    """A function on [-1, 1], its values eval, with an optional degree and breaks.
 
     eval must accept numpy arrays of any shape and return matching shapes.
+    A handle carries no derivatives: the package applies the second-order
+    operator D to the (2,2) Jacobi coefficients of f, where it multiplies
+    the k-th by -k(k+5).
 
     degree, when given, is a promise that eval is a polynomial of degree at
     most degree. The translation kernels then integrate it with the smallest
@@ -118,8 +121,6 @@ class FunctionHandle:
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
-    d1: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    d2: Optional[Callable[[np.ndarray], np.ndarray]] = None
     degree: Optional[int] = None
     breaks: tuple = ()
 
@@ -178,17 +179,20 @@ class _LastCall:
 def make_grid(n: int) -> np.ndarray:
     """Chebyshev-type evaluation grid of n points, clamped to |x| <= 1 - 1e-6.
 
-    Points are sin(pi (2k - n - 1) / (2n)) for k = 1..n, ascending; the sine
-    form keeps the grid exactly symmetric about 0.
+    The points are the nodes of gauss_chebyshev(n), 2 <= n <= 4096:
+    ascending and exactly symmetric about 0.
     """
-    n = _integer(n, "grid size", 2)
-    k = np.arange(1, n + 1, dtype=float)
-    pts = np.sin(math.pi * (2.0 * k - n - 1.0) / (2.0 * n))
-    return np.clip(pts, -(1.0 - EPS_INTERIOR), 1.0 - EPS_INTERIOR)
+    n = _integer(n, "grid size", 2, MAX_NODES)
+    return np.clip(gauss_chebyshev(n).nodes, -(1.0 - EPS_INTERIOR), 1.0 - EPS_INTERIOR)
 
 
 def _as_params(params) -> SpaceParams:
-    return params if isinstance(params, SpaceParams) else SpaceParams(*params)
+    """params as a SpaceParams, if it is one or a (p, alpha) tuple or list."""
+    if isinstance(params, SpaceParams):
+        return params
+    if not (isinstance(params, (tuple, list)) and len(params) == 2):
+        raise InvalidArgumentError(f"params must be a SpaceParams or a (p, alpha) pair, got {params!r}")
+    return SpaceParams(*params)
 
 
 def _check_delta(d, name: str = "delta", below_pi: bool = False) -> float:

@@ -386,11 +386,12 @@ def modulus(
     list of its moduli: f is translated once per distinct y = cos t across
     them, and each value is bitwise the modulus at its delta alone.
 
-    The norm at each y is kept for the last (f, params, t_points, quad_n,
-    norm_nodes), and a call translates only the y that are new to it: a
-    row's norm does not depend on the other y translated with it, so
-    successive calls, one delta each, give bitwise the values of one call
-    over all their deltas, and doubling deltas share half their y.
+    The _Translates of the last (f, params, t_points, quad_n, norm_nodes)
+    is kept (_MODULUS_TRANSLATES), and a call translates only the y that
+    are new to it: a row's norm does not depend on the other y translated
+    with it, so successive calls, one delta each, give bitwise the values
+    of one call over all their deltas, and doubling deltas share half their
+    y.
     """
     try:
         values = np.asarray(delta, dtype=object)  # object, so that a bool stays a bool
@@ -402,14 +403,15 @@ def modulus(
     t_points = _integer(t_points, "t_points", 1)
     quad_n = _integer(quad_n, "quad_n", 1)
     params = _as_params(params)
-    kept = _MODULUS_NORMS.get(f, (params, t_points, quad_n, norm_nodes), dict)
-    moduli = _Translates(f, deltas, params, t_points, quad_n, norm_nodes, norms=kept).moduli(deltas)
+    settings = (params, t_points, quad_n, norm_nodes)
+    translates = _MODULUS_TRANSLATES.get(f, settings, lambda: _Translates(f, *settings))
+    moduli = translates.moduli(deltas)
     return moduli if values.ndim else moduli[0]
 
 
-# the norm of tau_y f - f for each y that the last (f, params, t_points,
-# quad_n, norm_nodes) of modulus has met (a one-entry memo)
-_MODULUS_NORMS = _LastCall()
+# the _Translates of the last (f, params, t_points, quad_n, norm_nodes) of
+# modulus (a one-entry memo)
+_MODULUS_TRANSLATES = _LastCall()
 
 
 def _t_grids(deltas, t_points):
@@ -418,65 +420,73 @@ def _t_grids(deltas, t_points):
 
 
 class _Translates:
-    """tau_y f - f on the nodes of discrete_norm(params, norm_nodes), for the distinct y of the t grids of deltas.
+    """tau_y f - f on the nodes of discrete_norm(params, norm_nodes), for each y of the t grids it is asked for.
 
-    The modulus at a delta is the largest norm among the rows of its grid
-    (moduli). Where f declares a degree d (a PolynomialRep, or a handle with
-    degree), the rows come from the multipliers tau_y P_k = psi_k(y) P_k:
-    with a the exact (2,2) coefficients of f from the (d + 1)-node rule of
-    expand_in_jacobi, tau_y f - f = sum_k (psi_k(y) - 1) a_k P_k, one matrix
-    product for every y and no z-integral, which quad_n does not enter.
-    Any other f takes the nested z-rule of _asym_points with cap quad_n,
-    bitwise _asym_core(f, ys, nodes, quad_n) - f, and keeps the mask of the
-    points that reached that cap: moduli(deltas, quad_n=q) integrates only
-    those points again, under the cap q, and gives bitwise
-    modulus(f, deltas, params, t_points, q, norm_nodes), because a point
-    that stopped by its test stops at the same level under any larger cap.
-    norms, if given, maps y to the norms already computed for these
-    settings: those y are not translated again and keep no capped points,
-    and the new norms are added to it.
+    moduli(deltas) translates the y of their grids that it has not met yet,
+    keeps the norm of each row, and gives the modulus at each delta, the
+    largest norm among the rows of its grid. Where f declares a degree d
+    (a PolynomialRep, or a handle with degree), the rows come from the
+    multipliers tau_y P_k = psi_k(y) P_k: with a the exact (2,2)
+    coefficients of f from the (d + 1)-node rule of expand_in_jacobi,
+    tau_y f - f = sum_k (psi_k(y) - 1) a_k P_k, one matrix product for
+    every new y and no z-integral, which quad_n does not enter. Any other f
+    takes the nested z-rule of _asym_points with cap quad_n, bitwise
+    _asym_core(f, ys, nodes, quad_n) - f, and keeps each row with a point
+    that reached that cap, and the mask of those points: moduli(deltas,
+    quad_n=q) integrates only those points again, under the cap q, and
+    gives bitwise modulus(f, deltas, params, t_points, q, norm_nodes),
+    because a point that stopped by its test stops at the same level under
+    any larger cap.
     """
 
-    def __init__(self, f, deltas, params, t_points, quad_n, norm_nodes, norms=None):
+    def __init__(self, f, params, t_points, quad_n, norm_nodes):
         self.fn = _as_callable(f)
         self.t_points = t_points
+        self.quad_n = quad_n
         self.norm = discrete_norm(params, norm_nodes)
-        self.norms = {} if norms is None else norms
-        new = sorted({y for grid in _t_grids(deltas, t_points) for y in grid} - self.norms.keys())
-        # y -> (row, mask of its capped points), for the rows with a capped point
+        # the norm of each y met, and (row, mask of its capped points) for the rows with a capped point
+        self.norms = {}
         self.capped = {}
-        if not new:
-            return
+        # at a declared degree the (2,2) coefficients of f, else f at the nodes; taken at the first new y
+        self.base = None
+
+    def _translate(self, new):
+        """Translate the sorted list new of y, and keep their norms and capped rows."""
         ys, xs = np.array(new), self.norm.nodes
         degree = getattr(self.fn, "degree", None)
         if degree is not None:
-            a = expand_in_jacobi(self.fn, degree, n_nodes=degree + 1)
+            if self.base is None:
+                self.base = expand_in_jacobi(self.fn, degree, n_nodes=degree + 1)
             # psi_k(y) = P_k^{(0,4)}(y) normalised at 1, bitwise multiplier_psi(k, y)
-            rows = ((jacobi_matrix(degree, ys, 0.0, 4.0).T - 1.0) * a) @ jacobi_matrix(degree, xs)
+            rows = ((jacobi_matrix(degree, ys, 0.0, 4.0).T - 1.0) * self.base) @ jacobi_matrix(degree, xs)
         else:
-            self.fx = sample(self.fn, xs)
+            if self.base is None:
+                self.base = sample(self.fn, xs)
             iy = np.repeat(np.arange(ys.size), xs.size)
-            tau, capped = _asym_points(self.fn, ys, iy, np.tile(xs, ys.size), quad_n)
-            rows = tau.reshape(ys.size, xs.size) - self.fx
+            tau, capped = _asym_points(self.fn, ys, iy, np.tile(xs, ys.size), self.quad_n)
+            rows = tau.reshape(ys.size, xs.size) - self.base
             masks = capped.reshape(rows.shape)
-            self.capped = {y: (row, mask) for y, row, mask in zip(new, rows, masks) if mask.any()}
+            self.capped.update((y, (row, mask)) for y, row, mask in zip(new, rows, masks) if mask.any())
         self.norms.update(zip(new, (self.norm(r) for r in rows)))
 
     def moduli(self, deltas, quad_n=None) -> list:
-        """The modulus at each delta, whose t grid must be among those the rows were built for.
+        """The modulus at each delta, the y of its grid translated first if new.
 
-        With quad_n, the capped points of the rows of these grids are first
+        With quad_n, the capped points of the rows of these grids are then
         integrated again under the cap quad_n, in one call.
         """
         grids = _t_grids(deltas, self.t_points)
+        ys = {y for grid in grids for y in grid}
+        new = sorted(ys - self.norms.keys())
+        if new:
+            self._translate(new)
         norms = self.norms
-        redo = sorted({y for grid in grids for y in grid if y in self.capped}) if quad_n is not None else []
+        redo = sorted(ys & self.capped.keys()) if quad_n is not None else []
         if redo:
             xs = self.norm.nodes
-            ys = np.array(redo)
             rows = np.array([self.capped[y][0] for y in redo])
             iy, ix = np.nonzero([self.capped[y][1] for y in redo])
-            tau, _ = _asym_points(self.fn, ys, iy, xs[ix], quad_n)
-            rows[iy, ix] = tau - self.fx[ix]
+            tau, _ = _asym_points(self.fn, np.array(redo), iy, xs[ix], quad_n)
+            rows[iy, ix] = tau - self.base[ix]
             norms = {**norms, **dict(zip(redo, (self.norm(r) for r in rows)))}
         return [max([0.0] + [norms[y] for y in grid]) for grid in grids]

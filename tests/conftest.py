@@ -9,4 +9,4 @@ from smoothness_lab import approx, translation
 def cold_memos():
     """Empty the one-entry memos of k_functional and modulus before each test, so no test sees another's."""
     approx._K_SETUP.clear()
-    translation._MODULUS_NORMS.clear()
+    translation._MODULUS_TRANSLATES.clear()

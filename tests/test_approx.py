@@ -201,7 +201,6 @@ def test_diagnostics_report_grid_and_iterations(params):
     assert res.diagnostics["grid_n"] >= 8
     iterations = res.diagnostics["iterations"]
     assert (iterations == 0) if res.method == "l2-projection" else (iterations >= 1)
-    assert ("backtracks" in res.diagnostics) == (res.method == "irls-grid")
     assert ("gap" in res.diagnostics) == (res.method == "lp-interior-point")
     lp = params.p in (1.0, math.inf)
     assert res.method == ("l2-projection" if params.p == 2.0 else "lp-interior-point" if lp else "irls-grid")

@@ -16,7 +16,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smoothness_lab import InvalidArgumentError, ReportIOError, SpaceParams, harness, make_grid, translation, weighted_norm
+from smoothness_lab import (
+    InvalidArgumentError,
+    ReportIOError,
+    SpaceParams,
+    apply_D_poly,
+    best_approx,
+    harness,
+    make_grid,
+    translation,
+    weighted_norm,
+)
 from smoothness_lab.harness import (
     Config,
     VerificationReport,
@@ -25,6 +35,7 @@ from smoothness_lab.harness import (
     run_lemma_suite,
     run_theorem_sweep,
 )
+from smoothness_lab.space import discrete_norm
 
 # Coarse settings: quad_n=8 is too few nodes for the degree-24 integrands the
 # doubling check feeds it, so that check must come back as a failure.
@@ -362,3 +373,34 @@ def test_sweep_translations_take_at_most_two_million_samples(monkeypatch):
     assert all(r.status == "pass" for r in reports)
     assert 0 < sum(samples) <= 2_000_000
     assert exact == []
+
+
+def test_d_image_matches_apply_d_poly_and_the_analytic_image():
+    # direct-estimate-decay applies D to the (2,2) coefficients of f, as
+    # k_functional does; on the corpus polynomials it must agree with
+    # apply_D_poly of their exact fit, at sin(3x) with the analytic image
+    # (1-x^2) f'' - 6x f' = -9(1-x^2) sin 3x - 18x cos 3x, and the image of
+    # the constant is exactly 0. The rounding of the top coefficients is
+    # multiplied by k(k+5) and is largest at x = +-1, where |P_k| = 1, so
+    # the agreement is measured in the (2, 1) norm that the check takes:
+    # its norm within 1e-14, the norm of the difference within 1e-12
+    norm = discrete_norm(SpaceParams(2.0, 1.0), Config().norm_nodes)
+    xs = norm.nodes
+    checked = []
+    for e in corpus(7):
+        got = harness._d_image(e.handle, xs)
+        if e.handle.degree is not None:
+            fit = best_approx(e.handle, e.handle.degree + 1, SpaceParams(2.0, 1.0))
+            assert fit.method == "exact-fit"
+            want = apply_D_poly(fit.argmin)(xs)
+        elif e.label == "sin(3x)":
+            want = -9.0 * (1.0 - xs * xs) * np.sin(3.0 * xs) - 18.0 * xs * np.cos(3.0 * xs)
+        else:
+            continue
+        checked.append(e.label)
+        if e.handle.degree == 0:
+            assert not np.any(got)
+            continue
+        assert abs(norm(got) - norm(want)) <= 1e-14 * norm(want), e.label
+        assert norm(got - want) <= 1e-12 * norm(want), e.label
+    assert checked == ["1", "x", "x^2", "P_5", "sin(3x)", "random-series"]

@@ -24,7 +24,7 @@ from smoothness_lab import (
     make_grid,
     poly_lincomb,
 )
-from smoothness_lab.jacobi import _ROWS, _ROWS_BYTES, _raw_rows, _value_at_one
+from smoothness_lab.jacobi import _ROWS, _ROWS_BYTES, _raw_rows
 
 
 def exact_h(n: int) -> Fraction:
@@ -88,8 +88,12 @@ def test_matrix_rows_match_pointwise_eval():
 
 
 def _fresh_rows(nmax, x, a, b):
-    """P_0..P_nmax^{(a,b)} at x from a run of the recurrence of their own, outside any cache."""
-    return np.array([raw / _value_at_one(k, a, b) for k, raw in enumerate(_raw_rows(nmax, a, b, x))])
+    """P_0..P_nmax^{(a,b)} at x from a run of the recurrence of their own, outside any cache.
+
+    Each row is divided by its value at 1 from a scalar run of its own.
+    """
+    ones = _raw_rows(nmax, a, b, np.ones(()))
+    return np.array([raw / float(one) for raw, one in zip(_raw_rows(nmax, a, b, x), ones)])
 
 
 def test_matrix_rows_are_cached_read_only_prefixes():

@@ -19,7 +19,7 @@ SPACES = {
 
 def _cold():
     approx._K_SETUP.clear()
-    translation._MODULUS_NORMS.clear()
+    translation._MODULUS_TRANSLATES.clear()
 
 
 def _same_k(a, b):
@@ -128,5 +128,5 @@ def test_the_memos_hold_one_entry_each():
     modulus(f, 0.4, params, 4, 32, 64)
     k_functional(g, 0.4, params, 16, 64)
     modulus(g, 0.4, params, 4, 32, 64)
-    for memo in (approx._K_SETUP, translation._MODULUS_NORMS):
+    for memo in (approx._K_SETUP, translation._MODULUS_TRANSLATES):
         assert memo._entry[0][0] is g

@@ -119,11 +119,11 @@ def test_make_grid_shape_and_range():
     assert np.allclose(g, -g[::-1], atol=1e-15)
 
 
-def test_function_handle_carries_derivatives():
-    h = FunctionHandle(eval=lambda x: x * x, d1=lambda x: 2.0 * x, d2=lambda x: 2.0 + 0.0 * x)
+def test_function_handle_is_callable():
+    h = FunctionHandle(eval=lambda x: x * x, degree=2)
+    xs = np.array([-0.5, 0.0, 0.5])
     assert h(0.5) == 0.25
-    assert h.d1(0.5) == 1.0
-    assert h.d2(0.5) == 2.0
+    assert np.array_equal(h(xs), xs * xs)
 
 
 def test_weighted_norm_accepts_handle():
@@ -253,6 +253,19 @@ MALFORMED_CALLS = {
     "Config-p-str": (lambda: Config(p="a"), "p"),
     "Config-alpha-None": (lambda: Config(alpha=None), "alpha"),
     "integrate-rule-None": (lambda: sl.integrate(_ABS, None), "rule"),
+    "jacobi_eval-x-nan": (lambda: sl.jacobi_eval(2, 2, 2, float("nan")), "x"),
+    "jacobi_eval-x-list-nan": (lambda: sl.jacobi_eval(2, 2, 2, [0.5, float("nan")]), "x"),
+    "weighted_norm-params-triple": (lambda: weighted_norm(_ABS, (2.0, 1.0, 3.0)), "params"),
+    "weighted_norm-params-single": (lambda: weighted_norm(_ABS, (2.0,)), "params"),
+    "weighted_norm-params-float": (lambda: weighted_norm(_ABS, 2.0), "params"),
+    "weighted_norm-params-dict": (lambda: weighted_norm(_ABS, {"p": 2}), "params"),
+    "weighted_norm-params-str": (lambda: weighted_norm(_ABS, "ab"), "params"),
+    "compute_R-x-numeric-str": (lambda: sl.compute_R("0.5", 0, 0), "x"),
+    "compute_R-x-bool": (lambda: sl.compute_R(True, 0, 0), "x"),
+    "kernel_B-z-bool": (lambda: sl.kernel_B(0.1, True, 0.2), "z"),
+    "jacobi_eval-x-numeric-str": (lambda: sl.jacobi_eval(2, 2, 2, "0.5"), "x"),
+    "jacobi_eval-x-bool": (lambda: sl.jacobi_eval(2, 2, 2, True), "x"),
+    "abs_rotation_average-xs-str": (lambda: sl.abs_rotation_average(_ABS, 0.5, ["0.1", "0.2"]), "xs"),
 }
 
 

@@ -521,7 +521,7 @@ def test_moduli_equal_modulus_per_delta(name):
     for e in corpus(7):
         for deltas in grids:
             want = [modulus(e.handle, d, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes) for d in deltas]
-            translation_module._MODULUS_NORMS.clear()  # the sequence translated afresh, not read from the kept norms
+            translation_module._MODULUS_TRANSLATES.clear()  # the sequence translated afresh, not read from the kept rows
             got = modulus(e.handle, deltas, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
             assert isinstance(got, list) and got == want, (e.label, deltas)
             assert all(type(v) is float for v in got)
@@ -676,7 +676,7 @@ def test_doubled_cap_redoes_only_the_capped_points(monkeypatch, label):
     cfg = Config()
     h = CORPUS[label]
     grid = list(cfg.deltas) + [1.0 / n for n in cfg.degrees]
-    translates = _Translates(h, grid, P21, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
+    translates = _Translates(h, P21, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
     assert translates.moduli(grid) == modulus(h, grid, P21, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
     points = []
     real = translation_module._nested_points
@@ -694,6 +694,29 @@ def test_doubled_cap_redoes_only_the_capped_points(monkeypatch, label):
         assert got == modulus(h, deltas, P21, cfg.t_points, 2 * cfg.quad_n, cfg.norm_nodes), deltas
     if label == "(1-x)^0.75":
         assert translates.capped
+
+
+@pytest.mark.parametrize("label", ["|x|", "(1-x)^0.75", "sin(3x)"])
+def test_modulus_keeps_the_capped_rows_of_every_y_it_met(label):
+    # one-delta modulus calls, as the spaces benchmark makes them, leave the
+    # kept _Translates with the norms and capped rows of every y they met,
+    # bitwise those of one pass over all the deltas; its moduli under 2
+    # quad_n are bitwise modulus under 2 quad_n
+    cfg = Config()
+    h = CORPUS[label]
+    for d in cfg.deltas:
+        modulus(h, d, P21, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
+    kept = translation_module._MODULUS_TRANSLATES._entry[1]
+    joint = _Translates(h, P21, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
+    joint.moduli(cfg.deltas)
+    assert kept.norms == joint.norms
+    assert kept.capped.keys() == joint.capped.keys()
+    for y, (row, mask) in joint.capped.items():
+        assert np.array_equal(kept.capped[y][0], row) and np.array_equal(kept.capped[y][1], mask), y
+    if label == "(1-x)^0.75":
+        assert kept.capped
+    got = kept.moduli(cfg.deltas, 2 * cfg.quad_n)
+    assert got == modulus(h, cfg.deltas, P21, cfg.t_points, 2 * cfg.quad_n, cfg.norm_nodes)
 
 
 @pytest.mark.parametrize("label", ["|x|", "(1-x)^0.75", "sin(3x)"])
