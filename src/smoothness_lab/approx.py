@@ -22,6 +22,7 @@ from .jacobi import (
 )
 from .quadrature import _as_callable, gauss_chebyshev, gauss_legendre, ordered_sum, sample
 from .space import (
+    DiscreteNorm,
     FunctionHandle,
     SpaceParams,
     _as_params,
@@ -88,6 +89,14 @@ def best_approx(f, n, params, grid_n: int = 256) -> BestApproxResult:
     handle as its Chebyshev interpolant at d + 1 nodes, with diagnostics
     {"grid_n": d + 1, "iterations": 0}. grid_n must be a positive integer
     on every path.
+
+    Outside p = 2, f exactly even or odd on the solve rule is solved on the
+    half x > 0 of the rule and on the Chebyshev columns of its parity
+    (_fold), and the n-free work is kept for the last f, p and solve rule
+    (_E_SETUP): the samples of f on both rules, and the last solve, so the
+    two n of a parity pair (n = 2m - 1 and 2m for an even f, 2m and 2m + 1
+    for an odd f) share one. Each call gives bitwise the result of a cold
+    call.
     """
     n = _integer(n, "dimension", 1, MAX_APPROX_DIM)
     grid_n = _integer(grid_n, "grid_n", 1)
@@ -95,9 +104,11 @@ def best_approx(f, n, params, grid_n: int = 256) -> BestApproxResult:
     degree = f.degree if isinstance(f, (PolynomialRep, FunctionHandle)) else None
     if degree is not None and degree < n:
         argmin, method, diagnostics = _exact_fit(f, degree), "exact-fit", {"grid_n": degree + 1, "iterations": 0}
+    elif params.p == 2.0:
+        argmin, method, diagnostics = _best_l2(f, n, params, grid_n)
     else:
-        solve = _best_l2 if params.p == 2.0 else _best_grid
-        argmin, method, diagnostics = solve(f, n, params, grid_n)
+        size = max(grid_n, 2 * n)
+        return _E_SETUP.get(f, (params, size), lambda: _e_setup(f, params, size))(n)
     value = weighted_norm(lambda x: sample(f, x) - argmin(x), params)
     return BestApproxResult(value, argmin, method, diagnostics)
 
@@ -129,19 +140,86 @@ def _best_l2(f, n, params, grid_n):
     return _jacobi_series(numer / denom, a), "l2-projection", {"grid_n": norm.nodes.size, "iterations": 0}
 
 
-def _best_grid(f, n, params, grid_n):
-    # argmin minimises the norm on this solve rule; best_approx reports the
-    # error on the 256-node weighted_norm
-    norm = discrete_norm(params, max(grid_n, 2 * n))
+def _fold(nodes, weights, fv):
+    """The half x > 0 of a mirror-image rule, for values fv of one parity: (indices, parity), else None.
+
+    The rule folds when its nodes, sorted, are the negatives of themselves
+    reversed and each mirror pair has equal weights; fv folds when it is
+    equal (even f, parity 0) or opposite (odd f, parity 1) at each pair,
+    compared exactly. The pairs come from the sorted nodes because the
+    p = inf rule appends -edge and edge to make_grid's. An even f on a rule
+    with a node at 0 is not folded, since the half would drop that node;
+    an odd f is 0 there, as is every odd polynomial. The weights are not
+    doubled: on the half, each finite-p norm of a function of f's parity is
+    the full one times 2^(-1/p), and the sup norm is the full one.
+    """
+    order = np.argsort(nodes, kind="stable")
+    mirror = order[::-1]
+    if not (np.array_equal(nodes[order], -nodes[mirror]) and np.array_equal(weights[order], weights[mirror])):
+        return None
+    if np.array_equal(fv[order], fv[mirror]):
+        parity = 0
+    elif np.array_equal(fv[order], -fv[mirror]):
+        parity = 1
+    else:
+        return None
+    if nodes.size % 2 and parity == 0:
+        return None
+    return order[(nodes.size + 1) // 2 :], parity
+
+
+# the n-free work of the last best_approx call outside p = 2 (a one-entry memo)
+_E_SETUP = _LastCall()
+
+
+def _e_setup(f, params, size):
+    """The n-free work of best_approx on the solve rule discrete_norm(params, size), as the function of n that finishes it.
+
+    Done here once: the samples of f on the solve rule and on the 256-node
+    report rule, and the fold of the solve rule (_fold). argmin minimises
+    the norm on the solve rule, and the error is reported on the report
+    rule. On a fold, n fits the Chebyshev columns T_k, k < n, of f's parity
+    on the half rule, and the other coefficients are 0; an odd f at n = 1
+    has no column, and its argmin is 0 with 0 iterations (and gap 0.0 at p
+    in {1, inf}). The last solve is kept with its column set, so the second
+    n of a parity pair runs no solver.
+    """
+    norm = discrete_norm(params, size)
     fv = sample(f, norm.nodes)
-    V = ncheb.chebvander(norm.nodes, n - 1)
-    diagnostics = {"grid_n": norm.nodes.size}
-    if params.p == 1.0 or params.is_sup:
-        coeffs, diagnostics["iterations"], diagnostics["gap"] = _lp_fit(params.p, [(V, fv, norm.weights)])
-        return PolynomialRep(coeffs), "lp-interior-point", diagnostics
+    report = discrete_norm(params, 256)
+    report_fv = sample(f, report.nodes)
+    fold = _fold(norm.nodes, norm.weights, fv)
+    half = slice(None) if fold is None else fold[0]
+    nodes, sv, w = norm.nodes[half], fv[half], norm.weights[half]
     scale = float(np.max(np.abs(fv))) or 1.0
-    coeffs, diagnostics["iterations"] = _damped_newton(fv, V, norm.weights, params.p, scale)
-    return PolynomialRep(coeffs), "irls-grid", diagnostics
+    lp = params.p == 1.0 or params.is_sup
+    method = "lp-interior-point" if lp else "irls-grid"
+
+    def solve(cols):
+        diagnostics = {"grid_n": norm.nodes.size, "iterations": 0}
+        coeffs = np.zeros(cols[-1] + 1 if cols.size else 1)
+        V = ncheb.chebvander(nodes, coeffs.size - 1)
+        V = V if fold is None else V[:, cols]
+        # an odd f at n = 1 has no column: _lp_fit returns at once, and Newton is not run
+        if lp:
+            coeffs[cols], diagnostics["iterations"], diagnostics["gap"] = _lp_fit(params.p, [(V, sv, w)])
+        elif cols.size:
+            coeffs[cols], diagnostics["iterations"] = _damped_newton(sv, V, w, params.p, scale)
+        argmin = PolynomialRep(coeffs)
+        return argmin, diagnostics, report(report_fv - argmin(report.nodes))
+
+    last = None  # (column set, (argmin, diagnostics, value)) of the last solve
+
+    def at(n):
+        nonlocal last
+        cols = np.arange(n) if fold is None else np.arange(fold[1], n, 2)
+        key, kept = tuple(cols), last
+        if kept is None or kept[0] != key:
+            kept = last = key, solve(cols)
+        argmin, diagnostics, value = kept[1]
+        return BestApproxResult(value, argmin, method, dict(diagnostics))
+
+    return at
 
 
 def _lp_fit(p, blocks):
@@ -161,6 +239,8 @@ def _lp_fit(p, blocks):
       caps its entries at 1. The normal equations take their factor from
       _pair_factor.
     """
+    if not blocks[0][0].shape[1]:
+        return np.zeros(0), 0, 0.0  # no coefficient to fit
     if p == 1.0:
         M, g, w = (np.concatenate(parts) for parts in zip(*blocks))
         _, y, gap, iterations = _lp_box(M.T * w, 0.5 * (M.T @ w), -w * g)
@@ -566,6 +646,12 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
     gap is the interior-point solve's final gap at p in {1, inf}, whichever
     candidate wins, and None otherwise.
 
+    Outside the separable case, f exactly even or odd on the rule is solved
+    on the half x > 0 of the rule and on the rows of J of its parity
+    (_fold): the solvers and the descent off the face Dg = 0 see only those,
+    and the other coefficients are 0. The candidates are still scored, and
+    the value recomputed, on the whole rule.
+
     The delta-free work (_k_setup) is kept for the last f and settings
     (_K_SETUP): successive calls, one delta each, do it once, and each
     gives bitwise the value of a cold call.
@@ -592,7 +678,11 @@ def _k_setup(f, params, max_deg, quad_n):
     and the best constant outside the separable case). In the separable
     case also the projection a on the rule, its residual tail2 and the
     terms of the 362-point scan; at 1 < p < inf also the face test of
-    _newton_k at the best constant (_const_face).
+    _newton_k at the best constant (_const_face). On a fold (_fold) the
+    solvers and _const_face get the half rule and the rows of J, lam,
+    c_proj and the constant of f's parity, and their coefficients are
+    widened with zeros. For an odd f the face Dg = 0 of the odd rows is the
+    point 0: the constant there is 0, and the descent takes every odd row.
     """
     norm = discrete_norm(params, quad_n)
     xs = norm.nodes
@@ -610,15 +700,27 @@ def _k_setup(f, params, max_deg, quad_n):
         const = np.zeros(max_deg + 1)
         const[0] = _best_constant(fv, norm, scale)
         candidates.append(const)
+        # on a fold the solvers take the half rule and the rows of f's parity
+        fold = _fold(xs, norm.weights, fv)
+        half, rows = (slice(None),) * 2 if fold is None else (fold[0], np.arange(fold[1], max_deg + 1, 2))
+        sv, sJ, slam, sconst = fv[half], J[rows][:, half], lam[rows], const[rows]
+        snorm = norm if fold is None else DiscreteNorm(p, xs[half], norm.weights[half])
         if 1.0 < p < math.inf:
-            face = _const_face(fv, J, lam, norm, const, scale)
-            solve = lambda d2: _newton_k(fv, J, lam, norm, d2, c_proj, const, face) + (None,)
+            face = _const_face(sv, sJ, slam, snorm, sconst, scale)
+            solve_rows = lambda d2: _newton_k(sv, sJ, slam, snorm, d2, c_proj[rows], sconst, face) + (None,)
         else:
-            block = (J.T, fv, norm.weights)
+            block = (sJ.T, sv, snorm.weights)
 
-            def solve(d2):
-                blocks = [block, (J.T * lam, np.zeros_like(fv), d2 * norm.weights)] if d2 > 0.0 else [block]
+            def solve_rows(d2):
+                blocks = [block, (sJ.T * slam, np.zeros_like(sv), d2 * snorm.weights)] if d2 > 0.0 else [block]
                 return _lp_fit(p, blocks)
+
+        def solve(d2):
+            # the solver's coefficients, widened with zeros on a fold
+            c, iterations, gap = solve_rows(d2)
+            full = np.zeros(max_deg + 1)
+            full[rows] = c
+            return full, iterations, gap
 
     # the candidates are scored on J; the winner's value is recomputed from
     # its Chebyshev form, so that it is the public norm at the witness
@@ -712,14 +814,20 @@ def _best_constant(fv, norm, scale):
 def _const_face(fv, J, lam, norm, const, scale):
     """The steepest descent off the face Dg = 0 at the best constant const: (sigma, v), as _steepest gives them.
 
-    F decreases along v from const exactly when d2 < sigma; sigma is 0 when
-    f is constant to rounding. Neither depends on d2.
+    The face is spanned by the rows of J where lam is 0, and v moves the
+    others. F decreases along v from const exactly when d2 < sigma; sigma
+    is 0 when f is constant to rounding. Neither depends on d2.
     """
-    r0 = fv - const[0]
+    r0 = fv - const @ J
     if float(np.max(np.abs(r0))) <= 64.0 * np.finfo(float).eps * scale:
         return 0.0, None  # f is constant to rounding
-    sigma, v = _steepest((lam[:, None] * J)[1:], (J @ _grad_norm(r0, norm))[1:], norm)
-    return sigma, None if v is None else np.concatenate(([0.0], v))
+    free = lam != 0.0  # the rows off the face
+    sigma, v = _steepest((lam[:, None] * J)[free], (J @ _grad_norm(r0, norm))[free], norm)
+    if v is None:
+        return sigma, None
+    out = np.zeros(lam.size)
+    out[free] = v
+    return sigma, out
 
 
 def _grad_norm(v, norm):

@@ -232,9 +232,11 @@ def discrete_norm(params, n_nodes: int) -> DiscreteNorm:
     For finite p the weight (1-x^2)^(p alpha) is absorbed into an
     n_nodes-point Gauss-Jacobi rule, which requires p * alpha > -1. For
     p = inf the nodes are make_grid(max(n_nodes, 2)) and +-(1 - 1e-6).
-    n_nodes must be a positive integer.
+    n_nodes must be an integer in [1, MAX_NODES] for either kind of p.
     """
-    n_nodes = _integer(n_nodes, "node count", 1)
+    # a non-integer or n_nodes < 1 is named as not a positive integer, a
+    # count past MAX_NODES by the range, at either kind of p
+    n_nodes = _integer(_integer(n_nodes, "node count", 1), "node count", 1, MAX_NODES)
     params = _as_params(params)
     if params.is_sup:
         edge = 1.0 - EPS_INTERIOR

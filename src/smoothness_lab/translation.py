@@ -466,7 +466,8 @@ class _Translates:
             tau, capped = _asym_points(self.fn, ys, iy, np.tile(xs, ys.size), self.quad_n)
             rows = tau.reshape(ys.size, xs.size) - self.base
             masks = capped.reshape(rows.shape)
-            self.capped.update((y, (row, mask)) for y, row, mask in zip(new, rows, masks) if mask.any())
+            # copies, so that a kept row does not keep its whole batch alive
+            self.capped.update((y, (row.copy(), mask.copy())) for y, row, mask in zip(new, rows, masks) if mask.any())
         self.norms.update(zip(new, (self.norm(r) for r in rows)))
 
     def moduli(self, deltas, quad_n=None) -> list:

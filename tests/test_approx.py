@@ -925,3 +925,97 @@ def test_k_functionals_check_every_delta():
     k_functional(f, 0.1, P21, 8, 64)
     with pytest.raises(InvalidArgumentError, match="delta"):
         k_functional(f, -0.2, P21, 8, 64)
+
+
+# the corpus entries that are exactly even or odd on every rule, with their parity
+PARITY_ENTRIES = {"|x|": 0, "x^2": 0, "sin(3x)": 1, "P_5": 1}
+
+
+def _same_e(a, b):
+    return (a.value, a.method, a.diagnostics) == (b.value, b.method, b.diagnostics) and np.array_equal(
+        a.argmin.cheb, b.argmin.cheb
+    )
+
+
+@pytest.mark.parametrize("name", sorted(K_SPACES))
+def test_e_n_of_a_parity_pair_is_one_solve(name):
+    # an even f at even n, and an odd f at odd n, adds only a column of the
+    # other parity, so E_n is bitwise E_{n-1}, each from a cold call
+    params = K_SPACES[name]
+    cfg = Config()
+    entries = {e.label: e.handle for e in corpus(7)}
+    for label, parity in PARITY_ENTRIES.items():
+        f = entries[label]
+        for n in range(2, 33):
+            if n % 2 == parity:
+                approx_module._E_SETUP.clear()
+                before = best_approx(f, n - 1, params, cfg.approx_grid)
+                approx_module._E_SETUP.clear()
+                assert _same_e(best_approx(f, n, params, cfg.approx_grid), before), (label, n)
+
+
+@pytest.mark.parametrize("name", sorted(K_SPACES))
+def test_folded_solves_match_the_unfolded_ones(name, monkeypatch):
+    # the fold changes only the rounding: E_n and K of every parity entry
+    # lie within 1e-10 ||f|| of the same solvers on the whole rule and basis
+    params = K_SPACES[name]
+    cfg = Config()
+    entries = [e for e in corpus(7) if e.label in PARITY_ENTRIES or e.label in ("1", "x")]
+
+    def values():
+        approx_module._E_SETUP.clear()
+        approx_module._K_SETUP.clear()
+        out = {}
+        for e in entries:
+            for n in range(1, 33):
+                out[e.label, "E", n] = best_approx(e.handle, n, params, cfg.approx_grid).value
+            for d in cfg.deltas:
+                out[e.label, "K", d] = k_functional(e.handle, d, params, cfg.kdeg, cfg.norm_nodes).value
+        return out
+
+    folded = values()
+    monkeypatch.setattr(approx_module, "_fold", lambda nodes, weights, fv: None)
+    whole = values()
+    norms = {e.label: weighted_norm(e.handle, params, cfg.norm_nodes) for e in entries}
+    for key, value in folded.items():
+        assert abs(value - whole[key]) <= 1e-10 * norms[key[0]], key
+
+
+@pytest.mark.parametrize("name", sorted(K_SPACES))
+def test_a_function_even_at_all_nodes_but_one_is_not_folded(name, monkeypatch):
+    # x^2 moved by one ulp at the largest node of the solve rule is neither
+    # even nor odd there, and takes the unfolded path bit for bit
+    params = K_SPACES[name]
+    norm = discrete_norm(params, 512)
+    odd_one = float(norm.nodes.max())
+    f = lambda x: np.where(x == odd_one, np.nextafter(x * x, 2.0), x * x)
+    assert approx_module._fold(norm.nodes, norm.weights, norm.nodes * norm.nodes) is not None
+    assert approx_module._fold(norm.nodes, norm.weights, sample(f, norm.nodes)) is None
+    got_e = [best_approx(f, n, params, 512) for n in (1, 2, 5, 6)]
+    got_k = [k_functional(f, d, params, 16, 512) for d in (0.0, 0.2, 1.6)]
+    monkeypatch.setattr(approx_module, "_fold", lambda nodes, weights, fv: None)
+    approx_module._E_SETUP.clear()
+    approx_module._K_SETUP.clear()
+    for n, got in zip((1, 2, 5, 6), got_e):
+        assert _same_e(got, best_approx(f, n, params, 512)), n
+    for d, got in zip((0.0, 0.2, 1.6), got_k):
+        want = k_functional(f, d, params, 16, 512)
+        assert (got.value, got.iterations, got.gap) == (want.value, want.iterations, want.gap), d
+        assert np.array_equal(got.witness.cheb, want.witness.cheb), d
+
+
+@pytest.mark.parametrize("name", sorted(K_SPACES))
+def test_an_odd_f_at_n_1_has_the_zero_argmin(name):
+    # no column has the parity of an odd f at n = 1: no solver runs
+    params = K_SPACES[name]
+    for f in (lambda x: np.sin(3.0 * x), FunctionHandle(eval=lambda x: x * x * x, degree=3)):
+        res = best_approx(f, 1, params)
+        assert res.argmin.is_zero()
+        assert res.diagnostics["iterations"] == 0
+        assert res.diagnostics.get("gap", 0.0) == 0.0
+        assert ("gap" in res.diagnostics) == (params.p in (1.0, math.inf))
+        assert res.value == weighted_norm(f, params)
+    # nor does any row of the K witness at max_deg 0
+    for delta in (0.0, 0.3):
+        res = k_functional(lambda x: np.sin(3.0 * x), delta, params, max_deg=0, quad_n=64)
+        assert res.witness.is_zero() and res.iterations == 0

@@ -1,11 +1,11 @@
-"""The delta-free work that k_functional and modulus keep across calls: bitwise, and never stale."""
+"""The n-free and delta-free work that best_approx, k_functional and modulus keep across calls: bitwise, and never stale."""
 
 import math
 
 import numpy as np
 import pytest
 
-from smoothness_lab import Config, FunctionHandle, SpaceParams, approx, corpus, k_functional, modulus, translation
+from smoothness_lab import Config, FunctionHandle, SpaceParams, approx, best_approx, corpus, k_functional, modulus, translation
 
 # the four spaces of the spaces benchmark, and the separable space
 SPACES = {
@@ -18,6 +18,7 @@ SPACES = {
 
 
 def _cold():
+    approx._E_SETUP.clear()
     approx._K_SETUP.clear()
     translation._MODULUS_TRANSLATES.clear()
 
@@ -51,6 +52,40 @@ def test_one_delta_calls_equal_the_joint_call_bitwise(name):
                 assert _same_k(k_functional(h, d, params, cfg.kdeg, cfg.norm_nodes), cold_k[d]), (e.label, d)
             for d in order:
                 assert modulus(h, d, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes) == joint_m[d], (e.label, d)
+
+
+def _same_e(a, b):
+    return (a.value, a.method, a.diagnostics) == (b.value, b.method, b.diagnostics) and np.array_equal(
+        a.argmin.cheb, b.argmin.cheb
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_best_approx_in_order_equals_cold_calls_bitwise(name):
+    # n = 1..32 in order reuse the samples of the first call, and the solve
+    # of each pair of n that share a column set; each result, diagnostics
+    # included, is bitwise that of a cold call
+    params = SPACES[name]
+    cfg = Config()
+    for e in corpus(7):
+        h = e.handle
+        _cold()
+        warm = [best_approx(h, n, params, cfg.approx_grid) for n in range(1, 33)]
+        for n, got in zip(range(1, 33), warm):
+            _cold()
+            assert _same_e(got, best_approx(h, n, params, cfg.approx_grid)), (e.label, n)
+
+
+def test_best_approx_misses_the_memo_after_eval_is_reassigned():
+    params = SPACES["p1"]
+    h = FunctionHandle(eval=lambda x: np.abs(x))
+    _cold()
+    stale = best_approx(h, 4, params)
+    h.eval = _bend
+    got = best_approx(h, 4, params)
+    _cold()
+    want = best_approx(h, 4, params)
+    assert _same_e(got, want) and got.value != stale.value
 
 
 def _bump(x):
@@ -124,9 +159,11 @@ def test_the_memos_hold_one_entry_each():
     # a call on another function replaces the kept entry
     params = SPACES["p1.5"]
     f, g = FunctionHandle(eval=_bump), FunctionHandle(eval=_bend)
+    best_approx(f, 4, params)
     k_functional(f, 0.4, params, 16, 64)
     modulus(f, 0.4, params, 4, 32, 64)
+    best_approx(g, 4, params)
     k_functional(g, 0.4, params, 16, 64)
     modulus(g, 0.4, params, 4, 32, 64)
-    for memo in (approx._K_SETUP, translation._MODULUS_TRANSLATES):
+    for memo in (approx._E_SETUP, approx._K_SETUP, translation._MODULUS_TRANSLATES):
         assert memo._entry[0][0] is g

@@ -266,6 +266,9 @@ MALFORMED_CALLS = {
     "jacobi_eval-x-numeric-str": (lambda: sl.jacobi_eval(2, 2, 2, "0.5"), "x"),
     "jacobi_eval-x-bool": (lambda: sl.jacobi_eval(2, 2, 2, True), "x"),
     "abs_rotation_average-xs-str": (lambda: sl.abs_rotation_average(_ABS, 0.5, ["0.1", "0.2"]), "xs"),
+    # the node count is checked as such at p = inf too, not as make_grid's grid size
+    "weighted_norm-n_nodes-too-many-inf": (lambda: weighted_norm(_ABS, SpaceParams(math.inf, 1.25), 5000), "node count"),
+    "weighted_norm-n_nodes-too-many": (lambda: weighted_norm(_ABS, SpaceParams(1.5, 1.0), 5000), "node count"),
 }
 
 

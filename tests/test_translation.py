@@ -719,6 +719,20 @@ def test_modulus_keeps_the_capped_rows_of_every_y_it_met(label):
     assert got == modulus(h, cfg.deltas, P21, cfg.t_points, 2 * cfg.quad_n, cfg.norm_nodes)
 
 
+@pytest.mark.parametrize("params", [P21, SpaceParams(math.inf, 1.25)], ids=["p2", "pinf"])
+def test_kept_capped_rows_own_their_data(params):
+    # each kept row and mask is a copy, so it does not keep the array of its
+    # whole batch of y alive
+    cfg = Config()
+    for label in ("|x|", "(1-x)^0.75"):
+        for d in cfg.deltas:
+            modulus(CORPUS[label], d, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
+        kept = translation_module._MODULUS_TRANSLATES._entry[1]
+        assert kept.capped, label
+        for y, (row, mask) in kept.capped.items():
+            assert row.base is None and mask.base is None, (label, y)
+
+
 @pytest.mark.parametrize("label", ["|x|", "(1-x)^0.75", "sin(3x)"])
 def test_extrapolated_stop_is_within_rounding_of_a_deeper_two_level_rule(monkeypatch, label):
     # on the sweep's y grid and norm nodes, every point that stops by a test
