@@ -20,14 +20,13 @@ from .jacobi import (
     fourier_jacobi_coeff,
     jacobi_matrix,
 )
-from .quadrature import _as_callable, gauss_chebyshev, gauss_legendre, ordered_sum, sample
+from .quadrature import _as_callable, gauss_chebyshev, gauss_legendre, ordered_sum
 from .space import (
     DiscreteNorm,
-    FunctionHandle,
     SpaceParams,
     _as_params,
     _check_delta,
-    _LastCall,
+    _prepared,
     discrete_norm,
     weighted_norm,
 )
@@ -92,52 +91,47 @@ def best_approx(f, n, params, grid_n: int = 256) -> BestApproxResult:
 
     Outside p = 2, f exactly even or odd on the solve rule is solved on the
     half x > 0 of the rule and on the Chebyshev columns of its parity
-    (_fold), and the n-free work is kept for the last f, p and solve rule
-    (_E_SETUP): the samples of f on both rules, and the last solve, so the
-    two n of a parity pair (n = 2m - 1 and 2m for an even f, 2m and 2m + 1
-    for an odd f) share one. Each call gives bitwise the result of a cold
-    call.
+    (_fold), so the two n of a parity pair (n = 2m - 1 and 2m for an even
+    f, 2m and 2m + 1 for an odd f) share one solve.
     """
     n = _integer(n, "dimension", 1, MAX_APPROX_DIM)
     grid_n = _integer(grid_n, "grid_n", 1)
     params = _as_params(params)
-    degree = f.degree if isinstance(f, (PolynomialRep, FunctionHandle)) else None
-    if degree is not None and degree < n:
-        argmin, method, diagnostics = _exact_fit(f, degree), "exact-fit", {"grid_n": degree + 1, "iterations": 0}
-    elif params.p == 2.0:
-        argmin, method, diagnostics = _best_l2(f, n, params, grid_n)
-    else:
-        size = max(grid_n, 2 * n)
-        return _E_SETUP.get(f, (params, size), lambda: _e_setup(f, params, size))(n)
-    value = weighted_norm(lambda x: sample(f, x) - argmin(x), params)
-    return BestApproxResult(value, argmin, method, diagnostics)
+    prep = _prepared(f)
+    if prep.degree is not None and prep.degree < n:
+        value, argmin = prep.slot("fit", params, lambda: _exact_fit(prep, params))
+        return BestApproxResult(value, argmin, "exact-fit", {"grid_n": prep.degree + 1, "iterations": 0})
+    size = max(grid_n, 2 * n)
+    return prep.slot("E", (params, size), lambda: _e_setup(prep, params, size))(n)
 
 
-def _exact_fit(f, degree):
-    """f as a PolynomialRep: itself, or its interpolant at the degree + 1 Chebyshev points.
+def _exact_fit(prep, params):
+    """f of declared degree d as a PolynomialRep, and its error on the 256-node report rule: (value, argmin).
 
-    The discrete Chebyshev transform at the first-kind points recovers the
-    coefficients of every polynomial of degree <= degree exactly.
+    argmin is f itself, or its interpolant at the d + 1 Chebyshev points:
+    the discrete Chebyshev transform at the first-kind points recovers the
+    coefficients of every polynomial of degree <= d exactly.
     """
-    if isinstance(f, PolynomialRep):
-        return f
-    nodes = gauss_chebyshev(degree + 1).nodes
-    coeffs = ncheb.chebvander(nodes, degree).T @ sample(f, nodes) * (2.0 / nodes.size)
-    coeffs[0] *= 0.5
-    return PolynomialRep(coeffs)
+    argmin = prep.f
+    if not isinstance(argmin, PolynomialRep):
+        nodes = gauss_chebyshev(prep.degree + 1).nodes
+        coeffs = ncheb.chebvander(nodes, prep.degree).T @ prep(nodes) * (2.0 / nodes.size)
+        coeffs[0] *= 0.5
+        argmin = PolynomialRep(coeffs)
+    report = discrete_norm(params, 256)
+    return report(prep(report.nodes) - argmin(report.nodes)), argmin
 
 
-def _best_l2(f, n, params, grid_n):
-    # the rule of the norm has weight (1-x^2)^(2 alpha), under which the
-    # (2 alpha, 2 alpha) Jacobi basis is orthogonal
-    norm = discrete_norm(params, max(grid_n, 2 * n))
-    a = 2.0 * params.alpha
-    fv = sample(f, norm.nodes)
+def _best_l2(norm, fv, alpha, n):
+    # the projection of fv on the polynomials of degree < n: the rule of the
+    # norm has weight (1-x^2)^(2 alpha), under which the (2 alpha, 2 alpha)
+    # Jacobi basis is orthogonal
+    a = 2.0 * alpha
     basis = jacobi_matrix(n - 1, norm.nodes, a, a)
     wf = norm.weights * fv
     numer = np.cumsum(basis * wf[None, :], axis=1)[:, -1]
     denom = np.cumsum(basis * basis * norm.weights[None, :], axis=1)[:, -1]
-    return _jacobi_series(numer / denom, a), "l2-projection", {"grid_n": norm.nodes.size, "iterations": 0}
+    return _jacobi_series(numer / denom, a)
 
 
 def _fold(nodes, weights, fv):
@@ -168,44 +162,45 @@ def _fold(nodes, weights, fv):
     return order[(nodes.size + 1) // 2 :], parity
 
 
-# the n-free work of the last best_approx call outside p = 2 (a one-entry memo)
-_E_SETUP = _LastCall()
-
-
-def _e_setup(f, params, size):
+def _e_setup(prep, params, size):
     """The n-free work of best_approx on the solve rule discrete_norm(params, size), as the function of n that finishes it.
 
     Done here once: the samples of f on the solve rule and on the 256-node
-    report rule, and the fold of the solve rule (_fold). argmin minimises
-    the norm on the solve rule, and the error is reported on the report
-    rule. On a fold, n fits the Chebyshev columns T_k, k < n, of f's parity
-    on the half rule, and the other coefficients are 0; an odd f at n = 1
-    has no column, and its argmin is 0 with 0 iterations (and gap 0.0 at p
-    in {1, inf}). The last solve is kept with its column set, so the second
-    n of a parity pair runs no solver.
+    report rule, and outside p = 2 the fold of the solve rule (_fold).
+    argmin minimises the norm on the solve rule (the projection of _best_l2
+    at p = 2), and the error is reported on the report rule. On a fold, n
+    fits the Chebyshev columns T_k, k < n, of f's parity on the half rule,
+    and the other coefficients are 0; an odd f at n = 1 has no column, and
+    its argmin is 0 with 0 iterations (and gap 0.0 at p in {1, inf}). The
+    last solve is kept with its column set, so the second n of a parity
+    pair runs no solver.
     """
     norm = discrete_norm(params, size)
-    fv = sample(f, norm.nodes)
+    fv = prep(norm.nodes)
     report = discrete_norm(params, 256)
-    report_fv = sample(f, report.nodes)
-    fold = _fold(norm.nodes, norm.weights, fv)
+    report_fv = prep(report.nodes)
+    l2 = params.p == 2.0
+    fold = None if l2 else _fold(norm.nodes, norm.weights, fv)
     half = slice(None) if fold is None else fold[0]
     nodes, sv, w = norm.nodes[half], fv[half], norm.weights[half]
     scale = float(np.max(np.abs(fv))) or 1.0
     lp = params.p == 1.0 or params.is_sup
-    method = "lp-interior-point" if lp else "irls-grid"
+    method = "l2-projection" if l2 else "lp-interior-point" if lp else "irls-grid"
 
     def solve(cols):
         diagnostics = {"grid_n": norm.nodes.size, "iterations": 0}
-        coeffs = np.zeros(cols[-1] + 1 if cols.size else 1)
-        V = ncheb.chebvander(nodes, coeffs.size - 1)
-        V = V if fold is None else V[:, cols]
-        # an odd f at n = 1 has no column: _lp_fit returns at once, and Newton is not run
-        if lp:
-            coeffs[cols], diagnostics["iterations"], diagnostics["gap"] = _lp_fit(params.p, [(V, sv, w)])
-        elif cols.size:
-            coeffs[cols], diagnostics["iterations"] = _damped_newton(sv, V, w, params.p, scale)
-        argmin = PolynomialRep(coeffs)
+        if l2:
+            argmin = _best_l2(norm, fv, params.alpha, cols.size)
+        else:
+            coeffs = np.zeros(cols[-1] + 1 if cols.size else 1)
+            V = ncheb.chebvander(nodes, coeffs.size - 1)
+            V = V if fold is None else V[:, cols]
+            # an odd f at n = 1 has no column: _lp_fit returns at once, and Newton is not run
+            if lp:
+                coeffs[cols], diagnostics["iterations"], diagnostics["gap"] = _lp_fit(params.p, [(V, sv, w)])
+            elif cols.size:
+                coeffs[cols], diagnostics["iterations"] = _damped_newton(sv, V, w, params.p, scale)
+            argmin = PolynomialRep(coeffs)
         return argmin, diagnostics, report(report_fv - argmin(report.nodes))
 
     last = None  # (column set, (argmin, diagnostics, value)) of the last solve
@@ -651,10 +646,6 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
     (_fold): the solvers and the descent off the face Dg = 0 see only those,
     and the other coefficients are 0. The candidates are still scored, and
     the value recomputed, on the whole rule.
-
-    The delta-free work (_k_setup) is kept for the last f and settings
-    (_K_SETUP): successive calls, one delta each, do it once, and each
-    gives bitwise the value of a cold call.
     """
     delta = _check_delta(delta)
     max_deg = _integer(max_deg, "max_deg", 0, MAX_WITNESS_DEG)
@@ -663,14 +654,11 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
     if quad_n < max_deg + 1:
         # fewer nodes than witness coefficients leave the fit underdetermined
         raise InvalidArgumentError(f"quad_n must be at least max_deg + 1 = {max_deg + 1}, got {quad_n}")
-    return _K_SETUP.get(f, (params, max_deg, quad_n), lambda: _k_setup(f, params, max_deg, quad_n))(delta)
+    prep = _prepared(f)
+    return prep.slot("K", (params, max_deg, quad_n), lambda: _k_setup(prep, params, max_deg, quad_n))(delta)
 
 
-# the delta-free work of the last K-functional call (a one-entry memo)
-_K_SETUP = _LastCall()
-
-
-def _k_setup(f, params, max_deg, quad_n):
+def _k_setup(prep, params, max_deg, quad_n):
     """The delta-free work of k_functional, as the function of delta that finishes it.
 
     Done here once: the samples of f, J, the projection c_proj and the
@@ -686,11 +674,11 @@ def _k_setup(f, params, max_deg, quad_n):
     """
     norm = discrete_norm(params, quad_n)
     xs = norm.nodes
-    fv = sample(f, xs)
+    fv = prep(xs)
     J = jacobi_matrix(max_deg, xs)
     lam = _d_eigenvalues(max_deg)
     p = params.p
-    c_proj = expand_in_jacobi(f, max_deg, n_nodes=max(int(quad_n), 256))
+    c_proj = expand_in_jacobi(prep, max_deg, n_nodes=max(int(quad_n), 256))
     candidates = [np.zeros(max_deg + 1), c_proj]
 
     if p == 2.0 and params.alpha == 1.0:

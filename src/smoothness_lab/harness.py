@@ -38,7 +38,7 @@ from .jacobi import (
     poly_lincomb,
 )
 from .quadrature import _panel_rule, gauss_chebyshev, gauss_jacobi, gauss_legendre, integrate, ordered_sum
-from .space import FunctionHandle, SpaceParams, _check_delta, discrete_norm, make_grid, sample, validate_params, weighted_norm
+from .space import FunctionHandle, SpaceParams, _check_delta, _prepared, discrete_norm, make_grid, sample, validate_params, weighted_norm
 from .translation import (
     _Translates,
     _asym_core,
@@ -185,13 +185,12 @@ def corpus(seed: int = 7):
 def _d_image(h: FunctionHandle, xs: np.ndarray) -> np.ndarray:
     """Df at xs, from the (2,2) coefficients of h times -k(k+5), the way k_functional applies D.
 
-    At a declared degree d the coefficients are exact, from the (d + 1)-node
-    rule; otherwise they are those of expand_in_jacobi(h, MAX_WITNESS_DEG).
+    At a declared degree the coefficients are the exact ones of h's prepared
+    function; otherwise they are those of expand_in_jacobi(h, MAX_WITNESS_DEG).
     """
-    if h.degree is None:
+    a = _prepared(h).coefficients()
+    if a is None:
         a = expand_in_jacobi(h, MAX_WITNESS_DEG)
-    else:
-        a = expand_in_jacobi(h, h.degree, n_nodes=h.degree + 1)
     return (_d_eigenvalues(a.size - 1) * a) @ jacobi_matrix(a.size - 1, xs)
 
 

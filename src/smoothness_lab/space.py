@@ -9,12 +9,14 @@ admissible set encoded in validate_params.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import InvalidArgumentError, _integer, _real
+from .jacobi import PolynomialRep, expand_in_jacobi
 from .quadrature import MAX_NODES, gauss_chebyshev, gauss_jacobi, sample
 
 __all__ = [
@@ -109,7 +111,14 @@ class FunctionHandle:
     in z, so the integrand has degree degree + 4, and a rule of
     n = degree // 2 + 3 nodes is exact because degree + 4 <= 2n - 1. A
     degree that is too low gives wrong translations, not an error; None
-    (the default) selects the convergence-stopped rule.
+    (the default) selects the convergence-stopped rule. Only a
+    FunctionHandle or a PolynomialRep declares a degree: a degree attribute
+    of any other function is ignored.
+
+    best_approx and k_functional solve an f that is exactly even or odd on
+    their rule on half of it. The test compares the values of eval at each
+    pair of nodes x and -x exactly: np.power is not bitwise odd-symmetric,
+    so an eval written x**3 is not folded, while x*x*x is.
 
     breaks lists the points of (-1, 1), in increasing order, where eval is
     not smooth (a kink or a jump). The convergence-stopped z-rule of the
@@ -140,16 +149,22 @@ class FunctionHandle:
         return self.eval(x)
 
 
+def _declared_degree(f) -> Optional[int]:
+    """The degree f declares: that of a FunctionHandle or a PolynomialRep, else None (numpy's polynomials have a degree() method)."""
+    return f.degree if isinstance(f, (FunctionHandle, PolynomialRep)) else None
+
+
 class _LastCall:
-    """A one-entry memo: the value built for the last f and settings it was asked for.
+    """A one-entry memo: the _Prepared of the last f it was asked for.
 
     f matches by identity, and so does the eval a FunctionHandle holds, so
-    a handle whose eval was reassigned misses; f's degree and breaks, and
-    the settings, match by value. The entry holds f and its eval, so their
+    a handle whose eval was reassigned misses; f's declared degree and its
+    breaks match by value. The entry holds f and its eval, so their
     identities cannot be reused while it is kept. A function whose values
     change without any of these changing is not detected. The entry is one
-    attribute, read once and replaced whole, so concurrent callers may
-    build twice but never get each other's value.
+    attribute, read once and replaced whole, and so are the slots of a
+    _Prepared: concurrent callers may build or sample twice, but never get
+    each other's value.
     """
 
     def __init__(self):
@@ -158,22 +173,75 @@ class _LastCall:
     def clear(self):
         self._entry = None  # (key, value)
 
-    def get(self, f, settings, build):
-        """The kept value if the key matches, else build(), kept as the one entry."""
-        key = (
-            f,
-            f.eval if isinstance(f, FunctionHandle) else None,
-            getattr(f, "degree", None),
-            tuple(getattr(f, "breaks", ())),
-            settings,
-        )
+    def get(self, f) -> "_Prepared":
+        """The kept _Prepared if the key matches, else a new one, kept as the one entry."""
+        key = (f, f.eval if isinstance(f, FunctionHandle) else None, _declared_degree(f), tuple(getattr(f, "breaks", ())))
         entry = self._entry
         if entry is not None and entry[0][0] is f and entry[0][1] is key[1] and entry[0][2:] == key[2:]:
             return entry[1]
-        self._entry = None  # let the old entry go before building
+        self._entry = (key, _Prepared(f))
+        return self._entry[1]
+
+
+class _Prepared:
+    """f made ready for best_approx, k_functional and modulus, which keep work across calls of one n or delta each.
+
+    Called on the nodes of a rule, it gives f's values there, and so
+    expand_in_jacobi takes them from it too. It holds f's declared degree,
+    and one slot each for its exact (2,2) coefficients at that degree, the
+    exact fit ("fit"), the n-free work of best_approx ("E"), the delta-free
+    work of k_functional ("K") and the translations of modulus ("modulus"),
+    each keyed by its own settings and replaced whole when they change. f
+    is sampled once per rule: the samples that the build of a slot takes
+    are kept while the slot lives, and shared by every slot. Every call
+    gives bitwise the result of a cold one.
+    """
+
+    def __init__(self, f):
+        self.f = f
+        self.degree = _declared_degree(f)
+        self.breaks = tuple(getattr(f, "breaks", ()))  # read by expand_in_jacobi
+        self._samples = {}  # the bytes of a rule's nodes -> f's values there
+        self._slots = {}  # name -> (settings, value, the keys of the samples its build took)
+        self._taken = set()  # the keys of the samples taken by the build under way, or outside any build
+
+    def __call__(self, nodes):
+        """f at the nodes of a rule, sampled once while a slot takes them."""
+        key = nodes.tobytes()
+        fv = self._samples.get(key)
+        if fv is None:
+            fv = self._samples[key] = sample(self.f, nodes)
+        self._taken.add(key)
+        return fv
+
+    def coefficients(self):
+        """The exact (2,2) coefficients of f at its declared degree d, expand_in_jacobi(f, d, n_nodes=d + 1), kept in a slot; None without one."""
+        if self.degree is not None:
+            return self.slot("coefficients", None, lambda: expand_in_jacobi(self, self.degree, n_nodes=self.degree + 1))
+
+    def slot(self, name, settings, build):
+        """The value of the slot name if built for settings, else build(), kept there.
+
+        The old value goes before build() runs, and its samples stay for
+        build() to take; then the samples that no slot, no build under way
+        and no caller outside a build took are dropped. A build may build
+        another slot.
+        """
+        kept = self._slots.get(name)
+        if kept is not None and kept[0] == settings:
+            return kept[1]
+        self._slots.pop(name, None)
+        outer, self._taken = self._taken, set()
         value = build()
-        self._entry = (key, value)
+        self._slots[name], self._taken = (settings, value, self._taken), outer
+        live = outer.union(*(taken for _, _, taken in self._slots.values()))
+        self._samples = {key: fv for key, fv in self._samples.items() if key in live}
         return value
+
+
+# the prepared function of the last f asked for: the package's one memo
+_PREPARED = _LastCall()
+_prepared = _PREPARED.get
 
 
 def make_grid(n: int) -> np.ndarray:
@@ -209,7 +277,9 @@ class DiscreteNorm:
 
     For finite p it is (ordered sum of weights |v|^p)^(1/p), the weights
     absorbing (1-x^2)^(p alpha); for p = inf it is max weights |v|, the
-    weights being (1-x^2)^alpha.
+    weights being (1-x^2)^alpha. Where that sum underflows or overflows
+    (large p) and v is not zero, it is taken of v / max|v|, and the norm
+    scaled back by max|v|.
     """
 
     p: float
@@ -221,9 +291,14 @@ class DiscreteNorm:
         # their inner loops, where np.max and ** 1.0 cost measurable time
         if self.p == math.inf:
             return float((np.abs(vals) * self.weights).max())
-        if self.p == 1.0:
-            return float(np.cumsum(self.weights * np.abs(vals))[-1])
-        return float(np.cumsum(self.weights * np.abs(vals) ** self.p)[-1]) ** (1.0 / self.p)
+        a = np.abs(vals)
+        with np.errstate(over="ignore"):
+            s = float(np.cumsum(self.weights * (a if self.p == 1.0 else a**self.p))[-1])
+        if not sys.float_info.min <= s < math.inf:
+            m = float(a.max())
+            if 0.0 < m < math.inf and m != 1.0:
+                return m * self(a / m)  # max(a / m) is 1: the sum is at least the weight of its node
+        return s if self.p == 1.0 else s ** (1.0 / self.p)
 
 
 def discrete_norm(params, n_nodes: int) -> DiscreteNorm:

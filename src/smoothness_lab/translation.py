@@ -15,9 +15,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidArgumentError, _integer, _real, _reals
-from .jacobi import expand_in_jacobi, jacobi_eval, jacobi_matrix
+from .jacobi import jacobi_eval, jacobi_matrix
 from .quadrature import _as_callable, gauss_chebyshev, sample
-from .space import SpaceParams, _as_params, _check_delta, _LastCall, discrete_norm
+from .space import SpaceParams, _as_params, _check_delta, _declared_degree, _prepared, discrete_norm
 
 __all__ = [
     "compute_R",
@@ -134,11 +134,12 @@ def _z_points(fn, kernel, y_all, x_all, quad_n):
     """z-integral of kernel * f(R) at the points (y_all[i], x_all[i]), and whether each point reached the z-rule's cap.
 
     The one place that picks the z-rule. The kernels have degree 4 in z, so
-    an fn of declared degree d takes the exact Gauss-Chebyshev rule of
-    min(quad_n, d // 2 + 3) nodes, and none of its points is capped; any
-    other fn the nested rule of _nested_points, with cap quad_n.
+    an fn of declared degree d (_declared_degree) takes the exact
+    Gauss-Chebyshev rule of min(quad_n, d // 2 + 3) nodes, and none of its
+    points is capped; any other fn the nested rule of _nested_points, with
+    cap quad_n.
     """
-    degree = getattr(fn, "degree", None)
+    degree = _declared_degree(fn)
     if degree is None:
         return _nested_points(fn, kernel, y_all, x_all, quad_n)
     nodes = min(int(quad_n), degree // 2 + 3)
@@ -384,14 +385,11 @@ def modulus(
     norm is discrete_norm(params, norm_nodes) of tau_{cos t} f - f at its
     nodes (_Translates). A number delta gives a float, a 1-d sequence the
     list of its moduli: f is translated once per distinct y = cos t across
-    them, and each value is bitwise the modulus at its delta alone.
-
-    The _Translates of the last (f, params, t_points, quad_n, norm_nodes)
-    is kept (_MODULUS_TRANSLATES), and a call translates only the y that
-    are new to it: a row's norm does not depend on the other y translated
-    with it, so successive calls, one delta each, give bitwise the values
-    of one call over all their deltas, and doubling deltas share half their
-    y.
+    them, and each value is bitwise the modulus at its delta alone. A call
+    translates only the y that are new to the kept _Translates: a row's
+    norm does not depend on the other y translated with it, so successive
+    calls, one delta each, give bitwise the values of one call over all
+    their deltas, and doubling deltas share half their y.
     """
     try:
         values = np.asarray(delta, dtype=object)  # object, so that a bool stays a bool
@@ -404,14 +402,8 @@ def modulus(
     quad_n = _integer(quad_n, "quad_n", 1)
     params = _as_params(params)
     settings = (params, t_points, quad_n, norm_nodes)
-    translates = _MODULUS_TRANSLATES.get(f, settings, lambda: _Translates(f, *settings))
-    moduli = translates.moduli(deltas)
+    moduli = _prepared(f).slot("modulus", settings, lambda: _Translates(f, *settings)).moduli(deltas)
     return moduli if values.ndim else moduli[0]
-
-
-# the _Translates of the last (f, params, t_points, quad_n, norm_nodes) of
-# modulus (a one-entry memo)
-_MODULUS_TRANSLATES = _LastCall()
 
 
 def _t_grids(deltas, t_points):
@@ -424,10 +416,11 @@ class _Translates:
 
     moduli(deltas) translates the y of their grids that it has not met yet,
     keeps the norm of each row, and gives the modulus at each delta, the
-    largest norm among the rows of its grid. Where f declares a degree d
-    (a PolynomialRep, or a handle with degree), the rows come from the
-    multipliers tau_y P_k = psi_k(y) P_k: with a the exact (2,2)
-    coefficients of f from the (d + 1)-node rule of expand_in_jacobi,
+    largest norm among the rows of its grid. It takes f's samples at the
+    nodes, or its exact coefficients, from f's prepared function when it is
+    built. Where f declares a
+    degree d (_declared_degree), the rows come from the multipliers
+    tau_y P_k = psi_k(y) P_k: with a the exact (2,2) coefficients of f,
     tau_y f - f = sum_k (psi_k(y) - 1) a_k P_k, one matrix product for
     every new y and no z-integral, which quad_n does not enter. Any other f
     takes the nested z-rule of _asym_points with cap quad_n, bitwise
@@ -440,28 +433,25 @@ class _Translates:
     """
 
     def __init__(self, f, params, t_points, quad_n, norm_nodes):
+        prep = _prepared(f)
         self.fn = _as_callable(f)
+        self.degree = prep.degree
         self.t_points = t_points
         self.quad_n = quad_n
         self.norm = discrete_norm(params, norm_nodes)
         # the norm of each y met, and (row, mask of its capped points) for the rows with a capped point
         self.norms = {}
         self.capped = {}
-        # at a declared degree the (2,2) coefficients of f, else f at the nodes; taken at the first new y
-        self.base = None
+        # at a declared degree the exact (2,2) coefficients of f, else f at the nodes
+        self.base = prep(self.norm.nodes) if self.degree is None else prep.coefficients()
 
     def _translate(self, new):
         """Translate the sorted list new of y, and keep their norms and capped rows."""
-        ys, xs = np.array(new), self.norm.nodes
-        degree = getattr(self.fn, "degree", None)
+        ys, xs, degree = np.array(new), self.norm.nodes, self.degree
         if degree is not None:
-            if self.base is None:
-                self.base = expand_in_jacobi(self.fn, degree, n_nodes=degree + 1)
             # psi_k(y) = P_k^{(0,4)}(y) normalised at 1, bitwise multiplier_psi(k, y)
             rows = ((jacobi_matrix(degree, ys, 0.0, 4.0).T - 1.0) * self.base) @ jacobi_matrix(degree, xs)
         else:
-            if self.base is None:
-                self.base = sample(self.fn, xs)
             iy = np.repeat(np.arange(ys.size), xs.size)
             tau, capped = _asym_points(self.fn, ys, iy, np.tile(xs, ys.size), self.quad_n)
             rows = tau.reshape(ys.size, xs.size) - self.base

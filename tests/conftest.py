@@ -2,12 +2,10 @@
 
 import pytest
 
-from smoothness_lab import approx, translation
+from smoothness_lab import space
 
 
 @pytest.fixture(autouse=True)
-def cold_memos():
-    """Empty the one-entry memos of best_approx, k_functional and modulus before each test, so no test sees another's."""
-    approx._E_SETUP.clear()
-    approx._K_SETUP.clear()
-    translation._MODULUS_TRANSLATES.clear()
+def cold_memo():
+    """Empty the one memo, the prepared function of the last f, before each test, so no test sees another's."""
+    space._PREPARED.clear()

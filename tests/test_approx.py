@@ -37,6 +37,7 @@ from smoothness_lab import (
     weighted_norm,
 )
 import smoothness_lab.approx as approx_module
+import smoothness_lab.space as space_module
 from smoothness_lab.approx import (
     _best_constant,
     _const_face,
@@ -948,9 +949,9 @@ def test_e_n_of_a_parity_pair_is_one_solve(name):
         f = entries[label]
         for n in range(2, 33):
             if n % 2 == parity:
-                approx_module._E_SETUP.clear()
+                space_module._PREPARED.clear()
                 before = best_approx(f, n - 1, params, cfg.approx_grid)
-                approx_module._E_SETUP.clear()
+                space_module._PREPARED.clear()
                 assert _same_e(best_approx(f, n, params, cfg.approx_grid), before), (label, n)
 
 
@@ -963,8 +964,7 @@ def test_folded_solves_match_the_unfolded_ones(name, monkeypatch):
     entries = [e for e in corpus(7) if e.label in PARITY_ENTRIES or e.label in ("1", "x")]
 
     def values():
-        approx_module._E_SETUP.clear()
-        approx_module._K_SETUP.clear()
+        space_module._PREPARED.clear()
         out = {}
         for e in entries:
             for n in range(1, 33):
@@ -994,8 +994,7 @@ def test_a_function_even_at_all_nodes_but_one_is_not_folded(name, monkeypatch):
     got_e = [best_approx(f, n, params, 512) for n in (1, 2, 5, 6)]
     got_k = [k_functional(f, d, params, 16, 512) for d in (0.0, 0.2, 1.6)]
     monkeypatch.setattr(approx_module, "_fold", lambda nodes, weights, fv: None)
-    approx_module._E_SETUP.clear()
-    approx_module._K_SETUP.clear()
+    space_module._PREPARED.clear()
     for n, got in zip((1, 2, 5, 6), got_e):
         assert _same_e(got, best_approx(f, n, params, 512)), n
     for d, got in zip((0.0, 0.2, 1.6), got_k):

@@ -1,11 +1,16 @@
-"""The n-free and delta-free work that best_approx, k_functional and modulus keep across calls: bitwise, and never stale."""
+"""The prepared function of the last f, whose samples and set-ups best_approx, k_functional and modulus keep across calls: bitwise, never stale, and sampled once per rule."""
 
+import gc
+import importlib
 import math
+import pkgutil
+import weakref
 
 import numpy as np
 import pytest
 
-from smoothness_lab import Config, FunctionHandle, SpaceParams, approx, best_approx, corpus, k_functional, modulus, translation
+import smoothness_lab
+from smoothness_lab import Config, FunctionHandle, SpaceParams, best_approx, corpus, k_functional, modulus, space
 
 # the four spaces of the spaces benchmark, and the separable space
 SPACES = {
@@ -18,9 +23,13 @@ SPACES = {
 
 
 def _cold():
-    approx._E_SETUP.clear()
-    approx._K_SETUP.clear()
-    translation._MODULUS_TRANSLATES.clear()
+    space._PREPARED.clear()
+
+
+def _kept():
+    """The prepared function the one memo keeps, or None."""
+    entry = space._PREPARED._entry
+    return None if entry is None else entry[1]
 
 
 def _same_k(a, b):
@@ -155,7 +164,7 @@ def test_a_changed_function_or_setting_is_never_served_stale(name):
     assert _same_k(got[0], k_of(h)) and got[1] == m_of(h)
 
 
-def test_the_memos_hold_one_entry_each():
+def test_the_memo_holds_one_entry():
     # a call on another function replaces the kept entry
     params = SPACES["p1.5"]
     f, g = FunctionHandle(eval=_bump), FunctionHandle(eval=_bend)
@@ -165,5 +174,80 @@ def test_the_memos_hold_one_entry_each():
     best_approx(g, 4, params)
     k_functional(g, 0.4, params, 16, 64)
     modulus(g, 0.4, params, 4, 32, 64)
-    for memo in (approx._E_SETUP, approx._K_SETUP, translation._MODULUS_TRANSLATES):
-        assert memo._entry[0][0] is g
+    assert space._PREPARED._entry[0][0] is g
+    assert _kept().f is g and set(_kept()._slots) == {"E", "K", "modulus"}
+
+
+def test_a_call_on_another_f_drops_every_set_up_of_the_last():
+    params = SPACES["p1.5"]
+    f = FunctionHandle(eval=lambda x: x * x, degree=2)
+    best_approx(f, 5, params)
+    best_approx(f, 2, params)
+    k_functional(f, 0.4, params, 16, 64)
+    modulus(f, 0.4, params, 4, 32, 64)
+    prepared = _kept()
+    assert set(prepared._slots) == {"coefficients", "fit", "E", "K", "modulus"}
+    prepared = weakref.ref(prepared)
+    g = FunctionHandle(eval=_bend)
+    modulus(g, 0.4, params, 4, 32, 64)
+    gc.collect()
+    assert prepared() is None
+    assert _kept().f is g and set(_kept()._slots) == {"modulus"}
+
+
+def test_only_the_rules_of_live_slots_keep_samples():
+    # a slot built again at other settings drops the samples that only its
+    # old value took; a rule that another slot takes stays
+    params = SPACES["p1.5"]
+    h = FunctionHandle(eval=_bump)
+    best_approx(h, 4, params, 64)
+    k_functional(h, 0.4, params, 16, 64)
+    rules = lambda: sorted(np.frombuffer(key).size for key in _kept()._samples)
+    # the E solve rule, which K takes, the report rule and the (2,2) rule of K's projection
+    assert rules() == [64, 256, 256]
+    k_functional(h, 0.4, params, 16, 80)
+    assert rules() == [64, 80, 256, 256]
+    best_approx(h, 4, params, 96)
+    assert rules() == [80, 96, 256, 256]
+    modulus(h, 0.4, params, 4, 32, 80)
+    k_functional(h, 0.4, params, 16, 100)
+    assert rules() == [80, 96, 100, 256, 256]
+
+
+def test_the_package_keeps_one_memo_and_the_fixture_empties_it():
+    # every module-level _LastCall of the package; a second one would keep
+    # state that tests/conftest.py does not clear
+    memos = []
+    for info in pkgutil.walk_packages(smoothness_lab.__path__, "smoothness_lab."):
+        module = importlib.import_module(info.name)
+        memos += [(info.name, name) for name, value in vars(module).items() if isinstance(value, space._LastCall)]
+    assert memos == [("smoothness_lab.space", "_PREPARED")]
+    assert space._PREPARED._entry is None
+
+
+@pytest.mark.parametrize("p, alpha", [(1.0, 0.75), (1.5, 11.0 / 12.0), (3.0, 13.0 / 12.0), (math.inf, 1.25)])
+def test_the_spaces_sequence_samples_each_rule_once(p, alpha):
+    # best_approx over n = 1..32, then k_functional and modulus over the
+    # deltas, entry by entry as the spaces benchmark calls them: no entry's
+    # eval sees the same array of nodes twice
+    params = SpaceParams(p, alpha)
+    cfg = Config()
+    for e in corpus(7):
+        seen = []
+        real = e.handle.eval
+
+        def counted(x, real=real, seen=seen):
+            x = np.asarray(x)
+            assert not any(x.shape == s.shape and np.array_equal(x, s) for s in seen), (e.label, x.shape)
+            seen.append(x.copy())
+            return real(x)
+
+        e.handle.eval = counted
+        h = e.handle
+        for n in range(1, 33):
+            best_approx(h, n, params, cfg.approx_grid)
+        for d in cfg.deltas:
+            k_functional(h, d, params, cfg.kdeg, cfg.norm_nodes)
+        for d in cfg.deltas:
+            modulus(h, d, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
+        assert seen, e.label

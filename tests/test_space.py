@@ -1,6 +1,7 @@
 """Weighted-space plumbing: admissibility windows, norms, grids."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -276,3 +277,27 @@ MALFORMED_CALLS = {
 def test_a_malformed_argument_raises_invalid_argument_error(call, name):
     with pytest.raises(InvalidArgumentError, match=f"^{name} "):
         call()
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-9, 1e-8, 1e8, 1e10])
+def test_norm_at_large_p_neither_underflows_nor_overflows(c):
+    # at p = 40, |c|^p leaves the normal floats; the norm is still c times
+    # that of 1, with no RuntimeWarning
+    params = SpaceParams(40.0, 1.2)
+    one = weighted_norm(lambda x: np.ones_like(x), params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = weighted_norm(lambda x: np.full_like(x, c), params)
+    assert abs(got - c * one) <= 1e-14 * c * one
+
+
+def test_norm_of_normal_sums_is_unscaled():
+    # a sum that is a normal float takes no rescaling: bitwise the ordered
+    # sum of weights |v|^p, to the power 1/p
+    rng = np.random.default_rng(5)
+    for p in (1.0, 1.5, 3.0, 40.0):
+        norm = space.discrete_norm(SpaceParams(p, 1.0), 64)
+        v = rng.normal(size=64)
+        want = float(np.cumsum(norm.weights * np.abs(v) ** p)[-1]) ** (1.0 / p)
+        assert norm(v) == want, p
+    assert norm(np.zeros(64)) == 0.0

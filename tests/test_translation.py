@@ -26,6 +26,7 @@ from smoothness_lab import (
 from smoothness_lab.harness import _split_rule, corpus
 from smoothness_lab.quadrature import gauss_legendre, sample
 import smoothness_lab.translation as translation_module
+import smoothness_lab.space as space_module
 from smoothness_lab.approx import k_functional
 from smoothness_lab.space import discrete_norm, weighted_norm
 from smoothness_lab.translation import (
@@ -151,6 +152,26 @@ def test_modulus_frozen_values():
 
 def test_modulus_at_zero():
     assert modulus(lambda x: np.abs(x), 0.0, P21) == 0.0
+
+
+@pytest.mark.parametrize("obj", [np.polynomial.Chebyshev([0.0, 0.0, 1.0]), np.polynomial.Polynomial([0.5, -1.0, 0.0, 2.0])])
+def test_a_numpy_polynomial_declares_no_degree(obj):
+    # numpy's degree() method is not a declared degree: the modulus of the
+    # object is bitwise that of a function that calls it
+    params = SpaceParams(1.5, 11.0 / 12.0)
+    assert modulus(obj, 0.4, params) == modulus(lambda x: obj(x), 0.4, params)
+
+
+def test_a_degree_attribute_of_a_plain_function_is_ignored():
+    # only a FunctionHandle or a PolynomialRep declares a degree; |x| with a
+    # degree attribute of 1 takes the convergence-stopped z-rule, as it does
+    # in best_approx, and is not translated as a linear function
+    params = SpaceParams(1.5, 11.0 / 12.0)
+    f = lambda x: np.abs(x)
+    f.degree = 1
+    got = modulus(f, 0.4, params)
+    assert got == modulus(lambda x: np.abs(x), 0.4, params)
+    assert got == pytest.approx(0.1388, abs=1e-4)
 
 
 @given(d=st.floats(0.01, 0.78), m=st.sampled_from([2, 4]))
@@ -521,7 +542,7 @@ def test_moduli_equal_modulus_per_delta(name):
     for e in corpus(7):
         for deltas in grids:
             want = [modulus(e.handle, d, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes) for d in deltas]
-            translation_module._MODULUS_TRANSLATES.clear()  # the sequence translated afresh, not read from the kept rows
+            space_module._PREPARED.clear()  # the sequence translated afresh, not read from the kept rows
             got = modulus(e.handle, deltas, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
             assert isinstance(got, list) and got == want, (e.label, deltas)
             assert all(type(v) is float for v in got)
@@ -706,7 +727,7 @@ def test_modulus_keeps_the_capped_rows_of_every_y_it_met(label):
     h = CORPUS[label]
     for d in cfg.deltas:
         modulus(h, d, P21, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
-    kept = translation_module._MODULUS_TRANSLATES._entry[1]
+    kept = space_module._PREPARED._entry[1]._slots["modulus"][1]
     joint = _Translates(h, P21, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
     joint.moduli(cfg.deltas)
     assert kept.norms == joint.norms
@@ -727,7 +748,7 @@ def test_kept_capped_rows_own_their_data(params):
     for label in ("|x|", "(1-x)^0.75"):
         for d in cfg.deltas:
             modulus(CORPUS[label], d, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
-        kept = translation_module._MODULUS_TRANSLATES._entry[1]
+        kept = space_module._PREPARED._entry[1]._slots["modulus"][1]
         assert kept.capped, label
         for y, (row, mask) in kept.capped.items():
             assert row.base is None and mask.base is None, (label, y)
