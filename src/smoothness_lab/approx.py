@@ -208,9 +208,10 @@ def _e_setup(prep, params, size):
     def at(n):
         nonlocal last
         cols = np.arange(n) if fold is None else np.arange(fold[1], n, 2)
-        key, kept = tuple(cols), last
-        if kept is None or kept[0] != key:
-            kept = last = key, solve(cols)
+        with prep.lock:
+            key, kept = tuple(cols), last
+            if kept is None or kept[0] != key:
+                kept = last = key, solve(cols)
         argmin, diagnostics, value = kept[1]
         return BestApproxResult(value, argmin, method, dict(diagnostics))
 

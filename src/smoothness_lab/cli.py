@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import fields, replace
 
 from .approx import best_approx
 from .errors import InvalidArgumentError, SmoothnessLabError
-from .harness import SCHEMA_VERSION, Config, _space, _write_report, corpus, emit_report, run_lemma_suite, run_theorem_sweep
+from .harness import SCHEMA_VERSION, Config, _emit, _space, corpus, emit_report, run_lemma_suite, run_theorem_sweep
 from .translation import modulus, multiplier_psi
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
@@ -104,23 +103,7 @@ def _merge_config(args) -> Config:
         raise InvalidArgumentError(f"bad configuration: {e}") from e
 
 
-def _emit_rows(name: str, rows, fmt: str, path):
-    if fmt == "json":
-        payload = {"schema_version": SCHEMA_VERSION, "table": name, "rows": rows}
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    else:
-        cols = sorted({k for row in rows for k in row})
-        lines = [",".join(cols)]
-        for row in rows:
-            lines.append(",".join("" if row.get(c) is None else repr(row[c]) if isinstance(row.get(c), float) else str(row[c]) for c in cols))
-        text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        _write_report(text, path)
-
-
-def _run_table(cfg: Config, op: str, fmt: str, path) -> int:
+def _run_table(cfg: Config, op: str, fmt: str, path) -> str:
     if op == "psi":
         ys = (-0.9, -0.5, 0.0, 0.5, 0.9, 1.0)
         rows = [{"n": n, "y": y, "psi": multiplier_psi(n, y)} for n in range(7) for y in ys]
@@ -138,8 +121,9 @@ def _run_table(cfg: Config, op: str, fmt: str, path) -> int:
             for n in cfg.degrees:
                 res = best_approx(e.handle, n, params, cfg.approx_grid)
                 rows.append({"label": e.label, "n": int(n), "value": res.value, "method": res.method})
-    _emit_rows(op, rows, fmt, path)
-    return 0
+    cols = sorted({k for row in rows for k in row})
+    payload = {"schema_version": SCHEMA_VERSION, "table": op, "rows": rows}
+    return _emit(payload, cols, [[row.get(c) for c in cols] for row in rows], fmt, path)
 
 
 def main(argv=None) -> int:
@@ -150,16 +134,15 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         cfg = _merge_config(args)
-        if args.command == "verify":
-            reports = run_lemma_suite(cfg)
-        elif args.command == "sweep":
-            reports = run_theorem_sweep(cfg)
+        if args.command == "table":
+            text, code = _run_table(cfg, args.op, args.format, args.out), 0
         else:
-            return _run_table(cfg, args.op, args.format, args.out)
-        text = emit_report(reports, args.format, args.out, config=cfg)
+            reports = run_lemma_suite(cfg) if args.command == "verify" else run_theorem_sweep(cfg)
+            text = emit_report(reports, args.format, args.out, config=cfg)
+            code = 1 if any(r.status == "fail" for r in reports) else 0
         if args.out is None:
             sys.stdout.write(text)
-        return 1 if any(r.status == "fail" for r in reports) else 0
+        return code
     except InvalidArgumentError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -7,7 +7,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,10 +35,9 @@ from .jacobi import (
     jacobi_h,
     jacobi_matrix,
     jacobi_poly,
-    poly_lincomb,
 )
 from .quadrature import _panel_rule, gauss_chebyshev, gauss_jacobi, gauss_legendre, integrate, ordered_sum
-from .space import FunctionHandle, SpaceParams, _check_delta, _prepared, discrete_norm, make_grid, sample, validate_params, weighted_norm
+from .space import FunctionHandle, SpaceParams, _check_delta, _declared_degree, _prepared, discrete_norm, make_grid, sample, validate_params, weighted_norm
 from .translation import (
     _Translates,
     _asym_core,
@@ -112,13 +111,6 @@ class Config:
             _check_delta(d, "deltas", below_pi=True)
         if not 0.0 < _real(self.tol_scale, "tol_scale") < math.inf:
             raise InvalidArgumentError(f"tol_scale must be finite and positive, got {self.tol_scale!r}")
-
-    def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = list(v) if isinstance(v, tuple) else v
-        return out
 
 
 @dataclass(frozen=True)
@@ -348,7 +340,7 @@ def run_lemma_suite(config: Config = Config()):
     def translation_identity():
         rows = []
         for e in entries:
-            fx = np.asarray(e.handle(grid16), dtype=float)
+            fx = sample(e.handle, grid16)
             tv = _asym_core(e.handle, 1.0, grid16, cfg.quad_n)
             rows.append({"case": e.label, "value": float(np.max(np.abs(tv - fx)))})
         return _worst(rows), rows, ""
@@ -394,7 +386,7 @@ def run_lemma_suite(config: Config = Config()):
         hs = np.array([jacobi_h(m) for m in range(7)])
         psis = np.array([multiplier_psi(m, y) for m in range(7)])
         for e in entries:
-            fv = np.asarray(e.handle(xs), dtype=float)
+            fv = sample(e.handle, xs)
             tv = _asym_core(e.handle, y, xs, _COEFF_NODES)
             a_f = np.cumsum(basis * (ws * fv)[None, :], axis=1)[:, -1] / hs
             a_t = np.cumsum(basis * (ws * tv)[None, :], axis=1)[:, -1] / hs
@@ -406,7 +398,7 @@ def run_lemma_suite(config: Config = Config()):
         labels = list(handle)
         for y in (-0.5, 0.5):
             xs, ws = _split_rule(_PAIR_NODES, y)
-            values = {e.label: np.asarray(e.handle(xs), dtype=float) for e in entries}
+            values = {e.label: sample(e.handle, xs) for e in entries}
             translated = {e.label: _asym_core(e.handle, y, xs, _PAIR_NODES) for e in entries}
             for i, la in enumerate(labels):
                 for lb in labels[i:]:
@@ -571,7 +563,7 @@ def run_lemma_suite(config: Config = Config()):
             rows.append({"case": f"q={q},m={m},theta_{bound + 1}..{bound + 6}", "value": theta})
             for e in entries:
                 case = f"q={q},m={m},{e.label}"
-                if e.handle.degree is None:
+                if _declared_degree(e.handle) is None:
                     note = "no declared degree: the reference needs the convergence-stopped z-rule at each t"
                     if e.handle.breaks:
                         note = "breaks: the reference's t-integrand has kinks, which 256 t-nodes resolve to about 1e-8"
@@ -600,7 +592,7 @@ def run_lemma_suite(config: Config = Config()):
         norm = discrete_norm(params, cfg.norm_nodes)
         for e in entries:
             proj = expand_in_jacobi(e.handle, cfg.kdeg, n_nodes=max(cfg.norm_nodes, 256))
-            gpoly = poly_lincomb(proj, [jacobi_poly(k, 2, 2) for k in range(cfg.kdeg + 1)])
+            gpoly = _jacobi_series(proj, 2.0)
             fv = sample(e.handle, norm.nodes)
             fnorm = norm(fv)
             base = norm(fv - gpoly(norm.nodes))
@@ -615,7 +607,7 @@ def run_lemma_suite(config: Config = Config()):
     def corpus_determinism():
         xs = make_grid(32)
         pairs = zip(corpus(cfg.seed), corpus(cfg.seed))
-        worst = float(np.max([np.abs(np.asarray(a.handle(xs)) - np.asarray(b.handle(xs))) for a, b in pairs]))
+        worst = float(np.max([np.abs(sample(a.handle, xs) - sample(b.handle, xs)) for a, b in pairs]))
         rows = [{"case": f"seed={cfg.seed}", "value": worst}]
         return _worst(rows), rows, "bitwise identical corpus regeneration"
 
@@ -690,10 +682,11 @@ def run_theorem_sweep(config: Config = Config()):
     max_deg = max(cfg.degrees)
     data = {}
     for e in entries:
-        fnorm = weighted_norm(e.handle, params, cfg.norm_nodes)
         grid = list(cfg.deltas) + [1.0 / n for n in cfg.degrees]  # one translation per y shared by both
         # kept for modulus-k-stability, which integrates only their capped points again
         translates = _Translates(e.handle, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
+        # bitwise weighted_norm(e.handle, params, cfg.norm_nodes), from the samples f's prepared function keeps
+        fnorm = translates.norm(_prepared(e.handle)(translates.norm.nodes))
         oms = translates.moduli(grid)
         omegas = dict(zip(cfg.deltas, oms))
         kvals = {d: k_functional(e.handle, d, params, cfg.kdeg, cfg.norm_nodes).value for d in cfg.deltas}
@@ -834,28 +827,6 @@ def run_theorem_sweep(config: Config = Config()):
     )
 
 
-def _csv_text(reports) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["check_id", "status", "observed", "tolerance", "case", "value", "note"])
-    fmt = lambda v: "" if v is None else repr(float(v))
-    for r in reports:
-        rows = r.details or ({},)
-        for d in rows:
-            writer.writerow(
-                [
-                    r.check_id,
-                    r.status,
-                    fmt(r.observed),
-                    fmt(r.tolerance),
-                    d.get("case", ""),
-                    fmt(d.get("value")),
-                    d.get("note", r.note if not r.details else ""),
-                ]
-            )
-    return buf.getvalue()
-
-
 def emit_report(reports, format: str = "json", path=None, config: Optional[Config] = None) -> str:
     """Serialize reports deterministically; identical inputs give identical bytes.
 
@@ -865,24 +836,40 @@ def emit_report(reports, format: str = "json", path=None, config: Optional[Confi
     """
     if format not in ("json", "csv"):
         raise InvalidArgumentError(f"format must be json or csv, got {format!r}")
-    config_dict = config.to_dict() if config is not None else {}
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "config": asdict(config) if config is not None else {},
+        "checks": [r.as_dict() for r in reports],
+    }
+    header = ["check_id", "status", "observed", "tolerance", "case", "value", "note"]
+    rows = [
+        [r.check_id, r.status, r.observed, r.tolerance]
+        + [d.get("case", ""), d.get("value"), d.get("note", r.note if not r.details else "")]
+        for r in reports
+        for d in r.details or ({},)
+    ]
+    return _emit(payload, header, rows, format, path)
+
+
+def _emit(payload, header, rows, format: str, path) -> str:
+    """The one writer of reports and tables: payload as JSON, or header and rows as CSV, written to path when given.
+
+    JSON is sorted and indented. CSV ends each line with "\n", writes None
+    as an empty cell and a float (np.float64 included) as repr(float(v)),
+    whose repr numpy 2 would otherwise spell np.float64(...).
+    """
     if format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "config": config_dict,
-            "checks": [r.as_dict() for r in reports],
-        }
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
-        text = _csv_text(reports)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
+        text = buf.getvalue()
     if path is not None:
-        _write_report(text, path)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ReportIOError(f"cannot write report to {path!r}: {e}") from e
     return text
-
-
-def _write_report(text: str, path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as e:
-        raise ReportIOError(f"cannot write report to {path!r}: {e}") from e

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 import math
+import threading
 
 import numpy as np
 from numpy.polynomial import chebyshev as ncheb
@@ -22,7 +23,6 @@ __all__ = [
     "apply_D_poly",
     "fourier_jacobi_coeff",
     "expand_in_jacobi",
-    "poly_lincomb",
 ]
 
 
@@ -71,19 +71,6 @@ class PolynomialRep:
 
     def is_zero(self) -> bool:
         return not np.any(self.cheb)
-
-
-def poly_lincomb(weights, polys) -> PolynomialRep:
-    """Linear combination sum_k weights[k] * polys[k] as a PolynomialRep."""
-    weights = list(weights)
-    polys = list(polys)
-    if len(weights) != len(polys) or not polys:
-        raise InvalidArgumentError("need equally many weights and polynomials, at least one")
-    size = max(p.cheb.size for p in polys)
-    out = np.zeros(size)
-    for w, p in zip(weights, polys):
-        out[: p.cheb.size] += w * p.cheb
-    return PolynomialRep(out)
 
 
 def _check_jacobi_args(n, a, b):
@@ -136,9 +123,11 @@ def jacobi_eval(n, a, b, x):
 
 # Rows built by jacobi_matrix, per (a, b, node values), least recently used
 # first. The package uses a handful of node sets per run, each well under
-# _ROWS_BYTES; older sets are dropped once the rows kept exceed it.
+# _ROWS_BYTES; older sets are dropped once the rows kept exceed it. The lock
+# covers each lookup, and each insert with its trim; rows are built outside it.
 _ROWS: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
 _ROWS_BYTES = 1 << 20
+_ROWS_LOCK = threading.Lock()
 
 
 def jacobi_matrix(nmax, x, a=2.0, b=2.0):
@@ -153,14 +142,16 @@ def jacobi_matrix(nmax, x, a=2.0, b=2.0):
     """
     x = np.asarray(x, dtype=float)
     key = (float(a), float(b), x.tobytes())
-    rows = _ROWS.pop(key, None)
+    with _ROWS_LOCK:
+        rows = _ROWS.pop(key, None)
     if rows is None or rows.shape[0] <= nmax:
         raw = np.array(list(_raw_rows(nmax, a, b, np.append(x, 1.0))))
         rows = raw[:, :-1] / raw[:, -1:]
         rows.setflags(write=False)
-    _ROWS[key] = rows
-    while sum(r.nbytes for r in _ROWS.values()) > _ROWS_BYTES:
-        _ROWS.popitem(last=False)
+    with _ROWS_LOCK:
+        _ROWS[key] = rows
+        while sum(r.nbytes for r in _ROWS.values()) > _ROWS_BYTES:
+            _ROWS.popitem(last=False)
     return rows[: nmax + 1]
 
 
@@ -181,41 +172,35 @@ def _cheb_rows(n, a, b):
     return _recurrence(n, a, b, one, affine)
 
 
-@lru_cache(maxsize=512)
-def _poly_cached(n, a, b):
-    raw = deque(_cheb_rows(n, a, b), maxlen=1)[0]
-    return PolynomialRep(raw / np.sum(raw))  # T_k(1) = 1: the sum is the value at 1
-
-
 @lru_cache(maxsize=256)
-def _cheb_matrix(d: int, a: float) -> np.ndarray:
-    """(d+1) x (d+1) matrix whose column k holds the Chebyshev coefficients of P_k^{(a,a)}.
+def _cheb_matrix(d: int, a: float, b: float) -> np.ndarray:
+    """(d+1) x (d+1) matrix whose column k holds the Chebyshev coefficients of P_k^{(a,b)}, P_k(1) = 1.
 
     One run of the recurrence gives every column; column k is normalized by
     the sum of its first k + 1 entries, its value at 1, so it is bitwise
-    jacobi_poly(k, a, a).cheb padded with zeros.
+    jacobi_poly(k, a, b).cheb padded with zeros.
     """
     M = np.empty((d + 1, d + 1))
-    for k, raw in enumerate(_cheb_rows(d, a, a)):
+    for k, raw in enumerate(_cheb_rows(d, a, b)):
         M[:, k] = raw / np.sum(raw[: k + 1])
     M.setflags(write=False)
     return M
 
 
 def _jacobi_series(c, a: float) -> PolynomialRep:
-    """sum_k c[k] P_k^{(a,a)}, summed over k in order as poly_lincomb does, so bitwise equal to it."""
+    """sum_k c[k] P_k^{(a,a)}, summed over k in order, so bitwise the in-order sum of c[k] jacobi_poly(k, a, a)."""
     c = np.asarray(c, dtype=float)
-    return PolynomialRep(np.cumsum(_cheb_matrix(c.size - 1, float(a)) * c, axis=1)[:, -1])
+    return PolynomialRep(np.cumsum(_cheb_matrix(c.size - 1, float(a), float(a)) * c, axis=1)[:, -1])
 
 
 def jacobi_poly(n, a, b) -> PolynomialRep:
-    """Degree-n Jacobi polynomial P_n^{(a,b)}, P_n(1) = 1, in Chebyshev coefficients.
+    """Degree-n Jacobi polynomial P_n^{(a,b)}, P_n(1) = 1, in Chebyshev coefficients: column n of _cheb_matrix.
 
     The recurrence of jacobi_eval runs on Chebyshev coefficients, so the
     result agrees with jacobi_eval to ~1e-14 up to degree 64.
     """
     n, a, b = _check_jacobi_args(n, a, b)
-    return _poly_cached(n, a, b)
+    return PolynomialRep(_cheb_matrix(n, a, b)[:, n])
 
 
 def jacobi_h(n) -> float:

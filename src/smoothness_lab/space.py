@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -162,9 +163,9 @@ class _LastCall:
     breaks match by value. The entry holds f and its eval, so their
     identities cannot be reused while it is kept. A function whose values
     change without any of these changing is not detected. The entry is one
-    attribute, read once and replaced whole, and so are the slots of a
-    _Prepared: concurrent callers may build or sample twice, but never get
-    each other's value.
+    attribute, read once and replaced whole, and each _Prepared guards its
+    state with its own lock: concurrent callers may build or sample twice,
+    but never raise for it or get each other's value.
     """
 
     def __init__(self):
@@ -195,12 +196,18 @@ class _Prepared:
     is sampled once per rule: the samples that the build of a slot takes
     are kept while the slot lives, and shared by every slot. Every call
     gives bitwise the result of a cold one.
+
+    lock, reentrant since a build may build another slot, covers the
+    samples, the slots and the state that their values keep across calls
+    (_Translates.moduli, the last solve of "E"). It is taken before
+    jacobi_matrix's row lock, never after.
     """
 
     def __init__(self, f):
         self.f = f
         self.degree = _declared_degree(f)
         self.breaks = tuple(getattr(f, "breaks", ()))  # read by expand_in_jacobi
+        self.lock = threading.RLock()
         self._samples = {}  # the bytes of a rule's nodes -> f's values there
         self._slots = {}  # name -> (settings, value, the keys of the samples its build took)
         self._taken = set()  # the keys of the samples taken by the build under way, or outside any build
@@ -208,10 +215,11 @@ class _Prepared:
     def __call__(self, nodes):
         """f at the nodes of a rule, sampled once while a slot takes them."""
         key = nodes.tobytes()
-        fv = self._samples.get(key)
-        if fv is None:
-            fv = self._samples[key] = sample(self.f, nodes)
-        self._taken.add(key)
+        with self.lock:
+            fv = self._samples.get(key)
+            if fv is None:
+                fv = self._samples[key] = sample(self.f, nodes)
+            self._taken.add(key)
         return fv
 
     def coefficients(self):
@@ -227,16 +235,17 @@ class _Prepared:
         and no caller outside a build took are dropped. A build may build
         another slot.
         """
-        kept = self._slots.get(name)
-        if kept is not None and kept[0] == settings:
-            return kept[1]
-        self._slots.pop(name, None)
-        outer, self._taken = self._taken, set()
-        value = build()
-        self._slots[name], self._taken = (settings, value, self._taken), outer
-        live = outer.union(*(taken for _, _, taken in self._slots.values()))
-        self._samples = {key: fv for key, fv in self._samples.items() if key in live}
-        return value
+        with self.lock:
+            kept = self._slots.get(name)
+            if kept is not None and kept[0] == settings:
+                return kept[1]
+            self._slots.pop(name, None)
+            outer, self._taken = self._taken, set()
+            value = build()
+            self._slots[name], self._taken = (settings, value, self._taken), outer
+            live = outer.union(*(taken for _, _, taken in self._slots.values()))
+            self._samples = {key: fv for key, fv in self._samples.items() if key in live}
+            return value
 
 
 # the prepared function of the last f asked for: the package's one memo

@@ -434,6 +434,7 @@ class _Translates:
 
     def __init__(self, f, params, t_points, quad_n, norm_nodes):
         prep = _prepared(f)
+        self.lock = prep.lock  # guards norms and capped
         self.fn = _as_callable(f)
         self.degree = prep.degree
         self.t_points = t_points
@@ -468,16 +469,17 @@ class _Translates:
         """
         grids = _t_grids(deltas, self.t_points)
         ys = {y for grid in grids for y in grid}
-        new = sorted(ys - self.norms.keys())
-        if new:
-            self._translate(new)
-        norms = self.norms
-        redo = sorted(ys & self.capped.keys()) if quad_n is not None else []
-        if redo:
-            xs = self.norm.nodes
-            rows = np.array([self.capped[y][0] for y in redo])
-            iy, ix = np.nonzero([self.capped[y][1] for y in redo])
-            tau, _ = _asym_points(self.fn, np.array(redo), iy, xs[ix], quad_n)
-            rows[iy, ix] = tau - self.base[ix]
-            norms = {**norms, **dict(zip(redo, (self.norm(r) for r in rows)))}
-        return [max([0.0] + [norms[y] for y in grid]) for grid in grids]
+        with self.lock:
+            new = sorted(ys - self.norms.keys())
+            if new:
+                self._translate(new)
+            norms = self.norms
+            redo = sorted(ys & self.capped.keys()) if quad_n is not None else []
+            if redo:
+                xs = self.norm.nodes
+                rows = np.array([self.capped[y][0] for y in redo])
+                iy, ix = np.nonzero([self.capped[y][1] for y in redo])
+                tau, _ = _asym_points(self.fn, np.array(redo), iy, xs[ix], quad_n)
+                rows[iy, ix] = tau - self.base[ix]
+                norms = {**norms, **dict(zip(redo, (self.norm(r) for r in rows)))}
+            return [max([0.0] + [norms[y] for y in grid]) for grid in grids]

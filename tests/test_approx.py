@@ -18,6 +18,7 @@ from smoothness_lab import (
     FunctionHandle,
     InvalidArgumentError,
     JacksonParams,
+    PolynomialRep,
     SpaceParams,
     apply_D_poly,
     best_approx,
@@ -32,7 +33,6 @@ from smoothness_lab import (
     k_functional,
     make_grid,
     modulus,
-    poly_lincomb,
     validate_params,
     weighted_norm,
 )
@@ -331,7 +331,7 @@ def test_k_functional_at_degree_64_stays_below_projection_witness():
     delta = 0.05
     res = k_functional(f, delta, P21, max_deg=64)
     coeffs = expand_in_jacobi(f, 64)
-    proj = poly_lincomb(coeffs, [jacobi_poly(k, 2, 2) for k in range(65)])
+    proj = _jacobi_series(coeffs, 2.0)
     proj_val = weighted_norm(lambda x: f(x) - proj(x), P21, 256) + delta**2 * weighted_norm(apply_D_poly(proj), P21, 256)
     assert math.isfinite(res.value)
     assert res.witness.degree <= 64
@@ -400,7 +400,7 @@ def test_k_functional_invariants_in_non_hilbert_spaces(name):
         f = e.handle
         norm = weighted_norm(f, params, cfg.norm_nodes)
         coeffs = expand_in_jacobi(f, cfg.kdeg, n_nodes=max(cfg.norm_nodes, 256))
-        proj = poly_lincomb(coeffs, [jacobi_poly(k, 2, 2) for k in range(cfg.kdeg + 1)])
+        proj = _jacobi_series(coeffs, 2.0)
         proj_err = weighted_norm(lambda x: f(x) - proj(x), params, cfg.norm_nodes)
         proj_d = weighted_norm(apply_D_poly(proj), params, cfg.norm_nodes)
         const_err = best_approx(f, 1, params).value
@@ -571,7 +571,7 @@ SERIES_EXPONENTS = (1.0, 1.5, 11.0 / 6.0, 2.0, 13.0 / 6.0, 2.4, 2.5)
 def test_cheb_matrix_columns_are_jacobi_poly(a):
     # one run of the recurrence builds every column, bitwise the coefficients of jacobi_poly
     for d in (0, 1, 7, 32, 64):
-        M = _cheb_matrix(d, a)
+        M = _cheb_matrix(d, a, a)
         for k in range(d + 1):
             cheb = jacobi_poly(k, a, a).cheb
             assert np.array_equal(M[: cheb.size, k], cheb), (d, k)
@@ -606,8 +606,12 @@ def test_jacobi_series_is_bitwise_poly_lincomb(a):
     for d in range(65):
         for _ in range(5):
             c = rng.standard_normal(d + 1) * rng.choice([1e-8, 1.0, 1e6])
-            want = poly_lincomb(c, [jacobi_poly(k, a, a) for k in range(d + 1)])
-            assert np.array_equal(_jacobi_series(c, a).cheb, want.cheb), d
+            # the in-order sum of c[k] jacobi_poly(k, a, a)
+            want = np.zeros(d + 1)
+            for k in range(d + 1):
+                cheb = jacobi_poly(k, a, a).cheb
+                want[: cheb.size] += c[k] * cheb
+            assert np.array_equal(_jacobi_series(c, a).cheb, PolynomialRep(want).cheb), d
 
 
 def test_k_functional_reports_the_lp_gap(monkeypatch):
@@ -814,7 +818,7 @@ def test_basic_invariants_at_interval_midpoints(p):
             assert value <= prev + slack, (e.label, n)
             prev = value
         coeffs = expand_in_jacobi(f, cfg.kdeg, n_nodes=max(cfg.norm_nodes, 256))
-        proj = poly_lincomb(coeffs, [jacobi_poly(k, 2, 2) for k in range(cfg.kdeg + 1)])
+        proj = _jacobi_series(coeffs, 2.0)
         proj_err = weighted_norm(lambda x: sample(f, x) - proj(x), params, cfg.norm_nodes)
         proj_d = weighted_norm(apply_D_poly(proj), params, cfg.norm_nodes)
         prev = 0.0

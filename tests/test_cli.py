@@ -1,5 +1,7 @@
 """Command-line behavior, exercised through main() without a subprocess."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -81,6 +83,18 @@ def test_table_modulus_csv(capsys, config_file):
     assert lines[0] == "delta,label,modulus"
     # 8 corpus entries across the 7 default deltas
     assert len(lines) == 1 + 8 * 7
+
+
+@pytest.mark.parametrize("op", ["psi", "modulus", "bestapprox"])
+def test_table_csv_holds_the_cells_of_the_json_rows(capsys, config_file, op):
+    # one writer for both formats: a float by its repr, None as an empty cell
+    assert main(["table", "--op", op, "--config", config_file]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert main(["table", "--op", op, "--format", "csv", "--config", config_file]) == 0
+    header, *cells = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert header == sorted({k for row in rows for k in row})
+    cell = lambda v: "" if v is None else repr(v) if isinstance(v, float) else str(v)
+    assert cells == [[cell(row.get(k)) for k in header] for row in rows]
 
 
 def test_table_bestapprox_to_file(tmp_path, capsys, config_file):

@@ -404,3 +404,24 @@ def test_d_image_matches_apply_d_poly_and_the_analytic_image():
         assert abs(norm(got) - norm(want)) <= 1e-14 * norm(want), e.label
         assert norm(got - want) <= 1e-12 * norm(want), e.label
     assert checked == ["1", "x", "x^2", "P_5", "sin(3x)", "random-series"]
+
+
+def test_the_sweep_samples_each_entry_on_its_norm_rule_twice(monkeypatch):
+    # once for the translates and the norm of f, and once more for the K of
+    # modulus-k-stability, after the later entries replaced f's prepared function
+    cfg = Config()
+    nodes = discrete_norm(harness._space(cfg), cfg.norm_nodes).nodes
+    entries = corpus(cfg.seed)
+    counts = dict.fromkeys((e.label for e in entries), 0)
+    for e in entries:
+        real = e.handle.eval
+
+        def counted(x, real=real, label=e.label):
+            x = np.asarray(x)
+            counts[label] += x.shape == nodes.shape and np.array_equal(x, nodes)
+            return real(x)
+
+        e.handle.eval = counted
+    monkeypatch.setattr(harness, "corpus", lambda seed: entries)
+    run_theorem_sweep(cfg)
+    assert counts == dict.fromkeys(counts, 2)

@@ -4,6 +4,8 @@ import gc
 import importlib
 import math
 import pkgutil
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -251,3 +253,48 @@ def test_the_spaces_sequence_samples_each_rule_once(p, alpha):
         for d in cfg.deltas:
             modulus(h, d, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
         assert seen, e.label
+
+
+def test_concurrent_calls_neither_raise_nor_change_a_value():
+    # four threads make 40 rounds each of k_functional, best_approx and
+    # modulus calls, on |x| or sin(3x) and at settings drawn per round, so
+    # that the slots, the one memo and the rows of jacobi_matrix keep being
+    # replaced while the interpreter switches threads as often as it can
+    handles = [e.handle for e in corpus(7) if e.label in ("|x|", "sin(3x)")]
+    spaces = (SpaceParams(1.5, 11.0 / 12.0), SpaceParams(3.0, 13.0 / 12.0), SpaceParams(1.0, 0.75))
+    settings = [(h, params, nodes, kdeg) for h in handles for params in spaces for nodes in (16, 22, 28) for kdeg in (4, 6, 8)]
+
+    def values(h, params, nodes, kdeg):
+        return (
+            k_functional(h, 0.4, params, kdeg, nodes).value,
+            best_approx(h, kdeg, params, nodes).value,
+            modulus(h, 0.4, params, 4, 16, nodes),
+        )
+
+    cold = []
+    for s in settings:
+        _cold()
+        cold.append(values(*s))
+    _cold()
+    errors, wrong = [], []
+
+    def worker(seed):
+        try:
+            for i in np.random.default_rng(seed).integers(len(settings), size=40):
+                if values(*settings[i]) != cold[i]:
+                    wrong.append(settings[i])
+        except Exception as e:  # noqa: BLE001 - reported by the assertion below
+            errors.append(repr(e))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and wrong == []
