@@ -147,8 +147,8 @@ def test_operator_is_linear_on_modes(m, n, a, b):
     def combo_of(u, v):
         # u pm + v pn, summed in that order
         c = np.zeros(max(m, n) + 1)
-        c[: m + 1] += u * pm.cheb
-        c[: n + 1] += v * pn.cheb
+        c[: pm.cheb.size] += u * pm.cheb
+        c[: pn.cheb.size] += v * pn.cheb
         return PolynomialRep(c)
 
     combo = combo_of(a, b)
