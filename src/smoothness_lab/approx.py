@@ -57,11 +57,11 @@ class BestApproxResult:
     256-node weighted_norm, so it is consistent with the public norm by
     construction, and the two rules coincide at the default grid_n = 256.
     diagnostics always holds grid_n (the node count of the solve rule) and
-    iterations (0 for the projection and the exact fit); lp-interior-point
-    also reports gap, the LP's final relative duality gap (or its relative
-    residual, if larger). method is "exact-fit" when f declares a degree d
-    < n: argmin is then f itself, no solver runs, and grid_n is d + 1, the
-    nodes of its Chebyshev interpolant.
+    iterations (0 for the exact fit); lp-interior-point also reports gap,
+    the LP's final relative duality gap (or its relative residual, if
+    larger). method is "exact-fit" when f declares a degree d < n: argmin
+    is then f itself, no solver runs, and grid_n is d + 1, the nodes of its
+    Chebyshev interpolant.
     """
 
     value: float
@@ -74,13 +74,15 @@ def best_approx(f, n, params, grid_n: int = 256) -> BestApproxResult:
     """Best approximation of f from polynomials of degree < n in L_{p,alpha}.
 
     n is the dimension of the approximating space (degree bound n - 1),
-    1 <= n <= 64. p = 2 uses an exact weighted projection. Other p minimise
-    the norm of f - P on the solve rule discrete_norm(params, max(grid_n,
-    2n)): p in {1, inf} exactly, through the dual of the linear program by
-    an interior-point method; 1 < p < inf by damped Newton steps, the IRLS
-    direction taken at the Newton length 1 / (p - 1) and halved until the
-    objective decreases. The reported value is measured on the 256-node
-    weighted_norm, which may differ from the solve rule.
+    1 <= n <= 64. The norm of f - P is minimised on the solve rule
+    discrete_norm(params, max(grid_n, 2n)): p in {1, inf} exactly, through
+    the dual of the linear program by an interior-point method; 1 < p < inf
+    by damped Newton steps, the IRLS direction taken at the Newton length
+    1 / (p - 1) and halved until the objective decreases. Newton starts
+    from the weighted least-squares fit, which at p = 2 is the minimiser,
+    so there its first step finds nothing to move. The reported value is
+    measured on the 256-node weighted_norm, which may differ from the solve
+    rule.
 
     A function that declares a degree d < n (a PolynomialRep, or a
     FunctionHandle through its degree) lies in the space and is its own
@@ -89,10 +91,10 @@ def best_approx(f, n, params, grid_n: int = 256) -> BestApproxResult:
     {"grid_n": d + 1, "iterations": 0}. grid_n must be a positive integer
     on every path.
 
-    Outside p = 2, f exactly even or odd on the solve rule is solved on the
-    half x > 0 of the rule and on the Chebyshev columns of its parity
-    (_fold), so the two n of a parity pair (n = 2m - 1 and 2m for an even
-    f, 2m and 2m + 1 for an odd f) share one solve.
+    f exactly even or odd on the solve rule is solved on the half x > 0 of
+    the rule and on the Chebyshev columns of its parity (_fold), so the two
+    n of a parity pair (n = 2m - 1 and 2m for an even f, 2m and 2m + 1 for
+    an odd f) share one solve.
     """
     n = _integer(n, "dimension", 1, MAX_APPROX_DIM)
     grid_n = _integer(grid_n, "grid_n", 1)
@@ -120,18 +122,6 @@ def _exact_fit(prep, params):
         argmin = PolynomialRep(coeffs)
     report = discrete_norm(params, 256)
     return report(prep(report.nodes) - argmin(report.nodes)), argmin
-
-
-def _best_l2(norm, fv, alpha, n):
-    # the projection of fv on the polynomials of degree < n: the rule of the
-    # norm has weight (1-x^2)^(2 alpha), under which the (2 alpha, 2 alpha)
-    # Jacobi basis is orthogonal
-    a = 2.0 * alpha
-    basis = jacobi_matrix(n - 1, norm.nodes, a, a)
-    wf = norm.weights * fv
-    numer = np.cumsum(basis * wf[None, :], axis=1)[:, -1]
-    denom = np.cumsum(basis * basis * norm.weights[None, :], axis=1)[:, -1]
-    return _jacobi_series(numer / denom, a)
 
 
 def _fold(nodes, weights, fv):
@@ -166,41 +156,36 @@ def _e_setup(prep, params, size):
     """The n-free work of best_approx on the solve rule discrete_norm(params, size), as the function of n that finishes it.
 
     Done here once: the samples of f on the solve rule and on the 256-node
-    report rule, and outside p = 2 the fold of the solve rule (_fold).
-    argmin minimises the norm on the solve rule (the projection of _best_l2
-    at p = 2), and the error is reported on the report rule. On a fold, n
-    fits the Chebyshev columns T_k, k < n, of f's parity on the half rule,
-    and the other coefficients are 0; an odd f at n = 1 has no column, and
-    its argmin is 0 with 0 iterations (and gap 0.0 at p in {1, inf}). The
-    last solve is kept with its column set, so the second n of a parity
-    pair runs no solver.
+    report rule, and the fold of the solve rule (_fold). argmin minimises
+    the norm on the solve rule, and the error is reported on the report
+    rule. On a fold, n fits the Chebyshev columns T_k, k < n, of f's parity
+    on the half rule, and the other coefficients are 0; an odd f at n = 1
+    has no column, and its argmin is 0 with 0 iterations (and gap 0.0 at p
+    in {1, inf}). The last solve is kept with its column set, so the second
+    n of a parity pair runs no solver.
     """
     norm = discrete_norm(params, size)
     fv = prep(norm.nodes)
     report = discrete_norm(params, 256)
     report_fv = prep(report.nodes)
-    l2 = params.p == 2.0
-    fold = None if l2 else _fold(norm.nodes, norm.weights, fv)
+    fold = _fold(norm.nodes, norm.weights, fv)
     half = slice(None) if fold is None else fold[0]
     nodes, sv, w = norm.nodes[half], fv[half], norm.weights[half]
     scale = float(np.max(np.abs(fv))) or 1.0
     lp = params.p == 1.0 or params.is_sup
-    method = "l2-projection" if l2 else "lp-interior-point" if lp else "irls-grid"
+    method = "lp-interior-point" if lp else "irls-grid"
 
     def solve(cols):
         diagnostics = {"grid_n": norm.nodes.size, "iterations": 0}
-        if l2:
-            argmin = _best_l2(norm, fv, params.alpha, cols.size)
-        else:
-            coeffs = np.zeros(cols[-1] + 1 if cols.size else 1)
-            V = ncheb.chebvander(nodes, coeffs.size - 1)
-            V = V if fold is None else V[:, cols]
-            # an odd f at n = 1 has no column: _lp_fit returns at once, and Newton is not run
-            if lp:
-                coeffs[cols], diagnostics["iterations"], diagnostics["gap"] = _lp_fit(params.p, [(V, sv, w)])
-            elif cols.size:
-                coeffs[cols], diagnostics["iterations"] = _damped_newton(sv, V, w, params.p, scale)
-            argmin = PolynomialRep(coeffs)
+        coeffs = np.zeros(cols[-1] + 1 if cols.size else 1)
+        V = ncheb.chebvander(nodes, coeffs.size - 1)
+        V = V if fold is None else V[:, cols]
+        # an odd f at n = 1 has no column: _lp_fit returns at once, and Newton is not run
+        if lp:
+            coeffs[cols], diagnostics["iterations"], diagnostics["gap"] = _lp_fit(params.p, [(V, sv, w)])
+        elif cols.size:
+            coeffs[cols], diagnostics["iterations"] = _damped_newton(sv, V, w, params.p, scale)
+        argmin = PolynomialRep(coeffs)
         return argmin, diagnostics, report(report_fv - argmin(report.nodes))
 
     last = None  # (column set, (argmin, diagnostics, value)) of the last solve
@@ -526,7 +511,7 @@ def jackson_operator(f, params: JacksonParams) -> PolynomialRep:
             f"degree bound (q+2)(m-1) = {bound} exceeds the supported {MAX_WITNESS_DEG}"
         )
     moments = _jackson_moments(params, bound)
-    return _jacobi_series(moments / moments[0] * expand_in_jacobi(f, bound), 2.0)
+    return _jacobi_series(moments / moments[0] * expand_in_jacobi(f, bound))
 
 
 _JACKSON_T_NODES = 256
@@ -622,12 +607,12 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
       the linear program by the interior-point method of best_approx, with
       one block of rows for each of the two norms.
 
-    Outside the separable case the best constant, the minimiser on the face
-    Dg = 0, is a candidate too (weighted median at p = 1, exact minimax
-    constant at p = inf, a damped Newton fit otherwise); it keeps K exact
-    to rounding on constants. The zero, projection, constant (outside the
-    separable case) and solver candidates are scored on J, as norm(fv -
-    J^T c) + delta^2 norm(J^T (lam c)), and only the best becomes a
+    In every space the best constant, the minimiser on the face Dg = 0, is
+    a candidate too (weighted median at p = 1, exact minimax constant at
+    p = inf, a damped Newton fit otherwise); it keeps K exact to rounding
+    on constants, and K never above its error at any delta. The zero,
+    projection, constant and solver candidates are scored on J, as norm(fv
+    - J^T c) + delta^2 norm(J^T (lam c)), and only the best becomes a
     polynomial g. The reported value, norm(f - g) + delta^2 norm(Dg), is
     recomputed from g, so it never exceeds any candidate's by more than the
     rounding of those scores. It equals weighted_norm(f - g, params,
@@ -640,7 +625,8 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFun
     evaluations of the path slope by _log_root, the two at the ends of its
     bracket included (0 when the scan minimum is at an end of the scan).
     gap is the interior-point solve's final gap at p in {1, inf}, whichever
-    candidate wins, and None otherwise.
+    candidate wins, and None otherwise. delta^2 is capped at 1e300, far past
+    the face threshold (_const_face), where K is flat at the best constant.
 
     Outside the separable case, f exactly even or odd on the rule is solved
     on the half x > 0 of the rule and on the rows of J of its parity
@@ -663,15 +649,15 @@ def _k_setup(prep, params, max_deg, quad_n):
     """The delta-free work of k_functional, as the function of delta that finishes it.
 
     Done here once: the samples of f, J, the projection c_proj and the
-    scores of the candidates that do not depend on delta (zero, projection,
-    and the best constant outside the separable case). In the separable
-    case also the projection a on the rule, its residual tail2 and the
-    terms of the 362-point scan; at 1 < p < inf also the face test of
-    _newton_k at the best constant (_const_face). On a fold (_fold) the
-    solvers and _const_face get the half rule and the rows of J, lam,
-    c_proj and the constant of f's parity, and their coefficients are
-    widened with zeros. For an odd f the face Dg = 0 of the odd rows is the
-    point 0: the constant there is 0, and the descent takes every odd row.
+    scores of the candidates that do not depend on delta (zero, projection
+    and the best constant). In the separable case also the projection a
+    on the rule, its residual tail2 and the terms of the 362-point scan; at
+    1 < p < inf also the face test of _newton_k at the best constant
+    (_const_face). On a fold (_fold) the solvers and _const_face get the
+    half rule and the rows of J, lam, c_proj and the constant of f's
+    parity, and their coefficients are widened with zeros. For an odd f
+    the face Dg = 0 of the odd rows is the point 0: the constant there is
+    0, and the descent takes every odd row.
     """
     norm = discrete_norm(params, quad_n)
     xs = norm.nodes
@@ -680,15 +666,14 @@ def _k_setup(prep, params, max_deg, quad_n):
     lam = _d_eigenvalues(max_deg)
     p = params.p
     c_proj = expand_in_jacobi(prep, max_deg, n_nodes=max(int(quad_n), 256))
-    candidates = [np.zeros(max_deg + 1), c_proj]
+    scale = float(np.max(np.abs(fv))) or 1.0
+    const = np.zeros(max_deg + 1)
+    const[0] = _best_constant(fv, norm, scale)
+    candidates = [np.zeros(max_deg + 1), c_proj, const]
 
     if p == 2.0 and params.alpha == 1.0:
         solve = _separable_solver(fv, J, lam, norm.weights)
     else:
-        scale = float(np.max(np.abs(fv))) or 1.0
-        const = np.zeros(max_deg + 1)
-        const[0] = _best_constant(fv, norm, scale)
-        candidates.append(const)
         # on a fold the solvers take the half rule and the rows of f's parity
         fold = _fold(xs, norm.weights, fv)
         half, rows = (slice(None),) * 2 if fold is None else (fold[0], np.arange(fold[1], max_deg + 1, 2))
@@ -717,13 +702,13 @@ def _k_setup(prep, params, max_deg, quad_n):
     fixed = [(norm(r), norm(u)) for r, u in zip(fv - C @ J, (C * lam) @ J)]
 
     def at(delta):
-        d2 = delta * delta
+        d2 = min(delta * delta, 1e300)  # K is flat past the face threshold
         best_c, iterations, gap = solve(d2)
         # the product of all candidates: a row alone may round differently
         C = np.array(candidates + [best_c])
         r, u = fv - C @ J, (C * lam) @ J
         scores = [nr + d2 * nu for nr, nu in fixed] + [norm(r[-1]) + d2 * norm(u[-1])]
-        best_poly = _jacobi_series(C[int(np.argmin(scores))], 2.0)
+        best_poly = _jacobi_series(C[int(np.argmin(scores))])
         best_val = norm(fv - best_poly(xs)) + d2 * norm(apply_D_poly(best_poly)(xs))
         return KFunctionalResult(float(best_val), best_poly, delta, max_deg, iterations, gap)
 

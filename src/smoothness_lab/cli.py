@@ -13,9 +13,10 @@ from .translation import modulus, multiplier_psi
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
 # Keys of retired Config fields that older config files still set, ignored
-# with a warning: the old Jackson operator's t- and z-rules, and the fixed
-# rules of self-adjointness, coefficient-multiplier and l2-optimality.
-_RETIRED_KEYS = ("jackson_quad", "jackson_t_nodes", "pair_nodes", "pair_quad", "coeff_nodes", "coeff_quad")
+# with a warning: the old Jackson operator's t- and z-rules, the fixed rules
+# of self-adjointness, coefficient-multiplier and l2-optimality, and the
+# factor that scaled every check's tolerance.
+_RETIRED_KEYS = ("jackson_quad", "jackson_t_nodes", "pair_nodes", "pair_quad", "coeff_nodes", "coeff_quad", "tol_scale")
 
 
 def _parse_value(key: str, raw: str):
@@ -25,7 +26,7 @@ def _parse_value(key: str, raw: str):
             return tuple(float(s) for s in raw.split(",") if s.strip())
         if key in ("degrees",):
             return tuple(int(s) for s in raw.split(",") if s.strip())
-        if key in ("p", "alpha", "tol_scale"):
+        if key in ("p", "alpha"):
             return float(raw)
         return int(raw)
     except ValueError as e:
@@ -62,7 +63,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--p", type=float, default=None, help="norm exponent (accepts inf)")
     sub.add_argument("--alpha", type=float, default=None, help="weight exponent")
     sub.add_argument("--quad-nodes", type=int, default=None, dest="quad_n", help="inner quadrature nodes")
-    sub.add_argument("--tol", type=float, default=None, dest="tol_scale", help="tolerance scale factor")
     sub.add_argument("--seed", type=int, default=None, help="corpus seed")
     sub.add_argument("--out", default=None, help="report path (default stdout)")
     sub.add_argument("--format", default="json", choices=("json", "csv"), help="report format")
@@ -89,7 +89,7 @@ def _merge_config(args) -> Config:
     over = {}
     if args.config is not None:
         over.update(_load_config_file(args.config))
-    for key in ("p", "alpha", "quad_n", "tol_scale", "seed", "kdeg"):
+    for key in ("p", "alpha", "quad_n", "seed", "kdeg"):
         val = getattr(args, key, None)
         if val is not None:
             over[key] = val

@@ -44,12 +44,15 @@ def _real(v, name: str) -> float:
     return float(v)
 
 
-def _reals(v, name: str) -> np.ndarray:
-    """v as a float array, if numpy reads it as an array of integers or floats (not of bools or strings)."""
+def _reals(v, name: str, slack=None) -> np.ndarray:
+    """v as a float array, if numpy reads it as an array of integers or floats (not of bools or strings); given slack, also within [-1 - slack, 1 + slack]."""
     try:
         kind = np.asarray(v).dtype.kind
     except (TypeError, ValueError):
         kind = None
     if kind not in ("i", "u", "f"):
         raise InvalidArgumentError(f"{name} must be a real number or an array of them, got {v!r}")
-    return np.asarray(v, dtype=float)
+    out = np.asarray(v, dtype=float)
+    if slack is not None and not np.all(np.abs(out) <= 1.0 + slack):
+        raise InvalidArgumentError(f"{name} must lie in [-1, 1]")
+    return out

@@ -81,7 +81,6 @@ class Config:
     t_points: int = 16
     kdeg: int = 32
     seed: int = 7
-    tol_scale: float = 1.0
     deltas: tuple = (0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.4)
     degrees: tuple = (2, 4, 8, 16, 32)
     approx_grid: int = 512
@@ -109,8 +108,6 @@ class Config:
                 raise InvalidArgumentError(f"degrees must be at most {MAX_APPROX_DIM}, got {n!r}")
         for d in self.deltas:
             _check_delta(d, "deltas", below_pi=True)
-        if not 0.0 < _real(self.tol_scale, "tol_scale") < math.inf:
-            raise InvalidArgumentError(f"tol_scale must be finite and positive, got {self.tol_scale!r}")
 
 
 @dataclass(frozen=True)
@@ -151,7 +148,7 @@ def corpus(seed: int = 7):
     _integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     series_coeffs = rng.uniform(-1.0, 1.0, 13) * (1.0 + np.arange(13.0)) ** -3.0
-    series_poly = _jacobi_series(series_coeffs, 2.0)
+    series_poly = _jacobi_series(series_coeffs)
     p5 = jacobi_poly(5, 2, 2)
     entries = [
         CorpusEntry("1", FunctionHandle(eval=lambda x: np.ones_like(np.asarray(x, dtype=float)), degree=0), "polynomial"),
@@ -206,9 +203,9 @@ def _run(check_id: str, tolerance: Optional[float], fn: Callable[[], tuple]) -> 
     return VerificationReport(check_id, status, observed, tolerance, tuple(details), note, elapsed)
 
 
-def _run_checks(cfg: Config, checks) -> list:
-    """Run a table of (check_id, tolerance, fn) in order, each tolerance scaled by tol_scale."""
-    return [_run(cid, None if tol is None else tol * cfg.tol_scale, fn) for cid, tol, fn in checks]
+def _run_checks(checks) -> list:
+    """Run a table of (check_id, tolerance, fn) in order."""
+    return [_run(cid, tol, fn) for cid, tol, fn in checks]
 
 
 def _worst(rows) -> float:
@@ -514,8 +511,8 @@ def run_lemma_suite(config: Config = Config()):
         for label in ("x^2", "sin(3x)", "|x|"):
             h = handle[label]
             for n in (4, 8):
-                # orthogonality must be tested on the rule the projection
-                # itself uses; any other rule measures quadrature error of
+                # orthogonality must be tested on the rule best_approx
+                # solves on; any other rule measures quadrature error of
                 # the integrand instead of optimality
                 rule = discrete_norm(p21, max(_COEFF_NODES, 2 * n))
                 fv = sample(h, rule.nodes)
@@ -592,7 +589,7 @@ def run_lemma_suite(config: Config = Config()):
         norm = discrete_norm(params, cfg.norm_nodes)
         for e in entries:
             proj = expand_in_jacobi(e.handle, cfg.kdeg, n_nodes=max(cfg.norm_nodes, 256))
-            gpoly = _jacobi_series(proj, 2.0)
+            gpoly = _jacobi_series(proj)
             fv = sample(e.handle, norm.nodes)
             fnorm = norm(fv)
             base = norm(fv - gpoly(norm.nodes))
@@ -616,7 +613,6 @@ def run_lemma_suite(config: Config = Config()):
     translate = lambda e, tt, xs, qn: _asym_core(e.handle, math.cos(tt), xs, qn)
     rotate = lambda e, tt, xs, qn: abs_rotation_average(e.handle.eval, tt, xs, qn)
     return _run_checks(
-        cfg,
         [
             ("quadrature-exactness", 1e-12, quadrature_exactness),
             ("quadrature-doubling", 1e-8, quadrature_doubling),
@@ -815,7 +811,6 @@ def run_theorem_sweep(config: Config = Config()):
         return 4.0 * d[32] / d[4], rows, "kink error decays by at least 4x from degree 4 to 32"
 
     return _run_checks(
-        cfg,
         [
             ("modulus-k-equivalence", 100.0, modulus_k_equivalence),
             ("modulus-k-damped-window", 100.0, modulus_k_damped_window),

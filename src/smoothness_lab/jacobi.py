@@ -113,9 +113,7 @@ def jacobi_eval(n, a, b, x):
     divides by its value at 1.
     """
     n, a, b = _check_jacobi_args(n, a, b)
-    xv = _reals(x, "x")
-    if not np.all(np.abs(xv) <= 1.0 + 1e-12):
-        raise InvalidArgumentError("x must lie in [-1, 1]")
+    xv = _reals(x, "x", 1e-12)
     raw = deque(_raw_rows(n, a, b, np.append(xv, 1.0)), maxlen=1)[0]
     out = (raw[:-1] / raw[-1]).reshape(xv.shape)
     return float(out) if np.isscalar(x) or xv.shape == () else out
@@ -131,7 +129,7 @@ _ROWS_LOCK = threading.Lock()
 
 
 def jacobi_matrix(nmax, x, a=2.0, b=2.0):
-    """Rows P_0..P_nmax (normalized at 1) evaluated on a 1-d array, as a read-only array.
+    """Rows P_0..P_nmax (normalized at 1) evaluated on a 1-d array x in [-1, 1], as a read-only array.
 
     The recurrence runs on the points with 1 appended, and each row is
     divided by its last entry, its value at 1. The rows of each node set
@@ -140,8 +138,11 @@ def jacobi_matrix(nmax, x, a=2.0, b=2.0):
     run built so far; P_0..P_nmax do not depend on how far the recurrence
     runs, so the slice is bitwise the rows a fresh run would give.
     """
-    x = np.asarray(x, dtype=float)
-    key = (float(a), float(b), x.tobytes())
+    nmax, a, b = _check_jacobi_args(nmax, a, b)
+    x = _reals(x, "x", 1e-12)
+    if x.ndim != 1:
+        raise InvalidArgumentError(f"x must be a 1-d array, got shape {x.shape}")
+    key = (a, b, x.tobytes())
     with _ROWS_LOCK:
         rows = _ROWS.pop(key, None)
     if rows is None or rows.shape[0] <= nmax:
@@ -187,10 +188,10 @@ def _cheb_matrix(d: int, a: float, b: float) -> np.ndarray:
     return M
 
 
-def _jacobi_series(c, a: float) -> PolynomialRep:
-    """sum_k c[k] P_k^{(a,a)}, summed over k in order, so bitwise the in-order sum of c[k] jacobi_poly(k, a, a)."""
+def _jacobi_series(c) -> PolynomialRep:
+    """sum_k c[k] P_k^{(2,2)}, summed over k in order, so bitwise the in-order sum of c[k] jacobi_poly(k, 2, 2)."""
     c = np.asarray(c, dtype=float)
-    return PolynomialRep(np.cumsum(_cheb_matrix(c.size - 1, float(a), float(a)) * c, axis=1)[:, -1])
+    return PolynomialRep(np.cumsum(_cheb_matrix(c.size - 1, 2.0, 2.0) * c, axis=1)[:, -1])
 
 
 def jacobi_poly(n, a, b) -> PolynomialRep:

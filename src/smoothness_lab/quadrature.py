@@ -92,22 +92,31 @@ class QuadratureRule:
 
 
 def _last_two(x, off):
-    """p_n, p_n', p_{n-1} and p_{n-1}' at x, the first two times off[n-1].
+    """p_n, p_n', p_{n-1} and p_{n-1}' at x, the first two times off[n-1], each divided by exp(log_s); and log_s.
 
     p_k are the orthonormal polynomials of the recurrence with zero
     diagonal and off-diagonal off, scaled to p_0 = 1:
-    off[k] p_{k+1} = x p_k - off[k-1] p_{k-1}.
+    off[k] p_{k+1} = x p_k - off[k-1] p_{k-1}. They overflow near the ends
+    at a large exponent, hence log_s; it is 0 for a <= 48 and n <= 4096.
     """
     n = off.size + 1
     p_prev, p = np.zeros_like(x), np.ones_like(x)
     d_prev, d = np.zeros_like(x), np.zeros_like(x)
+    log_s = np.zeros_like(x)
     for k in range(n):
         beta = off[k - 1] if k else 0.0
         scale = off[k] if k < n - 1 else 1.0
         p_next = (x * p - beta * p_prev) / scale
         d_prev, d = d, (p + x * d - beta * d_prev) / scale
         p_prev, p = p, p_next
-    return p, d, p_prev, d_prev
+        if k % 8 == 7 or k == n - 1:
+            # values past 1e100 are divided by their size; they grow < (2.5 sqrt(2a + 3))^8 in 8 steps
+            size = np.maximum(np.abs(p), np.abs(p_prev))
+            if size.max() > 1e100:
+                size[size <= 1e100] = 1.0
+                p, d, p_prev, d_prev = p / size, d / size, p_prev / size, d_prev / size
+                log_s += np.log(size)
+    return p, d, p_prev, d_prev, log_s
 
 
 def _newton_christoffel(x, off, a, mu0):
@@ -119,22 +128,23 @@ def _newton_christoffel(x, off, a, mu0):
     Christoffel-Darboux the sum is P' p_{n-1} - p_{n-1}' P, at a zero of P
     just P' p_{n-1}. Both factors are carried to x + h to first order in h,
     with P'' from the Jacobi differential equation
-    (1 - x^2) y'' = (2 a + 2) x y' - n (n + 2 a + 1) y.
+    (1 - x^2) y'' = (2 a + 2) x y' - n (n + 2 a + 1) y. exp(-2 log_s)
+    undoes the scale of _last_two on both factors.
     """
     n = off.size + 1
-    p_n, d_n, p_m, d_m = _last_two(x, off)
+    p_n, d_n, p_m, d_m, log_s = _last_two(x, off)
     h = -p_n / d_n
     dd_n = ((a + a + 2.0) * x * d_n - n * (n + a + a + 1.0) * p_n) / ((1.0 - x) * (1.0 + x))
-    return x + h, mu0 / ((d_n + dd_n * h) * (p_m + d_m * h))
+    return x + h, mu0 / ((d_n + dd_n * h) * (p_m + d_m * h)) * np.exp(-2.0 * log_s)
 
 
 def _golub_welsch(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     # Recurrence coefficients of monic Jacobi polynomials for weight
     # (1-x^2)^a; see Gautschi, "Orthogonal Polynomials", table 1.1. The
-    # diagonal is zero.
-    mu0 = 2.0 ** (a + a + 1.0) * math.exp(
-        math.lgamma(a + 1.0) + math.lgamma(a + 1.0) - math.lgamma(a + a + 2.0)
-    )
+    # diagonal is zero. mu0 = 2^(2a+1) Gamma(a+1)^2 / Gamma(2a+2), in log
+    # space before 2^(2a+1) overflows and the gamma quotient underflows.
+    gammas = math.lgamma(a + 1.0) + math.lgamma(a + 1.0) - math.lgamma(a + a + 2.0)
+    mu0 = 2.0 ** (a + a + 1.0) * math.exp(gammas) if a < 500.0 else math.exp((a + a + 1.0) * math.log(2.0) + gammas)
     if n == 1:
         return np.array([0.0]), np.array([mu0])
     k = np.arange(1, n, dtype=float)
@@ -154,6 +164,8 @@ def _golub_welsch(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     square_off = o[1 : 2 * m - 2 : 2] * o[2 : 2 * m - 1 : 2]
     x = np.sqrt(eigh_tridiagonal(square_diag, square_off, eigvals_only=True))
     x, w = _newton_christoffel(np.concatenate(([0.0], x)) if n % 2 else x, off, a, mu0)
+    if not np.all(w > 0.0):
+        raise InvalidArgumentError(f"node count {n} is too large for jacobi exponent {a:g}: the smallest weight underflows")
     return np.concatenate((-x[::-1][:m], x)), np.concatenate((w[::-1][:m], w))
 
 

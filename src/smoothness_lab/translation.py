@@ -29,11 +29,12 @@ __all__ = [
 
 
 def _check_cube(x, z, y):
-    """x, z and y as float arrays, each checked to lie in [-1, 1]."""
-    arrays = tuple(_reals(v, name) for name, v in zip("xzy", (x, z, y)))
-    for name, v in zip("xzy", arrays):
-        if not np.all(np.isfinite(v)) or np.any(np.abs(v) > 1.0):
-            raise InvalidArgumentError(f"{name} must lie in [-1, 1]")
+    """x, z and y as float arrays, each checked to lie in [-1, 1], and together to broadcast to one shape."""
+    arrays = tuple(_reals(v, name, 0.0) for name, v in zip("xzy", (x, z, y)))
+    try:
+        np.broadcast_shapes(*(v.shape for v in arrays))
+    except ValueError:
+        raise InvalidArgumentError(f"x, z and y must broadcast to one shape, got {', '.join(str(v.shape) for v in arrays)}") from None
     return arrays
 
 

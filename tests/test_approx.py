@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -70,7 +71,7 @@ ABS_ERRORS = {
 def test_projection_error_of_square():
     # x^2 = P_0/7 + (6/7) P_2, so the degree-1 error is (6/7) sqrt(h_2)
     res = best_approx(lambda x: x * x, 2, P21)
-    assert res.method == "l2-projection"
+    assert res.method == "irls-grid"
     assert res.value == pytest.approx((24.0 / 7.0) / math.sqrt(405.0), rel=1e-12)
 
 
@@ -78,6 +79,39 @@ def test_projection_error_of_odd_function():
     # constants cannot see an odd function
     res = best_approx(lambda x: np.asarray(x, dtype=float), 1, P21)
     assert res.value == pytest.approx(math.sqrt(16.0 / 105.0), rel=1e-12)
+
+
+def _l2_projection_error(f, n, params, grid_n=256):
+    """E_n at p = 2 by projection: the (2 alpha, 2 alpha) Jacobi series of f on best_approx's solve rule, measured on its report rule.
+
+    The solve rule has weight (1-x^2)^(2 alpha), under which that basis is
+    orthogonal, so each coefficient is one quotient of inner products.
+    """
+    norm = discrete_norm(params, max(grid_n, 2 * n))
+    a = 2.0 * params.alpha
+    basis = jacobi_matrix(n - 1, norm.nodes, a, a)
+    numer = np.cumsum(basis * (norm.weights * sample(f, norm.nodes))[None, :], axis=1)[:, -1]
+    denom = np.cumsum(basis * basis * norm.weights[None, :], axis=1)[:, -1]
+    cheb = np.zeros(n)
+    for k, c in enumerate(numer / denom):
+        col = jacobi_poly(k, a, a).cheb
+        cheb[: col.size] += c * col
+    proj = PolynomialRep(cheb)
+    return weighted_norm(lambda x: sample(f, x) - proj(x), params)
+
+
+@pytest.mark.parametrize("alpha", [0.8, 1.0, 1.2])
+def test_p2_best_approx_is_the_projection(alpha):
+    # p = 2 runs the damped Newton solver of every 1 < p < inf; its first
+    # iterate, the weighted least-squares fit, is the projection
+    params = SpaceParams(2.0, alpha)
+    for seed in (7, 11):
+        for e in corpus(seed):
+            fnorm = weighted_norm(e.handle, params)
+            for n in range(1, 65):
+                res = best_approx(e.handle, n, params)
+                assert res.method in ("irls-grid", "exact-fit"), (e.label, n)
+                assert abs(res.value - _l2_projection_error(e.handle, n, params)) <= 1e-14 * fnorm, (seed, e.label, n)
 
 
 @pytest.mark.parametrize("n,value", sorted(ABS_ERRORS.items()))
@@ -200,11 +234,9 @@ def test_damped_newton_at_p20_takes_powers_of_the_scaled_residual():
 def test_diagnostics_report_grid_and_iterations(params):
     res = best_approx(lambda x: np.abs(x), 4, params)
     assert res.diagnostics["grid_n"] >= 8
-    iterations = res.diagnostics["iterations"]
-    assert (iterations == 0) if res.method == "l2-projection" else (iterations >= 1)
+    assert res.diagnostics["iterations"] >= 1
     assert ("gap" in res.diagnostics) == (res.method == "lp-interior-point")
-    lp = params.p in (1.0, math.inf)
-    assert res.method == ("l2-projection" if params.p == 2.0 else "lp-interior-point" if lp else "irls-grid")
+    assert res.method == ("lp-interior-point" if params.p in (1.0, math.inf) else "irls-grid")
 
 
 def test_dimension_validation():
@@ -323,7 +355,7 @@ def test_witness_from_jacobi_coefficients_matches_jacobi_matrix():
     # degree 48 it must still agree with the recurrence values
     x = make_grid(2001)
     c = expand_in_jacobi(lambda x: np.abs(x), 48)
-    assert np.max(np.abs(_jacobi_series(c, 2.0)(x) - jacobi_matrix(48, x).T @ c)) <= 1e-13
+    assert np.max(np.abs(_jacobi_series(c)(x) - jacobi_matrix(48, x).T @ c)) <= 1e-13
 
 
 def test_k_functional_at_degree_64_stays_below_projection_witness():
@@ -331,7 +363,7 @@ def test_k_functional_at_degree_64_stays_below_projection_witness():
     delta = 0.05
     res = k_functional(f, delta, P21, max_deg=64)
     coeffs = expand_in_jacobi(f, 64)
-    proj = _jacobi_series(coeffs, 2.0)
+    proj = _jacobi_series(coeffs)
     proj_val = weighted_norm(lambda x: f(x) - proj(x), P21, 256) + delta**2 * weighted_norm(apply_D_poly(proj), P21, 256)
     assert math.isfinite(res.value)
     assert res.witness.degree <= 64
@@ -400,7 +432,7 @@ def test_k_functional_invariants_in_non_hilbert_spaces(name):
         f = e.handle
         norm = weighted_norm(f, params, cfg.norm_nodes)
         coeffs = expand_in_jacobi(f, cfg.kdeg, n_nodes=max(cfg.norm_nodes, 256))
-        proj = _jacobi_series(coeffs, 2.0)
+        proj = _jacobi_series(coeffs)
         proj_err = weighted_norm(lambda x: f(x) - proj(x), params, cfg.norm_nodes)
         proj_d = weighted_norm(apply_D_poly(proj), params, cfg.norm_nodes)
         const_err = best_approx(f, 1, params).value
@@ -412,6 +444,26 @@ def test_k_functional_invariants_in_non_hilbert_spaces(name):
             if 1.0 < params.p < math.inf:
                 assert res.iterations <= 50, (e.label, delta)
             prev = res.value
+
+
+@pytest.mark.parametrize("params", [*K_SPACES.values(), P21], ids=[*K_SPACES, "p2"])
+def test_k_functional_is_flat_at_the_best_constant_for_large_delta(params):
+    # past the face threshold the best constant is the minimiser, in every
+    # space: K stays finite, never decreases (to rounding) and never exceeds
+    # the best constant's error, up to delta = 1e300, whose square overflows
+    norm = discrete_norm(params, 256)
+    for e in corpus(7):
+        fv = sample(e.handle, norm.nodes)
+        const_err = norm(fv - _best_constant(fv, norm, float(np.max(np.abs(fv))) or 1.0))
+        prev = 0.0
+        for delta in (1.0, 1e3, 1e6, 1e9, 1e12, 1e100, 1e160, 1e300):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                k = k_functional(e.handle, delta, params).value
+            assert math.isfinite(k), (e.label, delta)
+            assert k >= prev * (1.0 - 1e-12), (e.label, delta)
+            assert k <= const_err * (1.0 + 1e-12), (e.label, delta)
+            prev = k
 
 
 @pytest.mark.parametrize("params", [*K_SPACES.values(), P21], ids=[*K_SPACES, "p2"])
@@ -452,8 +504,8 @@ def _separable_k_reference(f, delta, max_deg, quad_n):
     """k_functional at (2, 1) with its scan taken one path_terms call per point.
 
     The refine (the root of the path slope by _log_root) and the choice
-    among the zero, projection and path candidates, scored on J, are those
-    of k_functional.
+    among the zero, projection, best-constant and path candidates, scored on
+    J, are those of k_functional.
     """
     norm, fv, J, lam, d2, tail2, path_terms, ss, c_proj = _separable_path(f, delta, max_deg, quad_n)
     terms = [path_terms(float(s)) for s in ss]
@@ -472,9 +524,11 @@ def _separable_k_reference(f, delta, max_deg, quad_n):
             aa, bb, c_s = path_terms(s_star)
             if math.sqrt(tail2 + aa) + d2 * math.sqrt(bb) < best_s_val:
                 best_s_c = c_s
-    C = np.array([np.zeros(max_deg + 1), c_proj, best_s_c])
+    const = np.zeros(max_deg + 1)
+    const[0] = _best_constant(fv, norm, float(np.max(np.abs(fv))) or 1.0)
+    C = np.array([np.zeros(max_deg + 1), c_proj, const, best_s_c])
     scores = [norm(r) + d2 * norm(u) for r, u in zip(fv - C @ J, (C * lam) @ J)]
-    best_poly = _jacobi_series(C[int(np.argmin(scores))], 2.0)
+    best_poly = _jacobi_series(C[int(np.argmin(scores))])
     xs = norm.nodes
     return norm(fv - best_poly(xs)) + d2 * norm(apply_D_poly(best_poly)(xs)), best_poly
 
@@ -518,7 +572,7 @@ def _golden_section_k(f, delta, max_deg, quad_n):
     xs = norm.nodes
     return min(
         norm(fv - g(xs)) + d2 * norm(apply_D_poly(g)(xs))
-        for g in (_jacobi_series(c, 2.0) for c in (np.zeros(max_deg + 1), c_proj, best_s_c))
+        for g in (_jacobi_series(c) for c in (np.zeros(max_deg + 1), c_proj, best_s_c))
     )
 
 
@@ -563,7 +617,7 @@ def test_log_root_brackets_and_pins_the_root():
         assert s == pytest.approx(root, rel=1e-14)
 
 
-# the exponents of the series the package builds: (2,2) and the 2 alpha of _best_l2
+# exponents of jacobi_poly: (2,2), and 2 alpha of spaces with p = 2
 SERIES_EXPONENTS = (1.0, 1.5, 11.0 / 6.0, 2.0, 13.0 / 6.0, 2.4, 2.5)
 
 
@@ -600,18 +654,17 @@ def test_separable_iterations_count_the_path_slope_evaluations(monkeypatch):
     assert total > 0
 
 
-@pytest.mark.parametrize("a", SERIES_EXPONENTS)
-def test_jacobi_series_is_bitwise_poly_lincomb(a):
+def test_jacobi_series_is_bitwise_poly_lincomb():
     rng = np.random.default_rng(3)
     for d in range(65):
         for _ in range(5):
             c = rng.standard_normal(d + 1) * rng.choice([1e-8, 1.0, 1e6])
-            # the in-order sum of c[k] jacobi_poly(k, a, a)
+            # the in-order sum of c[k] jacobi_poly(k, 2, 2)
             want = np.zeros(d + 1)
             for k in range(d + 1):
-                cheb = jacobi_poly(k, a, a).cheb
+                cheb = jacobi_poly(k, 2, 2).cheb
                 want[: cheb.size] += c[k] * cheb
-            assert np.array_equal(_jacobi_series(c, a).cheb, PolynomialRep(want).cheb), d
+            assert np.array_equal(_jacobi_series(c).cheb, PolynomialRep(want).cheb), d
 
 
 def test_k_functional_reports_the_lp_gap(monkeypatch):
@@ -818,7 +871,7 @@ def test_basic_invariants_at_interval_midpoints(p):
             assert value <= prev + slack, (e.label, n)
             prev = value
         coeffs = expand_in_jacobi(f, cfg.kdeg, n_nodes=max(cfg.norm_nodes, 256))
-        proj = _jacobi_series(coeffs, 2.0)
+        proj = _jacobi_series(coeffs)
         proj_err = weighted_norm(lambda x: sample(f, x) - proj(x), params, cfg.norm_nodes)
         proj_d = weighted_norm(apply_D_poly(proj), params, cfg.norm_nodes)
         prev = 0.0
@@ -840,7 +893,7 @@ def _midpoint(p):
 
 
 def _solver_method(p):
-    return "l2-projection" if p == 2.0 else "lp-interior-point" if p in (1.0, math.inf) else "irls-grid"
+    return "lp-interior-point" if p in (1.0, math.inf) else "irls-grid"
 
 
 # every corpus entry that declares a degree, at two seeds, and a PolynomialRep

@@ -104,7 +104,7 @@ def test_table_bestapprox_to_file(tmp_path, capsys, config_file):
     payload = json.loads(out.read_text())
     rows = payload["rows"]
     assert len(rows) == 8 * 5
-    assert all(row["method"] == _expected_method(row, "l2-projection") for row in rows)
+    assert all(row["method"] == _expected_method(row, "irls-grid") for row in rows)
     assert sum(row["method"] == "exact-fit" for row in rows) == 19
 
 
@@ -155,8 +155,8 @@ def test_table_psi_needs_no_space(capsys):
         (["sweep", "--degrees=0,4"], "degrees must be positive integers, got 0"),
         (["sweep", "--degrees=-3,4"], "degrees must be positive integers, got -3"),
         (["sweep", "--deltas=0.1,3.2"], "deltas must be finite and lie in [0, pi), got 3.2"),
-        (["sweep", "--tol", "-1"], "tol_scale must be finite and positive, got -1.0"),
-        (["verify", "--tol", "nan"], "tol_scale must be finite and positive, got nan"),
+        (["sweep", "--kdeg", "0"], "kdeg must be a positive integer, got 0"),
+        (["verify", "--alpha", "5"], "(p, alpha) = (2, 5) is outside the admissible range"),
         (["sweep", "--kdeg", "65"], "kdeg must be at most 64, got 65"),
         (["sweep", "--degrees", "2,100"], "degrees must be at most 64, got 100"),
         (["verify", "--seed", "-1"], "seed must be a nonnegative integer, got -1"),
@@ -169,6 +169,15 @@ def test_bad_config_value_exits_two(capsys, argv, message):
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--tol", "-1"], ["verify", "--tol", "nan"]], ids=["sweep", "verify"])
+def test_the_retired_tol_flag_is_an_unrecognised_argument(capsys, argv):
+    # every check reports its observed value and its tolerance; no flag rescales them
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "unrecognized arguments: --tol" in err
 
 
 def test_bad_value_in_config_file_names_line_and_key(tmp_path, capsys):
@@ -210,10 +219,11 @@ def test_unknown_config_key(tmp_path, capsys):
     assert f"{path}:1" in err
 
 
-@pytest.mark.parametrize("key", ["pair_nodes", "pair_quad", "coeff_nodes", "coeff_quad", "jackson_quad"])
+@pytest.mark.parametrize("key", ["pair_nodes", "pair_quad", "coeff_nodes", "coeff_quad", "jackson_quad", "tol_scale"])
 def test_retired_config_key_is_ignored_with_a_warning(tmp_path, capsys, config_file, key):
-    # older files still set the knobs of the t-rule Jackson operator and of
-    # the fixed rules of self-adjointness, coefficient-multiplier and l2-optimality
+    # older files still set the knobs of the t-rule Jackson operator, of the
+    # fixed rules of self-adjointness, coefficient-multiplier and
+    # l2-optimality, and the factor that scaled every tolerance
     old = tmp_path / "old.cfg"
     old.write_text(REDUCED + f"{key} = 256\n")
     argv = ["sweep", "--deltas", "0.4", "--degrees", "2"]
@@ -298,3 +308,16 @@ def test_commands_write_nothing_to_stderr(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=600)
     assert out.stderr == ""
     assert out.stdout.split() == ["0"] * len(QUIET_COMMANDS)
+
+
+def test_sweep_at_a_large_exponent_ends_on_an_error_line():
+    # p = 1000 is admissible at alpha = 1.2, and its norm rules have the
+    # Gauss-Jacobi exponent p alpha = 1200: they are built, and the sweep
+    # ends on the solver's ConvergenceError, not a traceback
+    src = os.path.dirname(os.path.dirname(os.path.abspath(smoothness_lab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    argv = [sys.executable, "-m", "smoothness_lab.cli", "sweep", "--p", "1000", "--alpha", "1.2"]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=600)
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    assert out.stderr.splitlines()[-1] == "error: damped Newton did not converge within 500 iterations"

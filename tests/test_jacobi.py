@@ -266,7 +266,7 @@ def test_comp_horner_bit_identical_to_textbook_loop(n, kind, name):
 
 def test_lincomb_matches_manual_sum():
     polys = [jacobi_poly(k, 2, 2) for k in range(3)]
-    combo = _jacobi_series([1.0, -2.0, 0.5], 2.0)
+    combo = _jacobi_series([1.0, -2.0, 0.5])
     xs = make_grid(9)
     manual = polys[0](xs) - 2.0 * polys[1](xs) + 0.5 * polys[2](xs)
     assert np.allclose(combo(xs), manual, atol=1e-14)

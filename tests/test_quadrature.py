@@ -20,6 +20,7 @@ from smoothness_lab import (
     integrate,
     jacobi,
     ordered_sum,
+    weighted_norm,
 )
 from smoothness_lab.quadrature import _golub_welsch, _panel_rule
 
@@ -243,3 +244,25 @@ def test_split_rules_take_their_nodes_and_weights_from_panel_rule(monkeypatch):
     jacobi.expand_in_jacobi(f, 4, n_nodes=96)
     assert made[-1][:2] == ((-1.0, -0.25, 0.5, 1.0), 32)
     assert seen[-1] is made[-1][2][0]
+
+
+@pytest.mark.parametrize("a", [300.0, 600.0, 1200.0, 5000.0])
+def test_rules_of_large_exponent_keep_their_mass(a):
+    # 2^(2a+1) overflows past a = 511, and p_k overflows near the ends: mu0
+    # is taken in log space and the recurrence rescaled, so the weights still
+    # sum to int (1-x^2)^a dx = sqrt(pi) Gamma(a+1) / Gamma(a+3/2)
+    mass = math.exp(0.5 * math.log(math.pi) + math.lgamma(a + 1.0) - math.lgamma(a + 1.5))
+    for n in (16, 256):
+        rule = gauss_jacobi(n, a)
+        assert abs(ordered_sum(rule.weights) - mass) <= 1e-10 * mass, n
+        assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+
+
+def test_a_rule_whose_weights_underflow_names_its_node_count_and_exponent():
+    with pytest.raises(InvalidArgumentError, match="^node count 1024 is too large for jacobi exponent 300: "):
+        gauss_jacobi(1024, 300.0)
+    # the norm of a space of large p alpha: built at 256 nodes, refused at 1024
+    f = lambda x: np.abs(x)
+    assert math.isfinite(weighted_norm(f, (430.0, 1.2)))
+    with pytest.raises(InvalidArgumentError, match="^node count 1024 is too large for jacobi exponent 300: "):
+        weighted_norm(f, (250.0, 1.2), 1024)

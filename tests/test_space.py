@@ -270,6 +270,15 @@ MALFORMED_CALLS = {
     # the node count is checked as such at p = inf too, not as make_grid's grid size
     "weighted_norm-n_nodes-too-many-inf": (lambda: weighted_norm(_ABS, SpaceParams(math.inf, 1.25), 5000), "node count"),
     "weighted_norm-n_nodes-too-many": (lambda: weighted_norm(_ABS, SpaceParams(1.5, 1.0), 5000), "node count"),
+    # jacobi_matrix checks what jacobi_eval checks, and takes a 1-d x only
+    "jacobi_matrix-degree-float": (lambda: sl.jacobi_matrix(1.5, _XS), "degree"),
+    "jacobi_matrix-degree-bool": (lambda: sl.jacobi_matrix(True, _XS), "degree"),
+    "jacobi_matrix-exponents-below-minus-1": (lambda: sl.jacobi_matrix(3, _XS, -2, -2), "jacobi exponents"),
+    "jacobi_matrix-x-outside": (lambda: sl.jacobi_matrix(3, [2.0]), "x"),
+    "jacobi_matrix-x-nan": (lambda: sl.jacobi_matrix(3, [float("nan")]), "x"),
+    "jacobi_matrix-x-2d": (lambda: sl.jacobi_matrix(3, np.zeros((2, 2))), "x"),
+    "kernel_B-shapes-do-not-broadcast": (lambda: sl.kernel_B(np.zeros(2), np.zeros(3), 0.1), "x, z and y"),
+    "compute_R-shapes-do-not-broadcast": (lambda: sl.compute_R(np.zeros(2), 0.0, np.zeros(3)), "x, z and y"),
 }
 
 
