@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -22,6 +23,7 @@ from .jacobi import (
 )
 from .quadrature import _as_callable, gauss_chebyshev, gauss_legendre, ordered_sum
 from .space import (
+    NORM_NODES,
     DiscreteNorm,
     SpaceParams,
     _as_params,
@@ -54,8 +56,8 @@ class BestApproxResult:
 
     argmin is computed on a solve rule, discrete_norm(params, max(grid_n,
     2n)); value is the weighted norm of f - argmin recomputed with the
-    256-node weighted_norm, so it is consistent with the public norm by
-    construction, and the two rules coincide at the default grid_n = 256.
+    default weighted_norm, so it is consistent with the public norm by
+    construction, and the two rules coincide at the default grid_n.
     diagnostics always holds grid_n (the node count of the solve rule) and
     iterations (0 for the exact fit); lp-interior-point also reports gap,
     the LP's final relative duality gap (or its relative residual, if
@@ -70,7 +72,7 @@ class BestApproxResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def best_approx(f, n, params, grid_n: int = 256) -> BestApproxResult:
+def best_approx(f, n, params, grid_n: int = NORM_NODES) -> BestApproxResult:
     """Best approximation of f from polynomials of degree < n in L_{p,alpha}.
 
     n is the dimension of the approximating space (degree bound n - 1),
@@ -81,7 +83,7 @@ def best_approx(f, n, params, grid_n: int = 256) -> BestApproxResult:
     1 / (p - 1) and halved until the objective decreases. Newton starts
     from the weighted least-squares fit, which at p = 2 is the minimiser,
     so there its first step finds nothing to move. The reported value is
-    measured on the 256-node weighted_norm, which may differ from the solve
+    measured on the default weighted_norm, which may differ from the solve
     rule.
 
     A function that declares a degree d < n (a PolynomialRep, or a
@@ -108,7 +110,7 @@ def best_approx(f, n, params, grid_n: int = 256) -> BestApproxResult:
 
 
 def _exact_fit(prep, params):
-    """f of declared degree d as a PolynomialRep, and its error on the 256-node report rule: (value, argmin).
+    """f of declared degree d as a PolynomialRep, and its error on the report rule: (value, argmin).
 
     argmin is f itself, or its interpolant at the d + 1 Chebyshev points:
     the discrete Chebyshev transform at the first-kind points recovers the
@@ -120,7 +122,7 @@ def _exact_fit(prep, params):
         coeffs = ncheb.chebvander(nodes, prep.degree).T @ prep(nodes) * (2.0 / nodes.size)
         coeffs[0] *= 0.5
         argmin = PolynomialRep(coeffs)
-    report = discrete_norm(params, 256)
+    report = discrete_norm(params, NORM_NODES)
     return report(prep(report.nodes) - argmin(report.nodes)), argmin
 
 
@@ -155,18 +157,18 @@ def _fold(nodes, weights, fv):
 def _e_setup(prep, params, size):
     """The n-free work of best_approx on the solve rule discrete_norm(params, size), as the function of n that finishes it.
 
-    Done here once: the samples of f on the solve rule and on the 256-node
-    report rule, and the fold of the solve rule (_fold). argmin minimises
-    the norm on the solve rule, and the error is reported on the report
-    rule. On a fold, n fits the Chebyshev columns T_k, k < n, of f's parity
-    on the half rule, and the other coefficients are 0; an odd f at n = 1
-    has no column, and its argmin is 0 with 0 iterations (and gap 0.0 at p
-    in {1, inf}). The last solve is kept with its column set, so the second
-    n of a parity pair runs no solver.
+    Done here once: the samples of f on the solve rule and on the report
+    rule of NORM_NODES nodes, and the fold of the solve rule (_fold).
+    argmin minimises the norm on the solve rule, and the error is reported
+    on the report rule. On a fold, n fits the Chebyshev columns T_k, k < n,
+    of f's parity on the half rule, and the other coefficients are 0; an
+    odd f at n = 1 has no column, and its argmin is 0 with 0 iterations
+    (and gap 0.0 at p in {1, inf}). The last solve is kept with its column
+    set, so the second n of a parity pair runs no solver.
     """
     norm = discrete_norm(params, size)
     fv = prep(norm.nodes)
-    report = discrete_norm(params, 256)
+    report = discrete_norm(params, NORM_NODES)
     report_fv = prep(report.nodes)
     fold = _fold(norm.nodes, norm.weights, fv)
     half = slice(None) if fold is None else fold[0]
@@ -587,7 +589,7 @@ def _log_root(h, lo, hi):
     return math.exp(x0) if -h0 <= h1 else math.exp(x1)
 
 
-def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = 256) -> KFunctionalResult:
+def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = NORM_NODES) -> KFunctionalResult:
     """K-functional inf over polynomials g of ||f - g|| + delta^2 ||Dg||.
 
     The witness, of degree at most max_deg <= 64, is parameterized by
@@ -665,7 +667,7 @@ def _k_setup(prep, params, max_deg, quad_n):
     J = jacobi_matrix(max_deg, xs)
     lam = _d_eigenvalues(max_deg)
     p = params.p
-    c_proj = expand_in_jacobi(prep, max_deg, n_nodes=max(int(quad_n), 256))
+    c_proj = expand_in_jacobi(prep, max_deg, n_nodes=max(int(quad_n), NORM_NODES))
     scale = float(np.max(np.abs(fv))) or 1.0
     const = np.zeros(max_deg + 1)
     const[0] = _best_constant(fv, norm, scale)
@@ -805,9 +807,20 @@ def _const_face(fv, J, lam, norm, const, scale):
 
 
 def _grad_norm(v, norm):
-    """Gradient of norm at v in v, 1 < p < inf."""
-    p = norm.p
-    return norm.weights * np.sign(v) * np.abs(v) ** (p - 1.0) / norm(v) ** (p - 1.0)
+    """Gradient of norm at v in v, 1 < p < inf.
+
+    Where norm(v) ** (p - 1) is not a normal float (large p) and v is not
+    zero, both powers are taken of values divided by max|v|, as in
+    DiscreteNorm.
+    """
+    p, n = norm.p, norm(v)
+    with np.errstate(over="ignore"):
+        d = np.float64(n) ** (p - 1.0)
+    if not sys.float_info.min <= d < math.inf:
+        m = float(np.max(np.abs(v)))
+        if 0.0 < m < math.inf:
+            v, d = v / m, (n / m) ** (p - 1.0)
+    return norm.weights * np.sign(v) * np.abs(v) ** (p - 1.0) / d
 
 
 def _newton_k(fv, J, lam, norm, d2, c_proj, const, face):
@@ -933,7 +946,7 @@ def _line_min(F, t0):
     return m1 if f1 <= f2 else m2
 
 
-def bernstein_markov_ratios(poly: PolynomialRep, params, rho: float = 0.5, n_nodes: int = 256):
+def bernstein_markov_ratios(poly: PolynomialRep, params, rho: float = 0.5, n_nodes: int = NORM_NODES):
     """Scaled derivative and norm-shift ratios of a polynomial.
 
     Returns (||P'||_{p, alpha+1/2} / (n ||P||_{p, alpha}),

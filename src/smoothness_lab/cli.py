@@ -13,10 +13,9 @@ from .translation import modulus, multiplier_psi
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
 # Keys of retired Config fields that older config files still set, ignored
-# with a warning: the old Jackson operator's t- and z-rules, the fixed rules
-# of self-adjointness, coefficient-multiplier and l2-optimality, and the
-# factor that scaled every check's tolerance.
-_RETIRED_KEYS = ("jackson_quad", "jackson_t_nodes", "pair_nodes", "pair_quad", "coeff_nodes", "coeff_quad", "tol_scale")
+# with a warning (the README names what each one set).
+_RETIRED_KEYS = ("jackson_quad", "jackson_t_nodes", "pair_nodes", "pair_quad", "coeff_nodes", "coeff_quad", "tol_scale",
+                 "norm_nodes", "t_points", "approx_grid")
 
 
 def _parse_value(key: str, raw: str):
@@ -112,7 +111,7 @@ def _run_table(cfg: Config, op: str, fmt: str, path) -> str:
         rows = [
             {"label": e.label, "delta": float(d), "modulus": om}
             for e in corpus(cfg.seed)
-            for d, om in zip(cfg.deltas, modulus(e.handle, cfg.deltas, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes))
+            for d, om in zip(cfg.deltas, modulus(e.handle, cfg.deltas, params, quad_n=cfg.quad_n))
         ]
     else:
         params = _space(cfg)

@@ -7,8 +7,8 @@ import io
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, replace
-from typing import Callable, Optional
+from dataclasses import asdict, dataclass
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -36,9 +36,10 @@ from .jacobi import (
     jacobi_matrix,
     jacobi_poly,
 )
-from .quadrature import _panel_rule, gauss_chebyshev, gauss_jacobi, gauss_legendre, integrate, ordered_sum
-from .space import FunctionHandle, SpaceParams, _check_delta, _declared_degree, _prepared, discrete_norm, make_grid, sample, validate_params, weighted_norm
+from .quadrature import MAX_NODES, _panel_rule, gauss_chebyshev, gauss_jacobi, gauss_legendre, integrate, ordered_sum
+from .space import NORM_NODES, FunctionHandle, SpaceParams, _check_delta, _declared_degree, _prepared, discrete_norm, make_grid, sample, validate_params, weighted_norm
 from .translation import (
+    T_POINTS,
     _Translates,
     _asym_core,
     _sym_core,
@@ -61,8 +62,6 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-# node counts, degrees and grid sizes: each must be a positive integer
-_RESOLUTION_FIELDS = ("quad_n", "norm_nodes", "t_points", "kdeg", "approx_grid")
 # Fixed node counts of the checks whose tolerances demand more than quad_n:
 # x-panels and z-rule of self-adjointness, and the x-rule, z-rule and
 # projection grid of coefficient-multiplier and l2-optimality.
@@ -77,35 +76,28 @@ class Config:
     p: float = 2.0
     alpha: float = 1.0
     quad_n: int = 128
-    norm_nodes: int = 256
-    t_points: int = 16
     kdeg: int = 32
     seed: int = 7
     deltas: tuple = (0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.4)
     degrees: tuple = (2, 4, 8, 16, 32)
-    approx_grid: int = 512
+    # fixed resolutions, not fields: the norm rule, modulus's t grid and best_approx's solve rule
+    norm_nodes: ClassVar[int] = NORM_NODES
+    t_points: ClassVar[int] = T_POINTS
+    approx_grid: ClassVar[int] = 512
 
     def __post_init__(self):
         _real(self.p, "p")
         _real(self.alpha, "alpha")
-        for name in _RESOLUTION_FIELDS:
-            _integer(getattr(self, name), name, 1)
+        _integer(self.quad_n, "quad_n", 1, MAX_NODES // 2)  # the checks double it
+        _integer(self.kdeg, "kdeg", 1, MAX_WITNESS_DEG)
         _integer(self.seed, "seed", 0)
         for name in ("degrees", "deltas"):
             if not isinstance(getattr(self, name), (tuple, list)):
                 raise InvalidArgumentError(f"{name} must be a tuple or list, got {getattr(self, name)!r}")
             if len(getattr(self, name)) == 0:
                 raise InvalidArgumentError(f"{name} must not be empty")
-        if self.kdeg > MAX_WITNESS_DEG:
-            raise InvalidArgumentError(f"kdeg must be at most {MAX_WITNESS_DEG}, got {self.kdeg!r}")
-        if self.norm_nodes < self.kdeg + 1:
-            # the K-functional fits kdeg + 1 witness coefficients on these nodes
-            raise InvalidArgumentError(f"norm_nodes must be at least kdeg + 1 = {self.kdeg + 1}, got {self.norm_nodes!r}")
         for n in self.degrees:
-            if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-                raise InvalidArgumentError(f"degrees must be positive integers, got {n!r}")
-            if n > MAX_APPROX_DIM:
-                raise InvalidArgumentError(f"degrees must be at most {MAX_APPROX_DIM}, got {n!r}")
+            _integer(n, "degrees", 1, MAX_APPROX_DIM)
         for d in self.deltas:
             _check_delta(d, "deltas", below_pi=True)
 
@@ -462,7 +454,7 @@ def run_lemma_suite(config: Config = Config()):
         # the largest ratio ||image of f|| damping(t) / ||f|| over entries and
         # ts_bound, at quad_n and at 2 quad_n z-nodes; the drift is observed
         def check():
-            norm = discrete_norm(params, cfg.norm_nodes)
+            norm = discrete_norm(params, NORM_NODES)
             bases = [(e, norm(sample(e.handle, norm.nodes))) for e in entries]
             bases = [(e, base) for e, base in bases if not base < 1e-13]  # a NaN norm stays and fails the check
 
@@ -501,8 +493,8 @@ def run_lemma_suite(config: Config = Config()):
         return check
 
     def modulus_stability():
-        lo = modulus(handle["x"], 0.5, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
-        hi = modulus(handle["x"], 0.5, params, 2 * cfg.t_points, 2 * cfg.quad_n, 2 * cfg.norm_nodes)
+        lo = modulus(handle["x"], 0.5, params, quad_n=cfg.quad_n)
+        hi = modulus(handle["x"], 0.5, params, 2 * T_POINTS, 2 * cfg.quad_n, 2 * NORM_NODES)
         rows = [{"case": "delta=0.5", "value": abs(hi - lo)}]
         return _worst(rows), rows, ""
 
@@ -526,12 +518,12 @@ def run_lemma_suite(config: Config = Config()):
     def direct_estimate_decay():
         rows = []
         families = {}
-        norm = discrete_norm(p21, cfg.norm_nodes)
+        norm = discrete_norm(p21, NORM_NODES)
         for e in entries:
             if e.tag not in ("polynomial", "analytic"):
                 continue
             dnorm = norm(_d_image(e.handle, norm.nodes))
-            fnorm = weighted_norm(e.handle, p21, cfg.norm_nodes)
+            fnorm = weighted_norm(e.handle, p21)
             if dnorm < 1e-13:
                 rows.append(_skip(e.label, "operator image vanishes"))
                 continue
@@ -586,9 +578,9 @@ def run_lemma_suite(config: Config = Config()):
 
     def k_two_candidate():
         rows = []
-        norm = discrete_norm(params, cfg.norm_nodes)
+        norm = discrete_norm(params, NORM_NODES)
         for e in entries:
-            proj = expand_in_jacobi(e.handle, cfg.kdeg, n_nodes=max(cfg.norm_nodes, 256))
+            proj = expand_in_jacobi(e.handle, cfg.kdeg, n_nodes=NORM_NODES)
             gpoly = _jacobi_series(proj)
             fv = sample(e.handle, norm.nodes)
             fnorm = norm(fv)
@@ -596,7 +588,7 @@ def run_lemma_suite(config: Config = Config()):
             dnorm = norm(apply_D_poly(gpoly)(norm.nodes))
             for delta in (0.1, 0.5):
                 # the public entry point, whose guarantee this is
-                res = k_functional(e.handle, delta, params, cfg.kdeg, cfg.norm_nodes)
+                res = k_functional(e.handle, delta, params, cfg.kdeg)
                 cap = min(fnorm, base + delta * delta * dnorm)
                 rows.append({"case": f"{e.label},delta={delta:g}", "value": res.value - cap})
         return _worst(rows), rows, "never above the zero or projection candidate"
@@ -608,8 +600,8 @@ def run_lemma_suite(config: Config = Config()):
         rows = [{"case": f"seed={cfg.seed}", "value": worst}]
         return _worst(rows), rows, "bitwise identical corpus regeneration"
 
-    moduli = lambda h: modulus(h, cfg.deltas, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
-    k_values = lambda h: [k_functional(h, d, params, cfg.kdeg, cfg.norm_nodes).value for d in cfg.deltas]
+    moduli = lambda h: modulus(h, cfg.deltas, params, quad_n=cfg.quad_n)
+    k_values = lambda h: [k_functional(h, d, params, cfg.kdeg).value for d in cfg.deltas]
     translate = lambda e, tt, xs, qn: _asym_core(e.handle, math.cos(tt), xs, qn)
     rotate = lambda e, tt, xs, qn: abs_rotation_average(e.handle.eval, tt, xs, qn)
     return _run_checks(
@@ -680,12 +672,12 @@ def run_theorem_sweep(config: Config = Config()):
     for e in entries:
         grid = list(cfg.deltas) + [1.0 / n for n in cfg.degrees]  # one translation per y shared by both
         # kept for modulus-k-stability, which integrates only their capped points again
-        translates = _Translates(e.handle, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
-        # bitwise weighted_norm(e.handle, params, cfg.norm_nodes), from the samples f's prepared function keeps
+        translates = _Translates(e.handle, params, T_POINTS, cfg.quad_n, NORM_NODES)
+        # bitwise weighted_norm(e.handle, params), from the samples f's prepared function keeps
         fnorm = translates.norm(_prepared(e.handle)(translates.norm.nodes))
         oms = translates.moduli(grid)
         omegas = dict(zip(cfg.deltas, oms))
-        kvals = {d: k_functional(e.handle, d, params, cfg.kdeg, cfg.norm_nodes).value for d in cfg.deltas}
+        kvals = {d: k_functional(e.handle, d, params, cfg.kdeg).value for d in cfg.deltas}
         errs = {nu: best_approx(e.handle, nu, params, cfg.approx_grid).value for nu in range(1, max_deg + 1)}
         omega_inv = dict(zip(cfg.degrees, oms[len(cfg.deltas) :]))
         data[e.label] = {
@@ -742,20 +734,19 @@ def run_theorem_sweep(config: Config = Config()):
         return _spread(r2), rows, "cos^4-damped pooled ratio"
 
     def modulus_k_stability():
-        # 16 degrees deeper, at least 48, within the cap and the norm_nodes - 1 that Config allows
-        kdeg = min(max(48, cfg.kdeg + 16), MAX_WITNESS_DEG, cfg.norm_nodes - 1)
-        heavy = replace(cfg, quad_n=2 * cfg.quad_n, kdeg=kdeg)
+        # 16 degrees deeper, at least 48, within the cap
+        kdeg = min(max(48, cfg.kdeg + 16), MAX_WITNESS_DEG)
         hv1, hv2, sh1, sh2 = [], [], [], []
         for e in entries:
-            ks = [k_functional(e.handle, d, params, heavy.kdeg, cfg.norm_nodes).value for d in cfg.deltas]
+            ks = [k_functional(e.handle, d, params, kdeg).value for d in cfg.deltas]
             # not k < floor: a NaN K stays in, so that the check fails
             kept = [(delta, k) for delta, k in zip(cfg.deltas, ks) if delta > 0.0 and not k < 1e-13]
-            # the moduli under heavy.quad_n: only the points that reached the cap quad_n can move
-            oms = data[e.label]["translates"].moduli([delta for delta, _ in kept], heavy.quad_n)
+            # the moduli under 2 quad_n: only the points that reached the cap quad_n can move
+            oms = data[e.label]["translates"].moduli([delta for delta, _ in kept], 2 * cfg.quad_n)
             for (delta, k), om in zip(kept, oms):
                 hv1.append(om / k)
                 hv2.append(om * math.cos(delta / 2.0) ** 4 / k)
-            k16s = [k_functional(e.handle, d, params, 16, cfg.norm_nodes).value for d in cfg.deltas]
+            k16s = [k_functional(e.handle, d, params, 16).value for d in cfg.deltas]
             for delta, k16 in zip(cfg.deltas, k16s):
                 if delta > 0.0 and not k16 < 1e-13:
                     om0 = data[e.label]["omega"][delta]
@@ -771,7 +762,7 @@ def run_theorem_sweep(config: Config = Config()):
         if sh1:
             rows.append({"case": "witness-16-upper", "value": hi(sh2)})
             rows.append({"case": "witness-16-lower", "value": lo(sh1)})
-        witness = "deeper witness" if heavy.kdeg > cfg.kdeg else f"witness at the degree cap {heavy.kdeg}"
+        witness = "deeper witness" if kdeg > cfg.kdeg else f"witness at the degree cap {kdeg}"
         return worst, rows, f"constant pair under doubled quadrature and {witness}; degree-16 witness recorded"
 
     def upper_constant(ratio, note):

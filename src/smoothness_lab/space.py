@@ -22,6 +22,7 @@ from .quadrature import MAX_NODES, gauss_chebyshev, gauss_jacobi, sample
 
 __all__ = [
     "EPS_INTERIOR",
+    "NORM_NODES",
     "SpaceParams",
     "DiscreteNorm",
     "discrete_norm",
@@ -35,6 +36,7 @@ __all__ = [
 
 # Margin keeping grid evaluations away from the endpoint singularities.
 EPS_INTERIOR = 1e-6
+NORM_NODES = 256  # nodes of the norm rule: the default of every norm, modulus, K and E, and E's report rule
 
 
 @dataclass(frozen=True)
@@ -127,7 +129,8 @@ class FunctionHandle:
     at the point, which keeps its convergence spectral on a
     piecewise-smooth function; where R crosses none, the point takes the
     break-free rule and gets the value of f declared without breaks.
-    expand_in_jacobi splits its rule at every break.
+    expand_in_jacobi splits its rule at every break; the exact coefficients
+    at a declared degree (_Prepared.coefficients) do not.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -223,9 +226,10 @@ class _Prepared:
         return fv
 
     def coefficients(self):
-        """The exact (2,2) coefficients of f at its declared degree d, expand_in_jacobi(f, d, n_nodes=d + 1), kept in a slot; None without one."""
+        """The exact (2,2) coefficients of f at its declared degree d, from the unsplit (d + 1)-node rule, kept in a slot; None without one."""
         if self.degree is not None:
-            return self.slot("coefficients", None, lambda: expand_in_jacobi(self, self.degree, n_nodes=self.degree + 1))
+            # the bound __call__ has no breaks, at which expand_in_jacobi would split the rule
+            return self.slot("coefficients", None, lambda: expand_in_jacobi(self.__call__, self.degree, n_nodes=self.degree + 1))
 
     def slot(self, name, settings, build):
         """The value of the slot name if built for settings, else build(), kept there.
@@ -333,7 +337,7 @@ def discrete_norm(params, n_nodes: int) -> DiscreteNorm:
     return DiscreteNorm(params.p, rule.nodes, rule.weights)
 
 
-def weighted_norm(f, params: SpaceParams, n_nodes: int = 256) -> float:
+def weighted_norm(f, params: SpaceParams, n_nodes: int = NORM_NODES) -> float:
     """Norm of f in L_{p,alpha}: discrete_norm(params, n_nodes) of the values of f at its nodes."""
     norm = discrete_norm(params, n_nodes)
     return norm(sample(f, norm.nodes))

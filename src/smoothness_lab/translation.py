@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InvalidArgumentError, _integer, _real, _reals
 from .jacobi import jacobi_eval, jacobi_matrix
 from .quadrature import _as_callable, gauss_chebyshev, sample
-from .space import SpaceParams, _as_params, _check_delta, _declared_degree, _prepared, discrete_norm
+from .space import NORM_NODES, SpaceParams, _as_params, _check_delta, _declared_degree, _prepared, discrete_norm
 
 __all__ = [
     "compute_R",
@@ -74,6 +74,7 @@ _Z_EXTRAPOLATED = 0.1
 _Z_START = 8
 # Most elements per array of the z-rule, which takes its points in chunks.
 _CHUNK = 2**15
+T_POINTS = 16  # steps of the t grid on which modulus takes its supremum, by default
 
 
 @lru_cache(maxsize=64)
@@ -375,9 +376,9 @@ def modulus(
     f,
     delta,
     params: SpaceParams,
-    t_points: int = 16,
+    t_points: int = T_POINTS,
     quad_n: int = 128,
-    norm_nodes: int = 256,
+    norm_nodes: int = NORM_NODES,
 ):
     """Smoothness modulus sup_{0 <= t <= delta} of the weighted norm of tau_{cos t} f - f.
 

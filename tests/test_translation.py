@@ -689,6 +689,21 @@ def test_moduli_of_a_declared_degree_take_no_z_integral(monkeypatch):
     assert len(calls) == 1
 
 
+def test_exact_coefficients_ignore_the_breaks_of_a_declared_degree():
+    # the (d + 1)-node rule split at a break has too few nodes per panel to
+    # be exact: the modulus of this quintic at (0.4, (2, 1)) read 0.1046
+    # with the break against 0.0601 without it
+    quintic = lambda x: x**5 - 0.3 * x**2
+    broken = FunctionHandle(eval=quintic, degree=5, breaks=(0.0,))
+    plain = FunctionHandle(eval=quintic, degree=5)
+    cfg = Config()
+    for params in (P21, SpaceParams(1.5, 11.0 / 12.0)):
+        got = (space_module._prepared(broken).coefficients(), modulus(broken, cfg.deltas, params))
+        want = (space_module._prepared(plain).coefficients(), modulus(plain, cfg.deltas, params))
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1], params
+    assert abs(modulus(broken, 0.4, P21) - modulus(quintic, 0.4, P21)) <= 1e-12
+
+
 @pytest.mark.parametrize("label", ["|x|", "(1-x)^0.75", "sin(3x)"])
 def test_doubled_cap_redoes_only_the_capped_points(monkeypatch, label):
     # modulus-k-stability's moduli under 2 quad_n come from the rows of the
