@@ -14,6 +14,7 @@ from scipy.linalg.lapack import dgelsy, dgeqrf, dtrtrs
 from .errors import ConvergenceError, InvalidArgumentError, _integer, _real
 from .jacobi import (
     PolynomialRep,
+    _cheb_interp,
     _d_eigenvalues,
     _jacobi_series,
     apply_D_poly,
@@ -81,8 +82,8 @@ def best_approx(f, n, params, grid_n: int = NORM_NODES) -> BestApproxResult:
     the dual of the linear program by an interior-point method; 1 < p < inf
     by damped Newton steps, the IRLS direction taken at the Newton length
     1 / (p - 1) and halved until the objective decreases. Newton starts
-    from the weighted least-squares fit, which at p = 2 is the minimiser,
-    so there its first step finds nothing to move. The reported value is
+    from the weighted least-squares fit, which at p = 2 is the minimiser
+    and is returned as its one iterate. The reported value is
     measured on the default weighted_norm, which may differ from the solve
     rule.
 
@@ -112,16 +113,12 @@ def best_approx(f, n, params, grid_n: int = NORM_NODES) -> BestApproxResult:
 def _exact_fit(prep, params):
     """f of declared degree d as a PolynomialRep, and its error on the report rule: (value, argmin).
 
-    argmin is f itself, or its interpolant at the d + 1 Chebyshev points:
-    the discrete Chebyshev transform at the first-kind points recovers the
-    coefficients of every polynomial of degree <= d exactly.
+    argmin is f itself, or its interpolant at the d + 1 Chebyshev points
+    (_cheb_interp), which is exact at degree d.
     """
     argmin = prep.f
     if not isinstance(argmin, PolynomialRep):
-        nodes = gauss_chebyshev(prep.degree + 1).nodes
-        coeffs = ncheb.chebvander(nodes, prep.degree).T @ prep(nodes) * (2.0 / nodes.size)
-        coeffs[0] *= 0.5
-        argmin = PolynomialRep(coeffs)
+        argmin = PolynomialRep(_cheb_interp(prep(gauss_chebyshev(prep.degree + 1).nodes)))
     report = discrete_norm(params, NORM_NODES)
     return report(prep(report.nodes) - argmin(report.nodes)), argmin
 
@@ -391,9 +388,11 @@ def _gradient_max(V, w, u, p):
 def _damped_newton(fv, V, w, p, scale):
     """Minimise sum w|fv - V c|^p, 1 < p < inf; returns (coeffs, iterations).
 
-    The reweighted least-squares fit is c + (p - 1) * (Newton step), so each
-    step starts at the Newton length 1 / (p - 1) and is halved until the
-    objective decreases. The correction is solved for the residual, so its
+    At p = 2 the minimiser is the weighted least-squares fit, returned as
+    the one iterate with no Newton step. Otherwise the reweighted
+    least-squares fit is c + (p - 1) * (Newton step), so each step starts
+    at the Newton length 1 / (p - 1) and is halved until the objective
+    decreases. The correction is solved for the residual, so its
     rounding scales with r rather than f. Every power is taken of r / max|r|,
     never of r, so none underflows at large p. The weights |r|^(p-2) are
     floored at 1e-12 max|r| where they shape the step, while the right-hand
@@ -408,6 +407,8 @@ def _damped_newton(fv, V, w, p, scale):
     tiny = 64.0 * np.finfo(float).eps * scale
     sw = np.sqrt(w)
     coeffs = _lstsq(V * sw[:, None], fv * sw)  # weighted L2 fit
+    if p == 2.0:
+        return coeffs, 1
     polish = None  # the scale of r and the gradient, once the objective stops decreasing
     for iterations in range(1, 501):
         r = fv - V @ coeffs
@@ -711,7 +712,13 @@ def _k_setup(prep, params, max_deg, quad_n):
         r, u = fv - C @ J, (C * lam) @ J
         scores = [nr + d2 * nu for nr, nu in fixed] + [norm(r[-1]) + d2 * norm(u[-1])]
         best_poly = _jacobi_series(C[int(np.argmin(scores))])
-        best_val = norm(fv - best_poly(xs)) + d2 * norm(apply_D_poly(best_poly)(xs))
+        # g and Dg in one Clenshaw pass, over their coefficients as two
+        # columns: the shorter one's zero tail leaves its bits unchanged
+        g, dg = best_poly.cheb, apply_D_poly(best_poly).cheb
+        both = np.zeros((max(g.size, dg.size), 2))
+        both[: g.size, 0], both[: dg.size, 1] = g, dg
+        gv, dgv = ncheb.chebval(xs, both)
+        best_val = norm(fv - gv) + d2 * norm(dgv)
         return KFunctionalResult(float(best_val), best_poly, delta, max_deg, iterations, gap)
 
     return at
@@ -733,7 +740,7 @@ def _separable_solver(fv, J, lam, rw):
         # A = sum hn (a - c_s)^2 and B = sum hn (lam c_s)^2 on the path, for
         # a number s or along a 1-d array of s: each s takes the same operations
         c_s = a / (1.0 + np.asarray(s)[..., None] * lam * lam)
-        return np.sum(hn * (a - c_s) ** 2, axis=-1), np.sum(hn * (lam * c_s) ** 2, axis=-1), c_s
+        return (hn * (a - c_s) ** 2).sum(axis=-1), (hn * (lam * c_s) ** 2).sum(axis=-1), c_s
 
     # the scan, one call over its 362 points
     ss = np.concatenate(([0.0], np.logspace(-18.0, 18.0, 361)))
@@ -806,20 +813,26 @@ def _const_face(fv, J, lam, norm, const, scale):
     return sigma, out
 
 
-def _grad_norm(v, norm):
-    """Gradient of norm at v in v, 1 < p < inf.
+def _scaled_power(v, n, p):
+    """v and n ** (p - 1), for n = norm(v); or v / m and (n / m) ** (p - 1), m = max|v|, where n ** (p - 1) is not a normal float.
 
-    Where norm(v) ** (p - 1) is not a normal float (large p) and v is not
-    zero, both powers are taken of values divided by max|v|, as in
-    DiscreteNorm.
+    The gradient and Hessian of a norm divide powers of |v| by this power
+    of n; at a large p both underflow (or overflow) together, and dividing
+    by m first keeps them normal, as in DiscreteNorm.
     """
-    p, n = norm.p, norm(v)
     with np.errstate(over="ignore"):
         d = np.float64(n) ** (p - 1.0)
     if not sys.float_info.min <= d < math.inf:
         m = float(np.max(np.abs(v)))
         if 0.0 < m < math.inf:
-            v, d = v / m, (n / m) ** (p - 1.0)
+            return v / m, (n / m) ** (p - 1.0)
+    return v, d
+
+
+def _grad_norm(v, norm):
+    """Gradient of norm at v in v, 1 < p < inf, its powers scaled by _scaled_power."""
+    p = norm.p
+    v, d = _scaled_power(v, norm(v), p)
     return norm.weights * np.sign(v) * np.abs(v) ** (p - 1.0) / d
 
 
@@ -878,8 +891,8 @@ def _newton_k(fv, J, lam, norm, d2, c_proj, const, face):
         if n == 0.0:
             return 0.0, 0.0
         g = B @ _grad_norm(v, norm)
-        a = np.maximum(np.abs(v), 1e-12 * float(np.max(np.abs(v))))
-        h = (p - 1.0) * rw * a ** (p - 2.0) / n ** (p - 1.0)
+        a, d = _scaled_power(np.maximum(np.abs(v), 1e-12 * float(np.max(np.abs(v)))), n, p)
+        h = (p - 1.0) * rw * a ** (p - 2.0) / d
         return g, (B * h) @ B.T - (p - 1.0) / n * np.outer(g, g)
 
     for iterations in range(1, 101):

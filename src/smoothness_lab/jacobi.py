@@ -13,7 +13,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as ncheb
 
 from .errors import InvalidArgumentError, _integer, _real, _reals
-from .quadrature import _panel_rule, gauss_jacobi, ordered_sum, sample
+from .quadrature import _panel_rule, gauss_chebyshev, gauss_jacobi, ordered_sum, sample
 
 __all__ = [
     "PolynomialRep",
@@ -71,6 +71,20 @@ class PolynomialRep:
 
     def is_zero(self) -> bool:
         return not np.any(self.cheb)
+
+
+def _cheb_interp(values):
+    """Chebyshev coefficients of the interpolant of values at the n first-kind Chebyshev points, gauss_chebyshev(n).nodes, n = len(values).
+
+    The discrete Chebyshev transform there recovers the coefficients of
+    every polynomial of degree < n exactly. values may have more axes than
+    the first; the coefficients of each column are then the columns of
+    the result.
+    """
+    n = len(values)
+    coeffs = ncheb.chebvander(gauss_chebyshev(n).nodes, n - 1).T @ values * (2.0 / n)
+    coeffs[0] *= 0.5
+    return coeffs
 
 
 def _check_jacobi_args(n, a, b):
@@ -224,15 +238,73 @@ def _d_eigenvalues(n) -> np.ndarray:
     return -k * (k + 5.0)
 
 
+def _trim(c):
+    """c without its trailing zeros, keeping one entry, as numpy.polynomial trims a series."""
+    n = len(c)
+    while n > 1 and c[n - 1] == 0.0:
+        n -= 1
+    return c[:n]
+
+
+def _cheb_der(c):
+    """ncheb.chebder(c) of a list of floats, in plain floats and numpy's operation order."""
+    c = list(c)
+    n = len(c) - 1
+    if n < 1:
+        return [c[0] * 0]
+    der = [0.0] * n
+    for j in range(n, 2, -1):
+        der[j - 1] = (2 * j) * c[j]
+        c[j - 2] += (j * c[j]) / (j - 2)
+    if n > 1:
+        der[1] = 4 * c[2]
+    der[0] = c[1]
+    return der
+
+
+def _cheb_mulx(c):
+    """ncheb.chebmulx(c) of a list of floats, in plain floats and numpy's operation order."""
+    c = _trim(c)
+    if len(c) == 1 and c[0] == 0.0:
+        return c
+    half = [v / 2 for v in c[1:]]
+    prd = [c[0] * 0, c[0]] + half
+    for k, v in enumerate(half):
+        prd[k] += v
+    return prd
+
+
+def _cheb_add(a, b):
+    """ncheb.chebadd(a, b) of two lists of floats: their sum, trimmed."""
+    a, b = _trim(a), _trim(b)
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for k, v in enumerate(b):
+        out[k] += v
+    return _trim(out)
+
+
+def _d_cheb(c):
+    """Chebyshev coefficients of (1-x^2) g'' - 6x g' from those of g, c, as a list of floats.
+
+    They are g'' - x (x g'' + 6 g'), formed as numpy.polynomial's chebder,
+    chebmulx, chebadd and chebsub form them (a - b is a + (-b) bit for
+    bit), and so bitwise theirs, in plain floats, without numpy's cost per
+    call on short series.
+    """
+    g1 = _cheb_der(c)
+    g2 = _cheb_der(g1)
+    inner = _cheb_add(_cheb_mulx(g2), [6.0 * v for v in g1])  # x g'' + 6 g'
+    return _cheb_add(g2, [-v for v in _cheb_mulx(inner)])
+
+
 def apply_D_poly(poly: PolynomialRep) -> PolynomialRep:
-    """Exact image (1-x^2) g'' - 6x g' of g under the (2,2) operator, in Chebyshev coefficients.
+    """Exact image (1-x^2) g'' - 6x g' of g under the (2,2) operator, in Chebyshev coefficients (_d_cheb).
 
     P_n^{(2,2)} is an eigenfunction with eigenvalue -n(n+5).
     """
-    g1 = ncheb.chebder(poly.cheb)
-    g2 = ncheb.chebder(g1)
-    inner = ncheb.chebadd(ncheb.chebmulx(g2), 6.0 * g1)  # x g'' + 6 g'
-    return PolynomialRep(ncheb.chebsub(g2, ncheb.chebmulx(inner)))
+    return PolynomialRep(_d_cheb(poly.cheb.tolist()))
 
 
 def fourier_jacobi_coeff(f, n, n_nodes: int = 64) -> float:
@@ -241,6 +313,44 @@ def fourier_jacobi_coeff(f, n, n_nodes: int = 64) -> float:
     rule = gauss_jacobi(_integer(n_nodes, "n_nodes", 1), 2.0)
     vals = sample(f, rule.nodes)
     return ordered_sum(rule.weights * vals * jacobi_eval(n, 2, 2, rule.nodes))
+
+
+def _plateau_cut(c):
+    """How many leading coefficients of the series c to keep, cut where it reaches its plateau; None when it reaches none.
+
+    The standardChop rule of Aurentz & Trefethen (ACM TOMS 43, 2017): on
+    the envelope of |c| (its largest entry from each index on, relative to
+    the first), a plateau starts at the first j whose envelope e_j either
+    is 0 or is followed, at j2 = round(1.25 j + 5), by more than
+    3 (1 - log e_j / log tol) times itself, tol the machine epsilon. The cut is then where
+    log10 of the envelope plus a ramp from 0 to -log10(tol) / 3 over
+    the first j2 entries is least. It needs 17 coefficients; a series
+    whose tail still decays at its end, algebraically say, has no plateau.
+    """
+    n, tol = c.size, float(np.finfo(float).eps)
+    if n < 17:
+        return None
+    env = np.maximum.accumulate(np.abs(c)[::-1])[::-1]
+    if env[0] == 0.0:
+        return 1
+    env = env / env[0]
+    for j in range(2, n + 1):  # 1-based, as in the paper
+        j2 = math.floor(1.25 * j + 5.5)
+        if j2 > n:
+            return None
+        e1, e2 = env[j - 1], env[j2 - 1]
+        if e1 == 0.0 or e2 / e1 > 3.0 * (1.0 - math.log(e1) / math.log(tol)):
+            plateau = j - 1
+            break
+    if env[plateau - 1] == 0.0:
+        return plateau
+    floor = tol ** (7.0 / 6.0)
+    j3 = int(np.sum(env >= floor))
+    if j3 < j2:
+        j2 = j3 + 1
+        env[j2 - 1] = floor
+    ramped = np.log10(env[:j2]) + np.linspace(0.0, -math.log10(tol) / 3.0, j2)
+    return max(int(np.argmin(ramped)), 1)
 
 
 def expand_in_jacobi(f, nmax, n_nodes: int = 256) -> np.ndarray:

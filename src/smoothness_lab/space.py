@@ -109,14 +109,22 @@ class FunctionHandle:
     the k-th by -k(k+5).
 
     degree, when given, is a promise that eval is a polynomial of degree at
-    most degree. The translation kernels then integrate it with the smallest
-    exact Chebyshev z-rule: their kernel has degree 4 in z and R is linear
-    in z, so the integrand has degree degree + 4, and a rule of
-    n = degree // 2 + 3 nodes is exact because degree + 4 <= 2n - 1. A
-    degree that is too low gives wrong translations, not an error; None
-    (the default) selects the convergence-stopped rule. Only a
-    FunctionHandle or a PolynomialRep declares a degree: a degree attribute
-    of any other function is ignored.
+    most degree; with breaks, that it is one between each pair of adjacent
+    breaks (and the ends), so a piecewise polynomial such as |x| declares
+    degree=1, breaks=(0.0,). The translation kernels then integrate it
+    exactly: their kernel has degree 4 in z and R is linear in z, so where
+    R stays in one piece the integrand has degree degree + 4, and the
+    Chebyshev z-rule of n = degree // 2 + 3 nodes is exact because
+    degree + 4 <= 2n - 1; where R crosses a break the integral is split at
+    the crossings and each panel integrated in closed form
+    (translation._piecewise_points). A degree that is too low gives wrong
+    translations, not an error; None (the default) selects the
+    convergence-stopped rule. Only a FunctionHandle or a PolynomialRep
+    declares a degree: a degree attribute of any other function is
+    ignored. A degree with breaks is not a degree on all of [-1, 1]
+    (_declared_degree): the exact (2,2) coefficients, the exact fit of
+    best_approx and the multiplier moduli are only for a degree without
+    breaks.
 
     best_approx and k_functional solve an f that is exactly even or odd on
     their rule on half of it. The test compares the values of eval at each
@@ -124,13 +132,12 @@ class FunctionHandle:
     so an eval written x**3 is not folded, while x*x*x is.
 
     breaks lists the points of (-1, 1), in increasing order, where eval is
-    not smooth (a kink or a jump). The convergence-stopped z-rule of the
-    translation kernels splits its integral at each break that R crosses
-    at the point, which keeps its convergence spectral on a
+    not smooth (a kink or a jump). Without a degree, the convergence-stopped
+    z-rule of the translation kernels splits its integral at each break
+    that R crosses at the point, which keeps its convergence spectral on a
     piecewise-smooth function; where R crosses none, the point takes the
     break-free rule and gets the value of f declared without breaks.
-    expand_in_jacobi splits its rule at every break; the exact coefficients
-    at a declared degree (_Prepared.coefficients) do not.
+    expand_in_jacobi splits its rule at every break.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -153,9 +160,14 @@ class FunctionHandle:
         return self.eval(x)
 
 
-def _declared_degree(f) -> Optional[int]:
-    """The degree f declares: that of a FunctionHandle or a PolynomialRep, else None (numpy's polynomials have a degree() method)."""
+def _piece_degree(f) -> Optional[int]:
+    """The degree f declares between its breaks: that of a FunctionHandle or a PolynomialRep, else None (numpy's polynomials have a degree() method)."""
     return f.degree if isinstance(f, (FunctionHandle, PolynomialRep)) else None
+
+
+def _declared_degree(f) -> Optional[int]:
+    """The degree f declares on all of [-1, 1]: _piece_degree of an f without breaks, else None."""
+    return None if getattr(f, "breaks", ()) else _piece_degree(f)
 
 
 class _LastCall:
@@ -179,7 +191,7 @@ class _LastCall:
 
     def get(self, f) -> "_Prepared":
         """The kept _Prepared if the key matches, else a new one, kept as the one entry."""
-        key = (f, f.eval if isinstance(f, FunctionHandle) else None, _declared_degree(f), tuple(getattr(f, "breaks", ())))
+        key = (f, f.eval if isinstance(f, FunctionHandle) else None, _piece_degree(f), tuple(getattr(f, "breaks", ())))
         entry = self._entry
         if entry is not None and entry[0][0] is f and entry[0][1] is key[1] and entry[0][2:] == key[2:]:
             return entry[1]
@@ -194,9 +206,10 @@ class _Prepared:
     expand_in_jacobi takes them from it too. It holds f's declared degree,
     and one slot each for its exact (2,2) coefficients at that degree, the
     exact fit ("fit"), the n-free work of best_approx ("E"), the delta-free
-    work of k_functional ("K") and the translations of modulus ("modulus"),
-    each keyed by its own settings and replaced whole when they change. f
-    is sampled once per rule: the samples that the build of a slot takes
+    work of k_functional ("K"), the translations of modulus ("modulus")
+    and, for an f with no declared degree, its chopped (2,2) series
+    ("series", translation._series), each keyed by its own settings and
+    replaced whole when they change. f is sampled once per rule: the samples that the build of a slot takes
     are kept while the slot lives, and shared by every slot. Every call
     gives bitwise the result of a cold one.
 
@@ -300,18 +313,32 @@ class DiscreteNorm:
     weights: np.ndarray = field(repr=False)
 
     def __call__(self, vals) -> float:
-        # ndarray.max and no power at p = 1: the K solvers call this in
-        # their inner loops, where np.max and ** 1.0 cost measurable time
+        # ndarray methods and no power at p = 1: the K solvers call this in
+        # their inner loops, where np.max, np.cumsum and ** 1.0 cost
+        # measurable time
         if self.p == math.inf:
             return float((np.abs(vals) * self.weights).max())
         a = np.abs(vals)
         with np.errstate(over="ignore"):
-            s = float(np.cumsum(self.weights * (a if self.p == 1.0 else a**self.p))[-1])
+            s = float((self.weights * (a if self.p == 1.0 else a**self.p)).cumsum()[-1])
+        return self._root(s, a)
+
+    def _root(self, s, a) -> float:
+        """The norm from the ordered sum s of the weighted |v|^p, a = |v|, rescaled where s is not a normal float."""
         if not sys.float_info.min <= s < math.inf:
             m = float(a.max())
             if 0.0 < m < math.inf and m != 1.0:
                 return m * self(a / m)  # max(a / m) is 1: the sum is at least the weight of its node
         return s if self.p == 1.0 else s ** (1.0 / self.p)
+
+    def rows(self, vals) -> list:
+        """The norm of each row of the 2-d array vals, bitwise [self(v) for v in vals], in one pass over the array."""
+        a = np.abs(vals)
+        if self.p == math.inf:
+            return (a * self.weights).max(axis=-1).tolist()
+        with np.errstate(over="ignore"):
+            sums = (self.weights * (a if self.p == 1.0 else a**self.p)).cumsum(axis=-1)[:, -1]
+        return [self._root(s, row) for s, row in zip(sums.tolist(), a)]
 
 
 def discrete_norm(params, n_nodes: int) -> DiscreteNorm:

@@ -13,11 +13,12 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import chebyshev as ncheb
 
 from .errors import InvalidArgumentError, _integer, _real, _reals
-from .jacobi import jacobi_eval, jacobi_matrix
+from .jacobi import _cheb_interp, _plateau_cut, expand_in_jacobi, jacobi_eval, jacobi_matrix
 from .quadrature import _as_callable, gauss_chebyshev, sample
-from .space import NORM_NODES, SpaceParams, _as_params, _check_delta, _declared_degree, _prepared, discrete_norm
+from .space import NORM_NODES, SpaceParams, _as_params, _check_delta, _piece_degree, _prepared, discrete_norm
 
 __all__ = [
     "compute_R",
@@ -115,37 +116,61 @@ def _crossing(x, y, breaks):
         return np.where(den > 0.0, (x * y - np.asarray(breaks)) / den, 1.0)
 
 
-def _panels(x, y, breaks):
-    """Centre and half-width in theta = arccos z of each panel, shape (len(x), len(breaks) + 1, 1), for points (x, y).
+def _edges(x, y, breaks):
+    """0, the crossings theta* = arccos z* of the breaks (_crossing, clipped to [-1, 1]) and pi, for points (x, y): shape (len(x), len(breaks) + 2).
 
-    The panels run between 0, the crossings theta* = arccos z* of the
-    breaks (see _crossing) and pi. Every break must be crossed by R at
-    every point, or its panel is empty: _nested_points passes each point
-    only the breaks it crosses.
+    They are the edges in theta = arccos z of the panels between which R
+    crosses the breaks; a break that R does not cross at the point gives
+    theta* = 0 or pi, and an empty panel.
     """
     theta = np.arccos(np.clip(_crossing(x, y, breaks), -1.0, 1.0))
     shape = (theta.shape[0], 1)
-    edges = np.concatenate((np.zeros(shape), theta, np.full(shape, math.pi)), axis=-1)
+    return np.concatenate((np.zeros(shape), theta, np.full(shape, math.pi)), axis=-1)
+
+
+def _panels(x, y, breaks):
+    """Centre and half-width in theta = arccos z of each panel (_edges), shape (len(x), len(breaks) + 1, 1), for points (x, y).
+
+    Every break must be crossed by R at every point, or its panel is
+    empty: _nested_points passes each point only the breaks it crosses.
+    """
+    edges = _edges(x, y, breaks)
     return (
         ((edges[:, 1:] + edges[:, :-1]) / 2.0)[..., None],
         ((edges[:, 1:] - edges[:, :-1]) / 2.0)[..., None],
     )
 
 
-def _z_points(fn, kernel, y_all, x_all, quad_n):
-    """z-integral of kernel * f(R) at the points (y_all[i], x_all[i]), and whether each point reached the z-rule's cap.
+def _z_points(fn, kernel, y_all, x_all, quad_n, pieces=None):
+    """z-integral of kernel * f(R) at the points (y_all[i], x_all[i]), and whether each point's value depends on quad_n.
 
-    The one place that picks the z-rule. The kernels have degree 4 in z, so
-    an fn of declared degree d (_declared_degree) takes the exact
-    Gauss-Chebyshev rule of min(quad_n, d // 2 + 3) nodes, and none of its
-    points is capped; any other fn the nested rule of _nested_points, with
-    cap quad_n.
+    The one place that picks the z-rule. The kernels have degree 4 in z,
+    so an fn of declared degree d between its breaks (_piece_degree) is
+    integrated exactly: a point whose R crosses no break takes the
+    Gauss-Chebyshev rule of min(quad_n, d // 2 + 3) nodes, and a point
+    that crosses one takes _piecewise_points. Only a rule that quad_n cut
+    below d // 2 + 3 nodes depends on quad_n. Any other fn takes the
+    nested rule of _nested_points, with cap quad_n, whose capped points
+    are those that depend on it. pieces, if given, is _pieces of fn, which
+    a caller that translates fn many times takes once.
     """
-    degree = _declared_degree(fn)
+    degree = _piece_degree(fn)
     if degree is None:
         return _nested_points(fn, kernel, y_all, x_all, quad_n)
     nodes = min(int(quad_n), degree // 2 + 3)
-    return _exact_points(fn, kernel, y_all, x_all, nodes), np.zeros(x_all.size, dtype=bool)
+    capped = np.full(x_all.size, nodes < degree // 2 + 3)
+    breaks = tuple(getattr(fn, "breaks", ()))
+    if not breaks:
+        return _exact_points(fn, kernel, y_all, x_all, nodes), capped
+    crossed = np.any(np.abs(_crossing(x_all, y_all, breaks)) < 1.0, axis=1)
+    free = ~crossed
+    out = np.empty(x_all.size)
+    out[free] = _exact_points(fn, kernel, y_all[free], x_all[free], nodes)
+    if pieces is None:
+        pieces = _pieces(fn, degree, breaks)
+    out[crossed] = _piecewise_points(kernel, y_all[crossed], x_all[crossed], pieces)
+    capped[crossed] = False
+    return out, capped
 
 
 def _exact_points(fn, kernel, y_all, x_all, nodes):
@@ -165,6 +190,59 @@ def _exact_points(fn, kernel, y_all, x_all, nodes):
         sx, sy, r = _rotation(x, z, y)
         kw = kernel(rule.weights, x, sx, y, sy, z, r)
         out[lo : lo + chunk] = np.cumsum(kw * sample(fn, r), axis=-1)[..., -1]
+    return out
+
+
+def _pieces(fn, degree, breaks):
+    """The breaks of fn, the centre and half-width of each piece between them, and fn's Chebyshev coefficients there, column i for piece i.
+
+    fn is a polynomial of degree degree on each piece, in the variable
+    t = (x - centre) / half-width; it is sampled at the degree + 1
+    Chebyshev points in t of every piece in one call, and its
+    interpolants there (_cheb_interp) are exact.
+    """
+    edges = np.array((-1.0,) + tuple(breaks) + (1.0,))
+    centre, half = (edges[1:] + edges[:-1]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
+    t = gauss_chebyshev(degree + 1).nodes[:, None]
+    return tuple(breaks), centre, half, _cheb_interp(sample(fn, centre + half * t))
+
+
+def _piecewise_points(kernel, y_all, x_all, pieces):
+    """z-integral of kernel * f(R) at points (y_all[i], x_all[i]) whose R crosses a break of f, a polynomial of degree d between its breaks given by _pieces.
+
+    With z = cos theta the integral runs over [0, pi], along which R
+    increases; the crossings of the breaks split it into one panel per
+    piece (_edges; a break that R does not cross leaves an empty panel),
+    panel i holding the theta where R lies in piece i. There the
+    integrand is the kernel times the piece's polynomial p_i(R), of degree
+    d + 4 in z, so its Chebyshev coefficients come exactly from its values
+    g_ij at the n = d + 5 Chebyshev points z_j, and the integral of
+    T_k(cos theta) is sin(k theta) / k (theta for k = 0). The panel's
+    integral is sum_j g_ij (W_j(theta_{i+1}) - W_j(theta_i)), with
+    W_j(theta) = (2 / n) (theta / 2 + sum_{k=1}^{n-1} T_k(z_j) sin(k theta) / k).
+    f is sampled only by _pieces. Points are taken in chunks, and each
+    point's sums run over its own row (np.einsum), so its value does not
+    depend on its chunk.
+    """
+    breaks, centre, half, coeffs = pieces
+    centre, half = centre[:, None], half[:, None]
+    n = coeffs.shape[0] + 4  # d + 5
+    coeffs = coeffs[..., None]  # coefficient k of piece i at [k, i, 0]
+    z = gauss_chebyshev(n).nodes
+    cheb = ncheb.chebvander(z, n - 1)  # T_k(z_j) at [j, k]
+    k = np.arange(1.0, n)
+    out = np.empty(x_all.size)
+    chunk = max(1, _CHUNK // ((len(breaks) + 2) * n))
+    for lo in range(0, x_all.size, chunk):
+        x, y = x_all[lo : lo + chunk], y_all[lo : lo + chunk]
+        theta = _edges(x, y, breaks)[..., None]
+        # theta / 2 and sin(k theta) / k at each edge: (n / 2) W_j(theta) before the sum over k
+        antider = np.concatenate((theta / 2.0, np.sin(theta * k) / k), axis=-1)
+        weights = (2.0 / n) * np.einsum("pik,jk->pij", antider[:, 1:] - antider[:, :-1], cheb)
+        x, y = x[:, None, None], y[:, None, None]
+        sx, sy, r = _rotation(x, z, y)
+        g = kernel(1.0, x, sx, y, sy, z, r) * ncheb.chebval((r - centre) / half, coeffs, tensor=False)
+        out[lo : lo + chunk] = np.einsum("pij,pij->p", g, weights)
     return out
 
 
@@ -295,13 +373,13 @@ def _sym_kernel(w, x, sx, y, sy, z, r):
     return w * zz * zz
 
 
-def _asym_points(fn, ys, iy, x_all, quad_n):
-    """tau_y f at the points (ys[iy[i]], x_all[i]), and whether each point reached the z-rule's cap (_z_points).
+def _asym_points(fn, ys, iy, x_all, quad_n, pieces=None):
+    """tau_y f at the points (ys[iy[i]], x_all[i]), and whether each point's value depends on quad_n (_z_points, with pieces).
 
     tau_y f = 4 / (pi (1 + y)^2) (1 - x^2)^-1 times the z-integral of kb f(R);
     the factor is taken once per entry of ys (_asym_scale).
     """
-    z, capped = _z_points(fn, _asym_kernel, ys[iy], x_all, quad_n)
+    z, capped = _z_points(fn, _asym_kernel, ys[iy], x_all, quad_n, pieces)
     return _asym_scale(ys)[iy] * z / (1.0 - x_all * x_all), capped
 
 
@@ -413,55 +491,79 @@ def _t_grids(deltas, t_points):
     return [[math.cos(d * k / t_points) for k in range(1, t_points + 1)] if d != 0.0 else [] for d in deltas]
 
 
+# The degree of the (2,2) series that _Translates tries for an f with no declared degree
+_SERIES_DEGREE = 64
+
+
+def _series(prep):
+    """expand_in_jacobi(f, _SERIES_DEGREE) cut at its plateau (_plateau_cut), for the prepared f; None where it reaches none."""
+    coeffs = expand_in_jacobi(prep, _SERIES_DEGREE)
+    cut = _plateau_cut(coeffs)
+    return None if cut is None else coeffs[:cut]
+
+
 class _Translates:
     """tau_y f - f on the nodes of discrete_norm(params, norm_nodes), for each y of the t grids it is asked for.
 
     moduli(deltas) translates the y of their grids that it has not met yet,
     keeps the norm of each row, and gives the modulus at each delta, the
     largest norm among the rows of its grid. It takes f's samples at the
-    nodes, or its exact coefficients, from f's prepared function when it is
-    built. Where f declares a
-    degree d (_declared_degree), the rows come from the multipliers
-    tau_y P_k = psi_k(y) P_k: with a the exact (2,2) coefficients of f,
+    nodes, or its (2,2) coefficients, from f's prepared function when it
+    is built. The rows come from the multipliers tau_y P_k = psi_k(y) P_k
+    (Gasper, Ann. of Math. 93, 1971): with a the coefficients of f,
     tau_y f - f = sum_k (psi_k(y) - 1) a_k P_k, one matrix product for
-    every new y and no z-integral, which quad_n does not enter. Any other f
-    takes the nested z-rule of _asym_points with cap quad_n, bitwise
-    _asym_core(f, ys, nodes, quad_n) - f, and keeps each row with a point
-    that reached that cap, and the mask of those points: moduli(deltas,
-    quad_n=q) integrates only those points again, under the cap q, and
-    gives bitwise modulus(f, deltas, params, t_points, q, norm_nodes),
-    because a point that stopped by its test stops at the same level under
-    any larger cap.
+    every new y and no z-integral, which quad_n does not enter. a is
+    exact where f declares a degree d on all of [-1, 1] (_declared_degree);
+    where f declares no degree at all it is f's series of degree
+    _SERIES_DEGREE cut at its plateau (_series, kept in the prepared
+    function's "series" slot), when there is one. Any other f, a piecewise
+    polynomial or a series with no plateau, takes the z-rule of
+    _asym_points with cap quad_n, bitwise _asym_core(f, ys, nodes, quad_n)
+    - f, and keeps each row with a point whose value depends on that cap
+    (_z_points), and the mask of those points: moduli(deltas, quad_n=q)
+    integrates only those points again, under the cap q, and gives
+    bitwise modulus(f, deltas, params, t_points, q, norm_nodes), because a
+    point that stopped by its test stops at the same level under any
+    larger cap, and a point of an exact rule that the cap did not cut
+    does not depend on it.
     """
 
     def __init__(self, f, params, t_points, quad_n, norm_nodes):
         prep = _prepared(f)
         self.lock = prep.lock  # guards norms and capped
         self.fn = _as_callable(f)
-        self.degree = prep.degree
         self.t_points = t_points
         self.quad_n = quad_n
         self.norm = discrete_norm(params, norm_nodes)
         # the norm of each y met, and (row, mask of its capped points) for the rows with a capped point
         self.norms = {}
         self.capped = {}
-        # at a declared degree the exact (2,2) coefficients of f, else f at the nodes
-        self.base = prep(self.norm.nodes) if self.degree is None else prep.coefficients()
+        # the (2,2) coefficients of f, or None, and then f at the nodes and,
+        # for a piecewise polynomial, its pieces, sampled through prep
+        self.coeffs = self.pieces = None
+        if prep.degree is not None:
+            self.coeffs = prep.coefficients()
+        elif _piece_degree(f) is None:
+            self.coeffs = prep.slot("series", None, lambda: _series(prep))
+        else:
+            self.pieces = _pieces(prep, _piece_degree(f), prep.breaks)
+        self.base = prep(self.norm.nodes) if self.coeffs is None else self.coeffs
 
     def _translate(self, new):
         """Translate the sorted list new of y, and keep their norms and capped rows."""
-        ys, xs, degree = np.array(new), self.norm.nodes, self.degree
-        if degree is not None:
+        ys, xs = np.array(new), self.norm.nodes
+        if self.coeffs is not None:
             # psi_k(y) = P_k^{(0,4)}(y) normalised at 1, bitwise multiplier_psi(k, y)
-            rows = ((jacobi_matrix(degree, ys, 0.0, 4.0).T - 1.0) * self.base) @ jacobi_matrix(degree, xs)
+            degree = self.coeffs.size - 1
+            rows = ((jacobi_matrix(degree, ys, 0.0, 4.0).T - 1.0) * self.coeffs) @ jacobi_matrix(degree, xs)
         else:
             iy = np.repeat(np.arange(ys.size), xs.size)
-            tau, capped = _asym_points(self.fn, ys, iy, np.tile(xs, ys.size), self.quad_n)
+            tau, capped = _asym_points(self.fn, ys, iy, np.tile(xs, ys.size), self.quad_n, self.pieces)
             rows = tau.reshape(ys.size, xs.size) - self.base
             masks = capped.reshape(rows.shape)
             # copies, so that a kept row does not keep its whole batch alive
             self.capped.update((y, (row.copy(), mask.copy())) for y, row, mask in zip(new, rows, masks) if mask.any())
-        self.norms.update(zip(new, (self.norm(r) for r in rows)))
+        self.norms.update(zip(new, self.norm.rows(rows)))
 
     def moduli(self, deltas, quad_n=None) -> list:
         """The modulus at each delta, the y of its grid translated first if new.
@@ -481,7 +583,7 @@ class _Translates:
                 xs = self.norm.nodes
                 rows = np.array([self.capped[y][0] for y in redo])
                 iy, ix = np.nonzero([self.capped[y][1] for y in redo])
-                tau, _ = _asym_points(self.fn, np.array(redo), iy, xs[ix], quad_n)
+                tau, _ = _asym_points(self.fn, np.array(redo), iy, xs[ix], quad_n, self.pieces)
                 rows[iy, ix] = tau - self.base[ix]
-                norms = {**norms, **dict(zip(redo, (self.norm(r) for r in rows)))}
+                norms = {**norms, **dict(zip(redo, self.norm.rows(rows)))}
             return [max([0.0] + [norms[y] for y in grid]) for grid in grids]

@@ -15,6 +15,7 @@ from numpy.polynomial.chebyshev import chebvander
 import smoothness_lab
 from smoothness_lab import (
     Config,
+    ConvergenceError,
     EvaluationError,
     FunctionHandle,
     InvalidArgumentError,
@@ -102,8 +103,9 @@ def _l2_projection_error(f, n, params, grid_n=256):
 
 @pytest.mark.parametrize("alpha", [0.8, 1.0, 1.2])
 def test_p2_best_approx_is_the_projection(alpha):
-    # p = 2 runs the damped Newton solver of every 1 < p < inf; its first
-    # iterate, the weighted least-squares fit, is the projection
+    # p = 2 runs the damped Newton solver of every 1 < p < inf; its one
+    # iterate, the weighted least-squares fit, is the projection (an odd f
+    # at n = 1 has no column and takes none)
     params = SpaceParams(2.0, alpha)
     for seed in (7, 11):
         for e in corpus(seed):
@@ -111,6 +113,8 @@ def test_p2_best_approx_is_the_projection(alpha):
             for n in range(1, 65):
                 res = best_approx(e.handle, n, params)
                 assert res.method in ("irls-grid", "exact-fit"), (e.label, n)
+                if res.method == "irls-grid" and n > 1:
+                    assert res.diagnostics["iterations"] == 1, (seed, e.label, n)
                 assert abs(res.value - _l2_projection_error(e.handle, n, params)) <= 1e-14 * fnorm, (seed, e.label, n)
 
 
@@ -226,6 +230,41 @@ def test_damped_newton_at_p20_takes_powers_of_the_scaled_residual():
         errors = [best_approx(e.handle, n, params).value for n in (1, 4, 8, 16, 32)]
         assert errors[0] <= fnorm * (1.0 + 1e-9), e.label
         assert all(b <= a + 1e-9 * fnorm for a, b in zip(errors, errors[1:])), e.label
+
+
+@pytest.mark.parametrize(
+    "params", [P21, SpaceParams(1.0, 0.75), P15, P3, SpaceParams(math.inf, 1.25)], ids=["p2", "p1", "p1.5", "p3", "pinf"]
+)
+def test_k_value_is_recomputed_bitwise_from_its_witness(params):
+    # K evaluates g and Dg in one Clenshaw pass over two coefficient
+    # columns; the value is bitwise that of evaluating the witness and its
+    # image apply_D_poly(witness) one by one
+    cfg = Config()
+    norm = discrete_norm(params, cfg.norm_nodes)
+    for e in corpus(7):
+        fv = sample(e.handle, norm.nodes)
+        for delta in cfg.deltas:
+            res = k_functional(e.handle, delta, params, cfg.kdeg)
+            dg = apply_D_poly(res.witness)(norm.nodes)
+            assert res.value == norm(fv - res.witness(norm.nodes)) + delta * delta * norm(dg), (e.label, delta)
+
+
+@pytest.mark.parametrize("share", [0.125, 0.5, 0.875])
+def test_k_functional_at_p40_takes_scaled_powers_in_its_hessian(share):
+    # at p = 40 the Hessian weight |v|^(p-2) / N(v)^(p-1) of _newton_k
+    # underflowed to 0/0; its powers are now taken of v / max|v| as the
+    # gradient's are. No K warns; a solve may still not converge
+    lo, hi = 1.0 - 1.0 / 80.0, 1.5 - 1.0 / 80.0
+    params = SpaceParams(40.0, lo + share * (hi - lo))
+    cfg = Config()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for e in corpus(7):
+            for d in cfg.deltas:
+                try:
+                    k_functional(e.handle, d, params, cfg.kdeg)
+                except ConvergenceError:
+                    pass
 
 
 @pytest.mark.parametrize(
@@ -896,9 +935,13 @@ def _solver_method(p):
     return "lp-interior-point" if p in (1.0, math.inf) else "irls-grid"
 
 
-# every corpus entry that declares a degree, at two seeds, and a PolynomialRep
+# every corpus entry that declares a degree on all of [-1, 1] (not |x|, a
+# piecewise polynomial), at two seeds, and a PolynomialRep
 DECLARED_DEGREE = [
-    (f"{e.label}@{seed}", e.handle, e.handle.degree) for seed in (7, 11) for e in corpus(seed) if e.handle.degree is not None
+    (f"{e.label}@{seed}", e.handle, e.handle.degree)
+    for seed in (7, 11)
+    for e in corpus(seed)
+    if space_module._declared_degree(e.handle) is not None
 ] + [("P_12^(2,2)", jacobi_poly(12, 2, 2), 12)]
 
 

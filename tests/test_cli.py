@@ -13,6 +13,7 @@ import smoothness_lab
 
 from smoothness_lab.cli import main
 from smoothness_lab.harness import corpus
+from smoothness_lab.space import _declared_degree
 
 # Coarse settings keep the command tests fast; numerical quality of the
 # default configuration is the acceptance suite's job.
@@ -23,8 +24,9 @@ kdeg = 16     # witness degree cap for the K-functional checks
 
 
 def _expected_method(row, solver):
-    # an entry that declares a degree below n is its own best approximation
-    degree = {e.label: e.handle.degree for e in corpus(7)}[row["label"]]
+    # an entry that declares a degree below n on all of [-1, 1] is its own
+    # best approximation
+    degree = {e.label: _declared_degree(e.handle) for e in corpus(7)}[row["label"]]
     return "exact-fit" if degree is not None and degree < row["n"] else solver
 
 

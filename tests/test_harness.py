@@ -35,7 +35,7 @@ from smoothness_lab.harness import (
     run_lemma_suite,
     run_theorem_sweep,
 )
-from smoothness_lab.space import discrete_norm
+from smoothness_lab.space import _declared_degree, discrete_norm, sample
 
 # Coarse settings: quad_n=8 is too few nodes for the degree-24 integrands the
 # doubling check feeds it, so that check must come back as a failure.
@@ -176,8 +176,12 @@ def _k_with_one_nan(monkeypatch):
 
 
 def test_a_nan_value_fails_its_verify_check(monkeypatch):
-    # a NaN row must not vanish into a running maximum that starts at 0.0
+    # a NaN row must not vanish into a running maximum that starts at 0.0;
+    # translation-norm-bound translates through _asym_points, the others
+    # through _asym_core
     monkeypatch.setattr(harness, "_asym_core", lambda f, y, xs, quad_n: np.full(np.shape(xs), np.nan))
+    nan_points = lambda f, ys, iy, x_all, quad_n: (np.full(x_all.shape, np.nan), np.zeros(x_all.shape, dtype=bool))
+    monkeypatch.setattr(harness, "_asym_points", nan_points)
     _k_with_one_nan(monkeypatch)
     reports = by_id(run_lemma_suite(SMALL))
     for check_id in (
@@ -329,19 +333,22 @@ def _cheb_residual(values, grid, degree):
 
 @pytest.mark.parametrize("seed", [7, 11])
 def test_corpus_declares_true_polynomial_degrees(seed):
-    # a declared degree shortens the translation rules, so it must be exact:
-    # one too low gives wrong translations, a missing one loses the speed-up
+    # a declared degree shortens the translation rules, so it must be exact
+    # on each piece between the breaks: one too low gives wrong
+    # translations, a missing one loses the speed-up
     grid = make_grid(64)
     for e in corpus(seed):
-        if e.tag not in ("polynomial", "random-series"):
+        if e.tag not in ("polynomial", "random-series", "kink"):
             assert e.handle.degree is None, e.label
             continue
         d = e.handle.degree
         assert d is not None, e.label
-        values = np.asarray(e.handle(grid), dtype=float)
-        assert _cheb_residual(values, grid, d) <= 1e-12, e.label
-        if d > 0:
-            assert _cheb_residual(values, grid, d - 1) >= 1e-6, e.label
+        edges = (-1.0,) + e.handle.breaks + (1.0,)
+        for lo, hi in zip(edges, edges[1:]):
+            values = np.asarray(e.handle(lo + (hi - lo) * (grid + 1.0) / 2.0), dtype=float)
+            assert _cheb_residual(values, grid, d) <= 1e-12, (e.label, lo)
+            if d > 0:
+                assert _cheb_residual(values, grid, d - 1) >= 1e-6, (e.label, lo)
 
 
 def test_sweep_translations_take_at_most_two_million_samples(monkeypatch):
@@ -349,7 +356,9 @@ def test_sweep_translations_take_at_most_two_million_samples(monkeypatch):
     # translation.sample; the default sweep took 5.19 M before the moduli of
     # declared-degree f came from the multipliers (no z-integral at all, so
     # no _exact_points call), the nested z-rule stopped on its
-    # extrapolated error, and modulus-k-stability redid only capped points
+    # extrapolated error, and modulus-k-stability redid only capped points;
+    # only |x|, a piecewise polynomial, calls _exact_points, at its points
+    # whose R crosses no break
     samples, exact = [], []
     real_sample, real_exact = translation.sample, translation._exact_points
 
@@ -366,7 +375,54 @@ def test_sweep_translations_take_at_most_two_million_samples(monkeypatch):
     reports = run_theorem_sweep(Config(seed=7))
     assert all(r.status == "pass" for r in reports)
     assert 0 < sum(samples) <= 2_000_000
-    assert exact == []
+    assert exact and all(args[0].breaks == (0.0,) for args in exact)
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_only_the_endpoint_singular_entry_reaches_the_nested_rule(monkeypatch, seed):
+    # |x| is translated exactly and sin(3x) through its chopped series, so
+    # of the corpus only (1-x)^0.75 takes the nested z-rule in the sweep,
+    # in its main pass and in modulus-k-stability's pass under 2 quad_n;
+    # each call is named by its f's values at a few points
+    cfg = Config(seed=seed)
+    probe = np.linspace(-0.9, 0.9, 7)
+    labels = [(e.label, sample(e.handle, probe)) for e in corpus(seed)]
+    points = {}
+    real = translation._nested_points
+
+    def recording(fn, kernel, y_all, x_all, quad_n):
+        label = next(label for label, values in labels if np.array_equal(values, sample(fn, probe)))
+        points[label, quad_n] = points.get((label, quad_n), 0) + y_all.size
+        return real(fn, kernel, y_all, x_all, quad_n)
+
+    monkeypatch.setattr(translation, "_nested_points", recording)
+    reports = run_theorem_sweep(cfg)
+    assert all(r.status == "pass" for r in reports)
+    assert set(points) == {("(1-x)^0.75", cfg.quad_n), ("(1-x)^0.75", 2 * cfg.quad_n)}, points
+    assert points["(1-x)^0.75", 2 * cfg.quad_n] < points["(1-x)^0.75", cfg.quad_n]
+
+
+@pytest.mark.parametrize("cfg", [SMALL, Config()], ids=["quad_n=8", "quad_n=128"])
+def test_translation_norm_bound_is_the_full_doubled_pass(cfg, small_reports):
+    # the check integrates again under 2 quad_n only the points whose value
+    # depends on the cap quad_n; its rows are bitwise those of translating
+    # every entry at every t under quad_n and again under 2 quad_n. At
+    # quad_n = 8 the random series' exact rule is cut below its 9 nodes
+    reports = small_reports if cfg is SMALL else run_lemma_suite(cfg)
+    rows = {d["case"]: d["value"] for d in by_id(reports)["translation-norm-bound"].details}
+    params = SpaceParams(cfg.p, cfg.alpha)
+    norm = discrete_norm(params, cfg.norm_nodes)
+    largest = []
+    for qn in (cfg.quad_n, 2 * cfg.quad_n):
+        ratios = []
+        for e in corpus(cfg.seed):
+            base = norm(sample(e.handle, norm.nodes))
+            for t in (0.3, 0.8, 1.5, 2.2, 2.8, 3.0):
+                image = translation._asym_core(e.handle, math.cos(t), norm.nodes, qn)
+                ratios.append(norm(image) * math.cos(t / 2.0) ** 4 / base)
+        largest.append(max(ratios))
+    assert rows["empirical-constant"] == largest[1]
+    assert rows["drift"] == abs(largest[1] - largest[0]) / largest[1]
 
 
 def test_d_image_matches_apply_d_poly_and_the_analytic_image():
@@ -383,7 +439,7 @@ def test_d_image_matches_apply_d_poly_and_the_analytic_image():
     checked = []
     for e in corpus(7):
         got = harness._d_image(e.handle, xs)
-        if e.handle.degree is not None:
+        if _declared_degree(e.handle) is not None:
             fit = best_approx(e.handle, e.handle.degree + 1, SpaceParams(2.0, 1.0))
             assert fit.method == "exact-fit"
             want = apply_D_poly(fit.argmin)(xs)

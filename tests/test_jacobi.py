@@ -23,7 +23,7 @@ from smoothness_lab import (
     jacobi_poly,
     make_grid,
 )
-from smoothness_lab.jacobi import _ROWS, _ROWS_BYTES, _jacobi_series, _raw_rows
+from smoothness_lab.jacobi import _ROWS, _ROWS_BYTES, _jacobi_series, _plateau_cut, _raw_rows
 
 
 def exact_h(n: int) -> Fraction:
@@ -132,6 +132,30 @@ def test_eigenrelation(n):
     got[: image.cheb.size] = image.cheb
     scale = max(1.0, np.max(np.abs(want)))
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+def _d_by_numpy(poly):
+    """(1-x^2) g'' - 6x g' composed from numpy.polynomial's chebder, chebmulx, chebadd and chebsub."""
+    cheb = np.polynomial.chebyshev
+    g1 = cheb.chebder(poly.cheb)
+    g2 = cheb.chebder(g1)
+    inner = cheb.chebadd(cheb.chebmulx(g2), 6.0 * g1)
+    return PolynomialRep(cheb.chebsub(g2, cheb.chebmulx(inner)))
+
+
+def test_apply_d_poly_is_bitwise_the_numpy_composition():
+    # D's recurrence in plain floats keeps numpy's operation order: every
+    # degree 0..64, on the Jacobi modes, on random coefficients across ten
+    # decades, and with zeros inside and a tiny last coefficient
+    rng = np.random.default_rng(5)
+    for d in range(65):
+        c = rng.standard_normal(d + 1) * 10.0 ** rng.uniform(-5.0, 5.0, d + 1)
+        holes = c.copy()
+        holes[rng.integers(0, d + 1, 2)] = 0.0
+        holes[-1] = 1e-300
+        for poly in (jacobi_poly(d, 2, 2), PolynomialRep(c), PolynomialRep(holes)):
+            got, want = apply_D_poly(poly).cheb, _d_by_numpy(poly).cheb
+            assert got.shape == want.shape and np.array_equal(got, want), d
 
 
 @given(
@@ -282,3 +306,17 @@ def test_degree_validation():
             jacobi_h(n)
     with pytest.raises(InvalidArgumentError):
         jacobi_eval(3, 2, 2, 1.5)
+
+
+def test_plateau_cut_keeps_the_series_up_to_its_plateau():
+    # sin(3x)'s (2,2) coefficients fall to a rounding plateau of 1e-14 to
+    # 6e-13 from degree 20 on: the cut keeps degrees 0..19. |x| and
+    # (1-x)^0.75 decay algebraically and reach no plateau by degree 64; a
+    # zero series keeps one coefficient, and 16 are too few to judge
+    sin3 = expand_in_jacobi(lambda x: np.sin(3.0 * x), 64)
+    assert _plateau_cut(sin3) == 20
+    assert np.max(np.abs(sin3[20:])) <= 1e-12 * np.max(np.abs(sin3))
+    assert _plateau_cut(expand_in_jacobi(FunctionHandle(eval=np.abs, breaks=(0.0,)), 64)) is None
+    assert _plateau_cut(expand_in_jacobi(lambda x: np.maximum(1.0 - x, 0.0) ** 0.75, 64)) is None
+    assert _plateau_cut(np.zeros(65)) == 1
+    assert _plateau_cut(sin3[:16]) is None

@@ -165,9 +165,19 @@ def test_a_changed_function_or_setting_is_never_served_stale(name):
     _cold()
     assert _same_k(got[0], k_of(h)) and got[1] == m_of(h)
 
+    # |x| warmed with its break and then declaring degree 1 between breaks
+    h = FunctionHandle(eval=np.abs, breaks=(0.0,))
+    _cold()
+    stale = m_of(h)
+    h.degree = 1
+    got = m_of(h)
+    _cold()
+    assert got == m_of(h) and got != stale
+
 
 def test_the_memo_holds_one_entry():
-    # a call on another function replaces the kept entry
+    # a call on another function replaces the kept entry; modulus keeps the
+    # chopped series of an f with no declared degree in its own slot
     params = SPACES["p1.5"]
     f, g = FunctionHandle(eval=_bump), FunctionHandle(eval=_bend)
     best_approx(f, 4, params)
@@ -177,7 +187,7 @@ def test_the_memo_holds_one_entry():
     k_functional(g, 0.4, params, 16, 64)
     modulus(g, 0.4, params, 4, 32, 64)
     assert space._PREPARED._entry[0][0] is g
-    assert _kept().f is g and set(_kept()._slots) == {"E", "K", "modulus"}
+    assert _kept().f is g and set(_kept()._slots) == {"E", "K", "modulus", "series"}
 
 
 def test_a_call_on_another_f_drops_every_set_up_of_the_last():
@@ -194,7 +204,7 @@ def test_a_call_on_another_f_drops_every_set_up_of_the_last():
     modulus(g, 0.4, params, 4, 32, 64)
     gc.collect()
     assert prepared() is None
-    assert _kept().f is g and set(_kept()._slots) == {"modulus"}
+    assert _kept().f is g and set(_kept()._slots) == {"modulus", "series"}
 
 
 def test_only_the_rules_of_live_slots_keep_samples():

@@ -310,3 +310,17 @@ def test_norm_of_normal_sums_is_unscaled():
         want = float(np.cumsum(norm.weights * np.abs(v) ** p)[-1]) ** (1.0 / p)
         assert norm(v) == want, p
     assert norm(np.zeros(64)) == 0.0
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 40.0, math.inf])
+def test_norms_of_rows_are_bitwise_the_norm_of_each_row(p):
+    # _Translates takes the norm of every translated row in one pass; each
+    # is bitwise the norm of its row alone, rescaled rows and zero rows too
+    norm = space.discrete_norm(SpaceParams(p, 1.2), 256)
+    rng = np.random.default_rng(11)
+    for scale in (1e-200, 1e-9, 1.0, 1e9, 1e200):
+        vals = rng.normal(size=(23, norm.nodes.size)) * scale
+        vals[4] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert norm.rows(vals) == [norm(v) for v in vals], scale

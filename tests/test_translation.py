@@ -35,6 +35,7 @@ from smoothness_lab.translation import (
     _Translates,
     _asym_core,
     _asym_kernel,
+    _asym_scale,
     _exact_points,
     _nested_points,
     _nested_rule,
@@ -255,9 +256,9 @@ def test_translate_polynomial_stays_close_to_eval_grid():
     assert np.max(np.abs(got - psi * jacobi_eval(3, 2, 2, xs))) <= 1e-8
 
 
-# Polynomials that declare their degree: the polynomial corpus entries and a
-# few Jacobi modes.
-CORPUS_POLYS = [(e.label, e.handle) for e in corpus(7) if e.handle.degree is not None]
+# Polynomials that declare their degree on all of [-1, 1]: the polynomial
+# corpus entries and a few Jacobi modes.
+CORPUS_POLYS = [(e.label, e.handle) for e in corpus(7) if space_module._declared_degree(e.handle) is not None]
 POLY_CASES = CORPUS_POLYS + [(f"P_{n}", jacobi_poly(n, 2, 2)) for n in (0, 1, 5, 12, 24)]
 
 
@@ -290,7 +291,8 @@ def test_sym_exact_rule_matches_full_rule(label, fn, quad_n):
 
 def test_z_points_picks_the_exact_rule_capped_at_quad_n(monkeypatch):
     # a declared degree d takes the exact rule of min(quad_n, d // 2 + 3)
-    # nodes and caps no point; anything else takes the nested rule, with
+    # nodes, and marks its points capped, their values depending on quad_n,
+    # only where quad_n cut it; anything else takes the nested rule, with
     # quad_n as its cap
     rules = []
     real_exact, real_nested = translation_module._exact_points, translation_module._nested_points
@@ -322,7 +324,8 @@ def test_z_points_picks_the_exact_rule_capped_at_quad_n(monkeypatch):
         _, capped = _z_points(fn, _asym_kernel, y_all, x_all, quad_n)
         assert rules == [rule]
         if rule[0] == "exact":
-            assert capped.shape == x_all.shape and not capped.any()
+            assert capped.shape == x_all.shape
+            assert np.all(capped == (rule[1] < fn.degree // 2 + 3)), (fn, quad_n)
 
 
 @pytest.mark.parametrize("label,fn", CORPUS_POLYS, ids=[c[0] for c in CORPUS_POLYS])
@@ -660,7 +663,12 @@ def test_multiplier_moduli_agree_with_the_z_rule(name):
     # rounding. The degree-48 K witness needs all of its d + 1 = 49 nodes.
     params = MODULI_SPACES[name]
     cfg = Config()
-    fs = [(f"{e.label},seed={seed}", e.handle) for seed in (7, 11) for e in corpus(seed) if e.handle.degree is not None]
+    fs = [
+        (f"{e.label},seed={seed}", e.handle)
+        for seed in (7, 11)
+        for e in corpus(seed)
+        if space_module._declared_degree(e.handle) is not None
+    ]
     witness = k_functional(CORPUS["sin(3x)"], 0.1, P21, 48, 256).witness
     assert witness.degree == 48
     fs.append(("witness-48", witness))
@@ -668,6 +676,41 @@ def test_multiplier_moduli_agree_with_the_z_rule(name):
         got = modulus(f, cfg.deltas, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
         want = _z_rule_moduli(f, cfg.deltas, params, cfg)
         assert np.max(np.abs(np.subtract(got, want))) <= 1e-13 * weighted_norm(f, params), label
+
+
+@pytest.mark.parametrize("name", sorted(MODULI_SPACES))
+def test_series_moduli_agree_with_the_nested_rule(name):
+    # sin(3x) declares no degree; its (2,2) series reaches a plateau at
+    # degree 20, so _Translates takes the multipliers of the series cut
+    # there, which agree with the nested z-rule's moduli within 1e-12
+    # relative. |x| and (1-x)^0.75 decay algebraically and reach none
+    params = MODULI_SPACES[name]
+    cfg = Config()
+    for seed in (7, 11):
+        entries = {e.label: e.handle for e in corpus(seed)}
+        h = entries["sin(3x)"]
+        translates = _Translates(h, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
+        assert translates.coeffs is not None and translates.coeffs.size == 20
+        got = translates.moduli(cfg.deltas)
+        want = _z_rule_moduli(h, cfg.deltas, params, cfg)
+        assert np.max(np.abs(np.subtract(got, want)) / np.array(want)) <= 1e-12, seed
+        for label in ("|x|", "(1-x)^0.75"):
+            assert _Translates(entries[label], params, cfg.t_points, cfg.quad_n, cfg.norm_nodes).coeffs is None, label
+
+
+def test_abs_is_translated_exactly_on_the_norm_nodes():
+    # |x| declares degree 1 between its breaks: at the 256 norm nodes of
+    # (2, 1) and 40 y = cos t, t in (0, 2.4], its piecewise-exact
+    # translation agrees with the nested rule under a cap of 2,048 within
+    # 1e-11 of the largest |tau_y f|
+    h = CORPUS["|x|"]
+    assert (h.degree, h.breaks) == (1, (0.0,))
+    xs = discrete_norm(P21, Config().norm_nodes).nodes
+    ys = np.cos(np.linspace(0.0, 2.4, 41)[1:])
+    got = _asym_core(h, ys, xs, 128)
+    z, _ = _nested_points(h, _asym_kernel, np.repeat(ys, xs.size), np.tile(xs, ys.size), 2048)
+    want = (_asym_scale(ys)[:, None] * z.reshape(ys.size, xs.size)) / (1.0 - xs * xs)
+    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
 def test_moduli_of_a_declared_degree_take_no_z_integral(monkeypatch):
@@ -681,7 +724,7 @@ def test_moduli_of_a_declared_degree_take_no_z_integral(monkeypatch):
     monkeypatch.setattr(translation_module, "_z_points", recording)
     cfg = Config()
     for e in corpus(7):
-        if e.handle.degree is not None:
+        if space_module._declared_degree(e.handle) is not None:
             modulus(e.handle, cfg.deltas, P21, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
     assert calls == []
     # the translations themselves still take the exact z-rule
@@ -689,19 +732,59 @@ def test_moduli_of_a_declared_degree_take_no_z_integral(monkeypatch):
     assert len(calls) == 1
 
 
-def test_exact_coefficients_ignore_the_breaks_of_a_declared_degree():
-    # the (d + 1)-node rule split at a break has too few nodes per panel to
-    # be exact: the modulus of this quintic at (0.4, (2, 1)) read 0.1046
-    # with the break against 0.0601 without it
+def test_a_degree_with_breaks_declares_a_piecewise_polynomial():
+    # degree=d with breaks promises a polynomial of degree d between the
+    # breaks, not on all of [-1, 1]: the handle has no exact coefficients,
+    # and its moduli come from the piecewise-exact z-rule. This quintic is
+    # one polynomial across its break, so they agree with the multiplier
+    # moduli of the handle declared without it
     quintic = lambda x: x**5 - 0.3 * x**2
     broken = FunctionHandle(eval=quintic, degree=5, breaks=(0.0,))
     plain = FunctionHandle(eval=quintic, degree=5)
+    assert space_module._prepared(broken).coefficients() is None
+    assert space_module._prepared(plain).coefficients() is not None
     cfg = Config()
     for params in (P21, SpaceParams(1.5, 11.0 / 12.0)):
-        got = (space_module._prepared(broken).coefficients(), modulus(broken, cfg.deltas, params))
-        want = (space_module._prepared(plain).coefficients(), modulus(plain, cfg.deltas, params))
-        assert np.array_equal(got[0], want[0]) and got[1] == want[1], params
+        got = modulus(broken, cfg.deltas, params)
+        want = modulus(plain, cfg.deltas, params)
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-12 * max(want), params
     assert abs(modulus(broken, 0.4, P21) - modulus(quintic, 0.4, P21)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["asym", "sym"])
+@pytest.mark.parametrize("y", [-0.5, 0.3, 0.9])
+def test_a_piecewise_polynomial_translates_exactly(kind, y):
+    # pieces of degree 3 with a kink at -0.4 and a jump at 0.3: points that
+    # cross both breaks, one or neither, against the split 2,048-node
+    # reference
+    breaks = (-0.4, 0.3)
+    f = lambda x: np.where(x < 0.3, np.abs(x + 0.4) * x * x, 1.0 - x * x * x)
+    xs = 0.995 * make_grid(64)
+    crossings = _crosses(xs, y, breaks[0]).astype(int) + _crosses(xs, y, breaks[1])
+    assert set(crossings.tolist()) == {0, 1, 2}
+    h = FunctionHandle(eval=f, degree=3, breaks=breaks)
+    got = KERNELS[kind](h, y, xs, 128)
+    assert np.max(np.abs(got - _reference(f, y, kind, breaks=breaks, xs=xs))) <= 1e-12
+
+
+@pytest.mark.parametrize("quad_n", [8, 128])
+def test_points_that_do_not_depend_on_the_cap_keep_their_value_under_a_larger_one(quad_n):
+    # _z_points marks the points whose value depends on quad_n: those the
+    # nested rule capped, and those of an exact rule that quad_n cut below
+    # d // 2 + 3 nodes (the random series, degree 12, at quad_n = 8).
+    # Integrating only them again under 2 quad_n gives bitwise the
+    # translation under 2 quad_n, for every corpus entry
+    xs = discrete_norm(P21, Config().norm_nodes).nodes
+    ys = np.cos(np.array([0.3, 0.8, 1.5, 2.2, 2.8, 3.0]))
+    iy, x_all = np.repeat(np.arange(ys.size), xs.size), np.tile(xs, ys.size)
+    for e in corpus(7):
+        lo, capped = translation_module._asym_points(e.handle, ys, iy, x_all, quad_n)
+        hi = lo.copy()
+        hi[capped] = translation_module._asym_points(e.handle, ys, iy[capped], x_all[capped], 2 * quad_n)[0]
+        assert np.array_equal(lo.reshape(ys.size, -1), _asym_core(e.handle, ys, xs, quad_n)), e.label
+        assert np.array_equal(hi.reshape(ys.size, -1), _asym_core(e.handle, ys, xs, 2 * quad_n)), e.label
+        if e.label == "random-series":
+            assert capped.all() == (quad_n == 8)
 
 
 @pytest.mark.parametrize("label", ["|x|", "(1-x)^0.75", "sin(3x)"])
@@ -758,9 +841,10 @@ def test_modulus_keeps_the_capped_rows_of_every_y_it_met(label):
 @pytest.mark.parametrize("params", [P21, SpaceParams(math.inf, 1.25)], ids=["p2", "pinf"])
 def test_kept_capped_rows_own_their_data(params):
     # each kept row and mask is a copy, so it does not keep the array of its
-    # whole batch of y alive
+    # whole batch of y alive; of the corpus only (1-x)^0.75 keeps rows, since
+    # |x| is translated exactly
     cfg = Config()
-    for label in ("|x|", "(1-x)^0.75"):
+    for label in ("(1-x)^0.75",):
         for d in cfg.deltas:
             modulus(CORPUS[label], d, params, cfg.t_points, cfg.quad_n, cfg.norm_nodes)
         kept = space_module._PREPARED._entry[1]._slots["modulus"][1]
