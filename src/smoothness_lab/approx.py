@@ -49,6 +49,8 @@ __all__ = [
 
 MAX_APPROX_DIM = 64
 MAX_WITNESS_DEG = 64
+# from this p on, _damped_newton may start from the p = inf fit instead of the L2 fit
+_LP_START_P = 12.0
 
 
 @dataclass(frozen=True)
@@ -392,23 +394,34 @@ def _damped_newton(fv, V, w, p, scale):
     the one iterate with no Newton step. Otherwise the reweighted
     least-squares fit is c + (p - 1) * (Newton step), so each step starts
     at the Newton length 1 / (p - 1) and is halved until the objective
-    decreases. The correction is solved for the residual, so its
-    rounding scales with r rather than f. Every power is taken of r / max|r|,
-    never of r, so none underflows at large p. The weights |r|^(p-2) are
-    floored at 1e-12 max|r| where they shape the step, while the right-hand
-    side keeps the true gradient, so the fixed point is the true minimiser.
-    Once no halved step decreases the objective, its rounding hides the
-    rest of the descent: a gradient of about sqrt(eps) relative moves it
-    by only eps. Full Newton steps then go on while each halves the largest
-    gradient component, which rounds at eps of its own size. The loop stops
-    when the residual, or the step, is within rounding of f, or when a
-    Newton step no longer halves the gradient.
+    decreases. From p = _LP_START_P on, where the L2 fit lies far from the
+    near-minimax argmin, the start is whichever of the L2 fit and the
+    p = inf fit of weights w^(1/p) (_lp_fit) has the smaller objective; an
+    exact L2 fit is kept as it is. The correction is solved for the
+    residual, so its rounding scales with r rather than f. Every power is
+    taken of r / max|r|, never of r, so none underflows at large p. The
+    weights |r|^(p-2) are floored at 1e-12 max|r| where they shape the
+    step, while the right-hand side keeps the true gradient, so the fixed
+    point is the true minimiser. Once no halved step decreases the
+    objective, its rounding hides the rest of the descent: a gradient of
+    about sqrt(eps) relative moves it by only eps. Full Newton steps then
+    go on while each halves the largest gradient component, which rounds at
+    eps of its own size. The loop stops when the residual, or the step, is
+    within rounding of f, or when a Newton step no longer halves the
+    gradient.
     """
     tiny = 64.0 * np.finfo(float).eps * scale
     sw = np.sqrt(w)
     coeffs = _lstsq(V * sw[:, None], fv * sw)  # weighted L2 fit
     if p == 2.0:
         return coeffs, 1
+    r = fv - V @ coeffs
+    if p >= _LP_START_P and float(np.max(np.abs(r))) > tiny:
+        lp = _lp_fit(math.inf, [(V, fv, w ** (1.0 / p))])[0]
+        r_lp = fv - V @ lp
+        m = max(float(np.max(np.abs(r))), float(np.max(np.abs(r_lp))))
+        if ordered_sum(w * np.abs(r_lp / m) ** p) < ordered_sum(w * np.abs(r / m) ** p):
+            coeffs = lp
     polish = None  # the scale of r and the gradient, once the objective stops decreasing
     for iterations in range(1, 501):
         r = fv - V @ coeffs
@@ -712,12 +725,9 @@ def _k_setup(prep, params, max_deg, quad_n):
         r, u = fv - C @ J, (C * lam) @ J
         scores = [nr + d2 * nu for nr, nu in fixed] + [norm(r[-1]) + d2 * norm(u[-1])]
         best_poly = _jacobi_series(C[int(np.argmin(scores))])
-        # g and Dg in one Clenshaw pass, over their coefficients as two
-        # columns: the shorter one's zero tail leaves its bits unchanged
-        g, dg = best_poly.cheb, apply_D_poly(best_poly).cheb
-        both = np.zeros((max(g.size, dg.size), 2))
-        both[: g.size, 0], both[: dg.size, 1] = g, dg
-        gv, dgv = ncheb.chebval(xs, both)
+        # g and Dg in one Clenshaw pass, over their coefficients as the two
+        # columns of one array: Dg has g's length
+        gv, dgv = ncheb.chebval(xs, np.stack((best_poly.cheb, apply_D_poly(best_poly).cheb), axis=1))
         best_val = norm(fv - gv) + d2 * norm(dgv)
         return KFunctionalResult(float(best_val), best_poly, delta, max_deg, iterations, gap)
 

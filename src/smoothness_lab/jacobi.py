@@ -238,73 +238,26 @@ def _d_eigenvalues(n) -> np.ndarray:
     return -k * (k + 5.0)
 
 
-def _trim(c):
-    """c without its trailing zeros, keeping one entry, as numpy.polynomial trims a series."""
-    n = len(c)
-    while n > 1 and c[n - 1] == 0.0:
-        n -= 1
-    return c[:n]
-
-
-def _cheb_der(c):
-    """ncheb.chebder(c) of a list of floats, in plain floats and numpy's operation order."""
-    c = list(c)
-    n = len(c) - 1
-    if n < 1:
-        return [c[0] * 0]
-    der = [0.0] * n
-    for j in range(n, 2, -1):
-        der[j - 1] = (2 * j) * c[j]
-        c[j - 2] += (j * c[j]) / (j - 2)
-    if n > 1:
-        der[1] = 4 * c[2]
-    der[0] = c[1]
-    return der
-
-
-def _cheb_mulx(c):
-    """ncheb.chebmulx(c) of a list of floats, in plain floats and numpy's operation order."""
-    c = _trim(c)
-    if len(c) == 1 and c[0] == 0.0:
-        return c
-    half = [v / 2 for v in c[1:]]
-    prd = [c[0] * 0, c[0]] + half
-    for k, v in enumerate(half):
-        prd[k] += v
-    return prd
-
-
-def _cheb_add(a, b):
-    """ncheb.chebadd(a, b) of two lists of floats: their sum, trimmed."""
-    a, b = _trim(a), _trim(b)
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for k, v in enumerate(b):
-        out[k] += v
-    return _trim(out)
-
-
-def _d_cheb(c):
-    """Chebyshev coefficients of (1-x^2) g'' - 6x g' from those of g, c, as a list of floats.
-
-    They are g'' - x (x g'' + 6 g'), formed as numpy.polynomial's chebder,
-    chebmulx, chebadd and chebsub form them (a - b is a + (-b) bit for
-    bit), and so bitwise theirs, in plain floats, without numpy's cost per
-    call on short series.
-    """
-    g1 = _cheb_der(c)
-    g2 = _cheb_der(g1)
-    inner = _cheb_add(_cheb_mulx(g2), [6.0 * v for v in g1])  # x g'' + 6 g'
-    return _cheb_add(g2, [-v for v in _cheb_mulx(inner)])
-
-
 def apply_D_poly(poly: PolynomialRep) -> PolynomialRep:
-    """Exact image (1-x^2) g'' - 6x g' of g under the (2,2) operator, in Chebyshev coefficients (_d_cheb).
+    """Image (1-x^2) g'' - 6x g' of g under the (2,2) operator, in Chebyshev coefficients, by its closed form.
 
+    The Chebyshev equation (1-x^2) T_k'' = x T_k' - k^2 T_k and
+    x T_k' = (k/2) (U_k + U_{k-2}) give D T_k = -k(k+5) T_k
+    - 10k (T_{k-2} + T_{k-4} + ...), the T_0 term halved. So for
+    g = sum c_k T_k, (Dg)_j = -j(j+5) c_j - 10 sum_{k > j, k = j mod 2} k c_k,
+    halved at j = 0: two reversed cumulative sums, over the even and the
+    odd entries of k c, in a fixed order. The image has g's length, and
     P_n^{(2,2)} is an eigenfunction with eigenvalue -n(n+5).
     """
-    return PolynomialRep(_d_cheb(poly.cheb.tolist()))
+    c = poly.cheb
+    k = np.arange(c.size, dtype=float)
+    kc = k * c
+    tails = np.zeros(c.size + 2)  # tails[j] = sum of k c_k over k >= j, k = j mod 2, from the top
+    for j in (0, 1):
+        tails[j : c.size : 2] = np.cumsum(kc[j::2][::-1])[::-1]
+    dg = _d_eigenvalues(c.size - 1) * c - 10.0 * tails[2:]
+    dg[0] *= 0.5
+    return PolynomialRep(dg)
 
 
 def fourier_jacobi_coeff(f, n, n_nodes: int = 64) -> float:

@@ -116,10 +116,13 @@ def test_table_bestapprox_non_hilbert(capsys, p, alpha):
 
 
 @pytest.mark.parametrize(
-    "p,alpha", [("1.5", "0.9"), ("3", "0.9"), ("1", "0.75"), ("inf", "1.2")], ids=["1.5", "3", "1", "inf"]
+    "p,alpha",
+    [("1.5", "0.9"), ("3", "0.9"), ("1", "0.75"), ("inf", "1.2"), ("40", "1.2375")],
+    ids=["1.5", "3", "1", "inf", "40"],
 )
 def test_sweep_non_hilbert_passes(capsys, p, alpha):
-    # every check, modulus-k-stability included, at the default Config()
+    # every check, modulus-k-stability included, at the default Config();
+    # at p = 40 every solve starts from the better of the L2 and p = inf fits
     assert main(["sweep", "--p", p, "--alpha", alpha]) == 0
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert len(checks) == 6 and all(c["status"] == "pass" for c in checks)
