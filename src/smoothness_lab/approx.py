@@ -9,6 +9,7 @@ from typing import Optional
 
 import numpy as np
 from numpy.polynomial import chebyshev as ncheb
+from scipy.linalg import eigh
 from scipy.linalg.lapack import dgelsy, dgeqrf, dtrtrs
 
 from .errors import ConvergenceError, InvalidArgumentError, _integer, _real
@@ -613,10 +614,10 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = NORM_NODES) 
     witness returned as, a PolynomialRep in Chebyshev form. The minimiser
     of F(c) is found by:
 
-    - p = 2, alpha = 1: a scan of the exact path c_nu(s) = a_nu / (1 + s lam_nu^2),
-      on which the basis is orthogonal (separable case), taken as one array
-      op and refined at the root of F'(s) by _log_root, where F' changes
-      sign between the scan points next to the first minimum;
+    - p = 2, at every alpha: a scan of the Tikhonov path argmin ||f - g||^2
+      + s ||Dg||^2, exact in the basis of the pencil of the two Gram
+      matrices (_path_solver), as one array op, refined at the root of
+      F'(s) by _log_root where F' changes sign next to the first minimum;
     - 1 < p < inf otherwise: damped Newton steps, each halved until F
       decreases, started off the kinks of F (_newton_k);
     - p in {1, inf}: the exact minimiser on the rule, through the dual of
@@ -637,18 +638,18 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = NORM_NODES) 
     quad_n must be at least max_deg + 1: on fewer nodes the witness is not
     determined and K would be rounding noise. iterations counts the
     solver's steps: Newton steps (0 when the best constant is shown to be
-    optimal), interior-point steps, or, in the separable case, the
-    evaluations of the path slope by _log_root, the two at the ends of its
-    bracket included (0 when the scan minimum is at an end of the scan).
+    optimal), interior-point steps, or, at p = 2, the evaluations of the
+    path slope by _log_root, the two at the ends of its bracket included (0
+    when the scan minimum is at an end of the scan).
     gap is the interior-point solve's final gap at p in {1, inf}, whichever
     candidate wins, and None otherwise. delta^2 is capped at 1e300, far past
     the face threshold (_const_face), where K is flat at the best constant.
 
-    Outside the separable case, f exactly even or odd on the rule is solved
-    on the half x > 0 of the rule and on the rows of J of its parity
-    (_fold): the solvers and the descent off the face Dg = 0 see only those,
-    and the other coefficients are 0. The candidates are still scored, and
-    the value recomputed, on the whole rule.
+    At p != 2, f exactly even or odd on the rule is solved on the half x >
+    0 of the rule and on the rows of J of its parity (_fold): the solvers
+    and the descent off the face Dg = 0 see only those, and the other
+    coefficients are 0. The candidates are still scored, and the value
+    recomputed, on the whole rule.
     """
     delta = _check_delta(delta)
     max_deg = _integer(max_deg, "max_deg", 0, MAX_WITNESS_DEG)
@@ -666,14 +667,13 @@ def _k_setup(prep, params, max_deg, quad_n):
 
     Done here once: the samples of f, J, the projection c_proj and the
     scores of the candidates that do not depend on delta (zero, projection
-    and the best constant). In the separable case also the projection a
-    on the rule, its residual tail2 and the terms of the 362-point scan; at
-    1 < p < inf also the face test of _newton_k at the best constant
-    (_const_face). On a fold (_fold) the solvers and _const_face get the
-    half rule and the rows of J, lam, c_proj and the constant of f's
-    parity, and their coefficients are widened with zeros. For an odd f
-    the face Dg = 0 of the odd rows is the point 0: the constant there is
-    0, and the descent takes every odd row.
+    and the best constant). At p = 2 also the basis and scan of the path
+    (_path_solver); at other 1 < p < inf the face test of _newton_k at the
+    best constant (_const_face). On a fold (_fold) the solvers and
+    _const_face get the half rule and the rows of J, lam, c_proj and the
+    constant of f's parity, and their coefficients are widened with zeros.
+    For an odd f the face Dg = 0 of the odd rows is the point 0: the
+    constant there is 0, and the descent takes every odd row.
     """
     norm = discrete_norm(params, quad_n)
     xs = norm.nodes
@@ -687,8 +687,8 @@ def _k_setup(prep, params, max_deg, quad_n):
     const[0] = _best_constant(fv, norm, scale)
     candidates = [np.zeros(max_deg + 1), c_proj, const]
 
-    if p == 2.0 and params.alpha == 1.0:
-        solve = _separable_solver(fv, J, lam, norm.weights)
+    if p == 2.0:
+        solve = _path_solver(fv, J, lam, norm.weights)
     else:
         # on a fold the solvers take the half rule and the rows of f's parity
         fold = _fold(xs, norm.weights, fv)
@@ -734,37 +734,40 @@ def _k_setup(prep, params, max_deg, quad_n):
     return at
 
 
-def _separable_solver(fv, J, lam, rw):
-    """The path minimum at (2, 1) as a function of d2 = delta^2: (coefficients, slope evaluations, None).
+def _path_solver(fv, J, lam, rw):
+    """The K minimum at p = 2 as a function of d2 = delta^2: (coefficients, slope evaluations, None).
 
-    The basis is orthogonal under this exact weight, so the optimum lies on
-    the path c_nu(s) = a_nu / (1 + s lam_nu^2) and a one-dimensional scan
-    over s replaces the descent. a, its residual tail2 = sum rw (fv - J^T
-    a)^2 and the scan terms do not depend on d2 and are built here once.
+    Both norms are quadratic, so the minimiser lies on the Tikhonov path
+    argmin A + s B, A = sum rw (fv - J^T c)^2, B = sum rw (J^T (lam c))^2:
+    c_s = T a / (1 + s sigma^2), for T^T G T = I and T^T L G L T =
+    diag(sigma^2), G = J diag(rw) J^T, L = diag(lam), and a = T^T J (rw fv).
+    a, tail2 = A(T a) and the scan terms are built here once.
     """
-    hn = np.cumsum(rw[None, :] * J * J, axis=1)[:, -1]
-    a = np.cumsum(rw[None, :] * J * fv[None, :], axis=1)[:, -1] / hn
-    tail2 = float(np.cumsum(rw * (fv - a @ J) ** 2)[-1])
+    G = (J * rw) @ J.T
+    mu, T = eigh(lam[:, None] * G * lam, G)
+    sigma = np.sqrt(np.maximum(mu, 0.0))
+    a = T.T @ (J @ (rw * fv))
+    tail2 = float(np.cumsum(rw * (fv - (T @ a) @ J) ** 2)[-1])
 
     def path_terms(s):
-        # A = sum hn (a - c_s)^2 and B = sum hn (lam c_s)^2 on the path, for
+        # A - tail2 = sum (a - b_s)^2 and B = sum (sigma b_s)^2, c_s = T b_s, for
         # a number s or along a 1-d array of s: each s takes the same operations
-        c_s = a / (1.0 + np.asarray(s)[..., None] * lam * lam)
-        return (hn * (a - c_s) ** 2).sum(axis=-1), (hn * (lam * c_s) ** 2).sum(axis=-1), c_s
+        b_s = a / (1.0 + np.asarray(s)[..., None] * sigma * sigma)
+        return ((a - b_s) ** 2).sum(axis=-1), ((sigma * b_s) ** 2).sum(axis=-1), b_s
 
     # the scan, one call over its 362 points
     ss = np.concatenate(([0.0], np.logspace(-18.0, 18.0, 361)))
-    aa, bb, cs = path_terms(ss)
+    aa, bb, bs = path_terms(ss)
     root_a, root_b = np.sqrt(tail2 + aa), np.sqrt(bb)
 
     def solve(d2):
         scan = root_a + d2 * root_b
         idx = int(np.argmin(scan))  # first minimum
-        best_s_val, best_s_c = float(scan[idx]), cs[idx]
+        best_s_val, best_s_b = float(scan[idx]), bs[idx]
         iterations = 0  # evaluations of the path slope
         if 0 < idx < ss.size - 1:
             # A' = -s B' along the path, so F'(s) has the sign of
-            # h(s) = s sqrt(B) - d2 sqrt(tail2 + A), s ||Dg_s|| - d2 ||f - g_s||.
+            # h(s) = s sqrt(B) - d2 sqrt(A), s ||Dg_s|| - d2 ||f - g_s||.
             # F is unimodal on the path, the convex Pareto front of the two
             # norms, so where h changes sign on the bracket its root is the
             # minimum; where it does not, F is flat to rounding and the scan
@@ -780,10 +783,10 @@ def _separable_solver(fv, J, lam, rw):
 
             s_star = _log_root(slope, lo, float(ss[idx + 1]))
             if s_star is not None:
-                aa_s, bb_s, c_s = path_terms(s_star)
+                aa_s, bb_s, b_s = path_terms(s_star)
                 if math.sqrt(tail2 + aa_s) + d2 * math.sqrt(bb_s) < best_s_val:
-                    best_s_c = c_s
-        return best_s_c, iterations, None
+                    best_s_b = b_s
+        return T @ best_s_b, iterations, None
 
     return solve
 

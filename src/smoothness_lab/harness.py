@@ -740,7 +740,8 @@ def run_theorem_sweep(config: Config = Config()):
             {"case": "upper-constant", "value": upper},
             {"case": "raw-spread", "value": _spread(r1)},
         ]
-        return upper / lower, rows, "certified constant pair bracketing the modulus by K"
+        with np.errstate(divide="ignore", invalid="ignore"):  # as _spread: a zero lower constant gives inf
+            return float(np.float64(upper) / lower), rows, "certified constant pair bracketing the modulus by K"
 
     def modulus_k_damped_window():
         if not r2:

@@ -193,11 +193,15 @@ def _cheb_matrix(d: int, a: float, b: float) -> np.ndarray:
 
     One run of the recurrence gives every column; column k is normalized by
     the sum of its first k + 1 entries, its value at 1, so it is bitwise
-    jacobi_poly(k, a, b).cheb padded with zeros.
+    jacobi_poly(k, a, b).cheb padded with zeros. No entry depends on d,
+    so a d below 64 takes the leading block of the degree-64 matrix.
     """
+    if d < 64:
+        return _cheb_matrix(64, a, b)[: d + 1, : d + 1]
     M = np.empty((d + 1, d + 1))
-    for k, raw in enumerate(_cheb_rows(d, a, b)):
-        M[:, k] = raw / np.sum(raw[: k + 1])
+    with np.errstate(over="ignore", invalid="ignore"):  # at a huge a or b, columns past those asked for overflow
+        for k, raw in enumerate(_cheb_rows(d, a, b)):
+            M[:, k] = raw / np.sum(raw[: k + 1])
     M.setflags(write=False)
     return M
 

@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import chebvander
@@ -476,6 +477,7 @@ def test_k_functional_needs_a_node_per_witness_coefficient(params):
 
 
 K_SPACES = {"p1": SpaceParams(1.0, 0.75), "p1.5": P15, "p3": P3, "pinf": SpaceParams(math.inf, 1.25)}
+P2A = SpaceParams(2.0, 0.8125)  # p = 2 off alpha = 1
 
 
 @pytest.mark.parametrize("name", sorted(K_SPACES))
@@ -502,7 +504,7 @@ def test_k_functional_invariants_in_non_hilbert_spaces(name):
             prev = res.value
 
 
-@pytest.mark.parametrize("params", [*K_SPACES.values(), P21], ids=[*K_SPACES, "p2"])
+@pytest.mark.parametrize("params", [*K_SPACES.values(), P21, P2A], ids=[*K_SPACES, "p2", "p2-0.8125"])
 def test_k_functional_is_flat_at_the_best_constant_for_large_delta(params):
     # past the face threshold the best constant is the minimiser, in every
     # space: K stays finite, never decreases (to rounding) and never exceeds
@@ -522,7 +524,7 @@ def test_k_functional_is_flat_at_the_best_constant_for_large_delta(params):
             prev = k
 
 
-@pytest.mark.parametrize("params", [*K_SPACES.values(), P21], ids=[*K_SPACES, "p2"])
+@pytest.mark.parametrize("params", [*K_SPACES.values(), P21, P2A], ids=[*K_SPACES, "p2", "p2-0.8125"])
 def test_k_functional_value_is_the_public_norm_at_its_witness(params):
     # k_functional scores its candidates on the samples of f it already
     # holds; the value must still be, bit for bit, the public norm of f - w
@@ -535,35 +537,46 @@ def test_k_functional_value_is_the_public_norm_at_its_witness(params):
             assert res.value == diff + delta * delta * weighted_norm(apply_D_poly(w), params), (e.label, delta)
 
 
-def _separable_path(f, delta, max_deg, quad_n):
-    """k_functional's discretisation at (2, 1): the rule, samples, J, lam and the path c_s = a / (1 + s lam^2)."""
-    norm = discrete_norm(P21, quad_n)
+# the p = 2 spaces that the path tests run in
+PATH_ALPHAS = (0.8, 1.0, 1.2)
+
+
+def _separable_path(f, delta, max_deg, quad_n, alpha):
+    """k_functional's discretisation at (2, alpha): the rule, samples, J, lam and the path c_s = T a / (1 + s sigma^2).
+
+    T is the basis of the pencil (L G L, G), G = J W J^T and L = diag(lam),
+    with T^T G T = I and T^T L G L T = diag(sigma^2), built as
+    k_functional builds it.
+    """
+    norm = discrete_norm(SpaceParams(2.0, alpha), quad_n)
     fv = sample(f, norm.nodes)
     J = jacobi_matrix(max_deg, norm.nodes)
     lam = -np.arange(max_deg + 1.0) * (np.arange(max_deg + 1.0) + 5.0)
     rw = norm.weights
-    hn = np.cumsum(rw[None, :] * J * J, axis=1)[:, -1]
-    a = np.cumsum(rw[None, :] * J * fv[None, :], axis=1)[:, -1] / hn
-    tail2 = float(np.cumsum(rw * (fv - a @ J) ** 2)[-1])
+    G = (J * rw) @ J.T
+    mu, T = scipy.linalg.eigh(lam[:, None] * G * lam, G)
+    sigma = np.sqrt(np.maximum(mu, 0.0))
+    a = T.T @ (J @ (rw * fv))
+    tail2 = float(np.cumsum(rw * (fv - (T @ a) @ J) ** 2)[-1])
 
     def path_terms(s):
-        # A = sum hn (a - c_s)^2 and B = sum hn (lam c_s)^2
-        c_s = a / (1.0 + s * lam * lam)
-        return float(np.sum(hn * (a - c_s) ** 2)), float(np.sum(hn * (lam * c_s) ** 2)), c_s
+        # A - tail2 = sum (a - b_s)^2 and B = sum (sigma b_s)^2, and c_s = T b_s
+        b_s = a / (1.0 + s * sigma * sigma)
+        return float(np.sum((a - b_s) ** 2)), float(np.sum((sigma * b_s) ** 2)), T @ b_s
 
     ss = np.concatenate(([0.0], np.logspace(-18.0, 18.0, 361)))
     c_proj = expand_in_jacobi(f, max_deg, n_nodes=max(quad_n, 256))
     return norm, fv, J, lam, delta * delta, tail2, path_terms, ss, c_proj
 
 
-def _separable_k_reference(f, delta, max_deg, quad_n):
-    """k_functional at (2, 1) with its scan taken one path_terms call per point.
+def _separable_k_reference(f, delta, max_deg, quad_n, alpha):
+    """k_functional at (2, alpha) with its scan taken one path_terms call per point.
 
     The refine (the root of the path slope by _log_root) and the choice
     among the zero, projection, best-constant and path candidates, scored on
     J, are those of k_functional.
     """
-    norm, fv, J, lam, d2, tail2, path_terms, ss, c_proj = _separable_path(f, delta, max_deg, quad_n)
+    norm, fv, J, lam, d2, tail2, path_terms, ss, c_proj = _separable_path(f, delta, max_deg, quad_n, alpha)
     terms = [path_terms(float(s)) for s in ss]
     scan = [math.sqrt(tail2 + aa) + d2 * math.sqrt(bb) for aa, bb, _ in terms]
     idx = int(np.argmin(scan))
@@ -594,17 +607,18 @@ def test_separable_scan_matches_point_by_point_reference(kdeg):
     # the 362-point scan runs as one array op; value and witness must be
     # bitwise those of the point-by-point scan
     cfg = Config()
-    for e in corpus(7):
-        for delta in cfg.deltas:
-            res = k_functional(e.handle, delta, P21, kdeg, cfg.norm_nodes)
-            value, witness = _separable_k_reference(e.handle, delta, kdeg, cfg.norm_nodes)
-            assert res.value == value, (e.label, delta)
-            assert np.array_equal(res.witness.cheb, witness.cheb), (e.label, delta)
+    for alpha in PATH_ALPHAS:
+        for e in corpus(7):
+            for delta in cfg.deltas:
+                res = k_functional(e.handle, delta, SpaceParams(2.0, alpha), kdeg, cfg.norm_nodes)
+                value, witness = _separable_k_reference(e.handle, delta, kdeg, cfg.norm_nodes, alpha)
+                assert res.value == value, (alpha, e.label, delta)
+                assert np.array_equal(res.witness.cheb, witness.cheb), (alpha, e.label, delta)
 
 
-def _golden_section_k(f, delta, max_deg, quad_n):
-    """K at (2, 1) with the path minimum refined by 120 golden-section steps on F, each candidate scored as a polynomial."""
-    norm, fv, J, lam, d2, tail2, path_terms, ss, c_proj = _separable_path(f, delta, max_deg, quad_n)
+def _golden_section_k(f, delta, max_deg, quad_n, alpha):
+    """K at (2, alpha) with the path minimum refined by 120 golden-section steps on F, each candidate scored as a polynomial."""
+    norm, fv, J, lam, d2, tail2, path_terms, ss, c_proj = _separable_path(f, delta, max_deg, quad_n, alpha)
 
     def path_value(s):
         aa, bb, c_s = path_terms(s)
@@ -645,23 +659,26 @@ def test_separable_refine_finds_the_root_of_the_path_slope(monkeypatch, kdeg):
 
     monkeypatch.setattr(approx_module, "_log_root", recording)
     cfg = Config()
-    bracketed = 0
-    for e in corpus(7):
-        fnorm = weighted_norm(e.handle, P21)
-        for delta in cfg.deltas:
-            roots.clear()
-            res = k_functional(e.handle, delta, P21, kdeg, cfg.norm_nodes)
-            golden = _golden_section_k(e.handle, delta, kdeg, cfg.norm_nodes)
-            # plus rounding of ||f||: K of the constant entry is itself rounding
-            assert res.value <= golden * (1.0 + 1e-13) + 1e-15 * fnorm, (e.label, delta)
-            assert len(roots) <= 1
-            if roots and roots[0] is not None:
-                bracketed += 1
-                _, _, _, _, d2, tail2, path_terms, _, _ = _separable_path(e.handle, delta, kdeg, cfg.norm_nodes)
-                aa, bb, _ = path_terms(roots[0])
-                residual = math.sqrt(tail2 + aa)
-                assert abs(roots[0] * math.sqrt(bb) - d2 * residual) <= 1e-12 * d2 * residual, (e.label, delta)
-    assert bracketed > 0
+    for alpha in PATH_ALPHAS:
+        params = SpaceParams(2.0, alpha)
+        bracketed = 0
+        for e in corpus(7):
+            fnorm = weighted_norm(e.handle, params)
+            for delta in cfg.deltas:
+                roots.clear()
+                res = k_functional(e.handle, delta, params, kdeg, cfg.norm_nodes)
+                golden = _golden_section_k(e.handle, delta, kdeg, cfg.norm_nodes, alpha)
+                # plus rounding of ||f||: K of the constant entry is itself rounding
+                assert res.value <= golden * (1.0 + 1e-13) + 1e-15 * fnorm, (alpha, e.label, delta)
+                assert len(roots) <= 1
+                if roots and roots[0] is not None:
+                    bracketed += 1
+                    path = _separable_path(e.handle, delta, kdeg, cfg.norm_nodes, alpha)
+                    d2, tail2, path_terms = path[4:7]
+                    aa, bb, _ = path_terms(roots[0])
+                    residual = math.sqrt(tail2 + aa)
+                    assert abs(roots[0] * math.sqrt(bb) - d2 * residual) <= 1e-12 * d2 * residual, (alpha, e.label, delta)
+        assert bracketed > 0, alpha
 
 
 def test_log_root_brackets_and_pins_the_root():
@@ -700,14 +717,55 @@ def test_separable_iterations_count_the_path_slope_evaluations(monkeypatch):
 
     monkeypatch.setattr(approx_module, "_log_root", counting)
     cfg = Config()
-    total = 0
+    for alpha in PATH_ALPHAS:
+        total = 0
+        for e in corpus(7):
+            for delta in cfg.deltas:
+                counts.clear()
+                res = k_functional(e.handle, delta, SpaceParams(2.0, alpha), cfg.kdeg, cfg.norm_nodes)
+                assert res.iterations == len(counts), (alpha, e.label, delta)
+                total += res.iterations
+        assert total > 0, alpha
+
+
+@pytest.mark.parametrize("alpha", [0.8, 1.2])
+def test_p2_path_k_matches_the_newton_k(alpha):
+    # p = 2 no longer reaches _newton_k, which makes it an independent
+    # reference there: on k_functional's own discretisation, its minimum of
+    # F(c) = N(f - J^T c) + delta^2 N(J^T (lam c)) is the path's K to rounding
+    params = SpaceParams(2.0, alpha)
+    cfg = Config()
+    norm = discrete_norm(params, cfg.norm_nodes)
+    J = jacobi_matrix(cfg.kdeg, norm.nodes)
+    lam = -np.arange(cfg.kdeg + 1.0) * (np.arange(cfg.kdeg + 1.0) + 5.0)
     for e in corpus(7):
+        fv = sample(e.handle, norm.nodes)
+        scale = float(np.max(np.abs(fv))) or 1.0
+        fnorm = norm(fv)
+        c_proj = expand_in_jacobi(e.handle, cfg.kdeg, n_nodes=max(cfg.norm_nodes, 256))
+        const = np.zeros(cfg.kdeg + 1)
+        const[0] = _best_constant(fv, norm, scale)
+        face = _const_face(fv, J, lam, norm, const, scale)
         for delta in cfg.deltas:
-            counts.clear()
-            res = k_functional(e.handle, delta, P21, cfg.kdeg, cfg.norm_nodes)
-            assert res.iterations == len(counts), (e.label, delta)
-            total += res.iterations
-    assert total > 0
+            d2 = delta * delta
+            c, _ = _newton_k(fv, J, lam, norm, d2, c_proj, const, face)
+            newton = norm(fv - J.T @ c) + d2 * norm(J.T @ (lam * c))
+            res = k_functional(e.handle, delta, params, cfg.kdeg, cfg.norm_nodes)
+            assert abs(res.value - newton) <= 1e-13 * fnorm, (e.label, delta)
+
+
+@pytest.mark.parametrize("alpha", [0.8125, 1.0, 1.1875])
+def test_p2_k_never_reaches_the_newton_k(monkeypatch, alpha):
+    # every K at p = 2 is the Tikhonov path; the 1 < p < inf descent stays off it
+    def unreachable(*args):
+        raise AssertionError("p = 2 reached the 1 < p < inf K solver")
+
+    for name in ("_newton_k", "_const_face", "_steepest"):
+        monkeypatch.setattr(approx_module, name, unreachable)
+    params = SpaceParams(2.0, alpha)
+    for e in corpus(7):
+        for delta in (*Config().deltas, 0.0, 1e3):
+            assert math.isfinite(k_functional(e.handle, delta, params).value), (e.label, delta)
 
 
 def test_jacobi_series_is_bitwise_poly_lincomb():

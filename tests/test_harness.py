@@ -202,6 +202,25 @@ def test_a_nan_ratio_fails_the_pooled_sweep_checks(monkeypatch):
         assert reports[check_id].status == "fail", check_id
 
 
+def test_a_zero_lower_constant_fails_the_equivalence_on_its_tolerance(monkeypatch):
+    # a zero modulus of one entry makes the lower constant 0: upper / lower
+    # is inf without a warning, and the check fails on its tolerance with
+    # its rows and both constants, instead of on a ZeroDivisionError
+    is_sin = _handles_of(monkeypatch, "sin(3x)")
+
+    class Translates(harness._Translates):
+        def moduli(self, deltas, quad_n=None):
+            real = super().moduli(deltas, quad_n)
+            return [0.0] * len(real) if is_sin(self.fn) else real
+
+    monkeypatch.setattr(harness, "_Translates", Translates)
+    report = by_id(run_theorem_sweep(SMALL))["modulus-k-equivalence"]
+    assert report.status == "fail" and report.observed == math.inf
+    rows = {d["case"]: d["value"] for d in report.details}
+    assert rows["lower-constant"] == 0.0 and rows["upper-constant"] > 0.0
+    assert len(report.details) == len(corpus(SMALL.seed)) * len(SMALL.deltas) + 3
+
+
 def test_a_nan_deeper_witness_fails_the_stability_check(monkeypatch):
     # the deeper witness is degree 48 at kdeg 16; a NaN K there is no K below the floor
     real = harness.k_functional

@@ -14,7 +14,7 @@ import pytest
 import smoothness_lab
 from smoothness_lab import Config, FunctionHandle, SpaceParams, best_approx, corpus, k_functional, modulus, space
 
-# the four spaces of the spaces benchmark, and the separable space
+# the four spaces of the spaces benchmark, and (2, 1)
 SPACES = {
     "p1": SpaceParams(1.0, 0.75),
     "p1.5": SpaceParams(1.5, 11.0 / 12.0),
