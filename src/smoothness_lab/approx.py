@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -172,21 +172,20 @@ def _e_setup(prep, params, size):
     report_fv = prep(report.nodes)
     fold = _fold(norm.nodes, norm.weights, fv)
     half = slice(None) if fold is None else fold[0]
-    nodes, sv, w = norm.nodes[half], fv[half], norm.weights[half]
-    scale = float(np.max(np.abs(fv))) or 1.0
+    snorm, sv = DiscreteNorm(params.p, norm.nodes[half], norm.weights[half]), fv[half]
     lp = params.p == 1.0 or params.is_sup
     method = "lp-interior-point" if lp else "irls-grid"
 
     def solve(cols):
         diagnostics = {"grid_n": norm.nodes.size, "iterations": 0}
         coeffs = np.zeros(cols[-1] + 1 if cols.size else 1)
-        V = ncheb.chebvander(nodes, coeffs.size - 1)
+        V = ncheb.chebvander(snorm.nodes, coeffs.size - 1)
         V = V if fold is None else V[:, cols]
-        # an odd f at n = 1 has no column: _lp_fit returns at once, and Newton is not run
+        # an odd f at n = 1 has no column: either solver returns at once
         if lp:
-            coeffs[cols], diagnostics["iterations"], diagnostics["gap"] = _lp_fit(params.p, [(V, sv, w)])
-        elif cols.size:
-            coeffs[cols], diagnostics["iterations"] = _damped_newton(sv, V, w, params.p, scale)
+            coeffs[cols], diagnostics["iterations"], diagnostics["gap"] = _lp_fit(params.p, [(V, sv, snorm.weights)])
+        else:
+            coeffs[cols], diagnostics["iterations"] = _damped_newton(sv, V, snorm)
         argmin = PolynomialRep(coeffs)
         return argmin, diagnostics, report(report_fv - argmin(report.nodes))
 
@@ -383,35 +382,34 @@ def _lstsq(M, rhs):
     return dgelsy(M, rhs, np.zeros(k, dtype=np.int32), np.finfo(float).eps * max(m, k), lwork)[1][:k]
 
 
-def _gradient_max(V, w, u, p):
-    """max |V^T (w sign(u) |u|^(p-1))|: the largest component of the gradient of sum w |u|^p / p."""
-    return float(np.max(np.abs(V.T @ (w * np.sign(u) * np.abs(u) ** (p - 1.0)))))
+def _damped_newton(fv, V, norm):
+    """Minimise sum w|fv - V c|^p for the weights w and the 1 < p < inf of norm; returns (coeffs, iterations).
 
-
-def _damped_newton(fv, V, w, p, scale):
-    """Minimise sum w|fv - V c|^p, 1 < p < inf; returns (coeffs, iterations).
-
-    At p = 2 the minimiser is the weighted least-squares fit, returned as
-    the one iterate with no Newton step. Otherwise the reweighted
-    least-squares fit is c + (p - 1) * (Newton step), so each step starts
-    at the Newton length 1 / (p - 1) and is halved until the objective
-    decreases. From p = _LP_START_P on, where the L2 fit lies far from the
-    near-minimax argmin, the start is whichever of the L2 fit and the
-    p = inf fit of weights w^(1/p) (_lp_fit) has the smaller objective; an
-    exact L2 fit is kept as it is. The correction is solved for the
-    residual, so its rounding scales with r rather than f. Every power is
-    taken of r / max|r|, never of r, so none underflows at large p. The
-    weights |r|^(p-2) are floored at 1e-12 max|r| where they shape the
-    step, while the right-hand side keeps the true gradient, so the fixed
-    point is the true minimiser. Once no halved step decreases the
-    objective, its rounding hides the rest of the descent: a gradient of
-    about sqrt(eps) relative moves it by only eps. Full Newton steps then
-    go on while each halves the largest gradient component, which rounds at
-    eps of its own size. The loop stops when the residual, or the step, is
-    within rounding of f, or when a Newton step no longer halves the
-    gradient.
+    A V with no column returns (empty, 0). At p = 2 the minimiser is the
+    weighted least-squares fit, returned as the one iterate with no Newton
+    step. Otherwise the reweighted least-squares fit is c + (p - 1) *
+    (Newton step), so each step starts at the Newton length 1 / (p - 1)
+    and is halved until the objective decreases. From p = _LP_START_P on,
+    where the L2 fit lies far from the near-minimax argmin, the start is
+    whichever of the L2 fit and the p = inf fit of weights w^(1/p)
+    (_lp_fit) has the smaller objective; an exact L2 fit is kept as it is.
+    The correction is solved for the residual, so its rounding scales with
+    r rather than f. Every power is taken of r / max|r|, never of r, so
+    none underflows at large p: the sums and gradients by norm
+    (DiscreteNorm._psum, _pgrad), the IRLS weights here. The weights
+    |r|^(p-2) are floored at 1e-12 max|r| where they shape the step, while
+    the right-hand side keeps the true gradient, so the fixed point is the
+    true minimiser. Once no halved step decreases the objective, its
+    rounding hides the rest of the descent: a gradient of about sqrt(eps)
+    relative moves it by only eps. Full Newton steps then go on while each
+    halves the largest gradient component, which rounds at eps of its own
+    size. The loop stops when the residual, or the step, is within
+    rounding of f, or when a Newton step no longer halves the gradient.
     """
-    tiny = 64.0 * np.finfo(float).eps * scale
+    if not V.shape[1]:
+        return np.zeros(0), 0  # no coefficient to fit
+    w, p = norm.weights, norm.p
+    tiny = 64.0 * np.finfo(float).eps * float(np.max(np.abs(fv)))
     sw = np.sqrt(w)
     coeffs = _lstsq(V * sw[:, None], fv * sw)  # weighted L2 fit
     if p == 2.0:
@@ -421,7 +419,7 @@ def _damped_newton(fv, V, w, p, scale):
         lp = _lp_fit(math.inf, [(V, fv, w ** (1.0 / p))])[0]
         r_lp = fv - V @ lp
         m = max(float(np.max(np.abs(r))), float(np.max(np.abs(r_lp))))
-        if ordered_sum(w * np.abs(r_lp / m) ** p) < ordered_sum(w * np.abs(r / m) ** p):
+        if norm._psum(np.abs(r_lp / m)) < norm._psum(np.abs(r / m)):
             coeffs = lp
     polish = None  # the scale of r and the gradient, once the objective stops decreasing
     for iterations in range(1, 501):
@@ -431,7 +429,7 @@ def _damped_newton(fv, V, w, p, scale):
             return coeffs, iterations
         rn = r / rmax
         a = np.abs(rn)
-        phi = ordered_sum(w * a ** p)
+        phi = norm._psum(a)
         floored = np.maximum(a, 1e-12)
         sw = np.sqrt(w * floored ** (p - 2.0))
         # the gradient sign(r) |r|^(p-1) over the floored weight |r|^(p-2),
@@ -448,15 +446,15 @@ def _damped_newton(fv, V, w, p, scale):
         t = 1.0 / (p - 1.0)
         if polish is None:
             while t * vmax > tiny:
-                if ordered_sum(w * np.abs((r - t * vd) / rmax) ** p) < phi:
+                if norm._psum(np.abs((r - t * vd) / rmax)) < phi:
                     break
                 t *= 0.5
             else:
                 # the objective stopped decreasing: from here on the gradient ranks full Newton steps
-                polish = rmax, _gradient_max(V, w, rn, p)
+                polish = rmax, float(np.max(np.abs(V.T @ norm._pgrad(rn))))
         if polish is not None:
             t = 1.0 / (p - 1.0)
-            g = _gradient_max(V, w, (r - t * vd) / polish[0], p)
+            g = float(np.max(np.abs(V.T @ norm._pgrad((r - t * vd) / polish[0]))))
             if t * vmax <= tiny or g > 0.5 * polish[1]:
                 return coeffs, iterations
             polish = polish[0], g
@@ -610,7 +608,8 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = NORM_NODES) 
     The witness, of degree at most max_deg <= 64, is parameterized by
     coefficients c in the (2,2) Jacobi basis, where the second-order operator
     acts diagonally. One norm, discrete_norm(params, quad_n), serves the
-    solvers and the reported value. The value is recomputed from, and the
+    solvers and the reported value, so K at delta = 0 is E_{max_deg+1} on
+    that rule. The value is recomputed from, and the
     witness returned as, a PolynomialRep in Chebyshev form. The minimiser
     of F(c) is found by:
 
@@ -619,7 +618,8 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = NORM_NODES) 
       matrices (_path_solver), as one array op, refined at the root of
       F'(s) by _log_root where F' changes sign next to the first minimum;
     - 1 < p < inf otherwise: damped Newton steps, each halved until F
-      decreases, started off the kinks of F (_newton_k);
+      decreases, started off the kinks of F (_newton_k), or at delta = 0
+      by best_approx's solver;
     - p in {1, inf}: the exact minimiser on the rule, through the dual of
       the linear program by the interior-point method of best_approx, with
       one block of rows for each of the two norms.
@@ -645,11 +645,11 @@ def k_functional(f, delta, params, max_deg: int = 32, quad_n: int = NORM_NODES) 
     candidate wins, and None otherwise. delta^2 is capped at 1e300, far past
     the face threshold (_const_face), where K is flat at the best constant.
 
-    At p != 2, f exactly even or odd on the rule is solved on the half x >
-    0 of the rule and on the rows of J of its parity (_fold): the solvers
-    and the descent off the face Dg = 0 see only those, and the other
-    coefficients are 0. The candidates are still scored, and the value
-    recomputed, on the whole rule.
+    In every space, f exactly even or odd on the rule is solved on the half
+    x > 0 of the rule and on the rows of J of its parity (_fold): the
+    solvers and the descent off the face Dg = 0 see only those, and the
+    other coefficients are 0. The candidates are still scored, and the
+    value recomputed, on the whole rule.
     """
     delta = _check_delta(delta)
     max_deg = _integer(max_deg, "max_deg", 0, MAX_WITNESS_DEG)
@@ -669,9 +669,9 @@ def _k_setup(prep, params, max_deg, quad_n):
     scores of the candidates that do not depend on delta (zero, projection
     and the best constant). At p = 2 also the basis and scan of the path
     (_path_solver); at other 1 < p < inf the face test of _newton_k at the
-    best constant (_const_face). On a fold (_fold) the solvers and
-    _const_face get the half rule and the rows of J, lam, c_proj and the
-    constant of f's parity, and their coefficients are widened with zeros.
+    best constant (_const_face). On a fold (_fold), at every p, the solvers
+    and _const_face get the half rule and the rows of J, lam, c_proj and the
+    constant of f's parity; their coefficients are widened with zeros.
     For an odd f the face Dg = 0 of the odd rows is the point 0: the
     constant there is 0, and the descent takes every odd row.
     """
@@ -682,35 +682,26 @@ def _k_setup(prep, params, max_deg, quad_n):
     lam = _d_eigenvalues(max_deg)
     p = params.p
     c_proj = expand_in_jacobi(prep, max_deg, n_nodes=max(int(quad_n), NORM_NODES))
-    scale = float(np.max(np.abs(fv))) or 1.0
     const = np.zeros(max_deg + 1)
-    const[0] = _best_constant(fv, norm, scale)
+    const[0] = _best_constant(fv, norm)
     candidates = [np.zeros(max_deg + 1), c_proj, const]
 
+    # on a fold the solvers take the half rule and the rows of f's parity
+    fold = _fold(xs, norm.weights, fv)
+    half, rows = (slice(None),) * 2 if fold is None else (fold[0], np.arange(fold[1], max_deg + 1, 2))
+    sv, sJ, slam, sconst = fv[half], J[rows][:, half], lam[rows], const[rows]
+    snorm = DiscreteNorm(p, xs[half], norm.weights[half])
     if p == 2.0:
-        solve = _path_solver(fv, J, lam, norm.weights)
+        solve = _path_solver(sv, sJ, slam, snorm.weights)
+    elif 1.0 < p < math.inf:
+        face = _const_face(sv, sJ, slam, snorm, sconst)
+        solve = lambda d2: _newton_k(sv, sJ, slam, snorm, d2, c_proj[rows], sconst, face) + (None,)
     else:
-        # on a fold the solvers take the half rule and the rows of f's parity
-        fold = _fold(xs, norm.weights, fv)
-        half, rows = (slice(None),) * 2 if fold is None else (fold[0], np.arange(fold[1], max_deg + 1, 2))
-        sv, sJ, slam, sconst = fv[half], J[rows][:, half], lam[rows], const[rows]
-        snorm = norm if fold is None else DiscreteNorm(p, xs[half], norm.weights[half])
-        if 1.0 < p < math.inf:
-            face = _const_face(sv, sJ, slam, snorm, sconst, scale)
-            solve_rows = lambda d2: _newton_k(sv, sJ, slam, snorm, d2, c_proj[rows], sconst, face) + (None,)
-        else:
-            block = (sJ.T, sv, snorm.weights)
-
-            def solve_rows(d2):
-                blocks = [block, (sJ.T * slam, np.zeros_like(sv), d2 * snorm.weights)] if d2 > 0.0 else [block]
-                return _lp_fit(p, blocks)
+        block = (sJ.T, sv, snorm.weights)
 
         def solve(d2):
-            # the solver's coefficients, widened with zeros on a fold
-            c, iterations, gap = solve_rows(d2)
-            full = np.zeros(max_deg + 1)
-            full[rows] = c
-            return full, iterations, gap
+            blocks = [block, (sJ.T * slam, np.zeros_like(sv), d2 * snorm.weights)] if d2 > 0.0 else [block]
+            return _lp_fit(p, blocks)
 
     # the candidates are scored on J; the winner's value is recomputed from
     # its Chebyshev form, so that it is the public norm at the witness
@@ -719,9 +710,11 @@ def _k_setup(prep, params, max_deg, quad_n):
 
     def at(delta):
         d2 = min(delta * delta, 1e300)  # K is flat past the face threshold
-        best_c, iterations, gap = solve(d2)
-        # the product of all candidates: a row alone may round differently
-        C = np.array(candidates + [best_c])
+        c, iterations, gap = solve(d2)
+        # the product of all candidates, the solver's widened with zeros on
+        # a fold: a row alone may round differently
+        C = np.array(candidates + [np.zeros(max_deg + 1)])
+        C[-1, rows] = c
         r, u = fv - C @ J, (C * lam) @ J
         scores = [nr + d2 * nu for nr, nu in fixed] + [norm(r[-1]) + d2 * norm(u[-1])]
         best_poly = _jacobi_series(C[int(np.argmin(scores))])
@@ -791,7 +784,7 @@ def _path_solver(fv, J, lam, rw):
     return solve
 
 
-def _best_constant(fv, norm, scale):
+def _best_constant(fv, norm):
     """Constant c minimising norm(fv - c)."""
     if norm.p == math.inf:
         # the optimum levels the worst pair: w_i (f_i - c) = w_j (c - f_j)
@@ -803,11 +796,10 @@ def _best_constant(fv, norm, scale):
         order = np.argsort(fv, kind="stable")
         cum = np.cumsum(norm.weights[order])
         return float(fv[order[int(np.searchsorted(cum, 0.5 * cum[-1]))]])
-    coeffs, _ = _damped_newton(fv, np.ones((fv.size, 1)), norm.weights, norm.p, scale)
-    return float(coeffs[0])
+    return float(_damped_newton(fv, np.ones((fv.size, 1)), norm)[0][0])
 
 
-def _const_face(fv, J, lam, norm, const, scale):
+def _const_face(fv, J, lam, norm, const):
     """The steepest descent off the face Dg = 0 at the best constant const: (sigma, v), as _steepest gives them.
 
     The face is spanned by the rows of J where lam is 0, and v moves the
@@ -815,38 +807,15 @@ def _const_face(fv, J, lam, norm, const, scale):
     is 0 when f is constant to rounding. Neither depends on d2.
     """
     r0 = fv - const @ J
-    if float(np.max(np.abs(r0))) <= 64.0 * np.finfo(float).eps * scale:
+    if float(np.max(np.abs(r0))) <= 64.0 * np.finfo(float).eps * float(np.max(np.abs(fv))):
         return 0.0, None  # f is constant to rounding
     free = lam != 0.0  # the rows off the face
-    sigma, v = _steepest((lam[:, None] * J)[free], (J @ _grad_norm(r0, norm))[free], norm)
+    sigma, v = _steepest((lam[:, None] * J)[free], (J @ norm._derivatives(r0)[0])[free], norm)
     if v is None:
         return sigma, None
     out = np.zeros(lam.size)
     out[free] = v
     return sigma, out
-
-
-def _scaled_power(v, n, p):
-    """v and n ** (p - 1), for n = norm(v); or v / m and (n / m) ** (p - 1), m = max|v|, where n ** (p - 1) is not a normal float.
-
-    The gradient and Hessian of a norm divide powers of |v| by this power
-    of n; at a large p both underflow (or overflow) together, and dividing
-    by m first keeps them normal, as in DiscreteNorm.
-    """
-    with np.errstate(over="ignore"):
-        d = np.float64(n) ** (p - 1.0)
-    if not sys.float_info.min <= d < math.inf:
-        m = float(np.max(np.abs(v)))
-        if 0.0 < m < math.inf:
-            return v / m, (n / m) ** (p - 1.0)
-    return v, d
-
-
-def _grad_norm(v, norm):
-    """Gradient of norm at v in v, 1 < p < inf, its powers scaled by _scaled_power."""
-    p = norm.p
-    v, d = _scaled_power(v, norm(v), p)
-    return norm.weights * np.sign(v) * np.abs(v) ** (p - 1.0) / d
 
 
 def _newton_k(fv, J, lam, norm, d2, c_proj, const, face):
@@ -862,6 +831,8 @@ def _newton_k(fv, J, lam, norm, d2, c_proj, const, face):
 
     - if no direction off the face lowers F (d2 >= sigma), const is the
       minimiser and no Newton step is taken (an exact constant fit included);
+    - at d2 = 0, F is E's objective, which _damped_newton minimises with
+      its large-p start; Newton runs only where that raises;
     - otherwise F is minimised along v from const, and along the steepest
       direction from c_proj, and Newton starts from the best of these
       points and c_proj.
@@ -869,13 +840,12 @@ def _newton_k(fv, J, lam, norm, d2, c_proj, const, face):
     Each Newton step solves the Hessian system, assembled as J diag(.) J^T,
     by least squares, because the Hessian of a 1-homogeneous norm is
     singular along its argument; the weights |v|^(p-2) are floored at
-    1e-12 max|v|, as in _damped_newton. The step is halved until F
+    1e-12 max|v| (DiscreteNorm._derivatives). The step is halved until F
     decreases. The loop stops when the Newton decrement, or the decrease of
     F in an accepted step, is at rounding level relative to F, when no
     halved step decreases F, or after 100 steps.
     """
     LJ = lam[:, None] * J
-    rw, p = norm.weights, norm.p
 
     def objective(c):
         return norm(fv - J.T @ c) + d2 * norm(LJ.T @ c)
@@ -887,10 +857,13 @@ def _newton_k(fv, J, lam, norm, d2, c_proj, const, face):
     sigma, v = face
     if d2 >= sigma:
         return const, 0
+    if d2 == 0.0:
+        with contextlib.suppress(ConvergenceError):  # near p = 1, Newton below may still converge
+            return _damped_newton(fv, J.T, norm)
     starts = [c_proj, descend_from(const, v)]
     u = LJ.T @ c_proj
     if d2 > 0.0 and np.any(u):
-        sigma, v = _steepest(J, -d2 * (LJ @ _grad_norm(u, norm)), norm)
+        sigma, v = _steepest(J, -d2 * (LJ @ norm._derivatives(u)[0]), norm)
         if sigma > 1.0:  # F decreases along v even from an exact fit
             starts.append(descend_from(c_proj, v))
 
@@ -903,10 +876,9 @@ def _newton_k(fv, J, lam, norm, d2, c_proj, const, face):
         n = norm(v)
         if n == 0.0:
             return 0.0, 0.0
-        g = B @ _grad_norm(v, norm)
-        a, d = _scaled_power(np.maximum(np.abs(v), 1e-12 * float(np.max(np.abs(v)))), n, p)
-        h = (p - 1.0) * rw * a ** (p - 2.0) / d
-        return g, (B * h) @ B.T - (p - 1.0) / n * np.outer(g, g)
+        g, h = norm._derivatives(v)
+        g = B @ g
+        return g, (B * h) @ B.T - (norm.p - 1.0) / n * np.outer(g, g)
 
     for iterations in range(1, 101):
         g1, h1 = derivatives(r, J)
@@ -944,7 +916,7 @@ def _steepest(B, b, norm):
     rest = np.arange(b.size) != k
     u0 = B[k] / b[k]
     V = np.outer(u0, b[rest]) - B[rest].T  # B^T v = u0 - V z for v[rest] = z on the hyperplane
-    z, _ = _damped_newton(u0, V, norm.weights, norm.p, float(np.max(np.abs(u0))))
+    z, _ = _damped_newton(u0, V, norm)
     v = np.empty(b.size)
     v[rest] = z
     v[k] = (1.0 - b[rest] @ z) / b[k]

@@ -305,7 +305,8 @@ class DiscreteNorm:
     absorbing (1-x^2)^(p alpha); for p = inf it is max weights |v|, the
     weights being (1-x^2)^alpha. Where that sum underflows or overflows
     (large p) and v is not zero, it is taken of v / max|v|, and the norm
-    scaled back by max|v|.
+    scaled back by max|v|; every other power of p that the 1 < p < inf
+    solvers take but their IRLS weights is a private method, by that rule.
     """
 
     p: float
@@ -313,23 +314,49 @@ class DiscreteNorm:
     weights: np.ndarray = field(repr=False)
 
     def __call__(self, vals) -> float:
-        # ndarray methods and no power at p = 1: the K solvers call this in
-        # their inner loops, where np.max, np.cumsum and ** 1.0 cost
-        # measurable time
+        # ndarray methods, and no power at p = 1 (_psum): the K solvers' inner
+        # loops call this, where np.max, np.cumsum and ** 1.0 cost measurable time
         if self.p == math.inf:
             return float((np.abs(vals) * self.weights).max())
         a = np.abs(vals)
         with np.errstate(over="ignore"):
-            s = float((self.weights * (a if self.p == 1.0 else a**self.p)).cumsum()[-1])
+            s = float(self._psum(a))
         return self._root(s, a)
+
+    def _psum(self, a):
+        """The ordered sum of weights a^p over the last axis of a = |v|, finite p; inf where it overflows."""
+        return (self.weights * (a if self.p == 1.0 else a**self.p)).cumsum(axis=-1)[..., -1]
+
+    def _pgrad(self, v):
+        """w sign(v) |v|^(p-1), the gradient of the sum of weights |v|^p / p, finite p."""
+        return self.weights * np.sign(v) * np.abs(v) ** (self.p - 1.0)
+
+    def _divisor(self, x, a) -> float:
+        """The one rescale rule: max a, a = |v|, where x (a power of a or of its norm) is not a normal float and max a is positive and finite; else 1.0."""
+        m = 1.0 if sys.float_info.min <= x < math.inf else float(a.max())
+        return m if 0.0 < m < math.inf else 1.0
 
     def _root(self, s, a) -> float:
         """The norm from the ordered sum s of the weighted |v|^p, a = |v|, rescaled where s is not a normal float."""
-        if not sys.float_info.min <= s < math.inf:
-            m = float(a.max())
-            if 0.0 < m < math.inf and m != 1.0:
-                return m * self(a / m)  # max(a / m) is 1: the sum is at least the weight of its node
+        m = self._divisor(s, a)
+        if m != 1.0:
+            return m * self(a / m)  # max(a / m) is 1: the sum is at least the weight of its node
         return s if self.p == 1.0 else s ** (1.0 / self.p)
+
+    def _derivatives(self, v):
+        """The norm's gradient w sign(v) |v|^(p-1) / N^(p-1) at v != 0, 1 < p < inf, and its Hessian weights (p-1) w b^(p-2) / N^(p-1), b = |v| floored at 1e-12 max|v|.
+
+        The powers are of v / m, b / m and N / m, m = _divisor(N^(p-1), |v|);
+        the weights, of degree -1 in v, are then divided by m once more.
+        """
+        n, a = self(v), np.abs(v)
+        b = np.maximum(a, 1e-12 * float(a.max()))
+        with np.errstate(over="ignore"):
+            d = np.float64(n) ** (self.p - 1.0)
+        m = self._divisor(d, a)
+        if m != 1.0:
+            v, b, d = v / m, b / m, (n / m) ** (self.p - 1.0)
+        return self._pgrad(v) / d, (self.p - 1.0) * self.weights * b ** (self.p - 2.0) / d / m
 
     def rows(self, vals) -> list:
         """The norm of each row of the 2-d array vals, bitwise [self(v) for v in vals], in one pass over the array."""
@@ -337,7 +364,7 @@ class DiscreteNorm:
         if self.p == math.inf:
             return (a * self.weights).max(axis=-1).tolist()
         with np.errstate(over="ignore"):
-            sums = (self.weights * (a if self.p == 1.0 else a**self.p)).cumsum(axis=-1)[:, -1]
+            sums = self._psum(a)
         return [self._root(s, row) for s, row in zip(sums.tolist(), a)]
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from smoothness_lab import (
     EvaluationError,
@@ -324,3 +325,43 @@ def test_norms_of_rows_are_bitwise_the_norm_of_each_row(p):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert norm.rows(vals) == [norm(v) for v in vals], scale
+
+
+def _log_calculus(norm, v):
+    """The gradient of norm at v and its Hessian weights, |v| floored at 1e-12 max|v|, from logarithms: no power of p is formed.
+
+    With m = max|v| and r = |v| / m, log(N(v) / m) = logsumexp(log w + p
+    log r) / p; each entry is then the exp of a sum of logarithms.
+    """
+    p, a = norm.p, np.abs(v)
+    m = a.max()
+    with np.errstate(divide="ignore"):
+        log_r = np.log(a / m)
+    log_w = np.log(norm.weights)
+    log_n = logsumexp(log_w + p * log_r) / p  # log(N(v) / m)
+    grad = np.sign(v) * np.exp(log_w + (p - 1.0) * (log_r - log_n))
+    log_f = np.log(np.maximum(a, 1e-12 * m) / m)
+    hess = (p - 1.0) * np.exp(log_w + (p - 2.0) * log_f - (p - 1.0) * log_n) / m
+    return grad, hess
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 40.0, 1000.0])
+def test_norm_gradient_and_hessian_weights_match_a_log_domain_reference(p):
+    # the Newton solvers take the gradient w sign(v) |v|^(p-1) / N^(p-1)
+    # and the floored Hessian weights (p-1) w |v|^(p-2) / N^(p-1) from
+    # DiscreteNorm; at the scales 1e-200 and 1e200 the plain powers of v
+    # and of N underflow or overflow, and no RuntimeWarning may be raised
+    norm = space.discrete_norm(SpaceParams(p, 1.0), 64)
+    rng = np.random.default_rng(13)
+    for scale in (1e-200, 1e-9, 1.0, 1e9, 1e200):
+        v = rng.normal(size=64) * scale
+        v[5], v[6] = 0.0, 1e-15 * scale  # below the Hessian's floor
+        want_g, want_h = _log_calculus(norm, v)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got_g, got_h = norm._derivatives(v)
+        # a power of an entry of v / max|v| rounds at about p eps, and the
+        # reference's exp of a sum of logarithms at tens of eps
+        tol = 256.0 * p * np.finfo(float).eps
+        assert np.max(np.abs(got_g - want_g)) <= tol * np.max(np.abs(want_g)), scale
+        assert np.max(np.abs(got_h - want_h)) <= tol * np.max(want_h), scale

@@ -660,7 +660,9 @@ def test_jacobi_matrix_0_4_rows_are_the_multipliers():
 def test_multiplier_moduli_agree_with_the_z_rule(name):
     # a declared-degree f takes its moduli from psi_k(y) a_k, without a
     # z-integral; the z-rule is exact for it too, so the two agree to
-    # rounding. The degree-48 K witness needs all of its d + 1 = 49 nodes.
+    # rounding. The degree-48 K witness needs all of its d + 1 = 49 nodes;
+    # it is that of (1-x)^0.75, which is neither even nor odd, so K does not
+    # fold it to the coefficients of one parity.
     params = MODULI_SPACES[name]
     cfg = Config()
     fs = [
@@ -669,7 +671,7 @@ def test_multiplier_moduli_agree_with_the_z_rule(name):
         for e in corpus(seed)
         if space_module._declared_degree(e.handle) is not None
     ]
-    witness = k_functional(CORPUS["sin(3x)"], 0.1, P21, 48, 256).witness
+    witness = k_functional(CORPUS["(1-x)^0.75"], 0.1, P21, 48, 256).witness
     assert witness.degree == 48
     fs.append(("witness-48", witness))
     for label, f in fs:
